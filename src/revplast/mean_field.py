@@ -92,6 +92,9 @@ class MeanFieldOperators:
     concentration: (n, 6, 6) strain concentration tensors.
     influence: (n, n, 6, 6); ``influence[a, b]`` maps an eigen-strain in phase
     b to the induced strain of phase a at zero macroscopic strain.
+    plastic: (n,) mask of the phases with a yield surface; tan_friction,
+    tan_dilation (potential angle) and shear_strength are their Drucker-Prager
+    parameters, zero for elastic phases.
     """
 
     phases: tuple[PhaseSpec, ...]
@@ -101,6 +104,10 @@ class MeanFieldOperators:
     concentration: np.ndarray
     influence: np.ndarray
     stiffness_hom: np.ndarray
+    plastic: np.ndarray
+    tan_friction: np.ndarray
+    tan_dilation: np.ndarray
+    shear_strength: np.ndarray
     consistency_residuals: tuple[float, float] = field(default=(0.0, 0.0))
 
     @property
@@ -213,11 +220,18 @@ def assemble_operators(phases, scheme: str = "mori_tanaka") -> MeanFieldOperator
             f"operator consistency violated: |sum f A - I| = {res_a:.3e}, "
             f"max_b |sum f B| = {res_b:.3e}")
 
-    for arr in (f, cmats, conc, infl, c_hom):
+    models = [p.plastic for p in phases]
+    plastic = np.array([m is not None for m in models])
+    tan_f = np.array([np.tan(m.friction_angle) if m else 0.0 for m in models])
+    tan_g = np.array([np.tan(m.potential_angle) if m else 0.0 for m in models])
+    s0 = np.array([m.shear_strength if m else 0.0 for m in models])
+
+    for arr in (f, cmats, conc, infl, c_hom, plastic, tan_f, tan_g, s0):
         arr.setflags(write=False)
     return MeanFieldOperators(phases=phases, scheme=scheme, fractions=f,
                               stiffness=cmats, concentration=conc, influence=infl,
-                              stiffness_hom=c_hom,
+                              stiffness_hom=c_hom, plastic=plastic, tan_friction=tan_f,
+                              tan_dilation=tan_g, shear_strength=s0,
                               consistency_residuals=(float(res_a), float(res_b)))
 
 

@@ -1,8 +1,14 @@
-"""Drucker-Prager perfect plasticity: stress invariants, yield value, flow direction.
+"""Drucker-Prager perfect plasticity: one batched kernel for invariants, yield value, flow.
 
 Zero friction angle reduces the criterion to von Mises with the equivalent
 stress capped at the shear failure stress.  Perfect plasticity only: the
 surface carries no internal variables.
+
+``dp_yield`` and ``dp_flow`` work on ``(m, 6)`` Mandel stresses with ``(m,)``
+arrays of angle tangents and shear strengths (or on one ``(6,)`` stress with
+scalars); the solver calls them with the per-phase parameter arrays stored on
+the mean-field operators.  The model-level functions below call the same
+kernel with one model's scalars.
 """
 from __future__ import annotations
 
@@ -43,35 +49,50 @@ class DruckerPrager:
         return self.friction_angle if self.dilation_angle is None else self.dilation_angle
 
 
-def stress_invariants(sig: np.ndarray) -> tuple[float, float]:
-    """(mean stress, equivalent deviatoric stress) of a Mandel stress vector."""
+def _invariants(sig):
+    """(mean stress, deviator, equivalent deviatoric stress) of Mandel stresses."""
     sig = np.asarray(sig, dtype=float)
-    mean = (sig[0] + sig[1] + sig[2]) / 3.0
-    dev = sig - mean * IVEC
-    return mean, float(np.sqrt(1.5 * np.dot(dev, dev)))
+    mean = (sig[..., 0] + sig[..., 1] + sig[..., 2]) / 3.0
+    dev = sig - mean[..., None] * IVEC
+    eq = np.sqrt(1.5 * np.einsum("...i,...i->...", dev, dev))
+    return mean, dev, eq
 
 
-def yield_value(model: DruckerPrager, sig: np.ndarray) -> float:
-    """Yield function value in MPa; positive means inadmissible."""
-    mean, eq = stress_invariants(sig)
-    return eq + mean * np.tan(model.friction_angle) - model.shear_strength
+def dp_yield(sig, tan_friction, strength):
+    """Yield values F = s_eq + s_m tan(phi) - s0 in MPa; positive means inadmissible."""
+    mean, _, eq = _invariants(sig)
+    return eq + mean * tan_friction - strength
 
 
-def flow_direction(model: DruckerPrager, sig: np.ndarray,
-                   angle: float | None = None) -> np.ndarray:
-    """Gradient of the yield function (or potential, via ``angle``) at ``sig``.
+def dp_flow(sig, tan_angle, strength):
+    """Gradients of F (or of the potential, given its angle tangent) at ``sig``.
 
     Undefined where the deviatoric stress vanishes; for positive friction that
     is the surface apex, which this model deliberately does not regularize.
     """
-    sig = np.asarray(sig, dtype=float)
-    mean, eq = stress_invariants(sig)
-    if eq <= APEX_TOLERANCE * model.shear_strength:
+    mean, dev, eq = _invariants(sig)
+    if np.any(eq <= APEX_TOLERANCE * np.asarray(strength)):
         raise ApexSingularityError(
             "deviatoric stress vanishes; flow direction undefined at the apex")
+    return 1.5 * dev / eq[..., None] + (np.asarray(tan_angle) / 3.0)[..., None] * IVEC
+
+
+def stress_invariants(sig: np.ndarray):
+    """(mean stress, equivalent deviatoric stress) of a (6,) or (n, 6) Mandel stress."""
+    mean, _, eq = _invariants(sig)
+    return mean, eq
+
+
+def yield_value(model: DruckerPrager, sig: np.ndarray):
+    """Yield function value(s) of ``model`` in MPa; positive means inadmissible."""
+    return dp_yield(sig, np.tan(model.friction_angle), model.shear_strength)
+
+
+def flow_direction(model: DruckerPrager, sig: np.ndarray,
+                   angle: float | None = None) -> np.ndarray:
+    """Gradient of the yield function (or potential, via ``angle``) at ``sig``."""
     tan_a = np.tan(model.friction_angle if angle is None else angle)
-    dev = sig - mean * IVEC
-    return 1.5 * dev / eq + (tan_a / 3.0) * IVEC
+    return dp_flow(sig, tan_a, model.shear_strength)
 
 
 def potential_direction(model: DruckerPrager, sig: np.ndarray) -> np.ndarray:

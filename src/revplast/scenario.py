@@ -18,6 +18,7 @@ from .errors import ScenarioError
 from .mean_field import PhaseSpec, Spheroid, validate_phases
 from .orientations import ORIENTATION_SETS
 from .plasticity import DruckerPrager
+from .results import _fmt
 from .solver import STRAIN, STRESS, LoadProgram, LoadSegment, SolverSettings
 from .tensors import COMPONENT_LABELS
 
@@ -349,10 +350,6 @@ def parse_scenario(text: str) -> Scenario:
 
 # ---------------------------------------------------------------------------
 # serialization (round-trips through parse_scenario)
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
 
 def _plastic_lines(model: DruckerPrager | None) -> list[str]:
     if model is None:

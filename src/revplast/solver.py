@@ -9,6 +9,10 @@ redistribution join.  Macroscopic components may be strain- or
 stress-controlled; stress control runs an outer fixed-point iteration on the
 unknown strain components using the homogenized elastic stiffness as the
 iteration operator, re-running the inner return mapping each pass.
+
+Yield checks, the Newton residuals and flow directions and the KKT check of
+every converged increment all call the batched Drucker-Prager kernel of
+``plasticity`` on the per-phase parameter arrays of the operators.
 """
 from __future__ import annotations
 
@@ -16,17 +20,18 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ActiveSetOscillationError, ApexSingularityError, StepFailureError
+from .errors import ActiveSetOscillationError, StepFailureError
 from .mean_field import (MeanFieldOperators, localize, macro_plastic_strain,
                          upscale_stress)
-from .plasticity import APEX_TOLERANCE, yield_value
-from .tensors import IVEC
+from .plasticity import dp_flow, dp_yield
 
 STRAIN = "strain"
 STRESS = "stress"
 
 # candidate threshold relative to each phase's shear strength
 YIELD_TOL = 1e-10
+# multiplier step of the finite-difference Jacobian
+FD_STEP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -38,8 +43,6 @@ class SolverSettings:
     mixed_max_iter: int = 60
     max_subdivisions: int = 8
     fd_jacobian: bool = False
-    fd_step: float = 1e-8
-    validate: bool = True
 
 
 @dataclass(frozen=True)
@@ -109,57 +112,28 @@ def _trial_at(ops: MeanFieldOperators, state: REVState, eps_bar: np.ndarray):
     return eps_bar, eps_tr, sig_tr
 
 
-def trial_step(ops: MeanFieldOperators, state: REVState,
-               d_macro_strain: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Elastic predictor: (macro strain, trial phase strains, trial phase stresses)."""
-    return _trial_at(ops, state, state.macro_strain + np.asarray(d_macro_strain, float))
-
-
 def check_yield(ops: MeanFieldOperators, stresses: np.ndarray
                 ) -> tuple[np.ndarray, list[int]]:
     """Per-phase yield values (-inf for elastic phases) and candidate plastic set."""
-    n = ops.n_phases
-    f_vals = np.full(n, -np.inf)
-    candidates = []
-    for a, ph in enumerate(ops.phases):
-        if ph.plastic is None:
-            continue
-        f_vals[a] = yield_value(ph.plastic, stresses[a])
-        if f_vals[a] > YIELD_TOL * ph.plastic.shear_strength:
-            candidates.append(a)
+    p = ops.plastic
+    f_vals = np.full(ops.n_phases, -np.inf)
+    f_vals[p] = dp_yield(stresses[p], ops.tan_friction[p], ops.shear_strength[p])
+    candidates = np.flatnonzero(f_vals > YIELD_TOL * ops.shear_strength).tolist()
     return f_vals, candidates
 
 
 class _ActiveSystem:
-    """Vectorized views of the active phases for the Newton solve."""
+    """Operator and parameter slices of the active phases for the Newton solve."""
 
     def __init__(self, ops, active):
-        models = [ops.phases[a].plastic for a in active]
         self.active = active
-        self.tan_f = np.array([np.tan(m.friction_angle) for m in models])
-        self.tan_g = np.array([np.tan(m.potential_angle) for m in models])
-        self.strength = np.array([m.shear_strength for m in models])
+        self.tan_f = ops.tan_friction[active]
+        self.tan_g = ops.tan_dilation[active]
+        self.strength = ops.shear_strength[active]
         self.infl_cols = ops.influence[:, active]      # (n, m, 6, 6)
         self.infl_act = ops.influence[np.ix_(active, active)]
         self.stiff = ops.stiffness
         self.stiff_act = ops.stiffness[active]
-
-    def invariants(self, sig_act):
-        mean = (sig_act[:, 0] + sig_act[:, 1] + sig_act[:, 2]) / 3.0
-        dev = sig_act - mean[:, None] * IVEC
-        eq = np.sqrt(1.5 * np.einsum("ai,ai->a", dev, dev))
-        return mean, dev, eq
-
-    def residuals(self, sig_act):
-        mean, _, eq = self.invariants(sig_act)
-        return eq + mean * self.tan_f - self.strength
-
-    def directions(self, sig_act, tan):
-        mean, dev, eq = self.invariants(sig_act)
-        if np.any(eq <= APEX_TOLERANCE * self.strength):
-            raise ApexSingularityError(
-                "deviatoric stress vanished in an active phase; flow undefined")
-        return 1.5 * dev / eq[:, None] + (tan / 3.0)[:, None] * IVEC
 
     def stress_update(self, sig_tr, lam, dirs):
         """Stresses of all phases for multipliers ``lam`` with flow ``dirs``."""
@@ -169,21 +143,23 @@ class _ActiveSystem:
 
     def jacobian(self, sig_act, dirs):
         """d F_a / d lambda_b with flow directions frozen at the current iterate."""
-        normals = self.directions(sig_act, self.tan_f)
+        normals = dp_flow(sig_act, self.tan_f, self.strength)
         v = np.einsum("abij,bj->abi", self.infl_act, dirs)
         m = len(self.active)
         v[np.arange(m), np.arange(m)] -= dirs
         return np.einsum("ai,aij,abj->ab", normals, self.stiff_act, v)
 
-    def fd_jacobian(self, sig_tr, lam, dirs, step):
+    def fd_jacobian(self, sig_tr, lam, dirs):
         m = len(self.active)
         jac = np.empty((m, m))
-        base = self.residuals(self.stress_update(sig_tr, lam, dirs)[self.active])
+        sig = self.stress_update(sig_tr, lam, dirs)
+        base = dp_yield(sig[self.active], self.tan_f, self.strength)
         for kb in range(m):
             bumped = lam.copy()
-            bumped[kb] += step
+            bumped[kb] += FD_STEP
             sig = self.stress_update(sig_tr, bumped, dirs)
-            jac[:, kb] = (self.residuals(sig[self.active]) - base) / step
+            jac[:, kb] = (dp_yield(sig[self.active], self.tan_f, self.strength)
+                          - base) / FD_STEP
         return jac
 
 
@@ -196,22 +172,23 @@ def _newton_multipliers(ops, sig_tr, active, settings):
     returned stresses.
     """
     sys_ = _ActiveSystem(ops, active)
-    tols = settings.newton_tol * sys_.strength
+    tan_f, tan_g, s0 = sys_.tan_f, sys_.tan_g, sys_.strength
+    tols = settings.newton_tol * s0
     lam = np.zeros(len(active))
-    dirs = sys_.directions(sig_tr[active], sys_.tan_g)
+    dirs = dp_flow(sig_tr[active], tan_g, s0)
     for _ in range(settings.newton_max_iter):
         sig = sys_.stress_update(sig_tr, lam, dirs)
-        res = sys_.residuals(sig[active])
+        res = dp_yield(sig[active], tan_f, s0)
         if np.all(np.abs(res) <= tols):
-            dirs_new = sys_.directions(sig[active], sys_.tan_g)
+            dirs_new = dp_flow(sig[active], tan_g, s0)
             sig_chk = sys_.stress_update(sig_tr, lam, dirs_new)
-            if np.all(np.abs(sys_.residuals(sig_chk[active])) <= tols):
+            if np.all(np.abs(dp_yield(sig_chk[active], tan_f, s0)) <= tols):
                 return lam, dirs_new, sig_chk
             dirs = dirs_new
             continue
-        dirs = sys_.directions(sig[active], sys_.tan_g)
+        dirs = dp_flow(sig[active], tan_g, s0)
         if settings.fd_jacobian:
-            jac = sys_.fd_jacobian(sig_tr, lam, dirs, settings.fd_step)
+            jac = sys_.fd_jacobian(sig_tr, lam, dirs)
         else:
             jac = sys_.jacobian(sig[active], dirs)
         try:
@@ -243,10 +220,8 @@ def return_map(ops: MeanFieldOperators, state: REVState, eps_bar: np.ndarray,
                 return (eps_tr, state.plastic_strain.copy(), sig_tr,
                         np.zeros(ops.n_phases), [False] * ops.n_phases)
             continue
-        f_vals, _ = check_yield(ops, sig)
-        newly = [a for a, ph in enumerate(ops.phases)
-                 if ph.plastic is not None and a not in active
-                 and f_vals[a] > YIELD_TOL * ph.plastic.shear_strength]
+        _, candidates = check_yield(ops, sig)
+        newly = [a for a in candidates if a not in active]
         if not newly:
             break
         active = active + newly
@@ -263,13 +238,6 @@ def return_map(ops: MeanFieldOperators, state: REVState, eps_bar: np.ndarray,
     stresses = phase_stresses(ops, strains, eps_p)
     mask = [a in active for a in range(ops.n_phases)]
     return strains, eps_p, stresses, multipliers, mask
-
-
-def advance(ops: MeanFieldOperators, state: REVState, d_macro_strain: np.ndarray,
-            settings: SolverSettings) -> REVState:
-    """One strain-driven increment: trial, yield check, return mapping, macro update."""
-    return _advance_to(ops, state, state.macro_strain + np.asarray(d_macro_strain, float),
-                       settings)
 
 
 def _advance_to(ops: MeanFieldOperators, state: REVState, eps_bar_new: np.ndarray,
@@ -302,16 +270,17 @@ def validate_state(ops: MeanFieldOperators, state: REVState,
     res_avg = np.abs(avg - state.macro_strain).max()
     if res_avg > tol * max(1.0, float(np.abs(state.macro_strain).max())):
         raise StepFailureError(f"strain-average residual {res_avg:.3e} exceeds tolerance")
-    for a, ph in enumerate(ops.phases):
-        if ph.plastic is None:
-            continue
-        f_val = yield_value(ph.plastic, state.stress[a])
-        tol_f = YIELD_TOL * ph.plastic.shear_strength
-        lam = state.multipliers[a]
-        if f_val > tol_f or lam < 0.0 or abs(lam * f_val) > tol_f:
-            raise StepFailureError(
-                f"KKT violation in phase {ph.name!r}: F = {f_val:.3e}, "
-                f"multiplier = {lam:.3e}")
+    p = ops.plastic
+    f_vals = dp_yield(state.stress[p], ops.tan_friction[p], ops.shear_strength[p])
+    tol_f = YIELD_TOL * ops.shear_strength[p]
+    lam = state.multipliers[p]
+    bad = np.flatnonzero((f_vals > tol_f) | (lam < 0.0) | (np.abs(lam * f_vals) > tol_f))
+    if bad.size:
+        k = bad[0]
+        name = ops.phases[np.flatnonzero(p)[k]].name
+        raise StepFailureError(
+            f"KKT violation in phase {name!r}: F = {f_vals[k]:.3e}, "
+            f"multiplier = {lam[k]:.3e}")
     two_forms = ops.stiffness_hom @ (state.macro_strain - state.macro_plastic)
     if np.abs(two_forms - state.macro_stress).max() > 1e-12 * sig_ref:
         raise StepFailureError("macro stress forms disagree beyond roundoff")
@@ -374,8 +343,7 @@ def drive(ops: MeanFieldOperators, program: LoadProgram,
                 targets = start + (end - start) * (k / segment.increments)
             new = _advance_with_subdivision(ops, states[-1], targets,
                                             segment.modes, settings)
-            if settings.validate:
-                validate_state(ops, new)
+            validate_state(ops, new)
             states.append(new)
     return states
 

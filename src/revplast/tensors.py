@@ -67,21 +67,6 @@ def ten4_to_tensor(m: np.ndarray) -> np.ndarray:
     return t
 
 
-def ten4_apply(t: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Double contraction T : a."""
-    return np.asarray(t) @ np.asarray(a)
-
-
-def ten4_mul(t: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Operator composition T : U."""
-    return np.asarray(t) @ np.asarray(u)
-
-
-def ten4_transpose(t: np.ndarray) -> np.ndarray:
-    """Major transpose; the adjoint w.r.t. the double contraction."""
-    return np.asarray(t).T.copy()
-
-
 def ten4_inv(t: np.ndarray, cond_limit: float = 1e12) -> np.ndarray:
     """Invert a fourth-order operator, rejecting ill-conditioned input."""
     t = np.asarray(t, dtype=float)

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from revplast.errors import ApexSingularityError
-from revplast.plasticity import (DruckerPrager, flow_direction,
+from revplast.plasticity import (DruckerPrager, dp_flow, dp_yield, flow_direction,
                                  potential_direction, stress_invariants,
                                  yield_value)
 from revplast.tensors import SQRT2
@@ -123,3 +123,35 @@ def test_non_associated_potential_accepted():
     n_pot = potential_direction(model, sig)
     assert n_pot[:3].sum() == pytest.approx(np.tan(0.1), rel=1e-12)
     assert not np.allclose(n_yield, n_pot)
+
+
+MIXED = (DruckerPrager(0.0, 0.12), DruckerPrager(0.3, 0.2),
+         DruckerPrager(0.4, 0.05, dilation_angle=0.1), DruckerPrager(1.2, 0.7))
+
+
+def test_batched_kernel_matches_rows(rng):
+    # one (n, 6) call with per-row parameters equals the stacked (6,) results
+    sig = rng.normal(size=(len(MIXED), 6)) * 0.3
+    tan_f = np.tan([m.friction_angle for m in MIXED])
+    tan_g = np.tan([m.potential_angle for m in MIXED])
+    s0 = np.array([m.shear_strength for m in MIXED])
+    rows_f = np.array([yield_value(m, s) for m, s in zip(MIXED, sig)])
+    rows_n = np.array([potential_direction(m, s) for m, s in zip(MIXED, sig)])
+    rows_inv = np.array([stress_invariants(s) for s in sig])
+    assert np.array_equal(dp_yield(sig, tan_f, s0), rows_f)
+    assert np.array_equal(dp_flow(sig, tan_g, s0), rows_n)
+    assert np.array_equal(np.column_stack(stress_invariants(sig)), rows_inv)
+    # one model over a batch of stresses
+    assert np.array_equal(yield_value(MIXED[1], sig),
+                          [yield_value(MIXED[1], s) for s in sig])
+
+
+def test_batched_flow_apex_row_raises(rng):
+    sig = rng.normal(size=(4, 6)) * 0.3
+    sig[2] = 0.5 * np.array([1.0, 1, 1, 0, 0, 0])
+    s0 = np.full(4, 0.12)
+    assert dp_yield(sig, np.zeros(4), s0).shape == (4,)  # yield values stay defined
+    with pytest.raises(ApexSingularityError):
+        dp_flow(sig, np.zeros(4), s0)
+    with pytest.raises(ApexSingularityError):
+        flow_direction(VM, sig)
