@@ -78,9 +78,9 @@ def _cmd_operators(args) -> int:
     if args.full:
         for a, phase in enumerate(ops.phases):
             _print_tensor(f"A[{phase.name}]", ops.concentration[a])
-        for a, pa in enumerate(ops.phases):
-            for b, pb in enumerate(ops.phases):
-                _print_tensor(f"B[{pa.name}, {pb.name}]", ops.influence[a, b])
+        for pa, row in zip(ops.phases, ops.influence):
+            for pb, tensor in zip(ops.phases, row):
+                _print_tensor(f"B[{pa.name}, {pb.name}]", tensor)
     else:
         for a, phase in enumerate(ops.phases):
             norm = np.linalg.norm(ops.concentration[a])

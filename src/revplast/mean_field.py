@@ -1,13 +1,14 @@
 """Mean-field operators: concentration/influence tensors and upscaling maps.
 
 The assembly follows the Mori-Tanaka estimate with the matrix phase as the
-reference medium.  Strain concentration tensors come from the dilute solution
-normalized over all phases; influence tensors are built numerically, column by
-column, by placing unit eigen-strains in each phase at zero macroscopic strain
-and solving the dilute interaction system closed by the strain-average rule.
-Two consistency identities gate the construction: the fraction-weighted
-concentration tensors sum to the identity, and the fraction-weighted influence
-tensors sum to zero for every source phase.
+reference medium.  Every inclusion sees the same matrix strain, so the
+influence operator is kept as per-phase factors, never as a dense array:
+eigen-strains x induce u_a - M_a sum_c f_c u_c, u_a = R_a (C_a x_a - C_0 x_0),
+with R_a = A_dil,a P_a and M_a = L_a (sum_c f_c L_c)^-1, where L is A_dil for
+Mori-Tanaka and its matrix row alone for the dilute variant.  Two consistency
+identities gate the construction: the fraction-weighted concentration tensors
+sum to the identity, and the fraction-weighted influence tensors sum to zero
+for every source phase.
 """
 from __future__ import annotations
 
@@ -90,8 +91,8 @@ class MeanFieldOperators:
     """Precomputed localization and upscaling operators for a phase assembly.
 
     concentration: (n, 6, 6) strain concentration tensors.
-    influence: (n, n, 6, 6); ``influence[a, b]`` maps an eigen-strain in phase
-    b to the induced strain of phase a at zero macroscopic strain.
+    response, mixing: (n, 6, 6) factors R_a (zero for the matrix) and M_a of the
+    influence operator that ``eigen_response`` applies; ``influence`` densifies it.
     plastic: (n,) mask of the phases with a yield surface; tan_friction,
     tan_dilation (potential angle) and shear_strength are their Drucker-Prager
     parameters, zero for elastic phases.
@@ -102,7 +103,8 @@ class MeanFieldOperators:
     fractions: np.ndarray
     stiffness: np.ndarray
     concentration: np.ndarray
-    influence: np.ndarray
+    response: np.ndarray
+    mixing: np.ndarray
     stiffness_hom: np.ndarray
     plastic: np.ndarray
     tan_friction: np.ndarray
@@ -113,6 +115,14 @@ class MeanFieldOperators:
     @property
     def n_phases(self) -> int:
         return len(self.phases)
+
+    @property
+    def influence(self) -> np.ndarray:
+        """Dense (n, n, 6, 6) tensors; ``influence[a, b]`` maps an eigen-strain in
+        phase b to the induced strain of phase a at zero macroscopic strain."""
+        n = self.n_phases
+        units = np.eye(6 * n).reshape(n, 6, 6 * n)
+        return eigen_response(self, units).reshape(n, 6, n, 6).transpose(0, 2, 1, 3)
 
 
 def dilute_concentration(p_hill: np.ndarray, c_incl: np.ndarray,
@@ -133,10 +143,9 @@ def _phase_tensors(phases: tuple[PhaseSpec, ...]):
     n = len(phases)
     cmats = np.empty((n, 6, 6))
     a_dil = np.empty((n, 6, 6))
-    resp = np.empty((n, 6, 6))  # Y_a : P_a, response of phase strain to its polarization
+    resp = np.zeros((n, 6, 6))  # R_a = A_dil,a P_a: phase strain per unit polarization
     cmats[0] = c0
     a_dil[0] = IDENTITY
-    resp[0] = 0.0
     for a, ph in enumerate(phases[1:], start=1):
         cmats[a] = ph.stiffness()
         p_loc = hill_tensor(ph.spheroid.aspect_ratio, c0)
@@ -147,36 +156,8 @@ def _phase_tensors(phases: tuple[PhaseSpec, ...]):
     return cmats, a_dil, resp
 
 
-def _eigen_columns(f, cmats, a_dil, resp, t_norm_inv, b):
-    """Phase strains for the six unit eigen-strains placed in phase b, zero macro strain.
-
-    Each inclusion sees the polarization of its own eigen-stress relative to
-    the matrix eigen-stress.  The matrix strain is eliminated through the
-    strain-average rule: for Mori-Tanaka it doubles as the inclusions' remote
-    strain; for the dilute variant (``t_norm_inv`` None) the remote strain is
-    the zero macroscopic strain and only the matrix absorbs the average.
-    Returns (n, 6, 6) with columns indexed by the unit eigen-strain component.
-    """
-    n = len(f)
-    sig_b = -cmats[b]  # eigen-stress columns for unit eigen-strains in phase b
-    t = np.zeros((n, 6, 6))
-    if b == 0:
-        for a in range(1, n):
-            t[a] = resp[a] @ sig_b          # polarization -(0 - sig_0) = +sig_0
-    else:
-        t[b] = -resp[b] @ sig_b
-    if t_norm_inv is None:
-        cols = t.copy()
-        cols[0] = -np.einsum("a,aij->ij", f, t) / f[0]
-        return cols
-    eps0 = t_norm_inv @ -np.einsum("a,aij->ij", f, t)
-    cols = np.einsum("aij,jk->aik", a_dil, eps0) + t
-    cols[0] = eps0
-    return cols
-
-
 def assemble_operators(phases, scheme: str = "mori_tanaka") -> MeanFieldOperators:
-    """Build concentration/influence tensors and the homogenized stiffness.
+    """Build concentration tensors, influence factors and the homogenized stiffness.
 
     ``scheme`` is ``"mori_tanaka"`` (default) or ``"dilute"``; the dilute
     variant skips the normalization and is only meaningful at small inclusion
@@ -185,24 +166,16 @@ def assemble_operators(phases, scheme: str = "mori_tanaka") -> MeanFieldOperator
     phases = validate_phases(phases)
     if scheme not in ("mori_tanaka", "dilute"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    n = len(phases)
     f = np.array([p.volume_fraction for p in phases])
     cmats, a_dil, resp = _phase_tensors(phases)
 
-    if scheme == "mori_tanaka":
-        t_norm = np.einsum("a,aij->ij", f, a_dil)
-        t_norm_inv = ten4_inv(t_norm)
-        conc = np.einsum("aij,jk->aik", a_dil, t_norm_inv)
-    else:
-        # dilute: inclusions see the macroscopic strain directly; the matrix
-        # concentration absorbs the strain average
-        t_norm_inv = None
-        conc = a_dil.copy()
-        conc[0] = (IDENTITY - np.einsum("a,aij->ij", f[1:], a_dil[1:])) / f[0]
-
-    infl = np.empty((n, n, 6, 6))
-    for b in range(n):
-        infl[:, b] = _eigen_columns(f, cmats, a_dil, resp, t_norm_inv, b)
+    # L = A_dil (Mori-Tanaka: the matrix strain is every inclusion's remote strain)
+    # or, dilute, its matrix row A_dil,0 = I alone (the matrix absorbs the average)
+    lead = a_dil.copy()
+    if scheme == "dilute":
+        lead[1:] = 0.0
+    mix = lead @ ten4_inv(np.einsum("a,aij->ij", f, lead))
+    conc = a_dil + mix @ (IDENTITY - np.einsum("a,aij->ij", f, a_dil))
 
     c_hom = np.einsum("a,aij,ajk->ik", f, cmats, conc)
     asym = np.abs(c_hom - c_hom.T).max()
@@ -214,7 +187,10 @@ def assemble_operators(phases, scheme: str = "mori_tanaka") -> MeanFieldOperator
         raise MorphologyError("homogenized stiffness is not positive definite")
 
     res_a = float(np.abs(np.einsum("a,aij->ij", f, conc) - IDENTITY).max())
-    res_b = float(np.abs(np.einsum("a,abij->bij", f, infl)).max())
+    # sum_a f_a B[a, b] = (I - sum_a f_a M_a) S_b, S_b = sum_c f_c u_c for unit x_b
+    s_b = f[:, None, None] * (resp @ cmats)
+    s_b[0] = -np.einsum("a,aij->ij", f, resp) @ cmats[0]
+    res_b = float(np.abs((IDENTITY - np.einsum("a,aij->ij", f, mix)) @ s_b).max())
     if res_a > CONSISTENCY_TOL or res_b > CONSISTENCY_TOL:
         raise MorphologyError(
             f"operator consistency violated: |sum f A - I| = {res_a:.3e}, "
@@ -226,10 +202,10 @@ def assemble_operators(phases, scheme: str = "mori_tanaka") -> MeanFieldOperator
     tan_g = np.array([np.tan(m.potential_angle) if m else 0.0 for m in models])
     s0 = np.array([m.shear_strength if m else 0.0 for m in models])
 
-    for arr in (f, cmats, conc, infl, c_hom, plastic, tan_f, tan_g, s0):
+    for arr in (f, cmats, conc, resp, mix, c_hom, plastic, tan_f, tan_g, s0):
         arr.setflags(write=False)
-    return MeanFieldOperators(phases=phases, scheme=scheme, fractions=f,
-                              stiffness=cmats, concentration=conc, influence=infl,
+    return MeanFieldOperators(phases=phases, scheme=scheme, fractions=f, stiffness=cmats,
+                              concentration=conc, response=resp, mixing=mix,
                               stiffness_hom=c_hom, plastic=plastic, tan_friction=tan_f,
                               tan_dilation=tan_g, shear_strength=s0,
                               consistency_residuals=(float(res_a), float(res_b)))
@@ -243,7 +219,18 @@ def localize(ops: MeanFieldOperators, macro_strain: np.ndarray,
         raise ValueError(f"expected plastic strains of shape {(ops.n_phases, 6)}, "
                          f"got {plastic_strains.shape}")
     return (np.einsum("aij,j->ai", ops.concentration, np.asarray(macro_strain, float))
-            + np.einsum("abij,bj->ai", ops.influence, plastic_strains))
+            + eigen_response(ops, plastic_strains))
+
+
+def eigen_response(ops: MeanFieldOperators, eigen_strains: np.ndarray) -> np.ndarray:
+    """Phase strains u_a - M_a sum_c f_c u_c induced by eigen-strains (n, 6[, k])
+    at zero macroscopic strain, u_a = R_a (C_a x_a - C_0 x_0) being the
+    polarization of inclusion a by its eigen-stress relative to the matrix one."""
+    x = np.asarray(eigen_strains, dtype=float)
+    polar = np.einsum("aij,aj...->ai...", ops.stiffness, x) - ops.stiffness[0] @ x[0]
+    u = np.einsum("aij,aj...->ai...", ops.response, polar)
+    return u - np.einsum("aij,j...->ai...", ops.mixing,
+                         np.einsum("a,ai...->i...", ops.fractions, u))
 
 
 def eigen_stress_hom(ops: MeanFieldOperators, plastic_strains: np.ndarray) -> np.ndarray:

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ActiveSetOscillationError, StepFailureError
-from .mean_field import (MeanFieldOperators, localize, macro_plastic_strain,
-                         upscale_stress)
+from .mean_field import (MeanFieldOperators, eigen_response, localize,
+                         macro_plastic_strain, upscale_stress)
 from .plasticity import dp_flow, dp_yield
 
 STRAIN = "strain"
@@ -126,28 +126,41 @@ class _ActiveSystem:
     """Operator and parameter slices of the active phases for the Newton solve."""
 
     def __init__(self, ops, active):
+        self.ops = ops
         self.active = active
         self.tan_f = ops.tan_friction[active]
         self.tan_g = ops.tan_dilation[active]
         self.strength = ops.shear_strength[active]
-        self.infl_cols = ops.influence[:, active]      # (n, m, 6, 6)
-        self.infl_act = ops.influence[np.ix_(active, active)]
-        self.stiff = ops.stiffness
         self.stiff_act = ops.stiffness[active]
+        self.mix_act = ops.mixing[active]
+        self.resp_act = ops.response[active] @ self.stiff_act  # R_b C_b
 
     def stress_update(self, sig_tr, lam, dirs):
         """Stresses of all phases for multipliers ``lam`` with flow ``dirs``."""
-        incr = np.einsum("amij,mj->ai", self.infl_cols, lam[:, None] * dirs)
-        incr[self.active] -= lam[:, None] * dirs
-        return sig_tr + np.einsum("aij,aj->ai", self.stiff, incr)
+        x = np.zeros_like(sig_tr)
+        x[self.active] = lam[:, None] * dirs
+        return sig_tr + phase_stresses(self.ops, eigen_response(self.ops, x), x)
 
     def jacobian(self, sig_act, dirs):
-        """d F_a / d lambda_b with flow directions frozen at the current iterate."""
-        normals = dp_flow(sig_act, self.tan_f, self.strength)
-        v = np.einsum("abij,bj->abi", self.infl_act, dirs)
-        m = len(self.active)
-        v[np.arange(m), np.arange(m)] -= dirs
-        return np.einsum("ai,aij,abj->ab", normals, self.stiff_act, v)
+        """d F_a / d lambda_b with flow directions frozen at the current iterate.
+
+        Diagonal g_a.(R_a C_a - I) d_a plus the rank-6 mixing term
+        -(M_a^T g_a).(f_b R_b C_b d_b), g_a = C_a n_a; an active matrix adds the
+        dense column g_a.B[a, 0] d_0, as its eigen-strain polarizes every inclusion.
+        """
+        ops, active = self.ops, self.active
+        g = np.einsum("aij,aj->ai", self.stiff_act,
+                      dp_flow(sig_act, self.tan_f, self.strength))
+        h = np.einsum("aij,aj->ai", self.resp_act, dirs)
+        jac = -np.einsum("aji,aj->ai", self.mix_act, g) @ (
+            ops.fractions[active, None] * h).T
+        jac[np.diag_indices_from(jac)] += np.einsum("ai,ai->a", g, h - dirs)
+        if 0 in active:
+            x = np.zeros((ops.n_phases, 6))
+            x[0] = dirs[active.index(0)]
+            col = eigen_response(ops, x)[active]  # B[a, 0] d_0
+            jac[:, active.index(0)] += np.einsum("ai,ai->a", g, col)
+        return jac
 
     def fd_jacobian(self, sig_tr, lam, dirs):
         m = len(self.active)
@@ -231,9 +244,8 @@ def return_map(ops: MeanFieldOperators, state: REVState, eps_bar: np.ndarray,
 
     multipliers = np.zeros(ops.n_phases)
     eps_p = state.plastic_strain.copy()
-    for k, a in enumerate(active):
-        multipliers[a] = lam[k]
-        eps_p[a] = eps_p[a] + lam[k] * dirs[k]
+    multipliers[active] = lam
+    eps_p[active] += lam[:, None] * dirs
     strains = localize(ops, eps_bar, eps_p)
     stresses = phase_stresses(ops, strains, eps_p)
     mask = [a in active for a in range(ops.n_phases)]

@@ -1,6 +1,10 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
+import revplast.solver as solver_mod
 from revplast.eshelby import hill_tensor
 from revplast.mean_field import (PhaseSpec, Spheroid, assemble_operators,
                                  dilute_concentration, localize,
@@ -180,6 +184,37 @@ def test_localize_single_eigenstrain(default_ops):
     eps = localize(default_ops, np.zeros(6), eps_p)
     oracle = np.einsum("aij,j->ai", default_ops.influence[:, 5], eps_p[5])
     assert np.abs(eps - oracle).max() < 1e-16
+
+
+def random_axis_phases(n_incl=100, seed=11):
+    rng = np.random.default_rng(seed)
+    f_incl = 0.3 / n_incl
+    return [matrix_phase(1.0 - f_incl * n_incl)] + [
+        spheroid_phase(f"i{k}", f_incl, axis=tuple(rng.normal(size=3)))
+        for k in range(n_incl)]
+
+
+@pytest.mark.parametrize("scheme", ["mori_tanaka", "dilute"])
+@pytest.mark.parametrize("assembly", ["default", "random_axes"])
+def test_uniform_eigen_stress_induces_no_strain(scheme, assembly):
+    # clamped body, uniform eigen-stress tau: sigma = -tau everywhere is
+    # equilibrated and compatible, so every phase strain must vanish
+    phases = (default_scenario().phases() if assembly == "default"
+              else random_axis_phases())
+    ops = assemble_operators(phases, scheme=scheme)
+    tau = np.random.default_rng(12).normal(size=6) * 0.1
+    eps_p = np.linalg.solve(ops.stiffness, tau)  # C_b^-1 tau in every phase b
+    eps = localize(ops, np.zeros(6), eps_p)
+    assert np.abs(eps).max() <= 1e-14 * np.abs(eps_p).max()
+
+
+def test_operators_store_no_dense_influence():
+    ops = assemble_operators(random_axis_phases())
+    for fld in dataclasses.fields(ops):
+        value = getattr(ops, fld.name)
+        if isinstance(value, np.ndarray):
+            assert value.ndim <= 3, fld.name
+    assert ".influence" not in inspect.getsource(solver_mod)
 
 
 def test_localize_average_consistency(default_ops):

@@ -166,6 +166,31 @@ def test_homogeneous_matches_radial_return_fd_jacobian():
         assert np.abs(st.macro_stress - sig).max() < 1e-8
 
 
+@pytest.mark.parametrize("scheme", ["mori_tanaka", "dilute"])
+@pytest.mark.parametrize("active", [[0, 1, 2], [1, 2], [2, 0]])
+def test_jacobian_matches_finite_differences(scheme, active):
+    # plastic matrix, two plastic inclusions with distinct stiffness and
+    # Drucker-Prager parameters and one elastic inclusion, all on one spheroid
+    shape = Spheroid(0.35, (1, 2, 3))
+    ops = assemble_operators([
+        PhaseSpec("matrix", 0.7, E0, NU, plastic=DruckerPrager(0.2, 0.12)),
+        PhaseSpec("stiff", 0.1, EI, 0.2, spheroid=shape,
+                  plastic=DruckerPrager(0.3, 0.5, dilation_angle=0.1)),
+        PhaseSpec("soft", 0.1, 300.0, 0.3, spheroid=shape,
+                  plastic=DruckerPrager(0.0, 0.2)),
+        PhaseSpec("elastic", 0.1, 2000.0, 0.25, spheroid=shape),
+    ], scheme=scheme)
+    eps = np.array([1e-3, -5e-4, -2e-3, 3e-4, 0.0, 2e-4])
+    _, _, sig_tr = _trial_at(ops, initial_state(ops), eps)
+    sys_ = solver_mod._ActiveSystem(ops, active)
+    dirs = solver_mod.dp_flow(sig_tr[active], sys_.tan_g, sys_.strength)
+    lam = 1e-4 * np.arange(1.0, len(active) + 1.0)  # a mid-Newton iterate
+    sig = sys_.stress_update(sig_tr, lam, dirs)
+    jac = sys_.jacobian(sig[active], dirs)
+    jac_fd = sys_.fd_jacobian(sig_tr, lam, dirs)
+    assert np.abs(jac - jac_fd).max() <= 1e-6 * np.abs(jac_fd).max()
+
+
 def test_negative_multiplier_candidate_dropped():
     # aligned twin inclusion phases with slightly different strengths: the
     # weaker-violation phase starts in the candidate set but its converged
