@@ -1,0 +1,140 @@
+#!/usr/bin/env python3
+"""Phase-count sweep of the return mapping: drive time and work counts per size.
+
+    PYTHONPATH=src python scripts/phase_sweep.py --out BENCH_4.json
+
+For 26, 100, 200 and 400 seeded random spheroid axes (plus the elastic
+matrix) it drives one fully strain-controlled segment of 30 increments in
+which every inclusion yields, the first segment of the ``wide_plastic``
+benchmark workload, with one BLAS thread.  Per size it records the best of
+``--repeats`` uninstrumented ``drive`` times and, from one more drive with
+counting wrappers, the Newton linearizations, return-map passes and
+subdivisions.  The JSON record also carries the Python and numpy versions
+and the host.
+"""
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy is imported
+
+import argparse
+import json
+import platform
+import sys
+import time
+from collections import Counter
+
+import numpy as np
+
+import revplast.solver as solver_mod
+from revplast.errors import StepFailureError
+from revplast.mean_field import PhaseSpec, Spheroid, assemble_operators
+from revplast.plasticity import DruckerPrager
+from revplast.solver import STRAIN, LoadProgram, LoadSegment, drive
+
+SIZES = (26, 100, 200, 400)
+AXES_SEED = 20201124
+PROGRAM = LoadProgram((LoadSegment(targets=(5e-4, 5e-4, -1e-3, None, None, None),
+                                   modes=(STRAIN,) * 6, increments=30),))
+
+
+def phases(n_axes: int, seed: int):
+    axes = np.random.default_rng(seed).normal(size=(n_axes, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    model = DruckerPrager(friction_angle=0.0, shear_strength=0.12)
+    fraction = 0.143 / n_axes
+    return [PhaseSpec("matrix", 1.0 - fraction * n_axes, 100.0, 0.25)] + [
+        PhaseSpec(f"incl{k}", fraction, 1000.0, 0.25,
+                  spheroid=Spheroid(0.35, tuple(float(x) for x in axis)), plastic=model)
+        for k, axis in enumerate(axes)]
+
+
+def counted_drive(ops):
+    """One drive with counting wrappers on the solver's attributes, which it
+    looks up at call time; the originals are restored afterwards."""
+    counts = Counter()
+    originals = (solver_mod._ActiveSystem.jacobian, solver_mod._advance_to,
+                 solver_mod._solve_mixed_increment)
+    jacobian, advance_to, solve_increment = originals
+
+    def counted_jacobian(self, *args):
+        counts["newton_linearizations"] += 1
+        return jacobian(self, *args)
+
+    def counted_advance_to(*args):
+        counts["passes"] += 1
+        return advance_to(*args)
+
+    def counted_increment(*args):
+        try:
+            return solve_increment(*args)
+        except StepFailureError:
+            counts["subdivisions"] += 1
+            raise
+
+    solver_mod._ActiveSystem.jacobian = counted_jacobian
+    solver_mod._advance_to = counted_advance_to
+    solver_mod._solve_mixed_increment = counted_increment
+    try:
+        states = drive(ops, PROGRAM)
+    finally:
+        (solver_mod._ActiveSystem.jacobian, solver_mod._advance_to,
+         solver_mod._solve_mixed_increment) = originals
+    return states, counts
+
+
+def run(n_axes: int, seed: int, repeats: int) -> dict:
+    ops = assemble_operators(phases(n_axes, seed))
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        states = drive(ops, PROGRAM)
+        times.append(time.perf_counter() - start)
+    _, counts = counted_drive(ops)
+    return {
+        "axes": n_axes,
+        "phases": ops.n_phases,
+        "increments": PROGRAM.total_increments,
+        "drive_s_best": min(times),
+        "drive_s_all": times,
+        "newton_linearizations": counts["newton_linearizations"],
+        "passes": counts["passes"],
+        "subdivisions": counts["subdivisions"],
+        "plastic_phases_final": int(sum(states[-1].active)),
+        "final_macro_stress": states[-1].macro_stress.tolist(),
+    }
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="JSON record to write")
+    parser.add_argument("--repeats", type=int, default=3, help="timed drives per size")
+    parser.add_argument("--seed", type=int, default=AXES_SEED, help="axes seed")
+    args = parser.parse_args()
+    runs = []
+    for n_axes in SIZES:
+        record = run(n_axes, args.seed, args.repeats)
+        runs.append(record)
+        print(f"{n_axes:4d} axes: drive {record['drive_s_best']:.3f} s, "
+              f"{record['newton_linearizations']} linearizations, "
+              f"{record['passes']} passes, {record['subdivisions']} subdivisions",
+              flush=True)
+    out = {
+        "description": "phase-count sweep: 30 strain-controlled increments "
+                       "(e11 = e22 = 5e-4, e33 = -1e-3), every inclusion yields",
+        "seed": args.seed,
+        "blas_threads": 1,
+        "repeats": args.repeats,
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+        "runs": runs,
+    }
+    with open(args.out, "w", encoding="utf-8") as handle:
+        json.dump(out, handle, indent=2)
+        handle.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -4,11 +4,11 @@ Zero friction angle reduces the criterion to von Mises with the equivalent
 stress capped at the shear failure stress.  Perfect plasticity only: the
 surface carries no internal variables.
 
-``dp_yield`` and ``dp_flow`` work on ``(m, 6)`` Mandel stresses with ``(m,)``
-arrays of angle tangents and shear strengths (or on one ``(6,)`` stress with
-scalars); the solver calls them with the per-phase parameter arrays stored on
-the mean-field operators.  The model-level functions below call the same
-kernel with one model's scalars.
+``dp_yield``, ``dp_flow`` and ``dp_flow_gradient`` work on ``(m, 6)`` Mandel
+stresses with ``(m,)`` arrays of angle tangents and shear strengths (or on one
+``(6,)`` stress with scalars); the solver calls them with the per-phase
+parameter arrays stored on the mean-field operators.  The model-level
+functions below call the same kernel with one model's scalars.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ApexSingularityError
-from .tensors import IVEC
+from .tensors import IVEC, K_PROJ
 
 # relative equivalent-stress floor below which the deviatoric direction is undefined
 APEX_TOLERANCE = 1e-10
@@ -64,17 +64,34 @@ def dp_yield(sig, tan_friction, strength):
     return eq + mean * tan_friction - strength
 
 
+def _deviatoric_direction(sig, strength):
+    """(n_dev = 1.5 dev / s_eq, s_eq); raises at the apex, where n_dev is undefined."""
+    _, dev, eq = _invariants(sig)
+    if np.any(eq <= APEX_TOLERANCE * np.asarray(strength)):
+        raise ApexSingularityError(
+            "deviatoric stress vanishes; flow direction undefined at the apex")
+    return 1.5 * dev / eq[..., None], eq
+
+
 def dp_flow(sig, tan_angle, strength):
     """Gradients of F (or of the potential, given its angle tangent) at ``sig``.
 
     Undefined where the deviatoric stress vanishes; for positive friction that
     is the surface apex, which this model deliberately does not regularize.
     """
-    mean, dev, eq = _invariants(sig)
-    if np.any(eq <= APEX_TOLERANCE * np.asarray(strength)):
-        raise ApexSingularityError(
-            "deviatoric stress vanishes; flow direction undefined at the apex")
-    return 1.5 * dev / eq[..., None] + (np.asarray(tan_angle) / 3.0)[..., None] * IVEC
+    n_dev, _ = _deviatoric_direction(sig, strength)
+    return n_dev + (np.asarray(tan_angle) / 3.0)[..., None] * IVEC
+
+
+def dp_flow_gradient(sig, strength):
+    """Derivatives d n / d sig = (1.5 / s_eq)(K - 2/3 n_dev n_dev) of ``dp_flow``.
+
+    ``(m, 6, 6)`` for ``(m, 6)`` stresses; the same for every angle, since the
+    pressure term of the direction is constant.  Raises at the apex like ``dp_flow``.
+    """
+    n_dev, eq = _deviatoric_direction(sig, strength)
+    outer = n_dev[..., :, None] * n_dev[..., None, :]
+    return (1.5 / eq)[..., None, None] * (K_PROJ - (2.0 / 3.0) * outer)
 
 
 def stress_invariants(sig: np.ndarray):

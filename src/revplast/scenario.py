@@ -112,7 +112,7 @@ _INCL_KEYS = {"young_modulus", "poisson_ratio", "aspect_ratio", "volume_fraction
               "dilation_angle"}
 _LOADING_KEYS = {"segment"}
 _SOLVER_KEYS = {"scheme", "newton_tol", "newton_max_iter", "active_set_max_iter",
-                "mixed_tol", "mixed_max_iter", "max_subdivisions", "jacobian"}
+                "mixed_tol", "mixed_max_iter", "max_subdivisions"}
 _OUTPUT_KEYS = {"macro", "per_phase", "plot_data"}
 _SECTION_KEYS = {"matrix": _MATRIX_KEYS, "inclusions": _INCL_KEYS,
                  "loading": _LOADING_KEYS, "solver": _SOLVER_KEYS,
@@ -323,12 +323,6 @@ def parse_scenario(text: str) -> Scenario:
                             ("max_subdivisions", "max_subdivisions", _parse_int)):
         if key in solver_kv:
             updates[attr] = conv(*solver_kv.pop(key))
-    if "jacobian" in solver_kv:
-        value, line_no = solver_kv.pop("jacobian")
-        if value not in ("analytic", "fd"):
-            raise ScenarioError(f"jacobian must be 'analytic' or 'fd', got {value!r}",
-                                line_no)
-        updates["fd_jacobian"] = value == "fd"
     if updates:
         settings = replace(settings, **updates)
 
@@ -399,8 +393,6 @@ def serialize_scenario(s: Scenario) -> str:
         if value != getattr(d, attr):
             fmt = _fmt(value) if isinstance(value, float) else str(value)
             lines.append(f"{attr} = {fmt}")
-    if s.settings.fd_jacobian:
-        lines.append("jacobian = fd")
     lines += ["", "[output]", f"macro = {s.output.macro_path}"]
     if s.output.phase_path:
         lines.append(f"per_phase = {s.output.phase_path}")

@@ -1,14 +1,26 @@
 """Incremental multiscale return-mapping driver with mixed strain/stress control.
 
 Each increment advances the macroscopic strain, localizes a trial state with
-frozen plastic strains, and if any phase violates its yield surface solves a
-coupled Newton system for the plastic multiplier increments of the active
-phases.  The active set is revised after every converged solve: phases whose
-converged multiplier is negative leave, phases pushed past yield by the
-redistribution join.  Macroscopic components may be strain- or
-stress-controlled; stress control runs an outer fixed-point iteration on the
-unknown strain components using the homogenized elastic stiffness as the
-iteration operator, re-running the inner return mapping each pass.
+frozen plastic strains, and if any phase violates its yield surface solves
+the coupled return of the active phases: plastic strains are eigen-strains
+of the Mori-Tanaka medium, so every active phase's stress depends on every
+phase's flow.  The active set is revised after every converged solve: phases
+whose converged multiplier is negative leave, phases pushed past yield by the
+redistribution join.
+
+The return is a consistent Newton method on the active stresses and
+multipliers, linearized with the flow-direction derivative d n / d sig so it
+converges quadratically.  Because the influence operator is stored as
+per-phase factors, each phase's 7x7 block couples to the others only through
+two 6-vectors (one fraction-weighted polarization sum and, when the matrix
+yields, the matrix eigen-stress), so a step is one batched solve of the
+blocks plus one 6x6 (12x12) system: O(m) in the number m of active phases.
+
+Macroscopic components may be strain- or stress-controlled.  The unknown
+strain components are predicted with the macro tangent of the previous
+increment and corrected with the algorithmic tangent of each converged pass,
+the same linearization solved for the trial-stress sensitivities; an
+elastic increment takes one pass, a plastic one usually two.
 
 Yield checks, the Newton residuals and flow directions and the KKT check of
 every converged increment all call the batched Drucker-Prager kernel of
@@ -16,22 +28,20 @@ every converged increment all call the batched Drucker-Prager kernel of
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ActiveSetOscillationError, StepFailureError
 from .mean_field import (MeanFieldOperators, eigen_response, localize,
                          macro_plastic_strain, upscale_stress)
-from .plasticity import dp_flow, dp_yield
+from .plasticity import dp_flow, dp_flow_gradient, dp_yield
 
 STRAIN = "strain"
 STRESS = "stress"
 
 # candidate threshold relative to each phase's shear strength
 YIELD_TOL = 1e-10
-# multiplier step of the finite-difference Jacobian
-FD_STEP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -42,7 +52,6 @@ class SolverSettings:
     mixed_tol: float = 1e-8            # times max(1, |macro stress|)
     mixed_max_iter: int = 60
     max_subdivisions: int = 8
-    fd_jacobian: bool = False
 
 
 @dataclass(frozen=True)
@@ -122,8 +131,24 @@ def check_yield(ops: MeanFieldOperators, stresses: np.ndarray
     return f_vals, candidates
 
 
+def _solve(a, b, what):
+    """``np.linalg.solve`` that fails the increment (so it is subdivided) when singular."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise StepFailureError(f"singular {what}: {exc}") from exc
+
+
 class _ActiveSystem:
-    """Operator and parameter slices of the active phases for the Newton solve."""
+    """Residual and condensed linearization of the coupled return of the active phases.
+
+    Unknowns are the active stresses sig_a and multipliers lam_a; with the
+    eigen-strains x_b = lam_b n_g(sig_b) the residual is
+    r_sig,a = sig_a - sig_tr,a - C_a (sum_b B[a, b] x_b - x_a) and r_F,a = F(sig_a).
+    In the factored influence operator a phase's block couples to the others
+    only through w = sum_c f_c R_c C_c dx_c and, when the matrix is active,
+    y = C_0 dx_0.
+    """
 
     def __init__(self, ops, active):
         self.ops = ops
@@ -131,9 +156,20 @@ class _ActiveSystem:
         self.tan_f = ops.tan_friction[active]
         self.tan_g = ops.tan_dilation[active]
         self.strength = ops.shear_strength[active]
-        self.stiff_act = ops.stiffness[active]
-        self.mix_act = ops.mixing[active]
-        self.resp_act = ops.response[active] @ self.stiff_act  # R_b C_b
+        stiff = ops.stiffness[active]
+        resp = ops.response[active]
+        mix_stress = stiff @ ops.mixing[active]  # C_a M_a: response to w
+        # C_a (I - R_a C_a): response to the phase's own eigen-strain
+        self.own = stiff - stiff @ resp @ stiff
+        self.weighted = ops.fractions[active, None, None] * (resp @ stiff)  # f_c R_c C_c
+        self.matrix_index = active.index(0) if 0 in active else None
+        blocks = [mix_stress]
+        if self.matrix_index is not None:
+            # C_a (R_a - M_a sum_c f_c R_c): response to y
+            resp_mean = np.einsum("c,cij->ij", ops.fractions, ops.response)
+            blocks.append(stiff @ resp - mix_stress @ resp_mean)
+        self.coupling = np.zeros((len(active), 7, 6 * len(blocks)))
+        self.coupling[:, :6] = np.concatenate(blocks, axis=2)
 
     def stress_update(self, sig_tr, lam, dirs):
         """Stresses of all phases for multipliers ``lam`` with flow ``dirs``."""
@@ -141,76 +177,92 @@ class _ActiveSystem:
         x[self.active] = lam[:, None] * dirs
         return sig_tr + phase_stresses(self.ops, eigen_response(self.ops, x), x)
 
-    def jacobian(self, sig_act, dirs):
-        """d F_a / d lambda_b with flow directions frozen at the current iterate.
-
-        Diagonal g_a.(R_a C_a - I) d_a plus the rank-6 mixing term
-        -(M_a^T g_a).(f_b R_b C_b d_b), g_a = C_a n_a; an active matrix adds the
-        dense column g_a.B[a, 0] d_0, as its eigen-strain polarizes every inclusion.
-        """
-        ops, active = self.ops, self.active
-        g = np.einsum("aij,aj->ai", self.stiff_act,
-                      dp_flow(sig_act, self.tan_f, self.strength))
-        h = np.einsum("aij,aj->ai", self.resp_act, dirs)
-        jac = -np.einsum("aji,aj->ai", self.mix_act, g) @ (
-            ops.fractions[active, None] * h).T
-        jac[np.diag_indices_from(jac)] += np.einsum("ai,ai->a", g, h - dirs)
-        if 0 in active:
-            x = np.zeros((ops.n_phases, 6))
-            x[0] = dirs[active.index(0)]
-            col = eigen_response(ops, x)[active]  # B[a, 0] d_0
-            jac[:, active.index(0)] += np.einsum("ai,ai->a", g, col)
-        return jac
-
-    def fd_jacobian(self, sig_tr, lam, dirs):
-        m = len(self.active)
-        jac = np.empty((m, m))
+    def residual(self, sig_tr, sig_act, lam):
+        """(m, 7) residual (r_sig, r_F) at the iterate, with the flow directions
+        n_g(sig_act) and the stresses of all phases these directions give."""
+        dirs = dp_flow(sig_act, self.tan_g, self.strength)
         sig = self.stress_update(sig_tr, lam, dirs)
-        base = dp_yield(sig[self.active], self.tan_f, self.strength)
-        for kb in range(m):
-            bumped = lam.copy()
-            bumped[kb] += FD_STEP
-            sig = self.stress_update(sig_tr, bumped, dirs)
-            jac[:, kb] = (dp_yield(sig[self.active], self.tan_f, self.strength)
-                          - base) / FD_STEP
-        return jac
+        res = np.empty((len(lam), 7))
+        res[:, :6] = sig_act - sig[self.active]
+        res[:, 6] = dp_yield(sig_act, self.tan_f, self.strength)
+        return res, dirs, sig
+
+    def jacobian(self, sig_act, lam, rhs):
+        """Solve the residual's linearization at (sig_act, lam) for ``rhs`` (m, 7, k).
+
+        Phase a's 7x7 block [[I + lam_a D_a N_a, D_a n_a], [g_a^T, 0]], with
+        D_a = C_a (I - R_a C_a), N_a = dn_g/dsig and g_a = dF/dsig, is solved
+        for the right-hand sides and the coupling columns at once; the coupling
+        vectors (w, y) then follow from one 6x6 (12x12) system.  Returns the
+        corrections (m, 7, k) and the eigen-strain increments dx (m, 6, k).
+        """
+        s0 = self.strength
+        flow = np.empty((len(lam), 6, 7))  # dx_a = flow_a @ (dsig_a, dlam_a)
+        flow[:, :, :6] = lam[:, None, None] * dp_flow_gradient(sig_act, s0)
+        flow[:, :, 6] = dp_flow(sig_act, self.tan_g, s0)
+        block = np.zeros((len(lam), 7, 7))
+        block[:, :6] = self.own @ flow
+        block[:, :6, :6] += np.eye(6)
+        block[:, 6, :6] = dp_flow(sig_act, self.tan_f, s0)
+        k = rhs.shape[2]
+        sol = _solve(block, np.concatenate((rhs, self.coupling), axis=2),
+                     "return-mapping system")
+        # coupling vectors: w = sum_c f_c R_c C_c dx_c, y = C_0 dx_0
+        lead = (self.weighted @ flow).transpose(1, 0, 2).reshape(6, -1)
+        coupled = lead @ sol.reshape(-1, sol.shape[2])
+        if self.matrix_index is not None:
+            c0_flow = self.ops.stiffness[0] @ flow[self.matrix_index]
+            coupled = np.vstack((coupled, c0_flow @ sol[self.matrix_index]))
+        schur = coupled[:, k:] + np.eye(coupled.shape[0])
+        wy = _solve(schur, coupled[:, :k], "return-mapping system")
+        z = sol[:, :, :k] - sol[:, :, k:] @ wy
+        return z, flow @ z
 
 
 def _newton_multipliers(ops, sig_tr, active, settings):
-    """Solve F(sig(lam)) = 0 on the active set; returns (lam, dirs, stresses).
+    """Solve the coupled return on the active set; returns (lam, dirs, stresses).
 
-    Flow directions are refreshed at each iterate; convergence is accepted only
-    once the residual holds for stresses recomputed with the refreshed
-    directions, so the discrete flow rule uses directions consistent with the
+    Newton on the active stresses and multipliers from the trial state.  The
+    solve is accepted once the stress residual and F of the stresses
+    recomputed with the flow directions of the iterate are both within
+    tolerance, so the discrete flow rule uses directions consistent with the
     returned stresses.
     """
     sys_ = _ActiveSystem(ops, active)
-    tan_f, tan_g, s0 = sys_.tan_f, sys_.tan_g, sys_.strength
-    tols = settings.newton_tol * s0
+    tols = settings.newton_tol * sys_.strength
+    sig_act = sig_tr[active]
     lam = np.zeros(len(active))
-    dirs = dp_flow(sig_tr[active], tan_g, s0)
     for _ in range(settings.newton_max_iter):
-        sig = sys_.stress_update(sig_tr, lam, dirs)
-        res = dp_yield(sig[active], tan_f, s0)
-        if np.all(np.abs(res) <= tols):
-            dirs_new = dp_flow(sig[active], tan_g, s0)
-            sig_chk = sys_.stress_update(sig_tr, lam, dirs_new)
-            if np.all(np.abs(dp_yield(sig_chk[active], tan_f, s0)) <= tols):
-                return lam, dirs_new, sig_chk
-            dirs = dirs_new
-            continue
-        dirs = dp_flow(sig[active], tan_g, s0)
-        if settings.fd_jacobian:
-            jac = sys_.fd_jacobian(sig_tr, lam, dirs)
-        else:
-            jac = sys_.jacobian(sig[active], dirs)
-        try:
-            lam = lam - np.linalg.solve(jac, res)
-        except np.linalg.LinAlgError as exc:
-            raise StepFailureError(f"singular return-mapping system: {exc}") from exc
+        res, dirs, sig = sys_.residual(sig_tr, sig_act, lam)
+        f_chk = dp_yield(sig[active], sys_.tan_f, sys_.strength)
+        if np.all(np.maximum(np.abs(f_chk), np.abs(res[:, :6]).max(axis=1)) <= tols):
+            return lam, dirs, sig
+        z, _ = sys_.jacobian(sig_act, lam, -res[:, :, None])
+        sig_act = sig_act + z[:, :6, 0]
+        lam = lam + z[:, 6, 0]
     raise StepFailureError(
         f"return mapping did not converge in {settings.newton_max_iter} Newton "
         "iterations; subdivide the increment")
+
+
+def _macro_tangent(ops: MeanFieldOperators, state: REVState) -> np.ndarray:
+    """Algorithmic tangent d(macro stress)/d(macro strain) of a converged state.
+
+    The return's linearization at the state, on its active set, solved for the
+    trial-stress sensitivities C_a A_a; the homogenized stiffness when no
+    phase is active.
+    """
+    active = np.flatnonzero(state.active).tolist()
+    if not active:
+        return ops.stiffness_hom
+    sys_ = _ActiveSystem(ops, active)
+    trial = ops.stiffness[active] @ ops.concentration[active]  # d sig_tr / d eps_bar
+    rhs = np.zeros((len(active), 7, 6))
+    rhs[:, :6] = trial
+    _, dx = sys_.jacobian(state.stress[active], state.multipliers[active], rhs)
+    # eigen-stress term sum_a f_a A_a^T C_a dx_a of upscale_stress
+    return ops.stiffness_hom - np.einsum("a,aji,ajk->ik", ops.fractions[active],
+                                         trial, dx)
 
 
 def return_map(ops: MeanFieldOperators, state: REVState, eps_bar: np.ndarray,
@@ -298,43 +350,58 @@ def validate_state(ops: MeanFieldOperators, state: REVState,
         raise StepFailureError("macro stress forms disagree beyond roundoff")
 
 
-def _solve_mixed_increment(ops, state, targets, modes, settings):
-    """One increment with per-component strain/stress control."""
+def _solve_mixed_increment(ops, state, targets, modes, settings, tangent):
+    """One increment with per-component strain/stress control.
+
+    The stress-controlled strain components are predicted with ``tangent``
+    (the macro tangent of the previous increment) and corrected with the
+    algorithmic tangent of each pass.  Returns the state and the last tangent.
+    """
     stress_idx = [i for i in range(6) if modes[i] == STRESS]
     strain_idx = [i for i in range(6) if modes[i] == STRAIN]
+    targets = np.asarray(targets)
     eps_new = state.macro_strain.copy()
-    eps_new[strain_idx] = np.asarray(targets)[strain_idx]  # prescribed exactly
+    eps_new[strain_idx] = targets[strain_idx]  # prescribed exactly
     if not stress_idx:
-        return _advance_to(ops, state, eps_new, settings)
-    c_block = ops.stiffness_hom[np.ix_(stress_idx, stress_idx)]
+        return _advance_to(ops, state, eps_new, settings), tangent
+    block = np.ix_(stress_idx, stress_idx)
+    # predictor: the stress change still missing once the prescribed strain
+    # change has acted through the previous tangent
+    change = (targets[stress_idx] - state.macro_stress[stress_idx]
+              - tangent[stress_idx] @ (eps_new - state.macro_strain))
+    eps_new[stress_idx] += _solve(tangent[block], change, "macro tangent")
     for _ in range(settings.mixed_max_iter):
         new = _advance_to(ops, state, eps_new, settings)
-        residual = new.macro_stress[stress_idx] - np.asarray(targets)[stress_idx]
+        residual = new.macro_stress[stress_idx] - targets[stress_idx]
         scale = max(1.0, float(np.linalg.norm(new.macro_stress)))
         if np.abs(residual).max() <= settings.mixed_tol * scale:
-            return new
-        eps_new[stress_idx] -= np.linalg.solve(c_block, residual)
+            return new, tangent
+        tangent = _macro_tangent(ops, new)
+        eps_new[stress_idx] -= _solve(tangent[block], residual, "macro tangent")
     raise StepFailureError(
         f"stress-controlled components did not converge in "
         f"{settings.mixed_max_iter} outer iterations")
 
 
-def _advance_with_subdivision(ops, state, targets, modes, settings):
-    """Solve one increment, halving it on failure up to the subdivision cap."""
+def _advance_with_subdivision(ops, state, targets, modes, settings, tangent):
+    """Solve one increment, halving it on failure up to the subdivision cap.
 
-    def recurse(st, tg, depth):
+    Returns the state and the macro tangent to predict the next increment with.
+    """
+
+    def recurse(st, tg, tan, depth):
         try:
-            return _solve_mixed_increment(ops, st, tg, modes, settings)
+            return _solve_mixed_increment(ops, st, tg, modes, settings, tan)
         except StepFailureError:
             if depth >= settings.max_subdivisions:
                 raise
         start = np.where([m == STRAIN for m in modes], st.macro_strain, st.macro_stress)
         mid = 0.5 * (start + np.asarray(tg))
-        half = recurse(st, mid, depth + 1)
-        return recurse(half, tg, depth + 1)
+        half, tan = recurse(st, mid, tan, depth + 1)
+        return recurse(half, tg, tan, depth + 1)
 
-    out = recurse(state, targets, 0)
-    return replace(out, step=state.step + 1)
+    out, tangent = recurse(state, targets, tangent, 0)
+    return replace(out, step=state.step + 1), tangent
 
 
 def drive(ops: MeanFieldOperators, program: LoadProgram,
@@ -342,6 +409,7 @@ def drive(ops: MeanFieldOperators, program: LoadProgram,
     """Run a load program from the virgin state; returns one state per increment plus the start."""
     settings = settings or SolverSettings()
     states = [initial_state(ops)]
+    tangent = ops.stiffness_hom
     for segment in program.segments:
         start_strain = states[-1].macro_strain.copy()
         start_stress = states[-1].macro_stress.copy()
@@ -353,8 +421,8 @@ def drive(ops: MeanFieldOperators, program: LoadProgram,
                 targets = end.copy()  # land on the segment target bit-exactly
             else:
                 targets = start + (end - start) * (k / segment.increments)
-            new = _advance_with_subdivision(ops, states[-1], targets,
-                                            segment.modes, settings)
+            new, tangent = _advance_with_subdivision(ops, states[-1], targets,
+                                                     segment.modes, settings, tangent)
             validate_state(ops, new)
             states.append(new)
     return states

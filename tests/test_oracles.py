@@ -1,0 +1,195 @@
+"""Oracles that share no code with the solver, and its deterministic work counts.
+
+Symmetry equivariance, the sign of the dissipation and the discrete flow rule
+on seeded random mixed-control scenarios check the converged states from the
+outside; the work counts pin the cost of the default run.
+"""
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import revplast.solver as solver_mod
+from revplast.errors import StepFailureError
+from revplast.mean_field import PhaseSpec, Spheroid, assemble_operators
+from revplast.plasticity import DruckerPrager, dp_flow
+from revplast.scenario import default_scenario
+from revplast.solver import STRAIN, STRESS, LoadProgram, LoadSegment, drive
+
+# Mandel components of a tensor reflected through the plane x1 = x3
+SWAP_13 = [2, 1, 0, 5, 4, 3]
+
+
+@pytest.fixture(scope="module")
+def counted_default_run():
+    """The default run, counting linearizations and passes (per increment)."""
+    sc = default_scenario()
+    ops = assemble_operators(sc.phases())
+    counts = Counter()
+    passes = []
+    jacobian = solver_mod._ActiveSystem.jacobian
+    advance_to = solver_mod._advance_to
+    increment = solver_mod._advance_with_subdivision
+
+    def counted_jacobian(self, *args):
+        counts["linearizations"] += 1
+        return jacobian(self, *args)
+
+    def counted_advance_to(*args):
+        counts["passes"] += 1
+        return advance_to(*args)
+
+    def counted_increment(*args):
+        before = counts["passes"]
+        out = increment(*args)
+        passes.append(counts["passes"] - before)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_mod._ActiveSystem, "jacobian", counted_jacobian)
+        mp.setattr(solver_mod, "_advance_to", counted_advance_to)
+        mp.setattr(solver_mod, "_advance_with_subdivision", counted_increment)
+        states = drive(ops, sc.program, sc.settings)
+    return sc, ops, states, counts, passes
+
+
+# ------------------------------------------------------------------ work counts
+
+def test_default_run_work_counts(counted_default_run):
+    _, _, states, counts, passes = counted_default_run
+    assert len(passes) == len(states) - 1 == 150
+    assert counts["linearizations"] < 1000
+    assert counts["passes"] <= 300
+    assert max(passes) <= 2
+
+
+def test_elastic_stress_controlled_increments_take_one_pass(counted_default_run):
+    # the predictor with the elastic tangent is exact below yield
+    _, _, states, _, passes = counted_default_run
+    first_plastic = next(k for k, st in enumerate(states) if any(st.active))
+    assert first_plastic > 10
+    assert passes[:first_plastic - 1] == [1] * (first_plastic - 1)
+
+
+def test_stress_controlled_elastic_increment_one_pass(monkeypatch):
+    sc = default_scenario()
+    ops = assemble_operators(sc.phases())
+    calls = []
+    advance_to = solver_mod._advance_to
+
+    def counted(*args):
+        calls.append(1)
+        return advance_to(*args)
+
+    monkeypatch.setattr(solver_mod, "_advance_to", counted)
+    target = (2e-3, -1e-3, -4e-3, 1e-3, 0.0, -5e-4)  # MPa, well below yield
+    segment = LoadSegment(targets=target, modes=(STRESS,) * 6, increments=2)
+    states = drive(ops, LoadProgram((segment,)))
+    assert len(calls) == 2
+    strain = np.linalg.solve(ops.stiffness_hom, target)
+    assert np.abs(states[-1].macro_strain - strain).max() <= 1e-12 * np.abs(strain).max()
+
+
+# ------------------------------------------------------------------ oracles
+
+def test_dissipation_nonnegative(counted_default_run):
+    _, _, states, _, _ = counted_default_run
+    dissipated = np.array([np.einsum("ai,ai->a", st.stress,
+                                     st.plastic_strain - prev.plastic_strain)
+                           for prev, st in zip(states, states[1:])])
+    assert dissipated.min() >= 0.0
+    assert (dissipated > 0.0).any(axis=1).sum() >= 50  # the plastic increments
+
+
+def test_loading_along_x1_mirrors_x3(counted_default_run):
+    # cube26 is closed under swapping x1 and x3: driving the default program
+    # along x1 reproduces the x3 response with its components permuted
+    sc, ops, states, _, _ = counted_default_run
+    mirrored = LoadProgram(tuple(
+        LoadSegment(targets=tuple(s.targets[i] for i in SWAP_13),
+                    modes=tuple(s.modes[i] for i in SWAP_13), increments=s.increments)
+        for s in sc.program.segments))
+    states_x1 = drive(ops, mirrored, sc.settings)
+    sig_ref = np.abs([st.macro_stress for st in states]).max()
+    eps_p_ref = np.abs([st.plastic_strain for st in states]).max()
+    assert eps_p_ref > 1e-5  # genuinely plastic
+    # phase b of the x1 run holds the mirrored axis of phase a of the x3 run
+    axes = [np.asarray(p.spheroid.axis, float) if p.spheroid else None for p in ops.phases]
+    partner = [0] + [next(b for b in range(1, ops.n_phases)
+                          if np.allclose(axes[b], axes[a][[2, 1, 0]]))
+                     for a in range(1, ops.n_phases)]
+    for a_st, b_st in zip(states, states_x1):
+        assert np.abs(b_st.macro_stress - a_st.macro_stress[SWAP_13]).max() <= 1e-12 * sig_ref
+        assert (np.abs(b_st.macro_plastic - a_st.macro_plastic[SWAP_13]).max()
+                <= 1e-12 * eps_p_ref)
+        assert (np.abs(b_st.plastic_strain[partner] - a_st.plastic_strain[:, SWAP_13]).max()
+                <= 1e-12 * eps_p_ref)
+
+
+def random_scenario(seed):
+    """Mori-Tanaka-symmetric phases (one spheroid shape and axis) with random
+    stiffness and Drucker-Prager parameters, under mixed strain/stress control."""
+    rng = np.random.default_rng(seed)
+    shape = Spheroid(float(np.exp(rng.uniform(np.log(0.2), np.log(5.0)))),
+                     tuple(rng.normal(size=3)))
+    n_incl = int(rng.integers(2, 5))
+    fractions = rng.uniform(0.05, 0.15, size=n_incl)
+
+    def model():
+        if rng.random() < 0.2:
+            return None
+        friction = float(rng.uniform(0.0, 0.5))
+        dilation = float(rng.uniform(0.0, friction)) if rng.random() < 0.5 else None
+        return DruckerPrager(friction, float(rng.uniform(0.05, 0.3)), dilation_angle=dilation)
+
+    phases = [PhaseSpec("matrix", 1.0 - fractions.sum(), 100.0,
+                        float(rng.uniform(0.15, 0.35)), plastic=model())]
+    for k, frac in enumerate(fractions):
+        phases.append(PhaseSpec(f"incl{k}", float(frac),
+                                float(np.exp(rng.uniform(np.log(50.0), np.log(2000.0)))),
+                                float(rng.uniform(0.15, 0.35)), spheroid=shape,
+                                plastic=model()))
+    # axial compression with shear; some lateral or shear components stress-free
+    modes = [STRAIN] * 6
+    for i in rng.choice([0, 1, 3, 4, 5], size=int(rng.integers(1, 4)), replace=False):
+        modes[i] = STRESS
+    strain = np.zeros(6)
+    strain[2] = -rng.uniform(2e-3, 6e-3)
+    strain[:2] = rng.uniform(-5e-4, 5e-4, size=2)
+    strain[3:] = rng.uniform(-1e-3, 1e-3, size=3)
+    load = tuple(0.0 if m == STRESS else float(e) for m, e in zip(modes, strain))
+    unload = tuple(0.0 if m == STRESS else 0.6 * float(e) for m, e in zip(modes, strain))
+    program = LoadProgram((LoadSegment(load, tuple(modes), 12),
+                           LoadSegment(unload, tuple(modes), 4)))
+    return assemble_operators(phases), program
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_random_mixed_scenarios_converge_without_subdivision(seed, monkeypatch):
+    ops, program = random_scenario(seed)
+    failures = []
+    solve_increment = solver_mod._solve_mixed_increment
+
+    def watched(*args):
+        try:
+            return solve_increment(*args)
+        except StepFailureError as exc:
+            failures.append(exc)
+            raise
+
+    monkeypatch.setattr(solver_mod, "_solve_mixed_increment", watched)
+    states = drive(ops, program)  # validates every state
+    assert not failures
+    plastic = 0
+    for prev, st in zip(states, states[1:]):
+        assert np.isfinite(st.stress).all()
+        step = st.plastic_strain - prev.plastic_strain
+        active = np.flatnonzero(st.active)
+        assert not step[np.flatnonzero(~np.asarray(st.active))].any()
+        if active.size:
+            plastic += 1
+            # discrete flow rule at the returned stresses
+            flow = st.multipliers[active, None] * dp_flow(
+                st.stress[active], ops.tan_dilation[active], ops.shear_strength[active])
+            assert np.abs(step[active] - flow).max() <= 1e-10 * np.abs(step).max()
+    assert plastic >= 2

@@ -4,9 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from revplast.errors import ApexSingularityError
-from revplast.plasticity import (DruckerPrager, dp_flow, dp_yield, flow_direction,
-                                 potential_direction, stress_invariants,
-                                 yield_value)
+from revplast.plasticity import (DruckerPrager, dp_flow, dp_flow_gradient, dp_yield,
+                                 flow_direction, potential_direction,
+                                 stress_invariants, yield_value)
 from revplast.tensors import SQRT2
 
 VM = DruckerPrager(friction_angle=0.0, shear_strength=0.12)
@@ -155,3 +155,32 @@ def test_batched_flow_apex_row_raises(rng):
         dp_flow(sig, np.zeros(4), s0)
     with pytest.raises(ApexSingularityError):
         flow_direction(VM, sig)
+
+
+def test_flow_gradient_matches_finite_differences(rng):
+    # d n / d sig against central differences of dp_flow, per row and batched
+    sig = rng.normal(size=(len(MIXED), 6)) * 0.3
+    tan_g = np.tan([m.potential_angle for m in MIXED])
+    s0 = np.array([m.shear_strength for m in MIXED])
+    step = 1e-6
+    fd = np.empty((len(MIXED), 6, 6))
+    for k in range(6):
+        up, dn = sig.copy(), sig.copy()
+        up[:, k] += step
+        dn[:, k] -= step
+        fd[:, :, k] = (dp_flow(up, tan_g, s0) - dp_flow(dn, tan_g, s0)) / (2 * step)
+    batched = dp_flow_gradient(sig, s0)
+    assert batched.shape == (len(MIXED), 6, 6)
+    assert np.abs(batched - fd).max() < 1e-7 * np.abs(fd).max()
+    for row, expected in zip(sig, batched):
+        single = dp_flow_gradient(row, 0.12)
+        assert single.shape == (6, 6)
+        assert np.array_equal(single, expected)
+    # symmetric, and blind to pressure: dn/dsig maps the identity to zero
+    assert np.abs(batched - batched.transpose(0, 2, 1)).max() < 1e-12
+    assert np.abs(batched @ np.array([1.0, 1, 1, 0, 0, 0])).max() < 1e-12
+
+
+def test_flow_gradient_apex_raises():
+    with pytest.raises(ApexSingularityError):
+        dp_flow_gradient(0.5 * np.array([1.0, 1, 1, 0, 0, 0]), 0.12)

@@ -199,12 +199,14 @@ def test_segment_reversed_component_label():
 def test_solver_overrides():
     text = GOOD.replace("scheme = mori_tanaka",
                         "scheme = mori_tanaka\nnewton_tol = 1e-10\n"
-                        "newton_max_iter = 25\njacobian = fd\nmixed_tol = 1e-9")
+                        "newton_max_iter = 25\nmixed_tol = 1e-9")
     sc = parse_scenario(text)
     assert sc.settings.newton_tol == 1e-10
     assert sc.settings.newton_max_iter == 25
-    assert sc.settings.fd_jacobian is True
     assert sc.settings.mixed_tol == 1e-9
+    # one nonlinear path: the finite-difference Jacobian is no longer selectable
+    with pytest.raises(ScenarioError, match="unknown key 'jacobian'"):
+        parse_scenario(text.replace("mixed_tol", "jacobian = fd\nmixed_tol"))
 
 
 def test_round_trip_default():

@@ -157,22 +157,11 @@ def test_homogeneous_matches_radial_return():
             assert st.multipliers[:2] == pytest.approx([lam, lam], abs=1e-10)
 
 
-def test_homogeneous_matches_radial_return_fd_jacobian():
-    ops = two_phase_homogeneous()
-    program = strain_program([(np.array([0, 0, -0.003, 0, 0, 0]), 10)])
-    states = drive(ops, program, SolverSettings(fd_jacobian=True))
-    oracle = radial_return_path(E0, NU, 0.12, [st.macro_strain for st in states[1:]])
-    for st, (sig, eps_p, _) in zip(states[1:], oracle):
-        assert np.abs(st.macro_stress - sig).max() < 1e-8
-
-
-@pytest.mark.parametrize("scheme", ["mori_tanaka", "dilute"])
-@pytest.mark.parametrize("active", [[0, 1, 2], [1, 2], [2, 0]])
-def test_jacobian_matches_finite_differences(scheme, active):
+def four_phase_ops(scheme):
     # plastic matrix, two plastic inclusions with distinct stiffness and
     # Drucker-Prager parameters and one elastic inclusion, all on one spheroid
     shape = Spheroid(0.35, (1, 2, 3))
-    ops = assemble_operators([
+    return assemble_operators([
         PhaseSpec("matrix", 0.7, E0, NU, plastic=DruckerPrager(0.2, 0.12)),
         PhaseSpec("stiff", 0.1, EI, 0.2, spheroid=shape,
                   plastic=DruckerPrager(0.3, 0.5, dilation_angle=0.1)),
@@ -180,15 +169,83 @@ def test_jacobian_matches_finite_differences(scheme, active):
                   plastic=DruckerPrager(0.0, 0.2)),
         PhaseSpec("elastic", 0.1, 2000.0, 0.25, spheroid=shape),
     ], scheme=scheme)
-    eps = np.array([1e-3, -5e-4, -2e-3, 3e-4, 0.0, 2e-4])
-    _, _, sig_tr = _trial_at(ops, initial_state(ops), eps)
+
+
+FOUR_PHASE_STRAIN = np.array([1e-3, -5e-4, -2e-3, 3e-4, 0.0, 2e-4])
+
+
+@pytest.mark.parametrize("scheme", ["mori_tanaka", "dilute"])
+@pytest.mark.parametrize("active", [[0, 1, 2], [1, 2], [2, 0]])
+def test_jacobian_matches_finite_differences(scheme, active):
+    # the condensed Newton step solves the dense central-difference Jacobian of
+    # the (sigma, lambda) residual at a mid-Newton iterate
+    ops = four_phase_ops(scheme)
+    _, _, sig_tr = _trial_at(ops, initial_state(ops), FOUR_PHASE_STRAIN)
     sys_ = solver_mod._ActiveSystem(ops, active)
-    dirs = solver_mod.dp_flow(sig_tr[active], sys_.tan_g, sys_.strength)
-    lam = 1e-4 * np.arange(1.0, len(active) + 1.0)  # a mid-Newton iterate
-    sig = sys_.stress_update(sig_tr, lam, dirs)
-    jac = sys_.jacobian(sig[active], dirs)
-    jac_fd = sys_.fd_jacobian(sig_tr, lam, dirs)
-    assert np.abs(jac - jac_fd).max() <= 1e-6 * np.abs(jac_fd).max()
+    m = len(active)
+    sig_act = sig_tr[active] * 0.9 + 0.01  # off the trial state, lambda > 0
+    lam = 1e-4 * np.arange(1.0, m + 1.0)
+
+    def residual(v):
+        return sys_.residual(sig_tr, v[:, :6], v[:, 6])[0].ravel()
+
+    point = np.column_stack((sig_act, lam))
+    steps = np.empty((m, 7))
+    steps[:, :6] = 1e-7 * np.abs(sig_act).max()
+    steps[:, 6] = 1e-7 * lam.max()
+    jac_fd = np.empty((7 * m, 7 * m))
+    for k in range(7 * m):
+        bump = np.zeros(7 * m)
+        bump[k] = steps.flat[k]
+        bump = bump.reshape(m, 7)
+        jac_fd[:, k] = (residual(point + bump) - residual(point - bump)) / (
+            2.0 * steps.flat[k])
+    res = residual(point)
+    z, dx = sys_.jacobian(sig_act, lam, -res.reshape(m, 7, 1))
+    assert np.abs(jac_fd @ z.ravel() + res).max() <= 1e-6 * np.abs(res).max()
+    # dx is the eigen-strain increment lam dn + n dlam the correction implies
+    def eigen_strain(v):
+        return v[:, 6, None] * solver_mod.dp_flow(v[:, :6], sys_.tan_g, sys_.strength)
+
+    t = 1e-3
+    dx_fd = (eigen_strain(point + t * z[..., 0])
+             - eigen_strain(point - t * z[..., 0])) / (2.0 * t)
+    assert np.abs(dx[..., 0] - dx_fd).max() <= 1e-6 * np.abs(dx_fd).max()
+
+
+@pytest.mark.parametrize("scheme", ["mori_tanaka", "dilute"])
+@pytest.mark.parametrize("active", [[0, 1, 2], [1, 2], [2, 0]])
+def test_macro_tangent_matches_finite_differences(scheme, active):
+    # algorithmic macro tangent against central differences of converged
+    # returns on the same active set
+    ops = four_phase_ops(scheme)
+    start = initial_state(ops)
+    settings = SolverSettings()
+
+    def converged(eps):
+        _, _, sig_tr = _trial_at(ops, start, eps)
+        lam, dirs, sig = solver_mod._newton_multipliers(ops, sig_tr, active, settings)
+        eps_p = np.zeros((ops.n_phases, 6))
+        eps_p[active] = lam[:, None] * dirs
+        return lam, sig, solver_mod.upscale_stress(ops, eps, eps_p)
+
+    lam, sig, _ = converged(FOUR_PHASE_STRAIN)
+    multipliers = np.zeros(ops.n_phases)
+    multipliers[active] = lam
+    mask = tuple(a in active for a in range(ops.n_phases))
+    state = replace(start, stress=sig, multipliers=multipliers, active=mask)
+    tangent = solver_mod._macro_tangent(ops, state)
+    h = 1e-8
+    tangent_fd = np.empty((6, 6))
+    for j in range(6):
+        e = np.zeros(6)
+        e[j] = h
+        tangent_fd[:, j] = (converged(FOUR_PHASE_STRAIN + e)[2]
+                            - converged(FOUR_PHASE_STRAIN - e)[2]) / (2.0 * h)
+    scale = np.abs(tangent_fd).max()
+    assert np.abs(tangent - tangent_fd).max() <= 1e-6 * scale
+    # plastic flow softens the response: the tangent is not the elastic one
+    assert np.abs(tangent - ops.stiffness_hom).max() > 1e-3 * scale
 
 
 def test_negative_multiplier_candidate_dropped():
@@ -256,6 +313,18 @@ def test_newton_cap_raises_step_failure():
     program = strain_program([(np.array([0, 0, -0.004, 0, 0, 0]), 2)])
     with pytest.raises(StepFailureError):
         drive(ops, program, SolverSettings(newton_max_iter=1, max_subdivisions=2))
+
+
+def test_singular_macro_tangent_raises_step_failure(monkeypatch):
+    # a stress-controlled plastic increment whose tangent cannot be inverted
+    # fails with the typed error (after subdivision), never a LinAlgError
+    ops = default_ops()
+    monkeypatch.setattr(solver_mod, "_macro_tangent", lambda ops_, st: np.zeros((6, 6)))
+    modes = (STRESS, STRESS, STRAIN, STRAIN, STRAIN, STRAIN)
+    program = LoadProgram((LoadSegment(targets=(0.0, 0.0, -0.001, 0.0, 0.0, 0.0),
+                                       modes=modes, increments=20),))
+    with pytest.raises(StepFailureError, match="singular macro tangent"):
+        drive(ops, program, SolverSettings(max_subdivisions=1))
 
 
 # ------------------------------------------------------------------ driver
