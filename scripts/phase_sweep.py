@@ -8,7 +8,7 @@ matrix) it drives one fully strain-controlled segment of 30 increments in
 which every inclusion yields, the first segment of the ``wide_plastic``
 benchmark workload, with one BLAS thread.  Per size it records the best of
 ``--repeats`` uninstrumented ``drive`` times and, from one more drive with
-counting wrappers, the Newton linearizations, return-map passes and
+counting wrappers, the Newton linearizations, Newton solves and
 subdivisions.  The JSON record also carries the Python and numpy versions
 and the host.
 """
@@ -53,17 +53,17 @@ def counted_drive(ops):
     """One drive with counting wrappers on the solver's attributes, which it
     looks up at call time; the originals are restored afterwards."""
     counts = Counter()
-    originals = (solver_mod._ActiveSystem.jacobian, solver_mod._advance_to,
+    originals = (solver_mod._ActiveSystem.jacobian, solver_mod._newton_multipliers,
                  solver_mod._solve_mixed_increment)
-    jacobian, advance_to, solve_increment = originals
+    jacobian, newton, solve_increment = originals
 
     def counted_jacobian(self, *args):
         counts["newton_linearizations"] += 1
         return jacobian(self, *args)
 
-    def counted_advance_to(*args):
-        counts["passes"] += 1
-        return advance_to(*args)
+    def counted_newton(*args):
+        counts["newton_solves"] += 1
+        return newton(*args)
 
     def counted_increment(*args):
         try:
@@ -73,12 +73,12 @@ def counted_drive(ops):
             raise
 
     solver_mod._ActiveSystem.jacobian = counted_jacobian
-    solver_mod._advance_to = counted_advance_to
+    solver_mod._newton_multipliers = counted_newton
     solver_mod._solve_mixed_increment = counted_increment
     try:
         states = drive(ops, PROGRAM)
     finally:
-        (solver_mod._ActiveSystem.jacobian, solver_mod._advance_to,
+        (solver_mod._ActiveSystem.jacobian, solver_mod._newton_multipliers,
          solver_mod._solve_mixed_increment) = originals
     return states, counts
 
@@ -98,7 +98,7 @@ def run(n_axes: int, seed: int, repeats: int) -> dict:
         "drive_s_best": min(times),
         "drive_s_all": times,
         "newton_linearizations": counts["newton_linearizations"],
-        "passes": counts["passes"],
+        "newton_solves": counts["newton_solves"],
         "subdivisions": counts["subdivisions"],
         "plastic_phases_final": int(sum(states[-1].active)),
         "final_macro_stress": states[-1].macro_stress.tolist(),
@@ -117,7 +117,8 @@ def main():
         runs.append(record)
         print(f"{n_axes:4d} axes: drive {record['drive_s_best']:.3f} s, "
               f"{record['newton_linearizations']} linearizations, "
-              f"{record['passes']} passes, {record['subdivisions']} subdivisions",
+              f"{record['newton_solves']} Newton solves, "
+              f"{record['subdivisions']} subdivisions",
               flush=True)
     out = {
         "description": "phase-count sweep: 30 strain-controlled increments "

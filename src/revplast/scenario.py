@@ -10,7 +10,7 @@ all other keys are single-valued.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -111,8 +111,7 @@ _INCL_KEYS = {"young_modulus", "poisson_ratio", "aspect_ratio", "volume_fraction
               "orientations", "plastic_model", "friction_angle", "shear_strength",
               "dilation_angle"}
 _LOADING_KEYS = {"segment"}
-_SOLVER_KEYS = {"scheme", "newton_tol", "newton_max_iter", "active_set_max_iter",
-                "mixed_tol", "mixed_max_iter", "max_subdivisions"}
+_SOLVER_KEYS = {"scheme"} | {f.name for f in fields(SolverSettings)}
 _OUTPUT_KEYS = {"macro", "per_phase", "plot_data"}
 _SECTION_KEYS = {"matrix": _MATRIX_KEYS, "inclusions": _INCL_KEYS,
                  "loading": _LOADING_KEYS, "solver": _SOLVER_KEYS,
@@ -308,23 +307,14 @@ def parse_scenario(text: str) -> Scenario:
             plastic=_parse_plastic(fam_kv, "inclusions", fam_line))
         families.append(fam)
 
-    settings = SolverSettings()
     scheme = "mori_tanaka"
     if "scheme" in solver_kv:
         scheme, line_no = solver_kv.pop("scheme")
         if scheme not in ("mori_tanaka", "dilute"):
             raise ScenarioError(f"unknown scheme {scheme!r}", line_no)
-    updates = {}
-    for key, attr, conv in (("newton_tol", "newton_tol", _parse_float),
-                            ("newton_max_iter", "newton_max_iter", _parse_int),
-                            ("active_set_max_iter", "active_set_max_iter", _parse_int),
-                            ("mixed_tol", "mixed_tol", _parse_float),
-                            ("mixed_max_iter", "mixed_max_iter", _parse_int),
-                            ("max_subdivisions", "max_subdivisions", _parse_int)):
-        if key in solver_kv:
-            updates[attr] = conv(*solver_kv.pop(key))
-    if updates:
-        settings = replace(settings, **updates)
+    parsers = {float: _parse_float, int: _parse_int}
+    settings = SolverSettings(**{f.name: parsers[type(f.default)](*solver_kv[f.name])
+                                 for f in fields(SolverSettings) if f.name in solver_kv})
 
     output = OutputOptions(
         macro_path=output_kv.pop("macro", ("macro.csv", 0))[0],
@@ -385,14 +375,12 @@ def serialize_scenario(s: Scenario) -> str:
                 tokens.append(f"{prefix}{COMPONENT_LABELS[i]}:{_fmt(t)}")
             tokens.append(f"n:{seg.increments}")
             lines.append(f"segment = {' '.join(tokens)}")
-    d = SolverSettings()
     lines += ["", "[solver]", f"scheme = {s.scheme}"]
-    for attr in ("newton_tol", "newton_max_iter", "active_set_max_iter",
-                 "mixed_tol", "mixed_max_iter", "max_subdivisions"):
-        value = getattr(s.settings, attr)
-        if value != getattr(d, attr):
+    for f in fields(SolverSettings):
+        value = getattr(s.settings, f.name)
+        if value != f.default:
             fmt = _fmt(value) if isinstance(value, float) else str(value)
-            lines.append(f"{attr} = {fmt}")
+            lines.append(f"{f.name} = {fmt}")
     lines += ["", "[output]", f"macro = {s.output.macro_path}"]
     if s.output.phase_path:
         lines.append(f"per_phase = {s.output.phase_path}")

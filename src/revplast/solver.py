@@ -1,26 +1,25 @@
 """Incremental multiscale return-mapping driver with mixed strain/stress control.
 
-Each increment advances the macroscopic strain, localizes a trial state with
-frozen plastic strains, and if any phase violates its yield surface solves
-the coupled return of the active phases: plastic strains are eigen-strains
-of the Mori-Tanaka medium, so every active phase's stress depends on every
-phase's flow.  The active set is revised after every converged solve: phases
-whose converged multiplier is negative leave, phases pushed past yield by the
-redistribution join.
+Each increment is one nonlinear solve.  The stress-controlled macroscopic
+strain components are predicted exactly for an elastic step, and the trial
+state localized there with frozen plastic strains is accepted if no phase
+violates its yield surface.  Otherwise the coupled return of the active
+phases is solved: plastic strains are eigen-strains of the Mori-Tanaka
+medium, so every active phase's stress depends on every phase's flow, and
+the macroscopic stress is linear in the macroscopic strain and the
+eigen-strains, so the k stress-controlled strain components are k more
+unknowns of the same Newton method.  The active set is revised after every
+converged solve: phases whose converged multiplier is negative leave,
+phases pushed past yield by the redistribution join.
 
-The return is a consistent Newton method on the active stresses and
-multipliers, linearized with the flow-direction derivative d n / d sig so it
-converges quadratically.  Because the influence operator is stored as
-per-phase factors, each phase's 7x7 block couples to the others only through
-two 6-vectors (one fraction-weighted polarization sum and, when the matrix
-yields, the matrix eigen-stress), so a step is one batched solve of the
-blocks plus one 6x6 (12x12) system: O(m) in the number m of active phases.
-
-Macroscopic components may be strain- or stress-controlled.  The unknown
-strain components are predicted with the macro tangent of the previous
-increment and corrected with the algorithmic tangent of each converged pass,
-the same linearization solved for the trial-stress sensitivities; an
-elastic increment takes one pass, a plastic one usually two.
+The Newton method is linearized consistently, with the flow-direction
+derivative d n / d sig, so it converges quadratically.  Because the
+influence operator is stored as per-phase factors, each phase's 7x7 block
+couples to the others only through two 6-vectors (one fraction-weighted
+polarization sum and, when the matrix yields, the matrix eigen-stress), so
+a step is one batched solve of the blocks for 1 + k right-hand sides plus
+one 6x6 (12x12) system and one k x k system for the controlled strains:
+O(m) in the number m of active phases.
 
 Yield checks, the Newton residuals and flow directions and the KKT check of
 every converged increment all call the batched Drucker-Prager kernel of
@@ -29,12 +28,13 @@ every converged increment all call the batched Drucker-Prager kernel of
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ActiveSetOscillationError, StepFailureError
-from .mean_field import (MeanFieldOperators, eigen_response, localize,
-                         macro_plastic_strain, upscale_stress)
+from .mean_field import (MeanFieldOperators, eigen_response, eigen_stress_hom,
+                         localize, macro_plastic_strain, upscale_stress)
 from .plasticity import dp_flow, dp_flow_gradient, dp_yield
 
 STRAIN = "strain"
@@ -50,7 +50,6 @@ class SolverSettings:
     newton_max_iter: int = 50
     active_set_max_iter: int = 20
     mixed_tol: float = 1e-8            # times max(1, |macro stress|)
-    mixed_max_iter: int = 60
     max_subdivisions: int = 8
 
 
@@ -139,6 +138,44 @@ def _solve(a, b, what):
         raise StepFailureError(f"singular {what}: {exc}") from exc
 
 
+class _StressControl:
+    """The stress-controlled macro components S of one increment attempt.
+
+    ``eps_bar`` is the macro strain with the exact elastic predictor of the
+    components S.  The macro stress is linear in their corrections d eps_S
+    and in the eigen-strain increments x_a of the return:
+    sig_bar = sig_pred + C_hom[:, S] d eps_S - sum_a f_a A_a^T C_a x_a.
+    """
+
+    def __init__(self, ops, state, targets, modes):
+        self.ops = ops
+        self.idx = [i for i in range(6) if modes[i] == STRESS]
+        targets = np.asarray(targets, dtype=float)
+        self.target = targets[self.idx]
+        c_hom = ops.stiffness_hom
+        eps = np.where([m == STRAIN for m in modes], targets, state.macro_strain)
+        sig = state.macro_stress + c_hom @ (eps - state.macro_strain)
+        eps[self.idx] += _solve(c_hom[np.ix_(self.idx, self.idx)],
+                                self.target - sig[self.idx], "macro stiffness")
+        self.eps_bar = eps
+        self.sig_bar = state.macro_stress + c_hom @ (eps - state.macro_strain)
+
+    @cached_property
+    def sens(self):
+        """Trial-stress sensitivities C_a A_a[:, S] to the controlled strains, (n, 6, k)."""
+        return self.ops.stiffness @ self.ops.concentration[:, :, self.idx]
+
+    def residual(self, d_eps, active, x):
+        """sig_bar_S - target_S at (d_eps, x) and the scale max(1, |sig_bar|)."""
+        if not self.idx:
+            return np.zeros(0), 1.0
+        x_all = np.zeros((self.ops.n_phases, 6))
+        x_all[active] = x
+        sig = (self.sig_bar + self.ops.stiffness_hom[:, self.idx] @ d_eps
+               - eigen_stress_hom(self.ops, x_all))
+        return sig[self.idx] - self.target, max(1.0, float(np.linalg.norm(sig)))
+
+
 class _ActiveSystem:
     """Residual and condensed linearization of the coupled return of the active phases.
 
@@ -218,108 +255,57 @@ class _ActiveSystem:
         z = sol[:, :, :k] - sol[:, :, k:] @ wy
         return z, flow @ z
 
+    def step(self, sig_act, lam, res, control, macro_res):
+        """Newton correction (m, 7) of (sig_act, lam) and d eps_S (k,) of the
+        stress-controlled strains for the residuals ``res`` and ``macro_res``.
 
-def _newton_multipliers(ops, sig_tr, active, settings):
-    """Solve the coupled return on the active set; returns (lam, dirs, stresses).
+        One ``jacobian`` call solves for -res and for the residual's
+        macro-strain columns, the trial sensitivities C_a A_a[:, S]; the macro
+        stress rows C_hom[S, S] d eps_S - sum_a f_a (A_a^T C_a)_S dx_a = -macro_res
+        then give d eps_S from one k x k system.
+        """
+        sens = control.sens[self.active]
+        rhs = np.zeros((len(lam), 7, 1 + len(control.idx)))
+        rhs[:, :, 0] = -res
+        rhs[:, :6, 1:] = sens
+        z, dx = self.jacobian(sig_act, lam, rhs)
+        coupled = np.einsum("a,aji,ajk->ik", self.ops.fractions[self.active], sens, dx)
+        block = self.ops.stiffness_hom[np.ix_(control.idx, control.idx)]
+        d_eps = _solve(block - coupled[:, 1:], coupled[:, 0] - macro_res, "macro tangent")
+        return z[:, :, 0] + z[:, :, 1:] @ d_eps, d_eps
 
-    Newton on the active stresses and multipliers from the trial state.  The
-    solve is accepted once the stress residual and F of the stresses
-    recomputed with the flow directions of the iterate are both within
-    tolerance, so the discrete flow rule uses directions consistent with the
-    returned stresses.
+
+def _newton_multipliers(ops, sig_tr, active, settings, control):
+    """Solve the coupled return on the active set with the stress-controlled
+    strains of ``control``; returns (lam, dirs, stresses, d_eps).
+
+    Newton on the active stresses and multipliers and the corrections d_eps
+    of the controlled strains, from the trial state ``sig_tr`` at the
+    predicted macro strain.  The solve is accepted once the stress residual
+    and F of the stresses recomputed with the flow directions of the iterate
+    are both within tolerance, so the discrete flow rule uses directions
+    consistent with the returned stresses, and the controlled macro stresses
+    meet their targets within ``mixed_tol``.
     """
     sys_ = _ActiveSystem(ops, active)
     tols = settings.newton_tol * sys_.strength
     sig_act = sig_tr[active]
     lam = np.zeros(len(active))
+    d_eps = np.zeros(len(control.idx))
     for _ in range(settings.newton_max_iter):
-        res, dirs, sig = sys_.residual(sig_tr, sig_act, lam)
+        res, dirs, sig = sys_.residual(sig_tr + control.sens @ d_eps, sig_act, lam)
         f_chk = dp_yield(sig[active], sys_.tan_f, sys_.strength)
-        if np.all(np.maximum(np.abs(f_chk), np.abs(res[:, :6]).max(axis=1)) <= tols):
-            return lam, dirs, sig
-        z, _ = sys_.jacobian(sig_act, lam, -res[:, :, None])
-        sig_act = sig_act + z[:, :6, 0]
-        lam = lam + z[:, 6, 0]
+        macro_res, scale = control.residual(d_eps, active, lam[:, None] * dirs)
+        if (np.all(np.maximum(np.abs(f_chk), np.abs(res[:, :6]).max(axis=1)) <= tols)
+                and np.all(np.abs(macro_res) <= settings.mixed_tol * scale)):
+            return lam, dirs, sig, d_eps
+        step, d = sys_.step(sig_act, lam, res, control, macro_res)
+        sig_act = sig_act + step[:, :6]
+        lam = lam + step[:, 6]
+        d_eps = d_eps + d
     raise StepFailureError(
         f"return mapping did not converge in {settings.newton_max_iter} Newton "
         "iterations; subdivide the increment")
-
-
-def _macro_tangent(ops: MeanFieldOperators, state: REVState) -> np.ndarray:
-    """Algorithmic tangent d(macro stress)/d(macro strain) of a converged state.
-
-    The return's linearization at the state, on its active set, solved for the
-    trial-stress sensitivities C_a A_a; the homogenized stiffness when no
-    phase is active.
-    """
-    active = np.flatnonzero(state.active).tolist()
-    if not active:
-        return ops.stiffness_hom
-    sys_ = _ActiveSystem(ops, active)
-    trial = ops.stiffness[active] @ ops.concentration[active]  # d sig_tr / d eps_bar
-    rhs = np.zeros((len(active), 7, 6))
-    rhs[:, :6] = trial
-    _, dx = sys_.jacobian(state.stress[active], state.multipliers[active], rhs)
-    # eigen-stress term sum_a f_a A_a^T C_a dx_a of upscale_stress
-    return ops.stiffness_hom - np.einsum("a,aji,ajk->ik", ops.fractions[active],
-                                         trial, dx)
-
-
-def return_map(ops: MeanFieldOperators, state: REVState, eps_bar: np.ndarray,
-               eps_tr: np.ndarray, sig_tr: np.ndarray, candidates: list[int],
-               settings: SolverSettings):
-    """Active-set return mapping from a violating trial state.
-
-    Returns (phase strains, plastic strains, stresses, multipliers, active mask).
-    """
-    if not candidates:
-        raise ValueError("return mapping requires a nonempty candidate set")
-    active = list(candidates)
-    for _ in range(settings.active_set_max_iter):
-        lam, dirs, sig = _newton_multipliers(ops, sig_tr, active, settings)
-        negative = [active[k] for k in range(len(active)) if lam[k] < 0.0]
-        if negative:
-            active = [a for a in active if a not in negative]
-            if not active:
-                # entire candidate set withdrew: the step is elastic after all
-                return (eps_tr, state.plastic_strain.copy(), sig_tr,
-                        np.zeros(ops.n_phases), [False] * ops.n_phases)
-            continue
-        _, candidates = check_yield(ops, sig)
-        newly = [a for a in candidates if a not in active]
-        if not newly:
-            break
-        active = active + newly
-    else:
-        raise ActiveSetOscillationError(
-            f"active set did not settle within {settings.active_set_max_iter} updates")
-
-    multipliers = np.zeros(ops.n_phases)
-    eps_p = state.plastic_strain.copy()
-    multipliers[active] = lam
-    eps_p[active] += lam[:, None] * dirs
-    strains = localize(ops, eps_bar, eps_p)
-    stresses = phase_stresses(ops, strains, eps_p)
-    mask = [a in active for a in range(ops.n_phases)]
-    return strains, eps_p, stresses, multipliers, mask
-
-
-def _advance_to(ops: MeanFieldOperators, state: REVState, eps_bar_new: np.ndarray,
-                settings: SolverSettings) -> REVState:
-    """Advance to an absolute macroscopic strain (keeps prescribed components exact)."""
-    eps_bar, eps_tr, sig_tr = _trial_at(ops, state, eps_bar_new)
-    _, candidates = check_yield(ops, sig_tr)
-    if candidates:
-        strains, eps_p, stresses, multipliers, mask = return_map(
-            ops, state, eps_bar, eps_tr, sig_tr, candidates, settings)
-    else:
-        strains, eps_p, stresses = eps_tr, state.plastic_strain.copy(), sig_tr
-        multipliers, mask = np.zeros(ops.n_phases), [False] * ops.n_phases
-    sig_bar = upscale_stress(ops, eps_bar, eps_p)
-    eps_bar_p = macro_plastic_strain(ops, eps_p)
-    return REVState(step=state.step + 1, macro_strain=eps_bar, macro_stress=sig_bar,
-                    macro_plastic=eps_bar_p, strain=strains, plastic_strain=eps_p,
-                    stress=stresses, multipliers=multipliers, active=tuple(mask))
 
 
 def validate_state(ops: MeanFieldOperators, state: REVState,
@@ -350,58 +336,72 @@ def validate_state(ops: MeanFieldOperators, state: REVState,
         raise StepFailureError("macro stress forms disagree beyond roundoff")
 
 
-def _solve_mixed_increment(ops, state, targets, modes, settings, tangent):
-    """One increment with per-component strain/stress control.
+def _solve_mixed_increment(ops, state, targets, modes, settings):
+    """One attempt at an increment with per-component strain/stress control.
 
-    The stress-controlled strain components are predicted with ``tangent``
-    (the macro tangent of the previous increment) and corrected with the
-    algorithmic tangent of each pass.  Returns the state and the last tangent.
+    The trial state at the exact elastic predictor is accepted if no phase
+    yields; otherwise the active-set iteration solves the coupled return with
+    the stress-controlled strains among the Newton unknowns.  Raises
+    StepFailureError (the caller then subdivides) when a solve fails.
     """
-    stress_idx = [i for i in range(6) if modes[i] == STRESS]
-    strain_idx = [i for i in range(6) if modes[i] == STRAIN]
-    targets = np.asarray(targets)
-    eps_new = state.macro_strain.copy()
-    eps_new[strain_idx] = targets[strain_idx]  # prescribed exactly
-    if not stress_idx:
-        return _advance_to(ops, state, eps_new, settings), tangent
-    block = np.ix_(stress_idx, stress_idx)
-    # predictor: the stress change still missing once the prescribed strain
-    # change has acted through the previous tangent
-    change = (targets[stress_idx] - state.macro_stress[stress_idx]
-              - tangent[stress_idx] @ (eps_new - state.macro_strain))
-    eps_new[stress_idx] += _solve(tangent[block], change, "macro tangent")
-    for _ in range(settings.mixed_max_iter):
-        new = _advance_to(ops, state, eps_new, settings)
-        residual = new.macro_stress[stress_idx] - targets[stress_idx]
-        scale = max(1.0, float(np.linalg.norm(new.macro_stress)))
-        if np.abs(residual).max() <= settings.mixed_tol * scale:
-            return new, tangent
-        tangent = _macro_tangent(ops, new)
-        eps_new[stress_idx] -= _solve(tangent[block], residual, "macro tangent")
-    raise StepFailureError(
-        f"stress-controlled components did not converge in "
-        f"{settings.mixed_max_iter} outer iterations")
+    control = _StressControl(ops, state, targets, modes)
+    eps_bar, strains, stresses = _trial_at(ops, state, control.eps_bar)
+    _, candidates = check_yield(ops, stresses)
+    eps_p = state.plastic_strain.copy()
+    macro_plastic = state.macro_plastic
+    multipliers = np.zeros(ops.n_phases)
+    active = []
+    if candidates:
+        sig_tr = stresses
+        active = candidates
+        for _ in range(settings.active_set_max_iter):
+            lam, dirs, sig, d_eps = _newton_multipliers(ops, sig_tr, active, settings,
+                                                        control)
+            negative = [a for a, lam_a in zip(active, lam) if lam_a < 0.0]
+            if negative:
+                active = [a for a in active if a not in negative]
+                continue
+            _, candidates = check_yield(ops, sig)
+            newly = [a for a in candidates if a not in active]
+            if not newly:
+                break
+            active = active + newly
+        else:
+            raise ActiveSetOscillationError(
+                f"active set did not settle within {settings.active_set_max_iter} updates")
+        eps_bar = eps_bar.copy()
+        eps_bar[control.idx] += d_eps
+        multipliers[active] = lam
+        eps_p[active] += lam[:, None] * dirs
+        strains = localize(ops, eps_bar, eps_p)
+        stresses = phase_stresses(ops, strains, eps_p)
+        macro_plastic = macro_plastic_strain(ops, eps_p)
+    sig_bar = upscale_stress(ops, eps_bar, eps_p)
+    miss = np.abs(sig_bar[control.idx] - control.target).max(initial=0.0)
+    if miss > settings.mixed_tol * max(1.0, float(np.linalg.norm(sig_bar))):
+        raise StepFailureError(
+            f"stress-controlled components miss their targets by {miss:.3e}")
+    mask = np.zeros(ops.n_phases, dtype=bool)
+    mask[active] = True
+    return REVState(step=state.step + 1, macro_strain=eps_bar, macro_stress=sig_bar,
+                    macro_plastic=macro_plastic, strain=strains, plastic_strain=eps_p,
+                    stress=stresses, multipliers=multipliers, active=tuple(mask.tolist()))
 
 
-def _advance_with_subdivision(ops, state, targets, modes, settings, tangent):
-    """Solve one increment, halving it on failure up to the subdivision cap.
+def _advance_with_subdivision(ops, state, targets, modes, settings):
+    """Solve one increment, halving it on failure up to the subdivision cap."""
 
-    Returns the state and the macro tangent to predict the next increment with.
-    """
-
-    def recurse(st, tg, tan, depth):
+    def recurse(st, tg, depth):
         try:
-            return _solve_mixed_increment(ops, st, tg, modes, settings, tan)
+            return _solve_mixed_increment(ops, st, tg, modes, settings)
         except StepFailureError:
             if depth >= settings.max_subdivisions:
                 raise
         start = np.where([m == STRAIN for m in modes], st.macro_strain, st.macro_stress)
         mid = 0.5 * (start + np.asarray(tg))
-        half, tan = recurse(st, mid, tan, depth + 1)
-        return recurse(half, tg, tan, depth + 1)
+        return recurse(recurse(st, mid, depth + 1), tg, depth + 1)
 
-    out, tangent = recurse(state, targets, tangent, 0)
-    return replace(out, step=state.step + 1), tangent
+    return replace(recurse(state, targets, 0), step=state.step + 1)
 
 
 def drive(ops: MeanFieldOperators, program: LoadProgram,
@@ -409,7 +409,6 @@ def drive(ops: MeanFieldOperators, program: LoadProgram,
     """Run a load program from the virgin state; returns one state per increment plus the start."""
     settings = settings or SolverSettings()
     states = [initial_state(ops)]
-    tangent = ops.stiffness_hom
     for segment in program.segments:
         start_strain = states[-1].macro_strain.copy()
         start_stress = states[-1].macro_stress.copy()
@@ -421,8 +420,8 @@ def drive(ops: MeanFieldOperators, program: LoadProgram,
                 targets = end.copy()  # land on the segment target bit-exactly
             else:
                 targets = start + (end - start) * (k / segment.increments)
-            new, tangent = _advance_with_subdivision(ops, states[-1], targets,
-                                                     segment.modes, settings, tangent)
+            new = _advance_with_subdivision(ops, states[-1], targets, segment.modes,
+                                            settings)
             validate_state(ops, new)
             states.append(new)
     return states

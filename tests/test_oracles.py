@@ -22,66 +22,75 @@ SWAP_13 = [2, 1, 0, 5, 4, 3]
 
 @pytest.fixture(scope="module")
 def counted_default_run():
-    """The default run, counting linearizations and passes (per increment)."""
+    """The default run, counting linearizations and Newton solves (per increment)."""
     sc = default_scenario()
     ops = assemble_operators(sc.phases())
     counts = Counter()
-    passes = []
+    solves = []
     jacobian = solver_mod._ActiveSystem.jacobian
-    advance_to = solver_mod._advance_to
+    newton = solver_mod._newton_multipliers
     increment = solver_mod._advance_with_subdivision
 
     def counted_jacobian(self, *args):
         counts["linearizations"] += 1
         return jacobian(self, *args)
 
-    def counted_advance_to(*args):
-        counts["passes"] += 1
-        return advance_to(*args)
+    def counted_newton(*args):
+        counts["newton_solves"] += 1
+        return newton(*args)
 
     def counted_increment(*args):
-        before = counts["passes"]
+        before = counts["newton_solves"]
         out = increment(*args)
-        passes.append(counts["passes"] - before)
+        solves.append(counts["newton_solves"] - before)
         return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver_mod._ActiveSystem, "jacobian", counted_jacobian)
-        mp.setattr(solver_mod, "_advance_to", counted_advance_to)
+        mp.setattr(solver_mod, "_newton_multipliers", counted_newton)
         mp.setattr(solver_mod, "_advance_with_subdivision", counted_increment)
         states = drive(ops, sc.program, sc.settings)
-    return sc, ops, states, counts, passes
+    return sc, ops, states, counts, solves
 
 
 # ------------------------------------------------------------------ work counts
 
 def test_default_run_work_counts(counted_default_run):
-    _, _, states, counts, passes = counted_default_run
-    assert len(passes) == len(states) - 1 == 150
-    assert counts["linearizations"] < 1000
-    assert counts["passes"] <= 300
-    assert max(passes) <= 2
+    # one Newton solve per plastic increment, three linearizations each
+    # (measured 60 solves and 180 linearizations; 10 % headroom)
+    _, _, states, counts, solves = counted_default_run
+    assert len(solves) == len(states) - 1 == 150
+    assert counts["newton_solves"] <= 66
+    assert counts["linearizations"] <= 198
+    assert max(solves) <= 1
 
 
 def test_elastic_stress_controlled_increments_take_one_pass(counted_default_run):
-    # the predictor with the elastic tangent is exact below yield
-    _, _, states, _, passes = counted_default_run
+    # the elastic predictor is exact below yield: no Newton solve
+    _, _, states, _, solves = counted_default_run
     first_plastic = next(k for k, st in enumerate(states) if any(st.active))
     assert first_plastic > 10
-    assert passes[:first_plastic - 1] == [1] * (first_plastic - 1)
+    assert solves[:first_plastic - 1] == [0] * (first_plastic - 1)
+    assert solves[first_plastic - 1] == 1
 
 
 def test_stress_controlled_elastic_increment_one_pass(monkeypatch):
+    # all six components stress-controlled below yield: one attempt per
+    # increment and no Newton solve
     sc = default_scenario()
     ops = assemble_operators(sc.phases())
     calls = []
-    advance_to = solver_mod._advance_to
+    attempt = solver_mod._solve_mixed_increment
 
-    def counted(*args):
-        calls.append(1)
-        return advance_to(*args)
+    def counted_attempt(*args):
+        calls.append("attempt")
+        return attempt(*args)
 
-    monkeypatch.setattr(solver_mod, "_advance_to", counted)
+    def no_newton(*args):
+        raise AssertionError("elastic increments make no Newton solve")
+
+    monkeypatch.setattr(solver_mod, "_solve_mixed_increment", counted_attempt)
+    monkeypatch.setattr(solver_mod, "_newton_multipliers", no_newton)
     target = (2e-3, -1e-3, -4e-3, 1e-3, 0.0, -5e-4)  # MPa, well below yield
     segment = LoadSegment(targets=target, modes=(STRESS,) * 6, increments=2)
     states = drive(ops, LoadProgram((segment,)))

@@ -207,6 +207,9 @@ def test_solver_overrides():
     # one nonlinear path: the finite-difference Jacobian is no longer selectable
     with pytest.raises(ScenarioError, match="unknown key 'jacobian'"):
         parse_scenario(text.replace("mixed_tol", "jacobian = fd\nmixed_tol"))
+    # one nonlinear loop per increment: the mixed-control pass cap is gone
+    with pytest.raises(ScenarioError, match="unknown key 'mixed_max_iter'"):
+        parse_scenario(text.replace("mixed_tol", "mixed_max_iter = 60\nmixed_tol"))
 
 
 def test_round_trip_default():
@@ -241,7 +244,7 @@ def test_round_trip_rich_scenario():
                         modes=(STRESS, STRESS, STRESS, STRAIN, STRAIN, STRAIN),
                         increments=3),
         )),
-        settings=SolverSettings(newton_tol=1e-11, mixed_max_iter=42),
+        settings=SolverSettings(newton_tol=1e-11, active_set_max_iter=42),
         output=OutputOptions(macro_path="out.csv", phase_path="ph.csv",
                              plot_prefix="fig"))
     assert parse_scenario(serialize_scenario(sc)) == sc

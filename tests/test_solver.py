@@ -3,15 +3,16 @@ import pytest
 
 import revplast.solver as solver_mod
 from revplast.errors import (ActiveSetOscillationError, ApexSingularityError,
-                             StepFailureError)
-from revplast.mean_field import PhaseSpec, Spheroid, assemble_operators, localize
+                             RevplastError, StepFailureError)
+from revplast.mean_field import (PhaseSpec, Spheroid, assemble_operators, localize,
+                                 upscale_stress)
 from revplast.plasticity import DruckerPrager, stress_invariants, yield_value
 from revplast.scenario import default_scenario
 from dataclasses import replace
 
 from revplast.solver import (STRAIN, STRESS, LoadProgram, LoadSegment,
-                             SolverSettings, _advance_to, _trial_at, check_yield,
-                             drive, initial_state, return_map, strain_program,
+                             SolverSettings, _solve_mixed_increment, _trial_at,
+                             check_yield, drive, initial_state, strain_program,
                              validate_state)
 from revplast.tensors import IVEC, iso_stiffness
 
@@ -73,7 +74,7 @@ def test_elastic_rev_accepts_trial():
     deps = np.array([2e-4, -1e-4, -4e-4, 0, 5e-5, 0])
     state = initial_state(ops)
     _, eps_tr, sig_tr = _trial_at(ops, state, deps)
-    new = _advance_to(ops, state, deps, SolverSettings())
+    new = _solve_mixed_increment(ops, state, deps, (STRAIN,) * 6, SolverSettings())
     assert np.abs(new.stress - sig_tr).max() == 0.0
     assert np.abs(new.macro_stress - ops.stiffness_hom @ deps).max() < 1e-14
 
@@ -213,39 +214,56 @@ def test_jacobian_matches_finite_differences(scheme, active):
     assert np.abs(dx[..., 0] - dx_fd).max() <= 1e-6 * np.abs(dx_fd).max()
 
 
+MIXED_MODES = (STRESS, STRESS, STRAIN, STRESS, STRAIN, STRAIN)
+
+
 @pytest.mark.parametrize("scheme", ["mori_tanaka", "dilute"])
 @pytest.mark.parametrize("active", [[0, 1, 2], [1, 2], [2, 0]])
 def test_macro_tangent_matches_finite_differences(scheme, active):
-    # algorithmic macro tangent against central differences of converged
-    # returns on the same active set
+    # the macro-strain columns and macro-stress rows of the Newton linearization
+    # (its response to the stress targets at a converged state) against central
+    # differences of converged returns on the same active set
     ops = four_phase_ops(scheme)
     start = initial_state(ops)
     settings = SolverSettings()
+    stress_idx = [i for i in range(6) if MIXED_MODES[i] == STRESS]
 
-    def converged(eps):
-        _, _, sig_tr = _trial_at(ops, start, eps)
-        lam, dirs, sig = solver_mod._newton_multipliers(ops, sig_tr, active, settings)
-        eps_p = np.zeros((ops.n_phases, 6))
-        eps_p[active] = lam[:, None] * dirs
-        return lam, sig, solver_mod.upscale_stress(ops, eps, eps_p)
+    def converged(targets, modes):
+        control = solver_mod._StressControl(ops, start, targets, modes)
+        _, _, sig_tr = _trial_at(ops, start, control.eps_bar)
+        lam, dirs, sig, d_eps = solver_mod._newton_multipliers(ops, sig_tr, active,
+                                                               settings, control)
+        eps_bar = control.eps_bar.copy()
+        eps_bar[control.idx] += d_eps
+        return control, np.column_stack((sig[active], lam)), eps_bar, lam[:, None] * dirs
 
-    lam, sig, _ = converged(FOUR_PHASE_STRAIN)
-    multipliers = np.zeros(ops.n_phases)
-    multipliers[active] = lam
-    mask = tuple(a in active for a in range(ops.n_phases))
-    state = replace(start, stress=sig, multipliers=multipliers, active=mask)
-    tangent = solver_mod._macro_tangent(ops, state)
-    h = 1e-8
-    tangent_fd = np.empty((6, 6))
-    for j in range(6):
-        e = np.zeros(6)
-        e[j] = h
-        tangent_fd[:, j] = (converged(FOUR_PHASE_STRAIN + e)[2]
-                            - converged(FOUR_PHASE_STRAIN - e)[2]) / (2.0 * h)
-    scale = np.abs(tangent_fd).max()
-    assert np.abs(tangent - tangent_fd).max() <= 1e-6 * scale
-    # plastic flow softens the response: the tangent is not the elastic one
-    assert np.abs(tangent - ops.stiffness_hom).max() > 1e-3 * scale
+    # targets: the macro stresses of the strain-controlled return at FOUR_PHASE_STRAIN
+    _, _, _, flow = converged(FOUR_PHASE_STRAIN, (STRAIN,) * 6)
+    eps_p = np.zeros((ops.n_phases, 6))
+    eps_p[active] = flow
+    targets = np.where(np.array(MIXED_MODES) == STRESS,
+                       upscale_stress(ops, FOUR_PHASE_STRAIN, eps_p), FOUR_PHASE_STRAIN)
+    control, point, eps_bar, _ = converged(targets, MIXED_MODES)
+    assert np.abs(eps_bar - FOUR_PHASE_STRAIN).max() <= 1e-9 * np.abs(FOUR_PHASE_STRAIN).max()
+    sys_ = solver_mod._ActiveSystem(ops, active)
+    m, k = len(active), len(stress_idx)
+    h = 1e-6 * np.abs(targets[stress_idx]).max()
+    for j, i in enumerate(stress_idx):
+        # raising target i by one leaves the macro residual at -e_j
+        step, d_eps = sys_.step(point[:, :6], point[:, 6], np.zeros((m, 7)), control,
+                                -np.eye(k)[j])
+        bump = np.zeros(6)
+        bump[i] = h
+        _, hi, eps_hi, _ = converged(targets + bump, MIXED_MODES)
+        _, lo, eps_lo, _ = converged(targets - bump, MIXED_MODES)
+        step_fd = (hi - lo) / (2.0 * h)
+        eps_fd = (eps_hi - eps_lo)[stress_idx] / (2.0 * h)
+        assert np.abs(step - step_fd).max() <= 1e-6 * np.abs(step_fd).max()
+        assert np.abs(d_eps - eps_fd).max() <= 1e-6 * np.abs(eps_fd).max()
+        # plastic flow softens the response: not the elastic compliance
+        elastic = np.linalg.solve(ops.stiffness_hom[np.ix_(stress_idx, stress_idx)],
+                                  np.eye(k)[j])
+        assert np.abs(d_eps - elastic).max() > 1e-3 * np.abs(eps_fd).max()
 
 
 def test_negative_multiplier_candidate_dropped():
@@ -266,46 +284,45 @@ def test_negative_multiplier_candidate_dropped():
     _, _, sig_probe = _trial_at(ops, state, probe)
     f_unit = yield_value(DruckerPrager(0.0, 1e-9), sig_probe[2]) + 1e-9
     deps = probe * (0.121 / f_unit) * 1.0001
-    eps_bar, eps_tr, sig_tr = _trial_at(ops, state, deps)
+    _, _, sig_tr = _trial_at(ops, state, deps)
     f_tr, candidates = check_yield(ops, sig_tr)
     assert candidates == [1, 2]
     assert 0.0 < f_tr[2] < 1e-4
-    _, eps_p, sig, multipliers, mask = return_map(
-        ops, state, eps_bar, eps_tr, sig_tr, candidates, SolverSettings())
-    assert mask[1] and not mask[2]
-    assert multipliers[1] > 0.0
-    assert multipliers[2] == 0.0
-    assert np.abs(eps_p[2]).max() == 0.0
-    assert yield_value(phases[1].plastic, sig[1]) <= 1e-10 * 0.12
-    assert yield_value(phases[2].plastic, sig[2]) <= 1e-10 * 0.121
+    new = _solve_mixed_increment(ops, state, deps, (STRAIN,) * 6, SolverSettings())
+    assert new.active[1] and not new.active[2]
+    assert new.multipliers[1] > 0.0
+    assert new.multipliers[2] == 0.0
+    assert np.abs(new.plastic_strain[2]).max() == 0.0
+    assert yield_value(phases[1].plastic, new.stress[1]) <= 1e-10 * 0.12
+    assert yield_value(phases[2].plastic, new.stress[2]) <= 1e-10 * 0.121
 
 
-def test_all_candidates_withdrawing_gives_elastic(monkeypatch):
-    # if every candidate's multiplier comes back negative the trial is accepted
+def test_all_candidates_withdrawing_raises_typed_error(monkeypatch):
+    # if every candidate's multiplier comes back negative, the emptied active
+    # set goes through the same loop; its elastic solution violates yield, so
+    # the attempt ends in a typed error, never in a state that fails KKT
     ops = two_phase_homogeneous()
     state = initial_state(ops)
-    eps_bar, eps_tr, sig_tr = _trial_at(ops, state, np.array([0, 0, -0.002, 0, 0, 0]))
+    seen = []
 
-    def fake_newton(ops_, sig_tr_, active, settings_):
+    def fake_newton(ops_, sig_tr_, active, settings_, control):
+        seen.append(list(active))
         m = len(active)
-        return -np.ones(m), np.zeros((m, 6)), sig_tr_
+        return -np.ones(m), np.zeros((m, 6)), sig_tr_, np.zeros(len(control.idx))
 
     monkeypatch.setattr(solver_mod, "_newton_multipliers", fake_newton)
-    strains, eps_p, sig, multipliers, mask = return_map(
-        ops, state, eps_bar, eps_tr, sig_tr, [0, 1], SolverSettings())
-    assert not any(mask)
-    assert np.abs(sig - sig_tr).max() == 0.0
-    assert np.abs(multipliers).max() == 0.0
+    with pytest.raises(RevplastError):
+        _solve_mixed_increment(ops, state, np.array([0, 0, -0.002, 0, 0, 0]),
+                               (STRAIN,) * 6, SolverSettings())
+    assert seen[:3] == [[0, 1], [], [0, 1]]
 
 
 def test_active_set_iteration_cap():
     ops = two_phase_homogeneous()
     state = initial_state(ops)
-    eps_bar, eps_tr, sig_tr = _trial_at(ops, state, np.array([0, 0, -0.002, 0, 0, 0]))
-    _, cand = check_yield(ops, sig_tr)
     with pytest.raises(ActiveSetOscillationError):
-        return_map(ops, state, eps_bar, eps_tr, sig_tr, cand,
-                   SolverSettings(active_set_max_iter=0))
+        _solve_mixed_increment(ops, state, np.array([0, 0, -0.002, 0, 0, 0]),
+                               (STRAIN,) * 6, SolverSettings(active_set_max_iter=0))
 
 
 def test_newton_cap_raises_step_failure():
@@ -315,15 +332,17 @@ def test_newton_cap_raises_step_failure():
         drive(ops, program, SolverSettings(newton_max_iter=1, max_subdivisions=2))
 
 
-def test_singular_macro_tangent_raises_step_failure(monkeypatch):
-    # a stress-controlled plastic increment whose tangent cannot be inverted
-    # fails with the typed error (after subdivision), never a LinAlgError
+def test_singular_macro_tangent_raises_step_failure():
+    # a stress-controlled increment whose macro system cannot be solved fails
+    # with the typed error (after subdivision), never a LinAlgError
     ops = default_ops()
-    monkeypatch.setattr(solver_mod, "_macro_tangent", lambda ops_, st: np.zeros((6, 6)))
+    stiff = ops.stiffness_hom.copy()
+    stiff[:2, :2] = 0.0
+    ops = replace(ops, stiffness_hom=stiff)
     modes = (STRESS, STRESS, STRAIN, STRAIN, STRAIN, STRAIN)
     program = LoadProgram((LoadSegment(targets=(0.0, 0.0, -0.001, 0.0, 0.0, 0.0),
                                        modes=modes, increments=20),))
-    with pytest.raises(StepFailureError, match="singular macro tangent"):
+    with pytest.raises(StepFailureError, match="singular macro"):
         drive(ops, program, SolverSettings(max_subdivisions=1))
 
 
@@ -502,24 +521,24 @@ def test_determinism_bitwise():
 
 def test_subdivision_recovers_from_oversized_steps(monkeypatch):
     ops = two_phase_homogeneous()
-    real_advance_to = solver_mod._advance_to
+    real_attempt = solver_mod._solve_mixed_increment
     calls = []
 
-    def fussy_advance_to(ops_, state, eps_new, settings):
-        size = np.abs(eps_new - state.macro_strain).max()
+    def fussy_attempt(ops_, state, targets, modes, settings):
+        size = np.abs(np.asarray(targets) - state.macro_strain).max()
         calls.append(size)
         if size > 1.1e-4:
             raise StepFailureError("increment too large for this test")
-        return real_advance_to(ops_, state, eps_new, settings)
+        return real_attempt(ops_, state, targets, modes, settings)
 
-    monkeypatch.setattr(solver_mod, "_advance_to", fussy_advance_to)
+    monkeypatch.setattr(solver_mod, "_solve_mixed_increment", fussy_attempt)
     program = strain_program([(np.array([0, 0, -0.0008, 0, 0, 0]), 2)])
     states = drive(ops, program, SolverSettings(max_subdivisions=3))
     assert len(states) == 3
     assert states[-1].macro_strain[2] == pytest.approx(-0.0008, abs=0)
     assert any(c > 1.1e-4 for c in calls)  # at least one rejected attempt
 
-    monkeypatch.setattr(solver_mod, "_advance_to", real_advance_to)
+    monkeypatch.setattr(solver_mod, "_solve_mixed_increment", real_attempt)
     oracle = drive(ops, program, SolverSettings())
     assert np.abs(states[-1].macro_stress - oracle[-1].macro_stress).max() < 1e-12
 
@@ -530,7 +549,7 @@ def test_subdivision_cap_exhausts(monkeypatch):
     def always_fails(*args, **kwargs):
         raise StepFailureError("forced failure")
 
-    monkeypatch.setattr(solver_mod, "_advance_to", always_fails)
+    monkeypatch.setattr(solver_mod, "_solve_mixed_increment", always_fails)
     program = strain_program([(np.array([0, 0, -0.0008, 0, 0, 0]), 1)])
     with pytest.raises(StepFailureError):
         drive(ops, program, SolverSettings(max_subdivisions=3))
@@ -547,7 +566,8 @@ def test_segment_validation():
         LoadSegment(targets=(None,) * 6, modes=(STRESS,) * 6, increments=1)
 
 
-@pytest.mark.parametrize("path", ["_advance_with_subdivision", "check_yield",
+@pytest.mark.parametrize("path", ["_advance_with_subdivision", "_solve_mixed_increment",
+                                  "check_yield",
                                   "validate_state", "_newton_multipliers",
                                   "_ActiveSystem.jacobian",
                                   "_ActiveSystem.stress_update"])
