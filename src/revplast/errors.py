@@ -10,11 +10,13 @@ class SymmetryError(RevplastError, ValueError):
 
 
 class SingularOperatorError(RevplastError, ValueError):
-    """Fourth-order operator is singular or too ill-conditioned to invert."""
+    """Fourth-order operator is singular or too ill-conditioned to invert;
+    ``index`` is the flat position of the rejected operator in a batch."""
 
-    def __init__(self, message: str, condition: float = float("inf")):
+    def __init__(self, message: str, condition: float = float("inf"), index: int = 0):
         super().__init__(f"{message} (condition estimate {condition:.3e})")
         self.condition = condition
+        self.index = index
 
 
 class IncompressibilityError(RevplastError, ValueError):

@@ -2,8 +2,7 @@
 
 Conventions: the spheroid has unit equatorial semi-axes and symmetry-axis
 semi-axis equal to the aspect ratio, with the symmetry axis along local x3.
-All results are Mandel 6x6 matrices in that local frame; rotate with
-:func:`revplast.tensors.rotate_ten4` for other orientations.
+All results are Mandel 6x6 matrices in that local frame.
 
 Two independent evaluation routes are provided: the classical closed forms
 (with a series branch near the sphere where they cancel catastrophically) and
@@ -29,6 +28,10 @@ _I1_SERIES = np.pi * np.array([
 # inside this window the arccos/arccosh forms lose ~|w-1| in relative accuracy,
 # so the series (truncation error ~|w-1|^9) takes over
 _SERIES_WINDOW = 1e-3
+
+# the closed forms divide by the squared aspect ratio and raise it to the
+# third power; outside this range either overflows
+_ASPECT_RANGE = (np.sqrt(4.0 * np.pi / np.finfo(float).max), np.cbrt(np.finfo(float).max))
 
 
 def _depolarization_integrals(aspect_ratio: float) -> tuple[float, float]:
@@ -61,6 +64,9 @@ def eshelby_tensor(aspect_ratio: float, nu_matrix: float) -> np.ndarray:
         raise ValueError(f"aspect ratio must be positive, got {w}")
     if not -1.0 < nu < 0.5:
         raise ValueError(f"matrix Poisson ratio must lie in (-1, 0.5), got {nu}")
+    if not _ASPECT_RANGE[0] < w < _ASPECT_RANGE[1]:
+        raise MorphologyError(f"aspect ratio {w!r} lies outside ({_ASPECT_RANGE[0]:.3g}, "
+                              f"{_ASPECT_RANGE[1]:.3g}), where the closed forms overflow")
     i1, i13 = _depolarization_integrals(w)
     i3 = 4.0 * np.pi - 2.0 * i1
     i12 = np.pi - i13 / 4.0

@@ -33,8 +33,10 @@ class Spheroid:
     axis: tuple[float, float, float] = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
-        if self.aspect_ratio <= 0.0:
+        if not self.aspect_ratio > 0.0:
             raise ValueError(f"aspect ratio must be positive, got {self.aspect_ratio}")
+        if not 0.0 < np.linalg.norm(self.axis) < np.inf:
+            raise ValueError(f"spheroid axis must be a nonzero finite vector, got {self.axis}")
 
 
 @dataclass(frozen=True)
@@ -127,32 +129,34 @@ class MeanFieldOperators:
 
 def dilute_concentration(p_hill: np.ndarray, c_incl: np.ndarray,
                          c0: np.ndarray) -> np.ndarray:
-    """Dilute strain concentration [I + P : (C_incl - C0)]^{-1}."""
-    bracket = IDENTITY + p_hill @ (np.asarray(c_incl) - np.asarray(c0))
-    try:
-        return ten4_inv(bracket)
-    except SingularOperatorError as exc:
-        raise MorphologyError(
-            f"dilute concentration singular for this morphology/stiffness pair: {exc}"
-        ) from exc
+    """Dilute strain concentrations [I + P : (C_incl - C0)]^{-1}, batched over
+    the leading axes of ``p_hill`` and ``c_incl``."""
+    return ten4_inv(IDENTITY + p_hill @ (np.asarray(c_incl) - np.asarray(c0)))
 
 
 def _phase_tensors(phases: tuple[PhaseSpec, ...]):
-    """Per-phase stiffness, dilute concentration and eigen-stress response operators."""
-    c0 = phases[0].stiffness()
-    n = len(phases)
-    cmats = np.empty((n, 6, 6))
-    a_dil = np.empty((n, 6, 6))
-    resp = np.zeros((n, 6, 6))  # R_a = A_dil,a P_a: phase strain per unit polarization
-    cmats[0] = c0
+    """Per-phase stiffness, dilute concentration and eigen-stress response operators.
+
+    Phases of equal aspect ratio share one local Hill tensor; only the rotation
+    into each phase's frame differs.
+    """
+    cmats = np.stack([p.stiffness() for p in phases])
+    c0 = cmats[0]
+    spheroids = [p.spheroid for p in phases[1:]]
+    aspects, family = np.unique([s.aspect_ratio for s in spheroids], return_inverse=True)
+    p_loc = np.reshape([hill_tensor(w, c0) for w in aspects], (-1, 6, 6))[family]
+    rot = rotation_operator(rotation_to_axis(np.reshape([s.axis for s in spheroids], (-1, 3))))
+    p_glob = rot @ p_loc @ np.swapaxes(rot, -1, -2)
+    a_dil = np.empty_like(cmats)
+    resp = np.zeros_like(cmats)  # R_a = A_dil,a P_a: phase strain per unit polarization
     a_dil[0] = IDENTITY
-    for a, ph in enumerate(phases[1:], start=1):
-        cmats[a] = ph.stiffness()
-        p_loc = hill_tensor(ph.spheroid.aspect_ratio, c0)
-        rot = rotation_operator(rotation_to_axis(ph.spheroid.axis))
-        p_glob = rot @ p_loc @ rot.T
-        a_dil[a] = dilute_concentration(p_glob, cmats[a], c0)
-        resp[a] = a_dil[a] @ p_glob
+    try:
+        a_dil[1:] = dilute_concentration(p_glob, cmats[1:], c0)
+    except SingularOperatorError as exc:
+        raise MorphologyError(
+            f"phase {phases[1 + exc.index].name!r}: dilute concentration singular "
+            f"for this morphology/stiffness pair: {exc}") from exc
+    resp[1:] = a_dil[1:] @ p_glob
     return cmats, a_dil, resp
 
 

@@ -4,22 +4,19 @@ from __future__ import annotations
 import numpy as np
 
 
-def rotation_to_axis(axis) -> np.ndarray:
-    """Rotation mapping the local frame (symmetry axis = local 3) onto ``axis``.
+def rotation_to_axis(axes) -> np.ndarray:
+    """Rotations (..., 3, 3) mapping the local frame (symmetry axis = local 3)
+    onto each of the nonzero ``axes`` (..., 3).
 
     The in-plane frame completion is deterministic so repeated runs give
     identical operators; transversely isotropic tensors do not depend on it.
     """
-    d = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(d)
-    if norm == 0.0:
-        raise ValueError("orientation axis must be nonzero")
-    d = d / norm
-    seed = np.array([1.0, 0.0, 0.0]) if abs(d[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    t1 = seed - np.dot(seed, d) * d
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(d, t1)
-    return np.column_stack([t1, t2, d])
+    d = np.asarray(axes, dtype=float)
+    d = d / np.linalg.norm(d, axis=-1, keepdims=True)
+    seed = np.where(np.abs(d[..., :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    t1 = seed - np.sum(seed * d, axis=-1, keepdims=True) * d
+    t1 /= np.linalg.norm(t1, axis=-1, keepdims=True)
+    return np.stack([t1, np.cross(d, t1), d], axis=-1)
 
 
 def cube26() -> list[np.ndarray]:

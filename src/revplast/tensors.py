@@ -20,6 +20,7 @@ SQRT2 = np.sqrt(2.0)
 COMPONENT_PAIRS = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
 COMPONENT_LABELS = ("11", "22", "33", "23", "13", "12")
 _SCALE = np.array([1.0, 1.0, 1.0, SQRT2, SQRT2, SQRT2])
+_PAIR_I, _PAIR_J = np.array(COMPONENT_PAIRS).T
 
 #: second-order identity as a Mandel vector
 IVEC = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
@@ -56,23 +57,14 @@ def ten4_from_tensor(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def ten4_to_tensor(m: np.ndarray) -> np.ndarray:
-    """Convert a Mandel 6x6 matrix to the minor-symmetric 3x3x3x3 tensor."""
-    m = np.asarray(m, dtype=float)
-    t = np.zeros((3, 3, 3, 3))
-    for a, (i, j) in enumerate(COMPONENT_PAIRS):
-        for b, (k, l) in enumerate(COMPONENT_PAIRS):
-            v = m[a, b] / (_SCALE[a] * _SCALE[b])
-            t[i, j, k, l] = t[j, i, k, l] = t[i, j, l, k] = t[j, i, l, k] = v
-    return t
-
-
 def ten4_inv(t: np.ndarray, cond_limit: float = 1e12) -> np.ndarray:
-    """Invert a fourth-order operator, rejecting ill-conditioned input."""
+    """Invert fourth-order operators (..., 6, 6), rejecting ill-conditioned input."""
     t = np.asarray(t, dtype=float)
-    cond = np.linalg.cond(t)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise SingularOperatorError("fourth-order operator not invertible", cond)
+    cond = np.ravel(np.linalg.cond(t))
+    bad = np.flatnonzero(~(cond <= cond_limit))
+    if bad.size:
+        raise SingularOperatorError("fourth-order operator not invertible",
+                                    float(cond[bad[0]]), index=int(bad[0]))
     return np.linalg.inv(t)
 
 
@@ -111,32 +103,25 @@ def bulk_shear_moduli(c: np.ndarray) -> tuple[float, float]:
 
 
 def check_rotation(r: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Validate a proper rotation matrix and return it as float array."""
+    """Validate proper rotation matrices (..., 3, 3) and return them as a float array."""
     r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3):
-        raise ValueError(f"rotation must be 3x3, got shape {r.shape}")
-    if np.abs(r.T @ r - np.eye(3)).max() > tol:
+    if r.shape[-2:] != (3, 3):
+        raise ValueError(f"rotations must be 3x3, got shape {r.shape}")
+    if not np.all(np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)) <= tol):
         raise ValueError("rotation matrix is not orthonormal")
-    if abs(np.linalg.det(r) - 1.0) > tol:
+    if not np.all(np.abs(np.linalg.det(r) - 1.0) <= tol):
         raise ValueError("rotation matrix must be proper (det = +1)")
     return r
 
 
 def rotation_operator(r: np.ndarray) -> np.ndarray:
-    """6x6 Mandel operator of the rotation a -> R a R^T; orthogonal by construction."""
+    """Mandel operators (..., 6, 6) of the rotations a -> R a R^T; orthogonal.
+
+    Closed form (Mehrabadi & Cowin 1990): for alpha = (i, j) and beta = (k, l),
+    Q[alpha, beta] = s_alpha s_beta (R_ik R_jl + R_il R_jk) / 2.
+    """
     r = check_rotation(r)
-    op = np.empty((6, 6))
-    for b in range(6):
-        basis = np.zeros(6)
-        basis[b] = 1.0
-        op[:, b] = sym2_from_matrix(r @ sym2_to_matrix(basis) @ r.T)
-    return op
-
-
-def rotate_sym2(a: np.ndarray, r: np.ndarray) -> np.ndarray:
-    return rotation_operator(r) @ np.asarray(a)
-
-
-def rotate_ten4(t: np.ndarray, r: np.ndarray) -> np.ndarray:
-    op = rotation_operator(r)
-    return op @ np.asarray(t) @ op.T
+    i, j = _PAIR_I[:, None], _PAIR_J[:, None]
+    k, l = _PAIR_I[None, :], _PAIR_J[None, :]
+    return 0.5 * np.outer(_SCALE, _SCALE) * (r[..., i, k] * r[..., j, l]
+                                             + r[..., i, l] * r[..., j, k])

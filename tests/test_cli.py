@@ -103,6 +103,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_zero_orientation_axis_exit_code(tmp_path, capsys):
+    bad = tmp_path / "zero_axis.scn"
+    bad.write_text(TINY.replace("orientations = 0 0 1; 1 0 0",
+                                "orientations = 0 0 0; 1 0 0"))
+    code = main(["run", str(bad), "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert "spheroid axis" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     code = main(["run", str(tmp_path / "nope.scn")])
     assert code == 4

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,10 @@ def test_invalid_inputs():
     aniso[0, 0] *= 2.0
     with pytest.raises(MorphologyError):
         hill_tensor(0.35, aniso)
+    # the closed forms over- or underflow: a typed error naming the aspect ratio
+    for aspect in (1e-300, 1e-200, 1e-160, 1e150, 1e200):
+        with pytest.raises(MorphologyError, match=re.escape(f"aspect ratio {aspect!r}")):
+            hill_tensor(aspect, iso_stiffness(100.0, 0.25))
 
 
 def test_quadrature_scale_invariance():

@@ -4,7 +4,9 @@ import inspect
 import numpy as np
 import pytest
 
+import revplast.mean_field as mean_field
 import revplast.solver as solver_mod
+from revplast.errors import MorphologyError
 from revplast.eshelby import hill_tensor
 from revplast.mean_field import (PhaseSpec, Spheroid, assemble_operators,
                                  dilute_concentration, localize,
@@ -146,6 +148,58 @@ def test_mori_tanaka_close_to_dilute_at_small_fraction():
     assert g2 < 0.015 * g1  # contraction faster than linear in f
 
 
+@pytest.mark.parametrize("scheme", ["mori_tanaka", "dilute"])
+def test_assembly_follows_phase_order_and_axis_sign(monkeypatch, scheme):
+    # two interleaved families of one material (Mori-Tanaka keeps C_hom
+    # symmetric only then); reordering the phases and reversing every axis
+    # (a spheroid is unchanged by it) must only permute the operators, and each
+    # family's Hill tensor is computed once per assembly
+    calls = []
+
+    def counted_hill(aspect, c0):
+        calls.append(aspect)
+        return hill_tensor(aspect, c0)
+
+    monkeypatch.setattr(mean_field, "hill_tensor", counted_hill)
+    rng = np.random.default_rng(13)
+    n = 12
+    phases = [matrix_phase(0.8)] + [
+        spheroid_phase(f"i{k}", 0.2 / n, axis=tuple(rng.normal(size=3)),
+                       aspect=(0.35, 3.0)[k % 2])
+        for k in range(n)]
+    perm = rng.permutation(n)
+    flipped = [phases[0]] + [
+        dataclasses.replace(phases[1 + k], spheroid=Spheroid(
+            phases[1 + k].spheroid.aspect_ratio,
+            tuple(-x for x in phases[1 + k].spheroid.axis))) for k in perm]
+    ops = assemble_operators(phases, scheme=scheme)
+    assert len(calls) == 2
+    ops_flipped = assemble_operators(flipped, scheme=scheme)
+    assert len(calls) == 4
+    order = np.concatenate([[0], 1 + perm])
+    for name in ("concentration", "response", "mixing"):
+        ref = getattr(ops, name)[order]
+        got = getattr(ops_flipped, name)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), name
+    ref = ops.stiffness_hom
+    assert np.abs(ops_flipped.stiffness_hom - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_singular_dilute_concentration_names_phase():
+    # a nearly void penny crack: I + P:(C_i - C_0) has condition ~1.75e12
+    phases = [matrix_phase(0.9), spheroid_phase("stiff", 0.05),
+              spheroid_phase("crack", 0.05, young=1e-14, aspect=1e-12)]
+    with pytest.raises(MorphologyError, match="phase 'crack'"):
+        assemble_operators(phases)
+
+
+@pytest.mark.parametrize("name", ["assemble_operators", "hill_tensor"])
+def test_benchmark_hook_targets_exist(name):
+    # perfbench/ wraps these mean_field attributes by name for its setup-layer
+    # metrics; a rename silently drops them
+    assert callable(getattr(mean_field, name))
+
+
 # ---------------------------------------------------------------- validation
 
 def test_phase_validation_errors():
@@ -157,6 +211,17 @@ def test_phase_validation_errors():
         validate_phases([matrix_phase(0.5), matrix_phase(0.5)])
     with pytest.raises(ValueError, match="positive"):
         validate_phases([matrix_phase(1.2), spheroid_phase("i", -0.2)])
+
+
+@pytest.mark.parametrize("aspect,axis,match", [
+    (0.35, (0.0, 0.0, 0.0), "axis"),
+    (0.35, (np.nan, 0.0, 1.0), "axis"),
+    (0.35, (np.inf, 0.0, 0.0), "axis"),
+    (np.nan, (0.0, 0.0, 1.0), "aspect ratio"),
+])
+def test_spheroid_rejects_degenerate_input(aspect, axis, match):
+    with pytest.raises(ValueError, match=match):
+        Spheroid(aspect, axis)
 
 
 def test_phase_spec_rejects_bad_elasticity():

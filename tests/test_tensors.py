@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from revplast.errors import IncompressibilityError, SingularOperatorError, SymmetryError
 from revplast import tensors
 from revplast.tensors import (IVEC, SQRT2, iso_projectors, iso_stiffness,
-                              rotate_sym2, rotate_ten4, rotation_operator,
-                              sym2_from_matrix, sym2_to_matrix, ten4_from_tensor,
-                              ten4_inv, ten4_to_tensor)
+                              rotation_operator, sym2_from_matrix, sym2_to_matrix,
+                              ten4_from_tensor, ten4_inv)
 
 from conftest import random_rotation, random_symmetric, rodrigues
 
@@ -87,6 +86,10 @@ def test_ten4_inv_singular():
     with pytest.raises(SingularOperatorError) as err:
         ten4_inv(t)
     assert err.value.condition > 1e12 or not np.isfinite(err.value.condition)
+    # a batch names its first singular operator
+    with pytest.raises(SingularOperatorError) as err:
+        ten4_inv(np.stack([np.eye(6), 2.0 * np.eye(6), t, t]))
+    assert err.value.index == 2
 
 
 def test_hooke_uniaxial_strain():
@@ -132,46 +135,45 @@ def test_projectors_algebra():
     assert np.allclose(j @ hydro, hydro)
 
 
-def test_rotation_identity(rng):
-    a = rng.normal(size=6)
-    t = rng.normal(size=(6, 6))
-    assert np.allclose(rotate_sym2(a, np.eye(3)), a)
-    assert np.allclose(rotate_ten4(t, np.eye(3)), t)
+def test_rotation_identity():
+    assert np.abs(rotation_operator(np.eye(3)) - np.eye(6)).max() < 1e-15
 
 
 def test_rotation_of_isotropic_ten4(rng):
     c = iso_stiffness(100.0, 0.3)
-    r = random_rotation(rng)
-    assert np.abs(rotate_ten4(c, r) - c).max() < 1e-12 * np.abs(c).max()
+    q = rotation_operator(random_rotation(rng))
+    assert np.abs(q @ c @ q.T - c).max() < 1e-12 * np.abs(c).max()
 
 
 def test_quarter_turn_permutes_axes():
-    r = rodrigues([0, 0, 1], np.pi / 2.0)
+    q = rotation_operator(rodrigues([0, 0, 1], np.pi / 2.0))
     a = np.array([1.0, 0, 0, 0, 0, 0])
-    rotated = rotate_sym2(a, r)
-    assert rotated == pytest.approx([0, 1, 0, 0, 0, 0], abs=1e-15)
+    assert q @ a == pytest.approx([0, 1, 0, 0, 0, 0], abs=1e-15)
 
 
 def test_rotation_matches_index_notation(rng):
-    # oracle: explicit R_ip R_jq a_pq and R_ip R_jq R_kr R_ls T_pqrs
-    for _ in range(20):
-        r = random_rotation(rng)
+    # oracle: explicit R_ip R_jq a_pq and R_ip R_jq R_kr R_ls T_pqrs, one
+    # batched call for the whole stack of rotations
+    rs = np.stack([random_rotation(rng) for _ in range(20)])
+    qs = rotation_operator(rs)
+    assert qs.shape == (20, 6, 6)
+    for r, q in zip(rs, qs):
         m = random_symmetric(rng)
         direct = r @ m @ r.T
-        assert np.abs(sym2_to_matrix(rotate_sym2(sym2_from_matrix(m), r)) - direct).max() < 1e-13
+        assert np.abs(sym2_to_matrix(q @ sym2_from_matrix(m)) - direct).max() < 1e-13
         t = rng.normal(size=(3, 3, 3, 3))
         t = t + t.transpose(1, 0, 2, 3) + t.transpose(0, 1, 3, 2) + t.transpose(1, 0, 3, 2)
         t_rot = np.einsum("ip,jq,kr,ls,pqrs->ijkl", r, r, r, r, t)
-        got = rotate_ten4(ten4_from_tensor(t), r)
+        got = q @ ten4_from_tensor(t) @ q.T
         assert np.abs(got - ten4_from_tensor(t_rot)).max() < 1e-12 * np.abs(t).max()
 
 
 def test_rotation_norm_preserving(rng):
-    r = random_rotation(rng)
+    q = rotation_operator(random_rotation(rng))
     a = rng.normal(size=6)
     t = rng.normal(size=(6, 6))
-    assert np.linalg.norm(rotate_sym2(a, r)) == pytest.approx(np.linalg.norm(a), rel=1e-13)
-    assert np.linalg.norm(rotate_ten4(t, r)) == pytest.approx(np.linalg.norm(t), rel=1e-13)
+    assert np.linalg.norm(q @ a) == pytest.approx(np.linalg.norm(a), rel=1e-13)
+    assert np.linalg.norm(q @ t @ q.T) == pytest.approx(np.linalg.norm(t), rel=1e-13)
 
 
 @settings(max_examples=30)
@@ -182,12 +184,23 @@ def test_rotation_composition(ax1, ax2, ang1, ang2):
     if np.linalg.norm(a1) < 1e-3 or np.linalg.norm(a2) < 1e-3:
         return
     r1, r2 = rodrigues(a1, ang1), rodrigues(a2, ang2)
+    q1, q2 = rotation_operator(r1), rotation_operator(r2)
     t = np.arange(36.0).reshape(6, 6)
-    combined = rotate_ten4(t, r1 @ r2)
-    stacked = rotate_ten4(rotate_ten4(t, r2), r1)
-    assert np.abs(combined - stacked).max() < 1e-12 * np.abs(t).max()
+    combined = rotation_operator(r1 @ r2)
+    assert np.abs(combined @ t @ combined.T - q1 @ q2 @ t @ q2.T @ q1.T).max() \
+        < 1e-12 * np.abs(t).max()
 
 
-def test_ten4_tensor_round_trip(rng):
-    m = rng.normal(size=(6, 6))
-    assert np.abs(ten4_from_tensor(ten4_to_tensor(m)) - m).max() < 1e-14
+@pytest.mark.parametrize("bad,match", [
+    (np.diag([1.0, 1.0, -1.0]), "proper"),
+    (1.01 * np.eye(3), "orthonormal"),
+    (np.full((3, 3), np.nan), "orthonormal"),
+    (np.eye(2), "3x3"),
+])
+def test_rotation_operator_rejects_non_rotations(bad, match):
+    with pytest.raises(ValueError, match=match):
+        rotation_operator(bad)
+    # one bad slice rejects the whole batch
+    if bad.shape == (3, 3):
+        with pytest.raises(ValueError, match=match):
+            rotation_operator(np.stack([np.eye(3), bad]))
