@@ -38,6 +38,8 @@ def _out_path(directory: str | None, path: str) -> str:
 
 def _cmd_run(args) -> int:
     scenario = _load_scenario(args)
+    if args.output_dir:
+        os.makedirs(args.output_dir, exist_ok=True)
     ops = assemble_operators(scenario.phases(), scenario.scheme)
     states = drive(ops, scenario.program, scenario.settings)
     out = scenario.output
@@ -112,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a scenario and write result files")
     add_scenario_args(run)
-    run.add_argument("--output-dir", help="directory for relative output paths")
+    run.add_argument("--output-dir",
+                     help="directory for relative output paths (created if missing)")
     run.add_argument("--per-phase", action="store_true",
                      help="also write the per-phase series")
     run.add_argument("--plot-data", action="store_true",

@@ -184,8 +184,12 @@ def assemble_operators(phases, scheme: str = "mori_tanaka") -> MeanFieldOperator
     c_hom = np.einsum("a,aij,ajk->ik", f, cmats, conc)
     asym = np.abs(c_hom - c_hom.T).max()
     if asym > 1e-8 * np.abs(c_hom).max():
+        hint = ("" if scheme == "dilute" else
+                "; the Mori-Tanaka estimate is not symmetric for inclusion families that "
+                "differ in both stiffness and shape: use scheme = dilute, or one material "
+                "per shape")
         raise MorphologyError(
-            f"homogenized stiffness lost major symmetry (residual {asym:.3e})")
+            f"homogenized stiffness lost major symmetry (residual {asym:.3e}){hint}")
     c_hom = 0.5 * (c_hom + c_hom.T)
     if np.linalg.eigvalsh(c_hom).min() <= 0.0:
         raise MorphologyError("homogenized stiffness is not positive definite")

@@ -1,83 +1,82 @@
 """Result serialization: macro/per-phase CSV series and plot-data extracts.
 
 Components are written as plain tensor components (the Mandel shear scaling is
-removed), full double precision, fixed column order, and atomically
-(write-then-rename) so repeated runs with the same input produce byte-identical
-files.
+removed), in full double precision (``%.17g``) and fixed column order.  Every
+writer goes through one row formatter, ``_write_table``: a chunk of states is
+stacked and unscaled in one array operation, turned into Python floats with
+one ``tolist``, and each row is formatted by one ``%`` on a fixed template.
+Chunks (one per state for the per-phase file) are streamed into a temporary
+file beside the destination, which is then renamed over it.  So repeated runs
+with the same input produce byte-identical files, a failed write leaves no
+partial file, and the files' permissions follow the umask.
 """
 from __future__ import annotations
 
 import os
-import tempfile
 
 import numpy as np
 
 from .solver import REVState
 from .tensors import COMPONENT_LABELS, SQRT2
 
-_UNSCALE = np.array([1.0, 1.0, 1.0, 1.0 / SQRT2, 1.0 / SQRT2, 1.0 / SQRT2])
+_UNSCALE = np.tile([1.0, 1.0, 1.0, 1.0 / SQRT2, 1.0 / SQRT2, 1.0 / SQRT2], 3)
+_VALUES = ",".join(["%.17g"] * 18)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _write_table(path: str, header: list[str], row_format: str, chunks) -> None:
+    """Write ``header``, then ``row_format % row`` for each row of each chunk, atomically.
 
-
-def _components(vec: np.ndarray) -> list[str]:
-    return [_fmt(x) for x in np.asarray(vec) * _UNSCALE]
-
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
+    An ``OSError`` names ``path`` (never the temporary file), which is removed.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".tmp_{os.urandom(6).hex()}_{name}")
     try:
-        with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(",".join(header) + "\n")
+                for rows in chunks:
+                    handle.write("".join([row_format % row for row in rows]))
+            os.replace(tmp, path)
+        except BaseException:
             os.unlink(tmp)
-        raise
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
-def _header(prefix: str) -> list[str]:
-    return [f"{prefix}_{c}" for c in COMPONENT_LABELS]
+def _header(*prefixes: str) -> list[str]:
+    return [f"{prefix}_{c}" for prefix in prefixes for c in COMPONENT_LABELS]
 
 
 def write_macro_csv(states: list[REVState], path: str) -> None:
     """Macroscopic series: step, strain, stress, plastic strain, active count."""
-    cols = ["step"] + _header("eps") + _header("sig") + _header("epsp") + ["n_active"]
-    lines = [",".join(cols)]
-    for st in states:
-        row = ([str(st.step)] + _components(st.macro_strain)
-               + _components(st.macro_stress) + _components(st.macro_plastic)
-               + [str(sum(st.active))])
-        lines.append(",".join(row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    values = np.array([np.concatenate((st.macro_strain, st.macro_stress, st.macro_plastic))
+                       for st in states]).reshape(len(states), 18) * _UNSCALE
+    rows = [(st.step, *v, sum(st.active)) for st, v in zip(states, values.tolist())]
+    _write_table(path, ["step"] + _header("eps", "sig", "epsp") + ["n_active"],
+                 "%d," + _VALUES + ",%d\n", [rows])
 
 
 def write_phase_csv(states: list[REVState], phase_names: list[str], path: str) -> None:
     """Per-phase series in long format: one row per (step, phase)."""
-    cols = (["step", "phase"] + _header("eps") + _header("epsp") + _header("sig")
-            + ["active"])
-    lines = [",".join(cols)]
-    for st in states:
-        for a, name in enumerate(phase_names):
-            row = ([str(st.step), name] + _components(st.strain[a])
-                   + _components(st.plastic_strain[a]) + _components(st.stress[a])
-                   + ["1" if st.active[a] else "0"])
-            lines.append(",".join(row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    if states and len(phase_names) != len(states[0].active):
+        raise ValueError(f"{len(phase_names)} phase names for {len(states[0].active)} phases")
+
+    def chunks():
+        for st in states:
+            values = np.hstack((st.strain, st.plastic_strain, st.stress)) * _UNSCALE
+            yield [(st.step, name, *v, active) for name, v, active
+                   in zip(phase_names, values.tolist(), st.active)]
+    _write_table(path, ["step", "phase"] + _header("eps", "epsp", "sig") + ["active"],
+                 "%d,%s," + _VALUES + ",%d\n", chunks())
 
 
 def write_plot_data(states: list[REVState], prefix: str) -> list[str]:
     """Two-column extracts: |axial stress| against axial and lateral strain."""
-    axial = ["eps_33,abs_sig_33"]
-    lateral = ["eps_11,abs_sig_33"]
-    for st in states:
-        s33 = abs(st.macro_stress[2])
-        axial.append(f"{_fmt(st.macro_strain[2])},{_fmt(s33)}")
-        lateral.append(f"{_fmt(st.macro_strain[0])},{_fmt(s33)}")
     paths = [f"{prefix}_axial.csv", f"{prefix}_lateral.csv"]
-    _atomic_write(paths[0], "\n".join(axial) + "\n")
-    _atomic_write(paths[1], "\n".join(lateral) + "\n")
+    for path, i in zip(paths, (2, 0)):
+        rows = [(st.macro_strain[i], abs(st.macro_stress[2])) for st in states]
+        _write_table(path, [f"eps_{COMPONENT_LABELS[i]}", "abs_sig_33"], "%.17g,%.17g\n",
+                     [rows])
     return paths

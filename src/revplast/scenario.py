@@ -18,7 +18,6 @@ from .errors import ScenarioError
 from .mean_field import PhaseSpec, Spheroid, validate_phases
 from .orientations import ORIENTATION_SETS
 from .plasticity import DruckerPrager
-from .results import _fmt
 from .solver import STRAIN, STRESS, LoadProgram, LoadSegment, SolverSettings
 from .tensors import COMPONENT_LABELS
 
@@ -334,6 +333,10 @@ def parse_scenario(text: str) -> Scenario:
 
 # ---------------------------------------------------------------------------
 # serialization (round-trips through parse_scenario)
+
+def _fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
 
 def _plastic_lines(model: DruckerPrager | None) -> list[str]:
     if model is None:

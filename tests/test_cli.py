@@ -117,6 +117,25 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert code == 4
 
 
+def test_run_creates_missing_output_dir(tiny_file, tmp_path, capsys):
+    out_dir = tmp_path / "a" / "b" / "c"
+    code = main(["run", tiny_file, "--output-dir", str(out_dir)])
+    assert code == 0
+    assert os.listdir(out_dir) == ["tiny_macro.csv"]
+
+
+def test_unwritable_output_path_exit_code(tmp_path, capsys):
+    (tmp_path / "blocker").write_text("")  # a regular file where a directory is needed
+    path = tmp_path / "blocked.scn"
+    path.write_text(TINY.replace("macro = tiny_macro.csv", "macro = blocker/macro.csv"))
+    code = main(["run", str(path), "--output-dir", str(tmp_path)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert str(tmp_path / "blocker" / "macro.csv") in err
+    assert ".tmp_" not in err
+    assert sorted(os.listdir(tmp_path)) == ["blocked.scn", "blocker"]
+
+
 def test_solver_failure_exit_code(tmp_path, capsys):
     text = TINY.replace("[loading]",
                         "[solver]\nnewton_max_iter = 1\nmax_subdivisions = 1\n\n[loading]")

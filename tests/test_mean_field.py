@@ -185,6 +185,22 @@ def test_assembly_follows_phase_order_and_axis_sign(monkeypatch, scheme):
     assert np.abs(ops_flipped.stiffness_hom - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+def test_mori_tanaka_asymmetry_names_cause():
+    # families differing in both stiffness and shape make the Mori-Tanaka
+    # estimate non-symmetric; the dilute estimate of the same phases is not
+    rng = np.random.default_rng(5)
+    phases = [matrix_phase(0.76)] + [
+        spheroid_phase(f"i{k}", 0.02, axis=tuple(rng.normal(size=3)),
+                       young=(1000.0, 3000.0)[k % 2], aspect=(0.35, 3.0)[k % 2])
+        for k in range(12)]
+    with pytest.raises(MorphologyError, match="lost major symmetry") as info:
+        assemble_operators(phases, scheme="mori_tanaka")
+    message = str(info.value)
+    assert "differ in both stiffness and shape" in message
+    assert "scheme = dilute" in message and "one material per shape" in message
+    assert assemble_operators(phases, scheme="dilute").scheme == "dilute"
+
+
 def test_singular_dilute_concentration_names_phase():
     # a nearly void penny crack: I + P:(C_i - C_0) has condition ~1.75e12
     phases = [matrix_phase(0.9), spheroid_phase("stiff", 0.05),

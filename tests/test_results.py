@@ -1,9 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
 from revplast.mean_field import PhaseSpec, assemble_operators
 from revplast.results import write_macro_csv, write_phase_csv, write_plot_data
-from revplast.solver import drive, strain_program
+from revplast.solver import REVState, drive, strain_program
 from revplast.tensors import SQRT2
 
 
@@ -62,6 +64,9 @@ def test_phase_file_layout(elastic_ops, tmp_path):
     assert len(lines) == 1 + 2 * 1
     assert lines[1].split(",")[1] == "matrix"
     assert lines[1].split(",")[-1] == "0"
+    with pytest.raises(ValueError, match="2 phase names for 1 phases"):
+        write_phase_csv(states, ["matrix", "extra"], str(tmp_path / "bad.csv"))
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_plot_data_axes(elastic_ops, tmp_path):
@@ -77,3 +82,82 @@ def test_plot_data_axes(elastic_ops, tmp_path):
     e11, s33b = (float(x) for x in lateral[-1].split(","))
     assert e11 == 2e-4
     assert s33b == s33
+
+
+def _vec(**components):
+    v = np.zeros(6)
+    for key, x in components.items():
+        v[int(key[1:])] = x
+    return v
+
+
+@pytest.fixture
+def hand_states():
+    # two states of two phases: signed zero, the smallest subnormal, a tiny
+    # normal, values that need all 17 digits, Mandel shears and mixed flags
+    z = np.zeros(6)
+    return [
+        REVState(step=0, macro_strain=_vec(c0=-0.0), macro_stress=z, macro_plastic=z,
+                 strain=np.array([_vec(c0=-0.0), z]), plastic_strain=np.zeros((2, 6)),
+                 stress=np.zeros((2, 6)), multipliers=np.zeros(2), active=(False, False)),
+        REVState(step=1, macro_strain=_vec(c0=0.1, c2=1 / 3, c5=SQRT2 * 0.25),
+                 macro_stress=_vec(c2=-1e-300), macro_plastic=_vec(c0=5e-324),
+                 strain=np.array([_vec(c0=0.1), _vec(c2=1 / 3)]),
+                 plastic_strain=np.array([z, _vec(c3=0.2)]),
+                 stress=np.array([_vec(c0=-0.0), _vec(c2=-1e-300)]),
+                 multipliers=np.array([0.0, 1e-3]), active=(False, True)),
+    ]
+
+
+def test_literal_bytes(hand_states, tmp_path):
+    write_macro_csv(hand_states, str(tmp_path / "macro.csv"))
+    write_phase_csv(hand_states, ["matrix", "incl"], str(tmp_path / "phases.csv"))
+    write_plot_data(hand_states, str(tmp_path / "fig"))
+    zeros = ",".join(["0"] * 5)
+    assert (tmp_path / "macro.csv").read_bytes().decode() == (
+        "step,eps_11,eps_22,eps_33,eps_23,eps_13,eps_12,sig_11,sig_22,sig_33,sig_23,"
+        "sig_13,sig_12,epsp_11,epsp_22,epsp_33,epsp_23,epsp_13,epsp_12,n_active\n"
+        f"0,-0,{zeros},{zeros},0,{zeros},0,0\n"
+        "1,0.10000000000000001,0,0.33333333333333331,0,0,0.25,"
+        "0,0,-1e-300,0,0,0,"
+        f"4.9406564584124654e-324,{zeros},1\n")
+    assert (tmp_path / "phases.csv").read_bytes().decode() == (
+        "step,phase,eps_11,eps_22,eps_33,eps_23,eps_13,eps_12,epsp_11,epsp_22,epsp_33,"
+        "epsp_23,epsp_13,epsp_12,sig_11,sig_22,sig_33,sig_23,sig_13,sig_12,active\n"
+        f"0,matrix,-0,{zeros},0,{zeros},0,{zeros},0\n"
+        f"0,incl,0,{zeros},0,{zeros},0,{zeros},0\n"
+        f"1,matrix,0.10000000000000001,{zeros},0,{zeros},-0,{zeros},0\n"
+        "1,incl,0,0,0.33333333333333331,0,0,0,"
+        "0,0,0,0.1414213562373095,0,0,"
+        "0,0,-1e-300,0,0,0,1\n")
+    assert (tmp_path / "fig_axial.csv").read_bytes() == (
+        b"eps_33,abs_sig_33\n0,0\n0.33333333333333331,1e-300\n")
+    assert (tmp_path / "fig_lateral.csv").read_bytes() == (
+        b"eps_11,abs_sig_33\n-0,0\n0.10000000000000001,1e-300\n")
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_file_mode_follows_umask(hand_states, tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        write_macro_csv(hand_states, str(tmp_path / "macro.csv"))
+        write_phase_csv(hand_states, ["matrix", "incl"], str(tmp_path / "phases.csv"))
+        write_plot_data(hand_states, str(tmp_path / "fig"))
+    finally:
+        os.umask(old)
+    names = sorted(os.listdir(tmp_path))
+    assert names == ["fig_axial.csv", "fig_lateral.csv", "macro.csv", "phases.csv"]
+    for name in names:
+        assert os.stat(tmp_path / name).st_mode & 0o777 == 0o666 & ~umask, name
+
+
+def test_failed_write_names_destination(hand_states, tmp_path):
+    # renaming over a directory fails after the temporary file was written
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(OSError) as info:
+        write_macro_csv(hand_states, str(target))
+    assert info.value.filename == str(target)
+    assert ".tmp_" not in str(info.value)
+    assert os.listdir(tmp_path) == ["taken"]
+    assert os.listdir(target) == []

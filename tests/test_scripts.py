@@ -1,0 +1,28 @@
+import os
+import subprocess
+import sys
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_run_default_script(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "run_default.py"), "--out",
+         str(tmp_path / "out")], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "peak axial stress" in done.stdout
+    for label, yields in (("plastic", True), ("elastic", False)):
+        macro = np.loadtxt(tmp_path / "out" / f"macro_{label}.csv", delimiter=",",
+                           skiprows=1)
+        assert macro.shape == (151, 20)
+        assert (macro[:, -1].max() > 0) == yields  # n_active
+        for axis in ("axial", "lateral"):
+            plot = np.loadtxt(tmp_path / "out" / f"{label}_{axis}.csv", delimiter=",",
+                              skiprows=1)
+            assert plot.shape == (151, 2)
+            assert np.isfinite(plot).all()
