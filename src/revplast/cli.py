@@ -31,29 +31,38 @@ def _load_scenario(args) -> Scenario:
 
 
 def _out_path(directory: str | None, path: str) -> str:
-    if directory and not os.path.isabs(path):
-        return os.path.join(directory, path)
+    """``path`` under ``directory`` unless absolute; a relative path's parent
+    directory is created, so a run never fails for it after the solve."""
+    if os.path.isabs(path):
+        return path
+    if directory:
+        path = os.path.join(directory, path)
+    parent = os.path.dirname(path)
+    if parent:
+        try:
+            os.makedirs(parent, exist_ok=True)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from exc
     return path
 
 
 def _cmd_run(args) -> int:
     scenario = _load_scenario(args)
-    if args.output_dir:
-        os.makedirs(args.output_dir, exist_ok=True)
-    ops = assemble_operators(scenario.phases(), scenario.scheme)
-    states = drive(ops, scenario.program, scenario.settings)
     out = scenario.output
     macro_path = _out_path(args.output_dir, out.macro_path)
+    phase_path = out.phase_path or ("phases.csv" if args.per_phase else None)
+    phase_path = phase_path and _out_path(args.output_dir, phase_path)
+    plot_prefix = out.plot_prefix or ("plot" if args.plot_data else None)
+    plot_prefix = plot_prefix and _out_path(args.output_dir, plot_prefix)
+    ops = assemble_operators(scenario.phases(), scenario.scheme)
+    states = drive(ops, scenario.program, scenario.settings)
     write_macro_csv(states, macro_path)
     written = [macro_path]
-    phase_path = out.phase_path or ("phases.csv" if args.per_phase else None)
     if phase_path:
-        phase_path = _out_path(args.output_dir, phase_path)
         write_phase_csv(states, [p.name for p in ops.phases], phase_path)
         written.append(phase_path)
-    plot_prefix = out.plot_prefix or ("plot" if args.plot_data else None)
     if plot_prefix:
-        written.extend(write_plot_data(states, _out_path(args.output_dir, plot_prefix)))
+        written.extend(write_plot_data(states, plot_prefix))
     final = states[-1]
     print(f"completed {len(states) - 1} increments; "
           f"final axial strain {final.macro_strain[2]:.6g}, "

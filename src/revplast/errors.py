@@ -1,4 +1,5 @@
 """Exception types shared across the package."""
+from __future__ import annotations
 
 
 class RevplastError(Exception):
@@ -32,7 +33,19 @@ class ApexSingularityError(RevplastError, ValueError):
 
 
 class StepFailureError(RevplastError, RuntimeError):
-    """Return mapping failed to converge; retry with a subdivided increment."""
+    """Return mapping failed to converge; retry with a subdivided increment.
+
+    The error that leaves ``drive`` once the subdivision cap is used up
+    carries the 1-based ``segment`` and ``increment`` of the load program and
+    the subdivision ``depth`` it failed at; an attempt's error carries None.
+    """
+
+    def __init__(self, message: str, segment: int | None = None,
+                 increment: int | None = None, depth: int | None = None):
+        super().__init__(message)
+        self.segment = segment
+        self.increment = increment
+        self.depth = depth
 
 
 class ActiveSetOscillationError(RevplastError, RuntimeError):

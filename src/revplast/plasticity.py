@@ -4,11 +4,14 @@ Zero friction angle reduces the criterion to von Mises with the equivalent
 stress capped at the shear failure stress.  Perfect plasticity only: the
 surface carries no internal variables.
 
-``dp_yield``, ``dp_flow`` and ``dp_flow_gradient`` work on ``(m, 6)`` Mandel
-stresses with ``(m,)`` arrays of angle tangents and shear strengths (or on one
-``(6,)`` stress with scalars); the solver calls them with the per-phase
-parameter arrays stored on the mean-field operators.  The model-level
-functions below call the same kernel with one model's scalars.
+``dp_yield`` and ``dp_flow`` work on ``(m, 6)`` Mandel stresses with ``(m,)``
+arrays of angle tangents and shear strengths (or on one ``(6,)`` stress with
+scalars); the solver calls them with the per-phase parameter arrays stored on
+the mean-field operators.  Each is the invariants followed by its ``_of``
+formula; a return-mapping iterate evaluates the invariants of its stresses
+once with ``dp_direction`` and applies ``dp_yield_of``, ``dp_flow_of`` and
+``dp_flow_gradient_of`` to them.  The model-level functions below call the same
+kernel with one model's scalars.
 """
 from __future__ import annotations
 
@@ -61,16 +64,42 @@ def _invariants(sig):
 def dp_yield(sig, tan_friction, strength):
     """Yield values F = s_eq + s_m tan(phi) - s0 in MPa; positive means inadmissible."""
     mean, _, eq = _invariants(sig)
-    return eq + mean * tan_friction - strength
+    return dp_yield_of(mean, eq, tan_friction, strength)
 
 
-def _deviatoric_direction(sig, strength):
-    """(n_dev = 1.5 dev / s_eq, s_eq); raises at the apex, where n_dev is undefined."""
-    _, dev, eq = _invariants(sig)
+def dp_direction(sig, strength):
+    """(s_m, n_dev = 1.5 dev / s_eq, s_eq) of Mandel stresses.
+
+    The one evaluation of the invariants from which ``dp_yield_of``,
+    ``dp_flow_of`` and ``dp_flow_gradient_of`` give the yield value, the flow
+    direction and its derivative at the same point.  Raises at the apex,
+    where n_dev is undefined.
+    """
+    mean, dev, eq = _invariants(sig)
     if np.any(eq <= APEX_TOLERANCE * np.asarray(strength)):
         raise ApexSingularityError(
             "deviatoric stress vanishes; flow direction undefined at the apex")
-    return 1.5 * dev / eq[..., None], eq
+    return mean, 1.5 * dev / eq[..., None], eq
+
+
+def dp_yield_of(mean, eq, tan_friction, strength):
+    """Yield values from the mean and equivalent stresses."""
+    return eq + mean * tan_friction - strength
+
+
+def dp_flow_of(n_dev, tan_angle):
+    """Gradients of F (or of the potential, given its angle tangent) from n_dev."""
+    return n_dev + (np.asarray(tan_angle) / 3.0)[..., None] * IVEC
+
+
+def dp_flow_gradient_of(n_dev, eq):
+    """Derivatives d n / d sig = (1.5 / s_eq)(K - 2/3 n_dev n_dev) of ``dp_flow``.
+
+    ``(m, 6, 6)`` for ``(m, 6)`` directions; the same for every angle, since
+    the pressure term of the direction is constant.
+    """
+    outer = n_dev[..., :, None] * n_dev[..., None, :]
+    return (1.5 / eq)[..., None, None] * (K_PROJ - (2.0 / 3.0) * outer)
 
 
 def dp_flow(sig, tan_angle, strength):
@@ -79,19 +108,8 @@ def dp_flow(sig, tan_angle, strength):
     Undefined where the deviatoric stress vanishes; for positive friction that
     is the surface apex, which this model deliberately does not regularize.
     """
-    n_dev, _ = _deviatoric_direction(sig, strength)
-    return n_dev + (np.asarray(tan_angle) / 3.0)[..., None] * IVEC
-
-
-def dp_flow_gradient(sig, strength):
-    """Derivatives d n / d sig = (1.5 / s_eq)(K - 2/3 n_dev n_dev) of ``dp_flow``.
-
-    ``(m, 6, 6)`` for ``(m, 6)`` stresses; the same for every angle, since the
-    pressure term of the direction is constant.  Raises at the apex like ``dp_flow``.
-    """
-    n_dev, eq = _deviatoric_direction(sig, strength)
-    outer = n_dev[..., :, None] * n_dev[..., None, :]
-    return (1.5 / eq)[..., None, None] * (K_PROJ - (2.0 / 3.0) * outer)
+    _, n_dev, _ = dp_direction(sig, strength)
+    return dp_flow_of(n_dev, tan_angle)
 
 
 def stress_invariants(sig: np.ndarray):

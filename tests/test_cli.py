@@ -124,6 +124,19 @@ def test_run_creates_missing_output_dir(tiny_file, tmp_path, capsys):
     assert os.listdir(out_dir) == ["tiny_macro.csv"]
 
 
+def test_run_creates_output_subdirectories(tmp_path, capsys):
+    # relative [output] paths in subdirectories of --output-dir are created
+    # before the solve, not found missing after it
+    path = tmp_path / "nested.scn"
+    path.write_text(TINY.replace("macro = tiny_macro.csv",
+                                 "macro = sub/macro.csv\nper_phase = phase/deep/phases.csv"))
+    out_dir = tmp_path / "out"
+    code = main(["run", str(path), "--output-dir", str(out_dir)])
+    assert code == 0
+    assert len((out_dir / "sub" / "macro.csv").read_text().splitlines()) == 6
+    assert (out_dir / "phase" / "deep" / "phases.csv").exists()
+
+
 def test_unwritable_output_path_exit_code(tmp_path, capsys):
     (tmp_path / "blocker").write_text("")  # a regular file where a directory is needed
     path = tmp_path / "blocked.scn"

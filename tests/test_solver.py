@@ -201,8 +201,9 @@ def test_jacobian_matches_finite_differences(scheme, active):
         bump = bump.reshape(m, 7)
         jac_fd[:, k] = (residual(point + bump) - residual(point - bump)) / (
             2.0 * steps.flat[k])
-    res = residual(point)
-    z, dx = sys_.jacobian(sig_act, lam, -res.reshape(m, 7, 1))
+    res, _, _, at = sys_.residual(sig_tr, sig_act, lam)
+    z, dx = sys_.jacobian(at, lam, -res.reshape(m, 7, 1))
+    res = res.ravel()
     assert np.abs(jac_fd @ z.ravel() + res).max() <= 1e-6 * np.abs(res).max()
     # dx is the eigen-strain increment lam dn + n dlam the correction implies
     def eigen_strain(v):
@@ -231,8 +232,9 @@ def test_macro_tangent_matches_finite_differences(scheme, active):
     def converged(targets, modes):
         control = solver_mod._StressControl(ops, start, targets, modes)
         _, _, sig_tr = _trial_at(ops, start, control.eps_bar)
-        lam, dirs, sig, d_eps = solver_mod._newton_multipliers(ops, sig_tr, active,
-                                                               settings, control)
+        lam, dirs, sig, d_eps = solver_mod._newton_multipliers(
+            ops, sig_tr, active, settings, control, np.zeros(len(active)),
+            np.zeros(len(control.idx)))
         eps_bar = control.eps_bar.copy()
         eps_bar[control.idx] += d_eps
         return control, np.column_stack((sig[active], lam)), eps_bar, lam[:, None] * dirs
@@ -250,8 +252,8 @@ def test_macro_tangent_matches_finite_differences(scheme, active):
     h = 1e-6 * np.abs(targets[stress_idx]).max()
     for j, i in enumerate(stress_idx):
         # raising target i by one leaves the macro residual at -e_j
-        step, d_eps = sys_.step(point[:, :6], point[:, 6], np.zeros((m, 7)), control,
-                                -np.eye(k)[j])
+        at = solver_mod.dp_direction(point[:, :6], sys_.strength)[1:]
+        step, d_eps = sys_.step(at, point[:, 6], np.zeros((m, 7)), control, -np.eye(k)[j])
         bump = np.zeros(6)
         bump[i] = h
         _, hi, eps_hi, _ = converged(targets + bump, MIXED_MODES)
@@ -266,10 +268,72 @@ def test_macro_tangent_matches_finite_differences(scheme, active):
         assert np.abs(d_eps - elastic).max() > 1e-3 * np.abs(eps_fd).max()
 
 
-def test_negative_multiplier_candidate_dropped():
+def counted_newton(monkeypatch, ops, state, targets, modes, active, lam, d_eps):
+    """One seeded Newton solve of the increment to ``targets``: its result and
+    the number of linearizations it made."""
+    calls = []
+    jacobian = solver_mod._ActiveSystem.jacobian
+
+    def counted(self, *args):
+        calls.append(1)
+        return jacobian(self, *args)
+
+    monkeypatch.setattr(solver_mod._ActiveSystem, "jacobian", counted)
+    control = solver_mod._StressControl(ops, state, targets, modes)
+    _, _, sig_tr = _trial_at(ops, state, control.eps_bar)
+    out = solver_mod._newton_multipliers(ops, sig_tr, active, SolverSettings(), control,
+                                         lam, d_eps)
+    return out, len(calls)
+
+
+def test_converged_guess_needs_no_linearization(monkeypatch):
+    # von Mises phases of one stiffness return radially, so the flow directions
+    # at the trial stresses are the converged ones: seeded with its own
+    # converged multipliers and strain corrections, the solve starts converged
+    ops = two_phase_homogeneous()
+    state = initial_state(ops)
+    targets = np.array([0.0, 0.0, -0.004, 0.0, 0.0, 0.0])
+    active = [0, 1]
+    (lam, _, sig, d_eps), cold = counted_newton(monkeypatch, ops, state, targets,
+                                                MIXED_MODES, active, np.zeros(2), np.zeros(3))
+    assert cold >= 1 and (lam > 0.0).all()
+    (lam_w, _, sig_w, d_w), warm = counted_newton(monkeypatch, ops, state, targets,
+                                                  MIXED_MODES, active, lam, d_eps)
+    assert warm == 0
+    tol = SolverSettings().newton_tol * 0.12
+    assert np.abs(lam_w - lam).max() <= tol
+    assert np.abs(sig_w - sig).max() <= tol
+    assert np.abs(d_w - d_eps).max() <= tol
+
+
+@pytest.mark.parametrize("scale", [0.0, 5.0])
+def test_seeded_newton_reaches_the_same_return(monkeypatch, scale):
+    # a plastic increment of the default run, solved from no multipliers and
+    # from five times the converged ones: one answer within the tolerance
+    sc = default_scenario()
+    ops = assemble_operators(sc.phases())
+    segment = sc.program.segments[0]
+    states = drive(ops, LoadProgram((segment,)), sc.settings)
+    prev, new = states[60], states[61]
+    targets = np.where([m == STRAIN for m in segment.modes], new.macro_strain,
+                       new.macro_stress)
+    active = np.flatnonzero(new.active).tolist()
+    assert len(active) >= 10
+    k = sum(m == STRESS for m in segment.modes)
+    (lam, _, sig, _), _ = counted_newton(monkeypatch, ops, prev, targets, segment.modes,
+                                         active, new.multipliers[active], np.zeros(k))
+    (lam_s, _, sig_s, _), _ = counted_newton(monkeypatch, ops, prev, targets, segment.modes,
+                                             active, scale * lam, np.zeros(k))
+    tol = SolverSettings().newton_tol * ops.shear_strength[active].min()
+    assert np.abs(lam_s - lam).max() <= tol
+    assert np.abs(sig_s[active] - sig[active]).max() <= tol
+
+
+def test_negative_multiplier_candidate_dropped(monkeypatch):
     # aligned twin inclusion phases with slightly different strengths: the
     # weaker-violation phase starts in the candidate set but its converged
-    # multiplier would be negative, so it must withdraw
+    # multiplier would be negative, so it must withdraw; the re-solve starts
+    # from the remaining phase's multiplier of the first pass
     phases = [
         PhaseSpec("matrix", 0.60, E0, NU),
         PhaseSpec("soft", 0.25, EI, NU, spheroid=Spheroid(0.35, (0, 0, 1)),
@@ -288,7 +352,19 @@ def test_negative_multiplier_candidate_dropped():
     f_tr, candidates = check_yield(ops, sig_tr)
     assert candidates == [1, 2]
     assert 0.0 < f_tr[2] < 1e-4
+    passes = []
+    newton = solver_mod._newton_multipliers
+
+    def recorded(ops_, sig_tr_, active, settings, control, lam, d_eps):
+        out = newton(ops_, sig_tr_, active, settings, control, lam, d_eps)
+        passes.append((list(active), lam, out[0]))
+        return out
+
+    monkeypatch.setattr(solver_mod, "_newton_multipliers", recorded)
     new = _solve_mixed_increment(ops, state, deps, (STRAIN,) * 6, SolverSettings())
+    assert [p[0] for p in passes] == [[1, 2], [1]]
+    assert not passes[0][1].any() and passes[0][2][1] < 0.0
+    assert np.array_equal(passes[1][1], passes[0][2][:1])
     assert new.active[1] and not new.active[2]
     assert new.multipliers[1] > 0.0
     assert new.multipliers[2] == 0.0
@@ -305,7 +381,7 @@ def test_all_candidates_withdrawing_raises_typed_error(monkeypatch):
     state = initial_state(ops)
     seen = []
 
-    def fake_newton(ops_, sig_tr_, active, settings_, control):
+    def fake_newton(ops_, sig_tr_, active, settings_, control, lam, d_eps):
         seen.append(list(active))
         m = len(active)
         return -np.ones(m), np.zeros((m, 6)), sig_tr_, np.zeros(len(control.idx))
@@ -330,6 +406,21 @@ def test_newton_cap_raises_step_failure():
     program = strain_program([(np.array([0, 0, -0.004, 0, 0, 0]), 2)])
     with pytest.raises(StepFailureError):
         drive(ops, program, SolverSettings(newton_max_iter=1, max_subdivisions=2))
+
+
+def test_subdivision_cap_failure_is_located():
+    # the error that leaves drive names the increment that used up the cap
+    ops = two_phase_homogeneous()
+    program = strain_program([(np.array([0, 0, -0.001, 0, 0, 0]), 1),
+                              (np.array([0, 0, -0.004, 0, 0, 0]), 2)])
+    with pytest.raises(StepFailureError) as info:
+        drive(ops, program, SolverSettings(newton_max_iter=1, max_subdivisions=2))
+    exc = info.value
+    assert (exc.segment, exc.increment, exc.depth) == (2, 1, 2)
+    assert str(exc) == ("segment 2, increment 1, subdivision depth 2 (cap used up): "
+                        "return mapping did not converge in 1 Newton iterations")
+    assert isinstance(exc.__cause__, StepFailureError)
+    assert exc.__cause__.segment is None and exc.__cause__.depth == 2
 
 
 def test_singular_macro_tangent_raises_step_failure():
@@ -541,6 +632,28 @@ def test_subdivision_recovers_from_oversized_steps(monkeypatch):
     monkeypatch.setattr(solver_mod, "_solve_mixed_increment", real_attempt)
     oracle = drive(ops, program, SolverSettings())
     assert np.abs(states[-1].macro_stress - oracle[-1].macro_stress).max() < 1e-12
+
+
+def test_subdivided_increment_starts_from_half_the_multipliers(monkeypatch):
+    # the warm start of a half increment is half the last increment's
+    # multipliers; the second half starts from the first half's
+    ops = two_phase_homogeneous()
+    real_attempt = solver_mod._solve_mixed_increment
+    seen = []
+
+    def failing_once(ops_, state, targets, modes, settings):
+        seen.append(state.multipliers)
+        if state.step == 3 and len(seen) == 4:
+            raise StepFailureError("increment too large for this test")
+        return real_attempt(ops_, state, targets, modes, settings)
+
+    monkeypatch.setattr(solver_mod, "_solve_mixed_increment", failing_once)
+    program = strain_program([(np.array([0, 0, -0.004, 0, 0, 0]), 5)])
+    states = drive(ops, program)
+    assert len(seen) == 7 and len(states) == 6
+    assert (seen[3] > 0.0).all()
+    assert np.array_equal(seen[4], 0.5 * seen[3])
+    assert (seen[5] > 0.0).all() and not np.array_equal(seen[5], seen[3])
 
 
 def test_subdivision_cap_exhausts(monkeypatch):
