@@ -6,10 +6,9 @@ macroscopic strain and all phase eigen-strains, a coupled return mapping
 enforces the phase yield surfaces, and upscaling maps return the macroscopic
 stress and plastic strain.
 """
-from .errors import (ActiveSetOscillationError, ApexSingularityError,
-                     IncompressibilityError, MorphologyError, RevplastError,
-                     ScenarioError, SingularOperatorError, StepFailureError,
-                     SymmetryError)
+from .errors import (ApexSingularityError, IncompressibilityError, MorphologyError,
+                     RevplastError, ScenarioError, SingularOperatorError,
+                     StepFailureError, SymmetryError)
 from .eshelby import eshelby_tensor, hill_tensor
 from .mean_field import (MeanFieldOperators, PhaseSpec, Spheroid,
                          assemble_operators, localize, macro_plastic_strain,
@@ -23,13 +22,12 @@ from .solver import (LoadProgram, LoadSegment, REVState, SolverSettings, drive,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActiveSetOscillationError", "ApexSingularityError", "DruckerPrager",
-    "IncompressibilityError", "InclusionFamily", "LoadProgram", "LoadSegment",
-    "MeanFieldOperators", "MorphologyError", "PhaseSpec", "REVState",
-    "RevplastError", "Scenario", "ScenarioError", "SingularOperatorError",
-    "SolverSettings", "Spheroid", "StepFailureError", "SymmetryError",
-    "assemble_operators", "default_scenario", "drive", "eshelby_tensor",
-    "flow_direction", "hill_tensor", "localize", "macro_plastic_strain",
-    "parse_scenario", "serialize_scenario", "strain_program", "stress_invariants",
-    "upscale_stress", "yield_value",
+    "ApexSingularityError", "DruckerPrager", "IncompressibilityError",
+    "InclusionFamily", "LoadProgram", "LoadSegment", "MeanFieldOperators",
+    "MorphologyError", "PhaseSpec", "REVState", "RevplastError", "Scenario",
+    "ScenarioError", "SingularOperatorError", "SolverSettings", "Spheroid",
+    "StepFailureError", "SymmetryError", "assemble_operators", "default_scenario",
+    "drive", "eshelby_tensor", "flow_direction", "hill_tensor", "localize",
+    "macro_plastic_strain", "parse_scenario", "serialize_scenario",
+    "strain_program", "stress_invariants", "upscale_stress", "yield_value",
 ]

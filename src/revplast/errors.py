@@ -29,11 +29,16 @@ class MorphologyError(RevplastError, ValueError):
 
 
 class ApexSingularityError(RevplastError, ValueError):
-    """Stress state at the pressure-axis apex where the flow direction is undefined."""
+    """Stress state at the pressure-axis apex where the flow direction is undefined;
+    ``index`` is the position of the first apex stress in a batch."""
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 class StepFailureError(RevplastError, RuntimeError):
-    """Return mapping failed to converge; retry with a subdivided increment.
+    """An increment attempt failed, whatever the cause; retry with a subdivided increment.
 
     The error that leaves ``drive`` once the subdivision cap is used up
     carries the 1-based ``segment`` and ``increment`` of the load program and
@@ -46,10 +51,6 @@ class StepFailureError(RevplastError, RuntimeError):
         self.segment = segment
         self.increment = increment
         self.depth = depth
-
-
-class ActiveSetOscillationError(RevplastError, RuntimeError):
-    """Active-set iteration failed to settle on a stable plastic phase set."""
 
 
 class ScenarioError(RevplastError, ValueError):

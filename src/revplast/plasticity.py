@@ -73,12 +73,14 @@ def dp_direction(sig, strength):
     The one evaluation of the invariants from which ``dp_yield_of``,
     ``dp_flow_of`` and ``dp_flow_gradient_of`` give the yield value, the flow
     direction and its derivative at the same point.  Raises at the apex,
-    where n_dev is undefined.
+    where n_dev is undefined, naming the first apex row.
     """
     mean, dev, eq = _invariants(sig)
-    if np.any(eq <= APEX_TOLERANCE * np.asarray(strength)):
+    apex = eq <= APEX_TOLERANCE * np.asarray(strength)
+    if np.any(apex):
         raise ApexSingularityError(
-            "deviatoric stress vanishes; flow direction undefined at the apex")
+            "deviatoric stress vanishes; flow direction undefined at the apex",
+            index=int(np.flatnonzero(apex)[0]))
     return mean, 1.5 * dev / eq[..., None], eq
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from .eshelby import (eshelby_tensor, eshelby_tensor_quadrature,
                       sphere_eshelby_coefficients)
 from .mean_field import PhaseSpec, Spheroid, assemble_operators
-from .plasticity import DruckerPrager, stress_invariants
+from .plasticity import DruckerPrager
 from .solver import SolverSettings, drive, strain_program
 from .tensors import IVEC, J_PROJ, K_PROJ, iso_stiffness
 
@@ -57,23 +57,27 @@ def check_homogeneous_limit() -> tuple[str, float, float]:
 
 
 def _radial_return(young, nu, strength, strain_path):
-    """Textbook J2 perfect-plasticity radial return along a strain path."""
+    """Textbook J2 perfect-plasticity radial return along a strain path.
+
+    Returns (stress, plastic strain, multiplier) per step.  The invariants are
+    computed here, not by the ``plasticity`` kernel the solver uses.
+    """
     c = iso_stiffness(young, nu)
     mu = young / (2.0 * (1.0 + nu))
     eps_p = np.zeros(6)
     out = []
     for eps in strain_path:
         sig_tr = c @ (eps - eps_p)
-        mean, eq = stress_invariants(sig_tr)
-        f = eq - strength
-        if f > 0.0:
-            lam = f / (3.0 * mu)
-            direction = 1.5 * (sig_tr - mean * IVEC) / eq
+        dev = sig_tr - sig_tr[:3].mean() * IVEC
+        eq = np.sqrt(1.5 * dev @ dev)
+        lam = max(eq - strength, 0.0) / (3.0 * mu)
+        if lam > 0.0:
+            direction = 1.5 * dev / eq
             eps_p = eps_p + lam * direction
             sig = sig_tr - 2.0 * mu * lam * direction
         else:
             sig = sig_tr
-        out.append((sig, eps_p.copy()))
+        out.append((sig, eps_p.copy(), lam))
     return out
 
 
@@ -87,7 +91,7 @@ def check_radial_return() -> tuple[str, float, float]:
     oracle = _radial_return(young, nu, strength,
                             [st.macro_strain for st in states[1:]])
     worst = 0.0
-    for st, (sig, eps_p) in zip(states[1:], oracle):
+    for st, (sig, eps_p, _) in zip(states[1:], oracle):
         worst = max(worst, float(np.abs(st.macro_stress - sig).max()))
         worst = max(worst, float(np.abs(st.plastic_strain - eps_p).max()))
         worst = max(worst, float(np.abs(st.macro_plastic - eps_p).max()))

@@ -31,15 +31,20 @@ every converged increment all call the batched Drucker-Prager kernel of
 ``plasticity`` on the per-phase parameter arrays of the operators.  A Newton
 iterate evaluates the invariants of its active stresses once: the residual
 keeps their deviatoric direction and equivalent stress for the linearization.
+
+An increment attempt returns a state ``validate_state`` accepts or raises
+StepFailureError, whatever the cause; ``drive`` halves a failed increment up
+to ``max_subdivisions`` times, then raises with segment, increment and depth.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ActiveSetOscillationError, StepFailureError
+from .errors import ApexSingularityError, StepFailureError
 from .mean_field import (MeanFieldOperators, eigen_response, eigen_stress_hom,
                          localize, macro_plastic_strain, upscale_stress)
 from .plasticity import (dp_direction, dp_flow, dp_flow_gradient_of, dp_flow_of,
@@ -50,13 +55,13 @@ STRESS = "stress"
 
 # candidate threshold relative to each phase's shear strength
 YIELD_TOL = 1e-10
+MAX_ACTIVE_SET_PASSES = 20  # Newton solves per attempt while the active set settles
 
 
 @dataclass(frozen=True)
 class SolverSettings:
     newton_tol: float = 1e-12          # times the phase shear strength
     newton_max_iter: int = 50
-    active_set_max_iter: int = 20
     mixed_tol: float = 1e-8            # times max(1, |macro stress|)
     max_subdivisions: int = 8
 
@@ -80,6 +85,8 @@ class LoadSegment:
             raise ValueError(f"control modes must be '{STRAIN}' or '{STRESS}'")
         if any(t is None and m == STRESS for t, m in zip(self.targets, self.modes)):
             raise ValueError("stress-controlled components need explicit targets")
+        if not all(t is None or math.isfinite(t) for t in self.targets):
+            raise ValueError(f"segment targets must be finite, got {self.targets}")
         if self.increments < 1:
             raise ValueError("segment needs at least one increment")
 
@@ -311,6 +318,8 @@ def _newton_multipliers(ops, sig_tr, active, settings, control, lam, d_eps):
     sys_ = _ActiveSystem(ops, active)
     tols = settings.newton_tol * sys_.strength
     sig_act = sys_.start(sig_tr + control.sens @ d_eps, lam)
+    # what the failure message reports if no iterate is evaluated
+    res, f_chk, macro_res, scale = np.full((1, 7), np.inf), np.inf, np.zeros(0), 1.0
     for _ in range(settings.newton_max_iter):
         res, dirs, sig, point = sys_.residual(sig_tr + control.sens @ d_eps, sig_act, lam)
         f_chk = dp_yield(sig[active], sys_.tan_f, sys_.strength)
@@ -322,27 +331,33 @@ def _newton_multipliers(ops, sig_tr, active, settings, control, lam, d_eps):
         sig_act = sig_act + step[:, :6]
         lam = lam + step[:, 6]
         d_eps = d_eps + d
+    err = np.maximum(np.abs(f_chk), np.abs(res[:, :6]).max(axis=1)) / tols
     raise StepFailureError(
-        f"return mapping did not converge in {settings.newton_max_iter} Newton iterations")
+        f"return mapping did not converge in {settings.newton_max_iter} Newton iterations; "
+        f"last stress/yield residual {np.max(err, initial=0.0):.3e} times its tolerance, "
+        f"macro residual {np.abs(macro_res).max(initial=0.0):.3e} "
+        f"(tolerance {settings.mixed_tol * scale:.3e})")
 
 
 def validate_state(ops: MeanFieldOperators, state: REVState,
                    tol: float = 1e-10) -> None:
-    """Raise if a converged state violates the constitutive, averaging or KKT identities."""
+    """Raise if a converged state violates the constitutive, averaging or KKT
+    identities; a NaN residual fails every check."""
     sig_ref = max(1.0, float(np.abs(state.stress).max()))
     res_c = np.abs(state.stress - phase_stresses(
         ops, state.strain, state.plastic_strain)).max()
-    if res_c > tol * sig_ref:
+    if not res_c <= tol * sig_ref:
         raise StepFailureError(f"constitutive residual {res_c:.3e} exceeds tolerance")
     avg = np.einsum("a,ai->i", ops.fractions, state.strain)
     res_avg = np.abs(avg - state.macro_strain).max()
-    if res_avg > tol * max(1.0, float(np.abs(state.macro_strain).max())):
+    if not res_avg <= tol * max(1.0, float(np.abs(state.macro_strain).max())):
         raise StepFailureError(f"strain-average residual {res_avg:.3e} exceeds tolerance")
     p = ops.plastic
     f_vals = dp_yield(state.stress[p], ops.tan_friction[p], ops.shear_strength[p])
     tol_f = YIELD_TOL * ops.shear_strength[p]
     lam = state.multipliers[p]
-    bad = np.flatnonzero((f_vals > tol_f) | (lam < 0.0) | (np.abs(lam * f_vals) > tol_f))
+    ok = (f_vals <= tol_f) & (lam >= 0.0) & (np.abs(lam * f_vals) <= tol_f)
+    bad = np.flatnonzero(~ok)
     if bad.size:
         k = bad[0]
         name = ops.phases[np.flatnonzero(p)[k]].name
@@ -350,7 +365,7 @@ def validate_state(ops: MeanFieldOperators, state: REVState,
             f"KKT violation in phase {name!r}: F = {f_vals[k]:.3e}, "
             f"multiplier = {lam[k]:.3e}")
     two_forms = ops.stiffness_hom @ (state.macro_strain - state.macro_plastic)
-    if np.abs(two_forms - state.macro_stress).max() > 1e-12 * sig_ref:
+    if not np.abs(two_forms - state.macro_stress).max() <= 1e-12 * sig_ref:
         raise StepFailureError("macro stress forms disagree beyond roundoff")
 
 
@@ -360,7 +375,8 @@ def _solve_mixed_increment(ops, state, targets, modes, settings):
     The trial state at the exact elastic predictor is accepted if no phase
     yields; otherwise the active-set iteration solves the coupled return with
     the stress-controlled strains among the Newton unknowns.  Raises
-    StepFailureError (the caller then subdivides) when a solve fails.
+    StepFailureError (the caller then subdivides) when a solve fails, the
+    active set does not settle or an active phase reaches the cone apex.
     """
     control = _StressControl(ops, state, targets, modes)
     eps_bar, strains, stresses = _trial_at(ops, state, control.eps_bar)
@@ -375,9 +391,13 @@ def _solve_mixed_increment(ops, state, targets, modes, settings):
         # warm start: the last increment's multipliers, then each pass's own
         guess = state.multipliers
         d_eps = np.zeros(len(control.idx))
-        for _ in range(settings.active_set_max_iter):
-            lam, dirs, sig, d_eps = _newton_multipliers(ops, sig_tr, active, settings,
-                                                        control, guess[active], d_eps)
+        for _ in range(MAX_ACTIVE_SET_PASSES):
+            try:
+                lam, dirs, sig, d_eps = _newton_multipliers(ops, sig_tr, active, settings,
+                                                            control, guess[active], d_eps)
+            except ApexSingularityError as exc:
+                raise StepFailureError(f"cone apex reached in phase "
+                                       f"{ops.phases[active[exc.index]].name!r}") from exc
             guess = np.zeros(ops.n_phases)
             guess[active] = np.maximum(lam, 0.0)
             negative = [a for a, lam_a in zip(active, lam) if lam_a < 0.0]
@@ -390,8 +410,8 @@ def _solve_mixed_increment(ops, state, targets, modes, settings):
                 break
             active = active + newly
         else:
-            raise ActiveSetOscillationError(
-                f"active set did not settle within {settings.active_set_max_iter} updates")
+            raise StepFailureError(
+                f"active set did not settle within {MAX_ACTIVE_SET_PASSES} passes")
         eps_bar = eps_bar.copy()
         eps_bar[control.idx] += d_eps
         multipliers[active] = lam
@@ -412,11 +432,13 @@ def _solve_mixed_increment(ops, state, targets, modes, settings):
 
 
 def _advance_with_subdivision(ops, state, targets, modes, settings):
-    """Solve one increment, halving it on failure up to the subdivision cap."""
+    """Solve and validate one increment, halving it on failure up to the subdivision cap."""
 
     def recurse(st, tg, depth):
         try:
-            return _solve_mixed_increment(ops, st, tg, modes, settings)
+            new = _solve_mixed_increment(ops, st, tg, modes, settings)
+            validate_state(ops, new)
+            return new
         except StepFailureError as exc:
             if depth >= settings.max_subdivisions:
                 exc.depth = depth
@@ -454,7 +476,6 @@ def drive(ops: MeanFieldOperators, program: LoadProgram,
                     f"segment {s}, increment {k}, subdivision depth {exc.depth} "
                     f"(cap used up): {exc}",
                     segment=s, increment=k, depth=exc.depth) from exc
-            validate_state(ops, new)
             states.append(new)
     return states
 

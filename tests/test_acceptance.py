@@ -11,12 +11,13 @@ import pytest
 from revplast.eshelby import (eshelby_tensor, eshelby_tensor_quadrature,
                               sphere_eshelby_coefficients)
 from revplast.mean_field import PhaseSpec, Spheroid, assemble_operators
-from revplast.plasticity import DruckerPrager, stress_invariants, yield_value
+from revplast.plasticity import DruckerPrager, yield_value
 from revplast.results import write_macro_csv
 from revplast.scenario import default_scenario
+from revplast.selfcheck import _radial_return
 from revplast.solver import (LoadProgram, LoadSegment, SolverSettings, drive,
                              strain_program)
-from revplast.tensors import IVEC, J_PROJ, K_PROJ, iso_stiffness
+from revplast.tensors import J_PROJ, K_PROJ
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -92,20 +93,9 @@ def test_criterion_03_homogeneous_limit():
         PhaseSpec("incl", 0.3, young, nu, spheroid=Spheroid(0.35, (1, 2, 3)),
                   plastic=model)])
     states = drive(ops, strain_program([(np.array([0, 0, -0.004, 0, 0, 0]), 40)]))
-    c = iso_stiffness(young, nu)
-    mu = young / (2.0 * (1.0 + nu))
-    eps_p = np.zeros(6)
+    oracle = _radial_return(young, nu, strength, [st.macro_strain for st in states[1:]])
     worst = 0.0
-    for st in states[1:]:
-        sig_tr = c @ (st.macro_strain - eps_p)
-        mean, eq = stress_invariants(sig_tr)
-        if eq - strength > 0.0:
-            lam = (eq - strength) / (3.0 * mu)
-            n = 1.5 * (sig_tr - mean * IVEC) / eq
-            eps_p = eps_p + lam * n
-            sig = sig_tr - 2.0 * mu * lam * n
-        else:
-            sig = sig_tr
+    for st, (sig, eps_p, _) in zip(states[1:], oracle):
         worst = max(worst, float(np.abs(st.macro_stress - sig).max()))
         worst = max(worst, float(np.abs(st.plastic_strain - eps_p).max()))
     elapsed = time.perf_counter() - t0

@@ -102,8 +102,9 @@ def test_flow_scale_invariance(c):
 
 
 def test_apex_error():
-    with pytest.raises(ApexSingularityError):
+    with pytest.raises(ApexSingularityError) as info:
         flow_direction(VM, 0.5 * np.array([1.0, 1, 1, 0, 0, 0]))
+    assert info.value.index == 0
 
 
 def test_model_validation():
@@ -151,10 +152,13 @@ def test_batched_flow_apex_row_raises(rng):
     sig[2] = 0.5 * np.array([1.0, 1, 1, 0, 0, 0])
     s0 = np.full(4, 0.12)
     assert dp_yield(sig, np.zeros(4), s0).shape == (4,)  # yield values stay defined
-    with pytest.raises(ApexSingularityError):
+    with pytest.raises(ApexSingularityError) as info:
         dp_flow(sig, np.zeros(4), s0)
-    with pytest.raises(ApexSingularityError):
+    assert info.value.index == 2  # the first apex row
+    sig[3] = sig[2]
+    with pytest.raises(ApexSingularityError) as info:
         flow_direction(VM, sig)
+    assert info.value.index == 2
 
 
 def test_flow_gradient_matches_finite_differences(rng):

@@ -210,6 +210,9 @@ def test_solver_overrides():
     # one nonlinear loop per increment: the mixed-control pass cap is gone
     with pytest.raises(ScenarioError, match="unknown key 'mixed_max_iter'"):
         parse_scenario(text.replace("mixed_tol", "mixed_max_iter = 60\nmixed_tol"))
+    # the active-set pass cap is a solver constant, not a setting
+    with pytest.raises(ScenarioError, match="unknown key 'active_set_max_iter'"):
+        parse_scenario(text.replace("mixed_tol", "active_set_max_iter = 20\nmixed_tol"))
 
 
 def test_round_trip_default():
@@ -244,7 +247,7 @@ def test_round_trip_rich_scenario():
                         modes=(STRESS, STRESS, STRESS, STRAIN, STRAIN, STRAIN),
                         increments=3),
         )),
-        settings=SolverSettings(newton_tol=1e-11, active_set_max_iter=42),
+        settings=SolverSettings(newton_tol=1e-11, max_subdivisions=42),
         output=OutputOptions(macro_path="out.csv", phase_path="ph.csv",
                              plot_prefix="fig"))
     assert parse_scenario(serialize_scenario(sc)) == sc

@@ -1,56 +1,32 @@
+import re
+
 import numpy as np
 import pytest
 
 import revplast.solver as solver_mod
-from revplast.errors import (ActiveSetOscillationError, ApexSingularityError,
-                             RevplastError, StepFailureError)
+from revplast.errors import ApexSingularityError, RevplastError, StepFailureError
 from revplast.mean_field import (PhaseSpec, Spheroid, assemble_operators, localize,
                                  upscale_stress)
-from revplast.plasticity import DruckerPrager, stress_invariants, yield_value
+from revplast.plasticity import DruckerPrager, yield_value
 from revplast.scenario import default_scenario
+from revplast.selfcheck import _homogeneous_phases, _radial_return
 from dataclasses import replace
 
 from revplast.solver import (STRAIN, STRESS, LoadProgram, LoadSegment,
                              SolverSettings, _solve_mixed_increment, _trial_at,
                              check_yield, drive, initial_state, strain_program,
                              validate_state)
-from revplast.tensors import IVEC, iso_stiffness
 
 E0, NU, EI = 100.0, 0.25, 1000.0
 VM12 = DruckerPrager(friction_angle=0.0, shear_strength=0.12)
 
 
 def two_phase_homogeneous(plastic=VM12):
-    return assemble_operators([
-        PhaseSpec("matrix", 0.7, E0, NU, plastic=plastic),
-        PhaseSpec("incl", 0.3, E0, NU, spheroid=Spheroid(0.35, (1, 2, 3)),
-                  plastic=plastic),
-    ])
+    return assemble_operators(_homogeneous_phases(plastic))
 
 
 def default_ops():
     return assemble_operators(default_scenario().phases())
-
-
-def radial_return_path(young, nu, strength, strain_path):
-    """Textbook J2 perfect-plasticity radial return (independent oracle)."""
-    c = iso_stiffness(young, nu)
-    mu = young / (2.0 * (1.0 + nu))
-    eps_p = np.zeros(6)
-    out = []
-    for eps in strain_path:
-        sig_tr = c @ (eps - eps_p)
-        mean, eq = stress_invariants(sig_tr)
-        f = eq - strength
-        lam = 0.0
-        sig = sig_tr
-        if f > 0.0:
-            lam = f / (3.0 * mu)
-            n = 1.5 * (sig_tr - mean * IVEC) / eq
-            eps_p = eps_p + lam * n
-            sig = sig_tr - 2.0 * mu * lam * n
-        out.append((sig, eps_p.copy(), lam))
-    return out
 
 
 # ------------------------------------------------------------------ trial
@@ -147,7 +123,7 @@ def test_homogeneous_matches_radial_return():
     n_steps = 40
     program = strain_program([(np.array([0, 0, -0.004, 0, 0, 0]), n_steps)])
     states = drive(ops, program)
-    oracle = radial_return_path(E0, NU, 0.12, [st.macro_strain for st in states[1:]])
+    oracle = _radial_return(E0, NU, 0.12, [st.macro_strain for st in states[1:]])
     for st, (sig, eps_p, lam) in zip(states[1:], oracle):
         assert np.abs(st.macro_stress - sig).max() < 1e-10
         assert np.abs(st.macro_plastic - eps_p).max() < 1e-10
@@ -393,19 +369,37 @@ def test_all_candidates_withdrawing_raises_typed_error(monkeypatch):
     assert seen[:3] == [[0, 1], [], [0, 1]]
 
 
-def test_active_set_iteration_cap():
+def test_active_set_iteration_cap(monkeypatch):
+    # an active set that does not settle fails the attempt like any other cause
     ops = two_phase_homogeneous()
     state = initial_state(ops)
-    with pytest.raises(ActiveSetOscillationError):
+    monkeypatch.setattr(solver_mod, "MAX_ACTIVE_SET_PASSES", 0)
+    with pytest.raises(StepFailureError, match="active set did not settle within 0 passes"):
         _solve_mixed_increment(ops, state, np.array([0, 0, -0.002, 0, 0, 0]),
-                               (STRAIN,) * 6, SolverSettings(active_set_max_iter=0))
+                               (STRAIN,) * 6, SolverSettings())
+
+
+NEWTON_CAP = (r"return mapping did not converge in 1 Newton iterations; last stress/yield "
+              r"residual (\S+) times its tolerance, macro residual (\S+) \(tolerance (\S+)\)")
 
 
 def test_newton_cap_raises_step_failure():
+    # the cap's message reports the last iterate's residuals against their tolerances
     ops = two_phase_homogeneous()
     program = strain_program([(np.array([0, 0, -0.004, 0, 0, 0]), 2)])
-    with pytest.raises(StepFailureError):
+    with pytest.raises(StepFailureError) as info:
         drive(ops, program, SolverSettings(newton_max_iter=1, max_subdivisions=2))
+    ratio, macro, macro_tol = map(float, re.search(NEWTON_CAP, str(info.value)).groups())
+    assert ratio > 1.0
+    assert macro == 0.0  # no stress-controlled component
+
+    sc = default_scenario()
+    with pytest.raises(StepFailureError) as info:
+        drive(assemble_operators(sc.phases()), sc.program,
+              SolverSettings(newton_max_iter=1, max_subdivisions=0))
+    ratio, macro, macro_tol = map(float, re.search(NEWTON_CAP, str(info.value)).groups())
+    assert ratio > 1.0 or macro > macro_tol
+    assert macro_tol >= SolverSettings().mixed_tol
 
 
 def test_subdivision_cap_failure_is_located():
@@ -417,10 +411,23 @@ def test_subdivision_cap_failure_is_located():
         drive(ops, program, SolverSettings(newton_max_iter=1, max_subdivisions=2))
     exc = info.value
     assert (exc.segment, exc.increment, exc.depth) == (2, 1, 2)
-    assert str(exc) == ("segment 2, increment 1, subdivision depth 2 (cap used up): "
-                        "return mapping did not converge in 1 Newton iterations")
+    assert re.fullmatch("segment 2, increment 1, subdivision depth 2 \\(cap used up\\): "
+                        + NEWTON_CAP, str(exc))
     assert isinstance(exc.__cause__, StepFailureError)
     assert exc.__cause__.segment is None and exc.__cause__.depth == 2
+
+
+def test_apex_in_attempt_is_located_step_failure():
+    # hydrostatic tension drives both frictional phases to the cone apex: the
+    # attempt fails, is halved to the cap and leaves drive located
+    ops = two_phase_homogeneous(DruckerPrager(0.5, 0.12))
+    program = strain_program([((2e-3, 2e-3, 2e-3, 0, 0, 0), 10)])
+    with pytest.raises(StepFailureError) as info:
+        drive(ops, program)
+    exc = info.value
+    assert (exc.segment, exc.increment, exc.depth) == (1, 6, 8)
+    assert "cone apex" in str(exc) and "'matrix'" in str(exc)
+    assert isinstance(exc.__cause__.__cause__, ApexSingularityError)
 
 
 def test_singular_macro_tangent_raises_step_failure():
@@ -567,6 +574,18 @@ def test_kkt_and_validation_on_plastic_run():
         validate_state(ops, st)
 
 
+def test_nan_state_fails_validation():
+    # every check is written so that a NaN residual fails it
+    ops = two_phase_homogeneous()
+    final = drive(ops, strain_program([(np.array([0, 0, -0.004, 0, 0, 0]), 5)]))[-1]
+    validate_state(ops, final)
+    for field in ("stress", "strain", "multipliers", "macro_stress"):
+        bad = getattr(final, field).copy()
+        bad.flat[0] = np.nan
+        with pytest.raises(StepFailureError):
+            validate_state(ops, replace(final, **{field: bad}))
+
+
 def test_kkt_negative_multiplier_names_phase():
     ops = default_ops()
     program = strain_program([(np.array([0, 0, -0.001, 0, 0, 0]), 20)])
@@ -656,6 +675,38 @@ def test_subdivided_increment_starts_from_half_the_multipliers(monkeypatch):
     assert (seen[5] > 0.0).all() and not np.array_equal(seen[5], seen[3])
 
 
+def test_failed_validation_is_subdivided(monkeypatch):
+    # validation runs inside the attempt: a rejected state is halved, the
+    # half states are validated too, and at the cap the error is located
+    ops = two_phase_homogeneous()
+    program = strain_program([(np.array([0, 0, -0.004, 0, 0, 0]), 5)])
+    reference = drive(ops, program)
+    real_validate = solver_mod.validate_state
+    steps = []
+
+    def fails_once(ops_, state):
+        steps.append(state.step)
+        if len(steps) == 3:
+            raise StepFailureError("rejected once for this test")
+        real_validate(ops_, state)
+
+    monkeypatch.setattr(solver_mod, "validate_state", fails_once)
+    states = drive(ops, program)
+    assert steps == [1, 2, 3, 3, 4, 4, 5]  # step 3 rejected, then its two halves
+    assert [st.step for st in states] == list(range(6))
+    assert np.abs(states[-1].macro_stress - reference[-1].macro_stress).max() < 1e-12
+
+    def always_fails(ops_, state):
+        raise StepFailureError("rejected for this test")
+
+    monkeypatch.setattr(solver_mod, "validate_state", always_fails)
+    with pytest.raises(StepFailureError) as info:
+        drive(ops, program, SolverSettings(max_subdivisions=3))
+    exc = info.value
+    assert (exc.segment, exc.increment, exc.depth) == (1, 1, 3)
+    assert str(exc).endswith("(cap used up): rejected for this test")
+
+
 def test_subdivision_cap_exhausts(monkeypatch):
     ops = two_phase_homogeneous()
 
@@ -677,6 +728,14 @@ def test_segment_validation():
         LoadSegment(targets=(0.0,) * 6, modes=(STRAIN,) * 6, increments=0)
     with pytest.raises(ValueError):
         LoadSegment(targets=(None,) * 6, modes=(STRESS,) * 6, increments=1)
+    # a non-finite target would drive NaN states
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            LoadSegment(targets=(bad, 0.0, -1e-4, 0.0, 0.0, 0.0), modes=(STRAIN,) * 6,
+                        increments=2)
+        with pytest.raises(ValueError, match="finite"):
+            LoadSegment(targets=(0.0, 0.0, bad, 0.0, 0.0, 0.0),
+                        modes=(STRESS,) + (STRAIN,) * 5, increments=2)
 
 
 @pytest.mark.parametrize("path", ["_advance_with_subdivision", "_solve_mixed_increment",
