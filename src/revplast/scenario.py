@@ -312,8 +312,16 @@ def parse_scenario(text: str) -> Scenario:
         if scheme not in ("mori_tanaka", "dilute"):
             raise ScenarioError(f"unknown scheme {scheme!r}", line_no)
     parsers = {float: _parse_float, int: _parse_int}
-    settings = SolverSettings(**{f.name: parsers[type(f.default)](*solver_kv[f.name])
-                                 for f in fields(SolverSettings) if f.name in solver_kv})
+    overrides = {}
+    for f in fields(SolverSettings):
+        if f.name in solver_kv:
+            value, line_no = solver_kv[f.name]
+            overrides[f.name] = parsers[type(f.default)](value, line_no)
+            try:  # each setting's range is checked on its own, so the error has its line
+                SolverSettings(**{f.name: overrides[f.name]})
+            except ValueError as exc:
+                raise ScenarioError(str(exc), line_no) from None
+    settings = SolverSettings(**overrides)
 
     output = OutputOptions(
         macro_path=output_kv.pop("macro", ("macro.csv", 0))[0],

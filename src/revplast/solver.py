@@ -5,26 +5,27 @@ strain components are predicted exactly for an elastic step, and the trial
 state localized there with frozen plastic strains is accepted if no phase
 violates its yield surface.  Otherwise the coupled return of the active
 phases is solved: plastic strains are eigen-strains of the Mori-Tanaka
-medium, so every active phase's stress depends on every phase's flow, and
-the macroscopic stress is linear in the macroscopic strain and the
-eigen-strains, so the k stress-controlled strain components are k more
-unknowns of the same Newton method.  The active set is revised after every
-converged solve: phases whose converged multiplier is negative leave,
-phases pushed past yield by the redistribution join.  Each solve is
-warm-started: the first from the multipliers of the previous increment
-(halved when the increment is subdivided), a re-solve after an
-active-set revision from the previous pass's multipliers and strain
-corrections.  On the default scenario that takes 125 Newton steps for the
-60 plastic increments, against 180 from zero multipliers.
+medium, so every active phase's stress depends on every phase's flow.  The
+macroscopic stress is affine in the macroscopic strain and the
+eigen-strains, so the corrections of the k stress-controlled strain
+components are a fixed linear function of the eigen-strain increments:
+they are eliminated exactly, and the controlled stresses are on target at
+every Newton iterate.  The active set is revised after every converged
+solve: phases whose converged multiplier is negative leave, phases pushed
+past yield by the redistribution join.  Each solve is warm-started: the
+first from the multipliers of the previous increment (halved when the
+increment is subdivided), a re-solve after an active-set revision from the
+previous pass's multipliers.  On the default scenario that takes 125 Newton
+steps for the 60 plastic increments, against 180 from zero multipliers.
 
 The Newton method is linearized consistently, with the flow-direction
 derivative d n / d sig, so it converges quadratically.  Because the
 influence operator is stored as per-phase factors, each phase's 7x7 block
-couples to the others only through two 6-vectors (one fraction-weighted
-polarization sum and, when the matrix yields, the matrix eigen-stress), so
-a step is one batched solve of the blocks for 1 + k right-hand sides plus
-one 6x6 (12x12) system and one k x k system for the controlled strains:
-O(m) in the number m of active phases.
+couples to the others only through a few 6-vectors (one fraction-weighted
+polarization sum and, when the matrix yields, the matrix eigen-stress) and
+the k controlled-strain corrections, so a step is one batched solve of the
+blocks plus one (6 + k)x(6 + k) ((12 + k)x(12 + k)) system: O(m) in the
+number m of active phases.
 
 Yield checks, the Newton residuals and flow directions and the KKT check of
 every converged increment all call the batched Drucker-Prager kernel of
@@ -45,8 +46,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ApexSingularityError, StepFailureError
-from .mean_field import (MeanFieldOperators, eigen_response, eigen_stress_hom,
-                         localize, macro_plastic_strain, upscale_stress)
+from .mean_field import (MeanFieldOperators, eigen_response, localize,
+                         macro_plastic_strain, upscale_stress)
 from .plasticity import (dp_direction, dp_flow, dp_flow_gradient_of, dp_flow_of,
                          dp_yield, dp_yield_of)
 
@@ -64,6 +65,17 @@ class SolverSettings:
     newton_max_iter: int = 50
     mixed_tol: float = 1e-8            # times max(1, |macro stress|)
     max_subdivisions: int = 8
+
+    def __post_init__(self):
+        if not self.newton_tol > 0.0:
+            raise ValueError(f"newton_tol must be positive, got {self.newton_tol}")
+        if not self.mixed_tol > 0.0:
+            raise ValueError(f"mixed_tol must be positive, got {self.mixed_tol}")
+        if self.newton_max_iter < 1:
+            raise ValueError(f"newton_max_iter must be at least 1, got {self.newton_max_iter}")
+        if self.max_subdivisions < 0:
+            raise ValueError(f"max_subdivisions must not be negative, "
+                             f"got {self.max_subdivisions}")
 
 
 @dataclass(frozen=True)
@@ -157,9 +169,10 @@ class _StressControl:
     """The stress-controlled macro components S of one increment attempt.
 
     ``eps_bar`` is the macro strain with the exact elastic predictor of the
-    components S.  The macro stress is linear in their corrections d eps_S
-    and in the eigen-strain increments x_a of the return:
-    sig_bar = sig_pred + C_hom[:, S] d eps_S - sum_a f_a A_a^T C_a x_a.
+    components S.  The macro stress is affine in their corrections d eps_S
+    and in the eigen-strain increments x_b of the return,
+    sig_bar = sig_pred + C_hom[:, S] d eps_S - sum_b f_b A_b^T C_b x_b, so the
+    targets hold for d eps_S = C_hom[S, S]^-1 sum_b f_b (A_b^T C_b x_b)_S.
     """
 
     def __init__(self, ops, state, targets, modes):
@@ -173,38 +186,41 @@ class _StressControl:
         eps[self.idx] += _solve(c_hom[np.ix_(self.idx, self.idx)],
                                 self.target - sig[self.idx], "macro stiffness")
         self.eps_bar = eps
-        self.sig_bar = state.macro_stress + c_hom @ (eps - state.macro_strain)
 
     @cached_property
     def sens(self):
         """Trial-stress sensitivities C_a A_a[:, S] to the controlled strains, (n, 6, k)."""
         return self.ops.stiffness @ self.ops.concentration[:, :, self.idx]
 
-    def residual(self, d_eps, active, x):
-        """sig_bar_S - target_S at (d_eps, x) and the scale max(1, |sig_bar|)."""
-        if not self.idx:
-            return np.zeros(0), 1.0
-        x_all = np.zeros((self.ops.n_phases, 6))
-        x_all[active] = x
-        sig = (self.sig_bar + self.ops.stiffness_hom[:, self.idx] @ d_eps
-               - eigen_stress_hom(self.ops, x_all))
-        return sig[self.idx] - self.target, max(1.0, float(np.linalg.norm(sig)))
+    @cached_property
+    def gain(self):
+        """Controlled-strain corrections per unit eigen-strain increment,
+        C_hom[S, S]^-1 f_b (A_b^T C_b)[S, :], (n, k, 6)."""
+        weighted = self.ops.fractions[:, None, None] * self.sens.transpose(0, 2, 1)
+        return _solve(self.ops.stiffness_hom[np.ix_(self.idx, self.idx)], weighted,
+                      "macro stiffness")
+
+    def strain(self, x):
+        """Corrections d eps_S (k,) that keep the targets under eigen-strain increments x (n, 6)."""
+        return np.einsum("bki,bi->k", self.gain, x)
 
 
 class _ActiveSystem:
     """Residual and condensed linearization of the coupled return of the active phases.
 
     Unknowns are the active stresses sig_a and multipliers lam_a; with the
-    eigen-strains x_b = lam_b n_g(sig_b) the residual is
-    r_sig,a = sig_a - sig_tr,a - C_a (sum_b B[a, b] x_b - x_a) and r_F,a = F(sig_a).
-    In the factored influence operator a phase's block couples to the others
-    only through w = sum_c f_c R_c C_c dx_c and, when the matrix is active,
-    y = C_0 dx_0.
+    eigen-strains x_b = lam_b n_g(sig_b) and the controlled-strain corrections
+    e = sum_b gain_b x_b of ``control`` the residual is
+    r_sig,a = sig_a - sig_tr,a - sens_a e - C_a (sum_b B[a, b] x_b - x_a) and
+    r_F,a = F(sig_a).  In the factored influence operator a phase's block
+    couples to the others only through w = sum_c f_c R_c C_c dx_c, de and,
+    when the matrix is active, y = C_0 dx_0.
     """
 
-    def __init__(self, ops, active):
+    def __init__(self, ops, active, control):
         self.ops = ops
         self.active = active
+        self.control = control
         self.tan_f = ops.tan_friction[active]
         self.tan_g = ops.tan_dilation[active]
         self.strength = ops.shear_strength[active]
@@ -213,49 +229,56 @@ class _ActiveSystem:
         mix_stress = stiff @ ops.mixing[active]  # C_a M_a: response to w
         # C_a (I - R_a C_a): response to the phase's own eigen-strain
         self.own = stiff - stiff @ resp @ stiff
-        self.weighted = ops.fractions[active, None, None] * (resp @ stiff)  # f_c R_c C_c
+        # rows of the coupling vectors (w, e) per unit eigen-strain of each phase
+        self.weighted = np.concatenate(
+            (ops.fractions[active, None, None] * (resp @ stiff), control.gain[active]), axis=1)
         self.matrix_index = active.index(0) if 0 in active else None
-        blocks = [mix_stress]
+        blocks = [mix_stress, -control.sens[active]]
         if self.matrix_index is not None:
             # C_a (R_a - M_a sum_c f_c R_c): response to y
             resp_mean = np.einsum("c,cij->ij", ops.fractions, ops.response)
             blocks.append(stiff @ resp - mix_stress @ resp_mean)
-        self.coupling = np.zeros((len(active), 7, 6 * len(blocks)))
+        self.coupling = np.zeros((len(active), 7, sum(b.shape[2] for b in blocks)))
         self.coupling[:, :6] = np.concatenate(blocks, axis=2)
 
     def stress_update(self, sig_tr, lam, dirs):
-        """Stresses of all phases for multipliers ``lam`` with flow ``dirs``."""
+        """Stresses of all phases for multipliers ``lam`` with flow ``dirs``, and
+        the controlled-strain corrections d eps_S (k,) of that flow."""
         x = np.zeros_like(sig_tr)
         x[self.active] = lam[:, None] * dirs
-        return sig_tr + phase_stresses(self.ops, eigen_response(self.ops, x), x)
+        d_eps = self.control.strain(x)
+        return (sig_tr + self.control.sens @ d_eps
+                + phase_stresses(self.ops, eigen_response(self.ops, x), x)), d_eps
 
     def start(self, sig_tr, lam):
         """Active stresses the multipliers ``lam`` give with flow directions at
         the trial stresses ``sig_tr``: where a warm-started Newton begins."""
         dirs = dp_flow(sig_tr[self.active], self.tan_g, self.strength)
-        return self.stress_update(sig_tr, lam, dirs)[self.active]
+        return self.stress_update(sig_tr, lam, dirs)[0][self.active]
 
     def residual(self, sig_tr, sig_act, lam):
         """(m, 7) residual (r_sig, r_F) at the iterate, with the flow directions
-        n_g(sig_act), the stresses of all phases these directions give and the
-        point ``(n_dev, s_eq)`` of sig_act that ``jacobian`` linearizes at."""
+        n_g(sig_act), the stresses of all phases and the controlled-strain
+        corrections these directions give, and the point ``(n_dev, s_eq)`` of
+        sig_act that ``jacobian`` linearizes at."""
         mean, n_dev, eq = dp_direction(sig_act, self.strength)
         dirs = dp_flow_of(n_dev, self.tan_g)
-        sig = self.stress_update(sig_tr, lam, dirs)
+        sig, d_eps = self.stress_update(sig_tr, lam, dirs)
         res = np.empty((len(lam), 7))
         res[:, :6] = sig_act - sig[self.active]
         res[:, 6] = dp_yield_of(mean, eq, self.tan_f, self.strength)
-        return res, dirs, sig, (n_dev, eq)
+        return res, dirs, sig, d_eps, (n_dev, eq)
 
     def jacobian(self, point, lam, rhs):
-        """Solve the residual's linearization at (sig_act, lam) for ``rhs`` (m, 7, k);
+        """Solve the residual's linearization at (sig_act, lam) for ``rhs`` (m, 7, r);
         ``point`` is the ``(n_dev, s_eq)`` of sig_act that ``residual`` returns.
 
         Phase a's 7x7 block [[I + lam_a D_a N_a, D_a n_a], [g_a^T, 0]], with
         D_a = C_a (I - R_a C_a), N_a = dn_g/dsig and g_a = dF/dsig, is solved
         for the right-hand sides and the coupling columns at once; the coupling
-        vectors (w, y) then follow from one 6x6 (12x12) system.  Returns the
-        corrections (m, 7, k) and the eigen-strain increments dx (m, 6, k).
+        vectors (w, e, y) then follow from one (6 + k)x(6 + k) ((12 + k)x(12 + k))
+        system.  Returns the corrections (m, 7, r) and the eigen-strain
+        increments dx (m, 6, r).
         """
         n_dev, eq = point
         flow = np.empty((len(lam), 6, 7))  # dx_a = flow_a @ (dsig_a, dlam_a)
@@ -265,78 +288,51 @@ class _ActiveSystem:
         block[:, :6] = self.own @ flow
         block[:, :6, :6] += np.eye(6)
         block[:, 6, :6] = dp_flow_of(n_dev, self.tan_f)
-        k = rhs.shape[2]
+        r = rhs.shape[2]
         sol = _solve(block, np.concatenate((rhs, self.coupling), axis=2),
                      "return-mapping system")
-        # coupling vectors: w = sum_c f_c R_c C_c dx_c, y = C_0 dx_0
-        lead = (self.weighted @ flow).transpose(1, 0, 2).reshape(6, -1)
+        # coupling vectors: w = sum_c f_c R_c C_c dx_c, e = sum_c gain_c dx_c, y = C_0 dx_0
+        lead = (self.weighted @ flow).transpose(1, 0, 2).reshape(self.weighted.shape[1], -1)
         coupled = lead @ sol.reshape(-1, sol.shape[2])
         if self.matrix_index is not None:
             c0_flow = self.ops.stiffness[0] @ flow[self.matrix_index]
             coupled = np.vstack((coupled, c0_flow @ sol[self.matrix_index]))
-        schur = coupled[:, k:] + np.eye(coupled.shape[0])
-        wy = _solve(schur, coupled[:, :k], "return-mapping system")
-        z = sol[:, :, :k] - sol[:, :, k:] @ wy
+        schur = coupled[:, r:] + np.eye(coupled.shape[0])
+        wy = _solve(schur, coupled[:, :r], "return-mapping system")
+        z = sol[:, :, :r] - sol[:, :, r:] @ wy
         return z, flow @ z
 
-    def step(self, point, lam, res, control, macro_res):
-        """Newton correction (m, 7) of (sig_act, lam) and d eps_S (k,) of the
-        stress-controlled strains for the residuals ``res`` and ``macro_res``
-        at the iterate whose ``(n_dev, s_eq)`` is ``point``.
 
-        One ``jacobian`` call solves for -res and for the residual's
-        macro-strain columns, the trial sensitivities C_a A_a[:, S]; the macro
-        stress rows C_hom[S, S] d eps_S - sum_a f_a (A_a^T C_a)_S dx_a = -macro_res
-        then give d eps_S from one k x k system.
-        """
-        sens = control.sens[self.active]
-        rhs = np.zeros((len(lam), 7, 1 + len(control.idx)))
-        rhs[:, :, 0] = -res
-        rhs[:, :6, 1:] = sens
-        z, dx = self.jacobian(point, lam, rhs)
-        coupled = np.einsum("a,aji,ajk->ik", self.ops.fractions[self.active], sens, dx)
-        block = self.ops.stiffness_hom[np.ix_(control.idx, control.idx)]
-        d_eps = _solve(block - coupled[:, 1:], coupled[:, 0] - macro_res, "macro tangent")
-        return z[:, :, 0] + z[:, :, 1:] @ d_eps, d_eps
+def _newton_multipliers(ops, sig_tr, active, settings, control, lam):
+    """Solve the coupled return on the active set under the stress control of
+    ``control``; returns (lam, dirs, stresses, d_eps).
 
-
-def _newton_multipliers(ops, sig_tr, active, settings, control, lam, d_eps):
-    """Solve the coupled return on the active set with the stress-controlled
-    strains of ``control``; returns (lam, dirs, stresses, d_eps).
-
-    Newton on the active stresses and multipliers and the corrections d_eps
-    of the controlled strains, from the trial state ``sig_tr`` at the
-    predicted macro strain and the guess (``lam``, ``d_eps``).  The iteration
+    Newton on the active stresses and multipliers, from the trial state
+    ``sig_tr`` at the predicted macro strain and the guess ``lam``; every
+    iterate carries the controlled-strain corrections d_eps of its flow, so
+    the controlled macro stresses are on target throughout.  The iteration
     starts at the stresses the guessed multipliers give with flow directions
     at the trial stresses.  The solve is accepted once the stress residual
     and F of the stresses recomputed with the flow directions of the iterate
     are both within tolerance, so the discrete flow rule uses directions
-    consistent with the returned stresses, and the controlled macro stresses
-    meet their targets within ``mixed_tol``; a guess that already does so
+    consistent with the returned stresses; a guess that already does so
     returns without a linearization.
     """
-    sys_ = _ActiveSystem(ops, active)
+    sys_ = _ActiveSystem(ops, active, control)
     tols = settings.newton_tol * sys_.strength
-    sig_act = sys_.start(sig_tr + control.sens @ d_eps, lam)
-    # what the failure message reports if no iterate is evaluated
-    res, f_chk, macro_res, scale = np.full((1, 7), np.inf), np.inf, np.zeros(0), 1.0
+    sig_act = sys_.start(sig_tr, lam)
     for _ in range(settings.newton_max_iter):
-        res, dirs, sig, point = sys_.residual(sig_tr + control.sens @ d_eps, sig_act, lam)
+        res, dirs, sig, d_eps, point = sys_.residual(sig_tr, sig_act, lam)
         f_chk = dp_yield(sig[active], sys_.tan_f, sys_.strength)
-        macro_res, scale = control.residual(d_eps, active, lam[:, None] * dirs)
-        if (np.all(np.maximum(np.abs(f_chk), np.abs(res[:, :6]).max(axis=1)) <= tols)
-                and np.all(np.abs(macro_res) <= settings.mixed_tol * scale)):
+        gap = np.maximum(np.abs(f_chk), np.abs(res[:, :6]).max(axis=1))
+        if np.all(gap <= tols):
             return lam, dirs, sig, d_eps
-        step, d = sys_.step(point, lam, res, control, macro_res)
-        sig_act = sig_act + step[:, :6]
-        lam = lam + step[:, 6]
-        d_eps = d_eps + d
-    err = np.maximum(np.abs(f_chk), np.abs(res[:, :6]).max(axis=1)) / tols
+        z, _ = sys_.jacobian(point, lam, -res[:, :, None])
+        sig_act = sig_act + z[:, :6, 0]
+        lam = lam + z[:, 6, 0]
     raise StepFailureError(
         f"return mapping did not converge in {settings.newton_max_iter} Newton iterations; "
-        f"last stress/yield residual {np.max(err, initial=0.0):.3e} times its tolerance, "
-        f"macro residual {np.abs(macro_res).max(initial=0.0):.3e} "
-        f"(tolerance {settings.mixed_tol * scale:.3e})")
+        f"last stress/yield residual {np.max(gap / tols, initial=0.0):.3e} times its tolerance")
 
 
 def validate_state(ops: MeanFieldOperators, state: REVState,
@@ -373,8 +369,8 @@ def _solve_mixed_increment(ops, state, targets, modes, settings):
     """One attempt at an increment with per-component strain/stress control.
 
     The trial state at the exact elastic predictor is accepted if no phase
-    yields; otherwise the active-set iteration solves the coupled return with
-    the stress-controlled strains among the Newton unknowns.  Raises
+    yields; otherwise the active-set iteration solves the coupled return, with
+    the stress-controlled strains eliminated.  Raises
     StepFailureError (the caller then subdivides) when a solve fails, the
     active set does not settle or an active phase reaches the cone apex.
     """
@@ -390,11 +386,10 @@ def _solve_mixed_increment(ops, state, targets, modes, settings):
         active = candidates
         # warm start: the last increment's multipliers, then each pass's own
         guess = state.multipliers
-        d_eps = np.zeros(len(control.idx))
         for _ in range(MAX_ACTIVE_SET_PASSES):
             try:
                 lam, dirs, sig, d_eps = _newton_multipliers(ops, sig_tr, active, settings,
-                                                            control, guess[active], d_eps)
+                                                            control, guess[active])
             except ApexSingularityError as exc:
                 raise StepFailureError(f"cone apex reached in phase "
                                        f"{ops.phases[active[exc.index]].name!r}") from exc

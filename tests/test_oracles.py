@@ -174,7 +174,7 @@ def random_scenario(seed):
     return assemble_operators(phases), program
 
 
-@pytest.mark.parametrize("seed", range(25))
+@pytest.mark.parametrize("seed", range(60))
 def test_random_mixed_scenarios_converge_without_subdivision(seed, monkeypatch):
     ops, program = random_scenario(seed)
     failures = []

@@ -215,6 +215,20 @@ def test_solver_overrides():
         parse_scenario(text.replace("mixed_tol", "active_set_max_iter = 20\nmixed_tol"))
 
 
+@pytest.mark.parametrize("setting,match", [
+    ("newton_tol = 0", "newton_tol must be positive"),
+    ("newton_tol = -1e-12", "newton_tol must be positive"),
+    ("newton_max_iter = 0", "newton_max_iter must be at least 1"),
+    ("mixed_tol = -1e-8", "mixed_tol must be positive"),
+    ("max_subdivisions = -1", "max_subdivisions must not be negative"),
+])
+def test_solver_setting_out_of_range_names_its_line(setting, match):
+    text = GOOD.replace("scheme = mori_tanaka", f"scheme = mori_tanaka\n{setting}")
+    with pytest.raises(ScenarioError, match=match) as err:
+        parse_scenario(text)
+    assert err.value.line == 22
+
+
 def test_round_trip_default():
     sc = default_scenario()
     assert parse_scenario(serialize_scenario(sc)) == sc

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -26,3 +27,19 @@ def test_run_default_script(tmp_path):
                               skiprows=1)
             assert plot.shape == (151, 2)
             assert np.isfinite(plot).all()
+
+
+def test_phase_sweep_counts_its_work(monkeypatch):
+    # the sweep patches solver internals by name to count work; a rename would
+    # silently zero its counts, so pin them on the smallest size
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # the script pins them; restored afterwards
+    spec = importlib.util.spec_from_file_location(
+        "phase_sweep", os.path.join(ROOT, "scripts", "phase_sweep.py"))
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    ops = sweep.assemble_operators(sweep.phases(26, sweep.AXES_SEED))
+    states, counts = sweep.counted_drive(ops)
+    assert len(states) == 31
+    assert (counts["newton_solves"], counts["newton_linearizations"],
+            counts["subdivisions"]) == (23, 68, 0)

@@ -151,14 +151,23 @@ def four_phase_ops(scheme):
 FOUR_PHASE_STRAIN = np.array([1e-3, -5e-4, -2e-3, 3e-4, 0.0, 2e-4])
 
 
-@pytest.mark.parametrize("scheme", ["mori_tanaka", "dilute"])
+MIXED_MODES = (STRESS, STRESS, STRAIN, STRESS, STRAIN, STRAIN)
+
+
+@pytest.mark.parametrize("scheme,modes", [
+    pytest.param(scheme, modes, id=scheme + suffix)
+    for suffix, modes in (("", (STRAIN,) * 6), ("-mixed", MIXED_MODES))
+    for scheme in ("mori_tanaka", "dilute")])
 @pytest.mark.parametrize("active", [[0, 1, 2], [1, 2], [2, 0]])
-def test_jacobian_matches_finite_differences(scheme, active):
+def test_jacobian_matches_finite_differences(scheme, modes, active):
     # the condensed Newton step solves the dense central-difference Jacobian of
-    # the (sigma, lambda) residual at a mid-Newton iterate
+    # the (sigma, lambda) residual at a mid-Newton iterate; under stress control
+    # the residual includes the controlled-strain corrections of the flow
     ops = four_phase_ops(scheme)
-    _, _, sig_tr = _trial_at(ops, initial_state(ops), FOUR_PHASE_STRAIN)
-    sys_ = solver_mod._ActiveSystem(ops, active)
+    state = initial_state(ops)
+    _, _, sig_tr = _trial_at(ops, state, FOUR_PHASE_STRAIN)
+    control = solver_mod._StressControl(ops, state, FOUR_PHASE_STRAIN, modes)
+    sys_ = solver_mod._ActiveSystem(ops, active, control)
     m = len(active)
     sig_act = sig_tr[active] * 0.9 + 0.01  # off the trial state, lambda > 0
     lam = 1e-4 * np.arange(1.0, m + 1.0)
@@ -177,7 +186,7 @@ def test_jacobian_matches_finite_differences(scheme, active):
         bump = bump.reshape(m, 7)
         jac_fd[:, k] = (residual(point + bump) - residual(point - bump)) / (
             2.0 * steps.flat[k])
-    res, _, _, at = sys_.residual(sig_tr, sig_act, lam)
+    res, _, _, _, at = sys_.residual(sig_tr, sig_act, lam)
     z, dx = sys_.jacobian(at, lam, -res.reshape(m, 7, 1))
     res = res.ravel()
     assert np.abs(jac_fd @ z.ravel() + res).max() <= 1e-6 * np.abs(res).max()
@@ -191,14 +200,29 @@ def test_jacobian_matches_finite_differences(scheme, active):
     assert np.abs(dx[..., 0] - dx_fd).max() <= 1e-6 * np.abs(dx_fd).max()
 
 
-MIXED_MODES = (STRESS, STRESS, STRAIN, STRESS, STRAIN, STRAIN)
+@pytest.mark.parametrize("scheme", ["mori_tanaka", "dilute"])
+def test_controlled_strains_keep_the_targets(scheme):
+    # the eliminated strain corrections put the controlled macro stresses on
+    # target for any eigen-strain increments, not only at a converged return
+    ops = four_phase_ops(scheme)
+    targets = np.array([0.03, -0.02, -2e-3, 0.01, 3e-4, 1e-4])
+    control = solver_mod._StressControl(ops, initial_state(ops), targets, MIXED_MODES)
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        x = 1e-3 * rng.normal(size=(ops.n_phases, 6))
+        eps = control.eps_bar.copy()
+        eps[control.idx] += control.strain(x)
+        sig = upscale_stress(ops, eps, x)
+        assert np.abs(sig[control.idx] - control.target).max() <= 1e-12 * np.abs(sig).max()
+        held = np.array(MIXED_MODES) == STRAIN
+        assert np.array_equal(eps[held], targets[held])
 
 
 @pytest.mark.parametrize("scheme", ["mori_tanaka", "dilute"])
 @pytest.mark.parametrize("active", [[0, 1, 2], [1, 2], [2, 0]])
 def test_macro_tangent_matches_finite_differences(scheme, active):
-    # the macro-strain columns and macro-stress rows of the Newton linearization
-    # (its response to the stress targets at a converged state) against central
+    # the Newton linearization's response to the stress targets at a converged
+    # state, with the controlled strains it implies, against central
     # differences of converged returns on the same active set
     ops = four_phase_ops(scheme)
     start = initial_state(ops)
@@ -209,8 +233,7 @@ def test_macro_tangent_matches_finite_differences(scheme, active):
         control = solver_mod._StressControl(ops, start, targets, modes)
         _, _, sig_tr = _trial_at(ops, start, control.eps_bar)
         lam, dirs, sig, d_eps = solver_mod._newton_multipliers(
-            ops, sig_tr, active, settings, control, np.zeros(len(active)),
-            np.zeros(len(control.idx)))
+            ops, sig_tr, active, settings, control, np.zeros(len(active)))
         eps_bar = control.eps_bar.copy()
         eps_bar[control.idx] += d_eps
         return control, np.column_stack((sig[active], lam)), eps_bar, lam[:, None] * dirs
@@ -223,13 +246,20 @@ def test_macro_tangent_matches_finite_differences(scheme, active):
                        upscale_stress(ops, FOUR_PHASE_STRAIN, eps_p), FOUR_PHASE_STRAIN)
     control, point, eps_bar, _ = converged(targets, MIXED_MODES)
     assert np.abs(eps_bar - FOUR_PHASE_STRAIN).max() <= 1e-9 * np.abs(FOUR_PHASE_STRAIN).max()
-    sys_ = solver_mod._ActiveSystem(ops, active)
+    sys_ = solver_mod._ActiveSystem(ops, active, control)
     m, k = len(active), len(stress_idx)
     h = 1e-6 * np.abs(targets[stress_idx]).max()
+    at = solver_mod.dp_direction(point[:, :6], sys_.strength)[1:]
     for j, i in enumerate(stress_idx):
-        # raising target i by one leaves the macro residual at -e_j
-        at = solver_mod.dp_direction(point[:, :6], sys_.strength)[1:]
-        step, d_eps = sys_.step(at, point[:, 6], np.zeros((m, 7)), control, -np.eye(k)[j])
+        # raising target i by one moves the elastic predictor by
+        # C_hom[S, S]^-1 e_j, so the trial stresses by sens_a C_hom[S, S]^-1 e_j
+        elastic = np.linalg.solve(ops.stiffness_hom[np.ix_(stress_idx, stress_idx)],
+                                  np.eye(k)[j])
+        rhs = np.zeros((m, 7, 1))
+        rhs[:, :6, 0] = control.sens[active] @ elastic
+        z, dx = sys_.jacobian(at, point[:, 6], rhs)
+        step = z[..., 0]
+        d_eps = elastic + np.einsum("aki,ai->k", control.gain[active], dx[..., 0])
         bump = np.zeros(6)
         bump[i] = h
         _, hi, eps_hi, _ = converged(targets + bump, MIXED_MODES)
@@ -239,12 +269,10 @@ def test_macro_tangent_matches_finite_differences(scheme, active):
         assert np.abs(step - step_fd).max() <= 1e-6 * np.abs(step_fd).max()
         assert np.abs(d_eps - eps_fd).max() <= 1e-6 * np.abs(eps_fd).max()
         # plastic flow softens the response: not the elastic compliance
-        elastic = np.linalg.solve(ops.stiffness_hom[np.ix_(stress_idx, stress_idx)],
-                                  np.eye(k)[j])
         assert np.abs(d_eps - elastic).max() > 1e-3 * np.abs(eps_fd).max()
 
 
-def counted_newton(monkeypatch, ops, state, targets, modes, active, lam, d_eps):
+def counted_newton(monkeypatch, ops, state, targets, modes, active, lam):
     """One seeded Newton solve of the increment to ``targets``: its result and
     the number of linearizations it made."""
     calls = []
@@ -258,23 +286,23 @@ def counted_newton(monkeypatch, ops, state, targets, modes, active, lam, d_eps):
     control = solver_mod._StressControl(ops, state, targets, modes)
     _, _, sig_tr = _trial_at(ops, state, control.eps_bar)
     out = solver_mod._newton_multipliers(ops, sig_tr, active, SolverSettings(), control,
-                                         lam, d_eps)
+                                         lam)
     return out, len(calls)
 
 
 def test_converged_guess_needs_no_linearization(monkeypatch):
     # von Mises phases of one stiffness return radially, so the flow directions
     # at the trial stresses are the converged ones: seeded with its own
-    # converged multipliers and strain corrections, the solve starts converged
+    # converged multipliers, the solve starts converged
     ops = two_phase_homogeneous()
     state = initial_state(ops)
     targets = np.array([0.0, 0.0, -0.004, 0.0, 0.0, 0.0])
     active = [0, 1]
     (lam, _, sig, d_eps), cold = counted_newton(monkeypatch, ops, state, targets,
-                                                MIXED_MODES, active, np.zeros(2), np.zeros(3))
+                                                MIXED_MODES, active, np.zeros(2))
     assert cold >= 1 and (lam > 0.0).all()
     (lam_w, _, sig_w, d_w), warm = counted_newton(monkeypatch, ops, state, targets,
-                                                  MIXED_MODES, active, lam, d_eps)
+                                                  MIXED_MODES, active, lam)
     assert warm == 0
     tol = SolverSettings().newton_tol * 0.12
     assert np.abs(lam_w - lam).max() <= tol
@@ -295,11 +323,10 @@ def test_seeded_newton_reaches_the_same_return(monkeypatch, scale):
                        new.macro_stress)
     active = np.flatnonzero(new.active).tolist()
     assert len(active) >= 10
-    k = sum(m == STRESS for m in segment.modes)
     (lam, _, sig, _), _ = counted_newton(monkeypatch, ops, prev, targets, segment.modes,
-                                         active, new.multipliers[active], np.zeros(k))
+                                         active, new.multipliers[active])
     (lam_s, _, sig_s, _), _ = counted_newton(monkeypatch, ops, prev, targets, segment.modes,
-                                             active, scale * lam, np.zeros(k))
+                                             active, scale * lam)
     tol = SolverSettings().newton_tol * ops.shear_strength[active].min()
     assert np.abs(lam_s - lam).max() <= tol
     assert np.abs(sig_s[active] - sig[active]).max() <= tol
@@ -331,8 +358,8 @@ def test_negative_multiplier_candidate_dropped(monkeypatch):
     passes = []
     newton = solver_mod._newton_multipliers
 
-    def recorded(ops_, sig_tr_, active, settings, control, lam, d_eps):
-        out = newton(ops_, sig_tr_, active, settings, control, lam, d_eps)
+    def recorded(ops_, sig_tr_, active, settings, control, lam):
+        out = newton(ops_, sig_tr_, active, settings, control, lam)
         passes.append((list(active), lam, out[0]))
         return out
 
@@ -357,7 +384,7 @@ def test_all_candidates_withdrawing_raises_typed_error(monkeypatch):
     state = initial_state(ops)
     seen = []
 
-    def fake_newton(ops_, sig_tr_, active, settings_, control, lam, d_eps):
+    def fake_newton(ops_, sig_tr_, active, settings_, control, lam):
         seen.append(list(active))
         m = len(active)
         return -np.ones(m), np.zeros((m, 6)), sig_tr_, np.zeros(len(control.idx))
@@ -380,26 +407,23 @@ def test_active_set_iteration_cap(monkeypatch):
 
 
 NEWTON_CAP = (r"return mapping did not converge in 1 Newton iterations; last stress/yield "
-              r"residual (\S+) times its tolerance, macro residual (\S+) \(tolerance (\S+)\)")
+              r"residual (\S+) times its tolerance")
 
 
 def test_newton_cap_raises_step_failure():
-    # the cap's message reports the last iterate's residuals against their tolerances
+    # the cap's message reports the last iterate's residual against its tolerance;
+    # the controlled stresses are on target at every iterate, so it has no macro part
     ops = two_phase_homogeneous()
     program = strain_program([(np.array([0, 0, -0.004, 0, 0, 0]), 2)])
     with pytest.raises(StepFailureError) as info:
         drive(ops, program, SolverSettings(newton_max_iter=1, max_subdivisions=2))
-    ratio, macro, macro_tol = map(float, re.search(NEWTON_CAP, str(info.value)).groups())
-    assert ratio > 1.0
-    assert macro == 0.0  # no stress-controlled component
+    assert float(re.search(NEWTON_CAP, str(info.value)).group(1)) > 1.0
 
     sc = default_scenario()
     with pytest.raises(StepFailureError) as info:
         drive(assemble_operators(sc.phases()), sc.program,
               SolverSettings(newton_max_iter=1, max_subdivisions=0))
-    ratio, macro, macro_tol = map(float, re.search(NEWTON_CAP, str(info.value)).groups())
-    assert ratio > 1.0 or macro > macro_tol
-    assert macro_tol >= SolverSettings().mixed_tol
+    assert float(re.search(NEWTON_CAP, str(info.value)).group(1)) > 1.0
 
 
 def test_subdivision_cap_failure_is_located():
@@ -736,6 +760,29 @@ def test_segment_validation():
         with pytest.raises(ValueError, match="finite"):
             LoadSegment(targets=(0.0, 0.0, bad, 0.0, 0.0, 0.0),
                         modes=(STRESS,) + (STRAIN,) * 5, increments=2)
+
+
+@pytest.mark.parametrize("bad,match", [
+    ({"newton_tol": 0.0}, "newton_tol must be positive"),
+    ({"newton_tol": -1e-12}, "newton_tol must be positive"),
+    ({"newton_tol": np.nan}, "newton_tol must be positive"),
+    ({"newton_max_iter": 0}, "newton_max_iter must be at least 1"),
+    ({"newton_max_iter": -5}, "newton_max_iter must be at least 1"),
+    ({"mixed_tol": 0.0}, "mixed_tol must be positive"),
+    ({"mixed_tol": -1e-8}, "mixed_tol must be positive"),
+    ({"max_subdivisions": -1}, "max_subdivisions must not be negative"),
+])
+def test_solver_settings_reject_out_of_range(bad, match):
+    # each of these used to fail only at the first (plastic) increment, after
+    # every subdivision, or to run silently as another value
+    with pytest.raises(ValueError, match=match):
+        SolverSettings(**bad)
+
+
+def test_solver_settings_accept_their_limits():
+    settings = SolverSettings(newton_tol=1e-300, newton_max_iter=1, mixed_tol=1e-300,
+                              max_subdivisions=0)
+    assert (settings.newton_max_iter, settings.max_subdivisions) == (1, 0)
 
 
 @pytest.mark.parametrize("path", ["_advance_with_subdivision", "_solve_mixed_increment",
