@@ -26,8 +26,14 @@ EXIT_IO = 4
 def _load_scenario(args) -> Scenario:
     if args.default_scenario:
         return default_scenario()
-    with open(args.scenario, encoding="utf-8") as handle:
-        return parse_scenario(handle.read())
+    with open(args.scenario, "rb") as handle:
+        raw = handle.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"not UTF-8 text: byte {raw[exc.start]:#04x}",
+                            line=raw.count(b"\n", 0, exc.start) + 1) from exc
+    return parse_scenario(text)
 
 
 def _out_path(directory: str | None, path: str) -> str:

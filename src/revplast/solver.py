@@ -10,13 +10,13 @@ macroscopic stress is affine in the macroscopic strain and the
 eigen-strains, so the corrections of the k stress-controlled strain
 components are a fixed linear function of the eigen-strain increments:
 they are eliminated exactly, and the controlled stresses are on target at
-every Newton iterate.  The active set is revised after every converged
-solve: phases whose converged multiplier is negative leave, phases pushed
-past yield by the redistribution join.  Each solve is warm-started: the
-first from the multipliers of the previous increment (halved when the
-increment is subdivided), a re-solve after an active-set revision from the
-previous pass's multipliers.  On the default scenario that takes 125 Newton
-steps for the 60 plastic increments, against 180 from zero multipliers.
+every Newton iterate.  The active set is revised between Newton iterates
+by a primal-dual active-set switch: phases whose multiplier it rejects
+leave, phases pushed past yield join at a converged iterate, and the solve
+goes on.  It is warm-started from the multipliers of the previous increment
+(halved when the increment is subdivided).  On the default scenario that
+takes 125 Newton steps for the 60 plastic increments, against 180 from zero
+multipliers.
 
 The Newton method is linearized consistently, with the flow-direction
 derivative d n / d sig, so it converges quadratically.  Because the
@@ -56,13 +56,12 @@ STRESS = "stress"
 
 # candidate threshold relative to each phase's shear strength
 YIELD_TOL = 1e-10
-MAX_ACTIVE_SET_PASSES = 20  # Newton solves per attempt while the active set settles
 
 
 @dataclass(frozen=True)
 class SolverSettings:
     newton_tol: float = 1e-12          # times the phase shear strength
-    newton_max_iter: int = 50
+    newton_max_iter: int = 50          # Newton steps and active-set revisions
     mixed_tol: float = 1e-8            # times max(1, |macro stress|)
     max_subdivisions: int = 8
 
@@ -225,6 +224,9 @@ class _ActiveSystem:
         self.tan_g = ops.tan_dilation[active]
         self.strength = ops.shear_strength[active]
         stiff = ops.stiffness[active]
+        # active-set switch: leave once lam + c (F - YIELD_TOL s0) <= 0, c = 1 / (3 mu)
+        self.switch_c = 2.0 / (3.0 * stiff[:, 3, 3])  # Mandel C[3, 3] = 2 mu
+        self.switch_at = self.switch_c * YIELD_TOL * self.strength
         resp = ops.response[active]
         mix_stress = stiff @ ops.mixing[active]  # C_a M_a: response to w
         # C_a (I - R_a C_a): response to the phase's own eigen-strain
@@ -304,32 +306,47 @@ class _ActiveSystem:
 
 
 def _newton_multipliers(ops, sig_tr, active, settings, control, lam):
-    """Solve the coupled return on the active set under the stress control of
-    ``control``; returns (lam, dirs, stresses, d_eps).
+    """Solve the coupled return under the stress control of ``control`` from
+    the candidate phases ``active`` and their guess ``lam``, revising the
+    active set between iterates; returns (active, lam, dirs, stresses, d_eps).
 
-    Newton on the active stresses and multipliers, from the trial state
-    ``sig_tr`` at the predicted macro strain and the guess ``lam``; every
-    iterate carries the controlled-strain corrections d_eps of its flow, so
-    the controlled macro stresses are on target throughout.  The iteration
-    starts at the stresses the guessed multipliers give with flow directions
-    at the trial stresses.  The solve is accepted once the stress residual
-    and F of the stresses recomputed with the flow directions of the iterate
-    are both within tolerance, so the discrete flow rule uses directions
-    consistent with the returned stresses; a guess that already does so
-    returns without a linearization.
+    Newton on the active stresses and multipliers from the trial state
+    ``sig_tr`` at the predicted macro strain, starting at the stresses the
+    guessed multipliers give with flow directions at the trial stresses;
+    every iterate carries the controlled-strain corrections d_eps of its flow.
+    An iterate has converged once the stress residual and F of the stresses
+    recomputed with its flow directions are within tolerance.  At every
+    iterate, the start included, a phase with lam_a + c_a (F_a - YIELD_TOL s0_a)
+    <= 0 leaves with its multiplier; at a converged iterate the plastic phases
+    past yield join from their current stress with lam = 0.  A revision costs no
+    linearization; the solve returns at a converged iterate that changes
+    nothing.  ``newton_max_iter`` caps steps and revisions together.
     """
-    sys_ = _ActiveSystem(ops, active, control)
-    tols = settings.newton_tol * sys_.strength
-    sig_act = sys_.start(sig_tr, lam)
-    for _ in range(settings.newton_max_iter):
-        res, dirs, sig, d_eps, point = sys_.residual(sig_tr, sig_act, lam)
-        f_chk = dp_yield(sig[active], sys_.tan_f, sys_.strength)
-        gap = np.maximum(np.abs(f_chk), np.abs(res[:, :6]).max(axis=1))
-        if np.all(gap <= tols):
-            return lam, dirs, sig, d_eps
-        z, _ = sys_.jacobian(point, lam, -res[:, :, None])
-        sig_act = sig_act + z[:, :6, 0]
-        lam = lam + z[:, 6, 0]
+    try:
+        sys_ = _ActiveSystem(ops, active, control)
+        sig_act = sys_.start(sig_tr, lam)
+        for _ in range(settings.newton_max_iter):
+            tols = settings.newton_tol * sys_.strength
+            res, dirs, sig, d_eps, point = sys_.residual(sig_tr, sig_act, lam)
+            f_chk = dp_yield(sig[active], sys_.tan_f, sys_.strength)
+            gap = np.maximum(np.abs(f_chk), np.abs(res[:, :6]).max(axis=1))
+            converged = np.all(gap <= tols)
+            keep = lam + sys_.switch_c * res[:, 6] > sys_.switch_at
+            join = sorted(set(check_yield(ops, sig)[1]) - set(active)) if converged else []
+            if keep.all() and not join:
+                if converged:
+                    return active, lam, dirs, sig, d_eps
+                z, _ = sys_.jacobian(point, lam, -res[:, :, None])
+                sig_act = sig_act + z[:, :6, 0]
+                lam = lam + z[:, 6, 0]
+                continue
+            active = [a for a, k in zip(active, keep) if k] + join
+            sig_act = np.concatenate((sig_act[keep], sig[join]))
+            lam = np.concatenate((lam[keep], np.zeros(len(join))))
+            sys_ = _ActiveSystem(ops, active, control)
+    except ApexSingularityError as exc:
+        raise StepFailureError(f"cone apex reached in phase "
+                               f"{ops.phases[active[exc.index]].name!r}") from exc
     raise StepFailureError(
         f"return mapping did not converge in {settings.newton_max_iter} Newton iterations; "
         f"last stress/yield residual {np.max(gap / tols, initial=0.0):.3e} times its tolerance")
@@ -369,44 +386,20 @@ def _solve_mixed_increment(ops, state, targets, modes, settings):
     """One attempt at an increment with per-component strain/stress control.
 
     The trial state at the exact elastic predictor is accepted if no phase
-    yields; otherwise the active-set iteration solves the coupled return, with
-    the stress-controlled strains eliminated.  Raises
-    StepFailureError (the caller then subdivides) when a solve fails, the
-    active set does not settle or an active phase reaches the cone apex.
+    yields; otherwise one Newton solve, which revises the active set as it
+    goes, returns the coupled return with the stress-controlled strains
+    eliminated.  Raises StepFailureError (the caller then subdivides) when
+    the solve fails or an active phase reaches the cone apex.
     """
     control = _StressControl(ops, state, targets, modes)
     eps_bar, strains, stresses = _trial_at(ops, state, control.eps_bar)
-    _, candidates = check_yield(ops, stresses)
+    _, active = check_yield(ops, stresses)
     eps_p = state.plastic_strain.copy()
     macro_plastic = state.macro_plastic
     multipliers = np.zeros(ops.n_phases)
-    active = []
-    if candidates:
-        sig_tr = stresses
-        active = candidates
-        # warm start: the last increment's multipliers, then each pass's own
-        guess = state.multipliers
-        for _ in range(MAX_ACTIVE_SET_PASSES):
-            try:
-                lam, dirs, sig, d_eps = _newton_multipliers(ops, sig_tr, active, settings,
-                                                            control, guess[active])
-            except ApexSingularityError as exc:
-                raise StepFailureError(f"cone apex reached in phase "
-                                       f"{ops.phases[active[exc.index]].name!r}") from exc
-            guess = np.zeros(ops.n_phases)
-            guess[active] = np.maximum(lam, 0.0)
-            negative = [a for a, lam_a in zip(active, lam) if lam_a < 0.0]
-            if negative:
-                active = [a for a in active if a not in negative]
-                continue
-            _, candidates = check_yield(ops, sig)
-            newly = [a for a in candidates if a not in active]
-            if not newly:
-                break
-            active = active + newly
-        else:
-            raise StepFailureError(
-                f"active set did not settle within {MAX_ACTIVE_SET_PASSES} passes")
+    if active:  # warm-started from the last increment's multipliers
+        active, lam, dirs, _, d_eps = _newton_multipliers(
+            ops, stresses, active, settings, control, state.multipliers[active])
         eps_bar = eps_bar.copy()
         eps_bar[control.idx] += d_eps
         multipliers[active] = lam

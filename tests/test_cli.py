@@ -103,6 +103,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_non_utf8_scenario_exit_code(tmp_path, capsys):
+    # a byte that is not UTF-8 is a scenario error located at its line
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"[matrix]\nyoung_modulus = 1\xff0\npoisson_ratio = 0.25\n")
+    code = main(["run", str(bad)])
+    assert code == 2
+    assert "scenario error: line 2: not UTF-8 text: byte 0xff" in capsys.readouterr().err
+
+
 def test_zero_orientation_axis_exit_code(tmp_path, capsys):
     bad = tmp_path / "zero_axis.scn"
     bad.write_text(TINY.replace("orientations = 0 0 1; 1 0 0",

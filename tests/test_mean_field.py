@@ -267,11 +267,11 @@ def test_localize_single_eigenstrain(default_ops):
     assert np.abs(eps - oracle).max() < 1e-16
 
 
-def random_axis_phases(n_incl=100, seed=11):
+def random_axis_phases(n_incl=100, seed=11, aspect=0.35):
     rng = np.random.default_rng(seed)
     f_incl = 0.3 / n_incl
     return [matrix_phase(1.0 - f_incl * n_incl)] + [
-        spheroid_phase(f"i{k}", f_incl, axis=tuple(rng.normal(size=3)))
+        spheroid_phase(f"i{k}", f_incl, axis=tuple(rng.normal(size=3)), aspect=aspect)
         for k in range(n_incl)]
 
 
@@ -359,6 +359,24 @@ def test_stress_average_identity_two_material_aligned():
     sig_avg = np.einsum("a,ai->i", ops.fractions, sig)
     sig_up = upscale_stress(ops, eps_bar, eps_p)
     assert np.abs(sig_avg - sig_up).max() < 1e-9
+
+
+@pytest.mark.parametrize("scheme", ["mori_tanaka", "dilute"])
+@pytest.mark.parametrize("aspect", [0.2, 1.0, 3.0])
+def test_levin_two_material_eigen_stress(scheme, aspect):
+    # Levin's theorem: with one inclusion stiffness and a uniform eigen-strain
+    # per material, the macro eigen-stress follows from C_hom alone, exactly
+    # for any shapes and orientations and without the influence factors:
+    # tau_1 + (C_hom - C_1)(C_2 - C_1)^-1 (tau_2 - tau_1), tau_r = -C_r eps_p,r
+    ops = assemble_operators(random_axis_phases(n_incl=40, seed=14, aspect=aspect),
+                             scheme=scheme)
+    eps_1, eps_2 = np.random.default_rng(15).normal(size=(2, 6)) * 1e-3
+    c_1, c_2 = ops.stiffness[0], ops.stiffness[1]
+    tau_1, tau_2 = -c_1 @ eps_1, -c_2 @ eps_2
+    levin = tau_1 + (ops.stiffness_hom - c_1) @ np.linalg.solve(c_2 - c_1, tau_2 - tau_1)
+    eps_p = np.vstack((eps_1, np.tile(eps_2, (ops.n_phases - 1, 1))))
+    sig = upscale_stress(ops, np.zeros(6), eps_p)
+    assert np.abs(sig - levin).max() <= 1e-12 * np.abs(levin).max()
 
 
 def test_stress_average_gap_bounded_for_default(default_ops):

@@ -176,20 +176,30 @@ def random_scenario(seed):
 
 @pytest.mark.parametrize("seed", range(60))
 def test_random_mixed_scenarios_converge_without_subdivision(seed, monkeypatch):
+    # every attempt is one Newton solve at most: the active set is revised
+    # inside it, never by solving again
     ops, program = random_scenario(seed)
-    failures = []
+    failures, solves = [], []
     solve_increment = solver_mod._solve_mixed_increment
+    newton = solver_mod._newton_multipliers
 
     def watched(*args):
+        solves.append(0)
         try:
             return solve_increment(*args)
         except StepFailureError as exc:
             failures.append(exc)
             raise
 
+    def counted(*args):
+        solves[-1] += 1
+        return newton(*args)
+
     monkeypatch.setattr(solver_mod, "_solve_mixed_increment", watched)
+    monkeypatch.setattr(solver_mod, "_newton_multipliers", counted)
     states = drive(ops, program)  # validates every state
     assert not failures
+    assert max(solves) <= 1
     plastic = 0
     for prev, st in zip(states, states[1:]):
         assert np.isfinite(st.stress).all()

@@ -42,4 +42,4 @@ def test_phase_sweep_counts_its_work(monkeypatch):
     states, counts = sweep.counted_drive(ops)
     assert len(states) == 31
     assert (counts["newton_solves"], counts["newton_linearizations"],
-            counts["subdivisions"]) == (23, 68, 0)
+            counts["subdivisions"]) == (20, 61, 0)

@@ -134,16 +134,19 @@ def test_homogeneous_matches_radial_return():
             assert st.multipliers[:2] == pytest.approx([lam, lam], abs=1e-10)
 
 
-def four_phase_ops(scheme):
+def four_phase_ops(scheme, plastic=(0, 1, 2)):
     # plastic matrix, two plastic inclusions with distinct stiffness and
-    # Drucker-Prager parameters and one elastic inclusion, all on one spheroid
+    # Drucker-Prager parameters and one elastic inclusion, all on one spheroid;
+    # the phases not in ``plastic`` are made elastic too
     shape = Spheroid(0.35, (1, 2, 3))
+    models = (DruckerPrager(0.2, 0.12), DruckerPrager(0.3, 0.5, dilation_angle=0.1),
+              DruckerPrager(0.0, 0.2))
     return assemble_operators([
-        PhaseSpec("matrix", 0.7, E0, NU, plastic=DruckerPrager(0.2, 0.12)),
+        PhaseSpec("matrix", 0.7, E0, NU, plastic=models[0] if 0 in plastic else None),
         PhaseSpec("stiff", 0.1, EI, 0.2, spheroid=shape,
-                  plastic=DruckerPrager(0.3, 0.5, dilation_angle=0.1)),
+                  plastic=models[1] if 1 in plastic else None),
         PhaseSpec("soft", 0.1, 300.0, 0.3, spheroid=shape,
-                  plastic=DruckerPrager(0.0, 0.2)),
+                  plastic=models[2] if 2 in plastic else None),
         PhaseSpec("elastic", 0.1, 2000.0, 0.25, spheroid=shape),
     ], scheme=scheme)
 
@@ -223,29 +226,33 @@ def test_controlled_strains_keep_the_targets(scheme):
 def test_macro_tangent_matches_finite_differences(scheme, active):
     # the Newton linearization's response to the stress targets at a converged
     # state, with the controlled strains it implies, against central
-    # differences of converged returns on the same active set
-    ops = four_phase_ops(scheme)
+    # differences of converged returns on the same active set; the phases
+    # outside it are elastic, and at four times FOUR_PHASE_STRAIN the solver
+    # returns exactly that set with positive multipliers
+    ops = four_phase_ops(scheme, plastic=active)
     start = initial_state(ops)
     settings = SolverSettings()
     stress_idx = [i for i in range(6) if MIXED_MODES[i] == STRESS]
+    strain = 4.0 * FOUR_PHASE_STRAIN
 
     def converged(targets, modes):
         control = solver_mod._StressControl(ops, start, targets, modes)
         _, _, sig_tr = _trial_at(ops, start, control.eps_bar)
-        lam, dirs, sig, d_eps = solver_mod._newton_multipliers(
+        got, lam, dirs, sig, d_eps = solver_mod._newton_multipliers(
             ops, sig_tr, active, settings, control, np.zeros(len(active)))
+        assert got == active and (lam > 0.0).all()
         eps_bar = control.eps_bar.copy()
         eps_bar[control.idx] += d_eps
         return control, np.column_stack((sig[active], lam)), eps_bar, lam[:, None] * dirs
 
-    # targets: the macro stresses of the strain-controlled return at FOUR_PHASE_STRAIN
-    _, _, _, flow = converged(FOUR_PHASE_STRAIN, (STRAIN,) * 6)
+    # targets: the macro stresses of the strain-controlled return at ``strain``
+    _, _, _, flow = converged(strain, (STRAIN,) * 6)
     eps_p = np.zeros((ops.n_phases, 6))
     eps_p[active] = flow
     targets = np.where(np.array(MIXED_MODES) == STRESS,
-                       upscale_stress(ops, FOUR_PHASE_STRAIN, eps_p), FOUR_PHASE_STRAIN)
+                       upscale_stress(ops, strain, eps_p), strain)
     control, point, eps_bar, _ = converged(targets, MIXED_MODES)
-    assert np.abs(eps_bar - FOUR_PHASE_STRAIN).max() <= 1e-9 * np.abs(FOUR_PHASE_STRAIN).max()
+    assert np.abs(eps_bar - strain).max() <= 1e-9 * np.abs(strain).max()
     sys_ = solver_mod._ActiveSystem(ops, active, control)
     m, k = len(active), len(stress_idx)
     h = 1e-6 * np.abs(targets[stress_idx]).max()
@@ -273,8 +280,8 @@ def test_macro_tangent_matches_finite_differences(scheme, active):
 
 
 def counted_newton(monkeypatch, ops, state, targets, modes, active, lam):
-    """One seeded Newton solve of the increment to ``targets``: its result and
-    the number of linearizations it made."""
+    """One seeded Newton solve of the increment to ``targets`` from the
+    candidates ``active``: its result and the number of linearizations it made."""
     calls = []
     jacobian = solver_mod._ActiveSystem.jacobian
 
@@ -298,12 +305,12 @@ def test_converged_guess_needs_no_linearization(monkeypatch):
     state = initial_state(ops)
     targets = np.array([0.0, 0.0, -0.004, 0.0, 0.0, 0.0])
     active = [0, 1]
-    (lam, _, sig, d_eps), cold = counted_newton(monkeypatch, ops, state, targets,
-                                                MIXED_MODES, active, np.zeros(2))
-    assert cold >= 1 and (lam > 0.0).all()
-    (lam_w, _, sig_w, d_w), warm = counted_newton(monkeypatch, ops, state, targets,
-                                                  MIXED_MODES, active, lam)
-    assert warm == 0
+    (got, lam, _, sig, d_eps), cold = counted_newton(monkeypatch, ops, state, targets,
+                                                     MIXED_MODES, active, np.zeros(2))
+    assert cold >= 1 and got == active and (lam > 0.0).all()
+    (got, lam_w, _, sig_w, d_w), warm = counted_newton(monkeypatch, ops, state, targets,
+                                                       MIXED_MODES, active, lam)
+    assert warm == 0 and got == active
     tol = SolverSettings().newton_tol * 0.12
     assert np.abs(lam_w - lam).max() <= tol
     assert np.abs(sig_w - sig).max() <= tol
@@ -323,20 +330,20 @@ def test_seeded_newton_reaches_the_same_return(monkeypatch, scale):
                        new.macro_stress)
     active = np.flatnonzero(new.active).tolist()
     assert len(active) >= 10
-    (lam, _, sig, _), _ = counted_newton(monkeypatch, ops, prev, targets, segment.modes,
-                                         active, new.multipliers[active])
-    (lam_s, _, sig_s, _), _ = counted_newton(monkeypatch, ops, prev, targets, segment.modes,
-                                             active, scale * lam)
+    (got, lam, _, sig, _), _ = counted_newton(monkeypatch, ops, prev, targets,
+                                              segment.modes, active, new.multipliers[active])
+    (got_s, lam_s, _, sig_s, _), _ = counted_newton(monkeypatch, ops, prev, targets,
+                                                    segment.modes, active, scale * lam)
+    assert got == got_s == active
     tol = SolverSettings().newton_tol * ops.shear_strength[active].min()
     assert np.abs(lam_s - lam).max() <= tol
     assert np.abs(sig_s[active] - sig[active]).max() <= tol
 
 
-def test_negative_multiplier_candidate_dropped(monkeypatch):
-    # aligned twin inclusion phases with slightly different strengths: the
-    # weaker-violation phase starts in the candidate set but its converged
-    # multiplier would be negative, so it must withdraw; the re-solve starts
-    # from the remaining phase's multiplier of the first pass
+def twin_inclusions():
+    """Aligned twin inclusion phases with slightly different strengths, and a
+    uniaxial strain increment scaled so the harder phase barely trial-violates:
+    (phases, operators, virgin state, increment)."""
     phases = [
         PhaseSpec("matrix", 0.60, E0, NU),
         PhaseSpec("soft", 0.25, EI, NU, spheroid=Spheroid(0.35, (0, 0, 1)),
@@ -346,28 +353,43 @@ def test_negative_multiplier_candidate_dropped(monkeypatch):
     ]
     ops = assemble_operators(phases)
     state = initial_state(ops)
-    # scale a uniaxial strain so the harder phase barely trial-violates
     probe = np.array([0.0, 0, -1.0, 0, 0, 0])
     _, _, sig_probe = _trial_at(ops, state, probe)
     f_unit = yield_value(DruckerPrager(0.0, 1e-9), sig_probe[2]) + 1e-9
-    deps = probe * (0.121 / f_unit) * 1.0001
+    return phases, ops, state, probe * (0.121 / f_unit) * 1.0001
+
+
+def recorded_sets(monkeypatch):
+    """The active sets the return builds its systems for, and the number of
+    Newton solves, as they happen."""
+    sets, solves = [], []
+    init, newton = solver_mod._ActiveSystem.__init__, solver_mod._newton_multipliers
+
+    def recorded_init(self, ops_, active, control):
+        sets.append(list(active))
+        init(self, ops_, active, control)
+
+    def counted(*args):
+        solves.append(1)
+        return newton(*args)
+
+    monkeypatch.setattr(solver_mod._ActiveSystem, "__init__", recorded_init)
+    monkeypatch.setattr(solver_mod, "_newton_multipliers", counted)
+    return sets, solves
+
+
+def test_negative_multiplier_candidate_dropped(monkeypatch):
+    # the weaker-violation twin starts in the candidate set, but the switch
+    # withdraws it within the one Newton solve: the solve continues on the
+    # remaining phase from its iterate, with no second solve
+    phases, ops, state, deps = twin_inclusions()
     _, _, sig_tr = _trial_at(ops, state, deps)
     f_tr, candidates = check_yield(ops, sig_tr)
     assert candidates == [1, 2]
     assert 0.0 < f_tr[2] < 1e-4
-    passes = []
-    newton = solver_mod._newton_multipliers
-
-    def recorded(ops_, sig_tr_, active, settings, control, lam):
-        out = newton(ops_, sig_tr_, active, settings, control, lam)
-        passes.append((list(active), lam, out[0]))
-        return out
-
-    monkeypatch.setattr(solver_mod, "_newton_multipliers", recorded)
+    sets, solves = recorded_sets(monkeypatch)
     new = _solve_mixed_increment(ops, state, deps, (STRAIN,) * 6, SolverSettings())
-    assert [p[0] for p in passes] == [[1, 2], [1]]
-    assert not passes[0][1].any() and passes[0][2][1] < 0.0
-    assert np.array_equal(passes[1][1], passes[0][2][:1])
+    assert sets == [[1, 2], [1]] and len(solves) == 1
     assert new.active[1] and not new.active[2]
     assert new.multipliers[1] > 0.0
     assert new.multipliers[2] == 0.0
@@ -376,34 +398,55 @@ def test_negative_multiplier_candidate_dropped(monkeypatch):
     assert yield_value(phases[2].plastic, new.stress[2]) <= 1e-10 * 0.121
 
 
+def test_switch_acts_on_the_start_iterate(monkeypatch):
+    # seeded with the converged multipliers, the soft twin's flow relaxes the
+    # hard twin below yield at the start iterate: it leaves there, and the
+    # solve is done without a linearization
+    _, ops, state, deps = twin_inclusions()
+    new = _solve_mixed_increment(ops, state, deps, (STRAIN,) * 6, SolverSettings())
+    (active, lam, _, sig, _), steps = counted_newton(
+        monkeypatch, ops, state, deps, (STRAIN,) * 6, [1, 2], new.multipliers[[1, 2]])
+    assert active == [1] and steps == 0
+    tol = SolverSettings().newton_tol * 0.12
+    assert abs(lam[0] - new.multipliers[1]) <= tol
+    assert np.abs(sig - new.stress).max() <= tol
+
+
 def test_all_candidates_withdrawing_raises_typed_error(monkeypatch):
-    # if every candidate's multiplier comes back negative, the emptied active
-    # set goes through the same loop; its elastic solution violates yield, so
-    # the attempt ends in a typed error, never in a state that fails KKT
+    # a linearization that sends every multiplier negative empties the active
+    # set; the emptied set's (trial) stresses violate yield, so the candidates
+    # rejoin, and the attempt ends in a typed error at the Newton cap, never in
+    # a state that fails KKT
     ops = two_phase_homogeneous()
     state = initial_state(ops)
-    seen = []
 
-    def fake_newton(ops_, sig_tr_, active, settings_, control, lam):
-        seen.append(list(active))
-        m = len(active)
-        return -np.ones(m), np.zeros((m, 6)), sig_tr_, np.zeros(len(control.idx))
+    def negative_step(self, point, lam, rhs):
+        z = np.zeros((len(lam), 7, 1))
+        z[:, 6, 0] = -1.0 - lam
+        return z, None
 
-    monkeypatch.setattr(solver_mod, "_newton_multipliers", fake_newton)
-    with pytest.raises(RevplastError):
+    monkeypatch.setattr(solver_mod._ActiveSystem, "jacobian", negative_step)
+    sets, _ = recorded_sets(monkeypatch)
+    with pytest.raises(StepFailureError, match="did not converge in 50 Newton iterations"):
         _solve_mixed_increment(ops, state, np.array([0, 0, -0.002, 0, 0, 0]),
                                (STRAIN,) * 6, SolverSettings())
-    assert seen[:3] == [[0, 1], [], [0, 1]]
+    assert sets[:5] == [[0, 1], [], [0, 1], [], [0, 1]]
 
 
 def test_active_set_iteration_cap(monkeypatch):
-    # an active set that does not settle fails the attempt like any other cause
-    ops = two_phase_homogeneous()
-    state = initial_state(ops)
-    monkeypatch.setattr(solver_mod, "MAX_ACTIVE_SET_PASSES", 0)
-    with pytest.raises(StepFailureError, match="active set did not settle within 0 passes"):
-        _solve_mixed_increment(ops, state, np.array([0, 0, -0.002, 0, 0, 0]),
-                               (STRAIN,) * 6, SolverSettings())
+    # an active set that has not settled within the Newton cap fails the
+    # attempt like any other cause: the twin case revises its set at the second
+    # iterate and converges at the fourth, so a cap of three fails after the revision
+    _, ops, state, deps = twin_inclusions()
+    sets, _ = recorded_sets(monkeypatch)
+    with pytest.raises(StepFailureError) as info:
+        _solve_mixed_increment(ops, state, deps, (STRAIN,) * 6,
+                               SolverSettings(newton_max_iter=3))
+    assert sets == [[1, 2], [1]]
+    assert re.fullmatch(NEWTON_CAP.replace(" 1 ", " 3 "), str(info.value))
+    new = _solve_mixed_increment(ops, state, deps, (STRAIN,) * 6,
+                                 SolverSettings(newton_max_iter=4))
+    assert new.active == (False, True, False)
 
 
 NEWTON_CAP = (r"return mapping did not converge in 1 Newton iterations; last stress/yield "
