@@ -10,13 +10,14 @@ macroscopic stress is affine in the macroscopic strain and the
 eigen-strains, so the corrections of the k stress-controlled strain
 components are a fixed linear function of the eigen-strain increments:
 they are eliminated exactly, and the controlled stresses are on target at
-every Newton iterate.  The active set is revised between Newton iterates
-by a primal-dual active-set switch: phases whose multiplier it rejects
-leave, phases pushed past yield join at a converged iterate, and the solve
-goes on.  It is warm-started from the multipliers of the previous increment
-(halved when the increment is subdivided).  On the default scenario that
-takes 125 Newton steps for the 60 plastic increments, against 180 from zero
-multipliers.
+every Newton iterate.  That function depends on the control modes only, so
+``drive`` builds it once per load segment.  The active set is revised
+between Newton iterates by a primal-dual active-set switch: phases whose
+multiplier it rejects leave, phases pushed past yield join at a converged
+iterate, and the solve goes on.  It is warm-started from the multipliers of
+the previous increment (halved when the increment is subdivided).  On the
+default scenario that takes 125 Newton steps for the 60 plastic increments,
+against 180 from zero multipliers.
 
 The Newton method is linearized consistently, with the flow-direction
 derivative d n / d sig, so it converges quadratically.  Because the
@@ -40,8 +41,8 @@ to ``max_subdivisions`` times, then raises with segment, increment and depth.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,14 @@ STRESS = "stress"
 YIELD_TOL = 1e-10
 
 
+def _count(name, value):
+    """``value`` as an int (``np.int64`` is one); ValueError for a non-integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SolverSettings:
     newton_tol: float = 1e-12          # times the phase shear strength
@@ -70,10 +79,13 @@ class SolverSettings:
             raise ValueError(f"newton_tol must be positive, got {self.newton_tol}")
         if not self.mixed_tol > 0.0:
             raise ValueError(f"mixed_tol must be positive, got {self.mixed_tol}")
-        if self.newton_max_iter < 1:
+        if _count("newton_max_iter", self.newton_max_iter) < 1:
             raise ValueError(f"newton_max_iter must be at least 1, got {self.newton_max_iter}")
-        if self.max_subdivisions < 0:
+        if _count("max_subdivisions", self.max_subdivisions) < 0:
             raise ValueError(f"max_subdivisions must not be negative, "
+                             f"got {self.max_subdivisions}")
+        if self.max_subdivisions > 64:  # 2^-64 of an increment is below double resolution
+            raise ValueError(f"max_subdivisions must be at most 64, "
                              f"got {self.max_subdivisions}")
 
 
@@ -98,7 +110,7 @@ class LoadSegment:
             raise ValueError("stress-controlled components need explicit targets")
         if not all(t is None or math.isfinite(t) for t in self.targets):
             raise ValueError(f"segment targets must be finite, got {self.targets}")
-        if self.increments < 1:
+        if _count("segment increments", self.increments) < 1:
             raise ValueError("segment needs at least one increment")
 
 
@@ -157,7 +169,7 @@ def check_yield(ops: MeanFieldOperators, stresses: np.ndarray
 
 
 def _solve(a, b, what):
-    """``np.linalg.solve`` that fails the increment (so it is subdivided) when singular."""
+    """``np.linalg.solve`` that raises StepFailureError when ``a`` is singular."""
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
@@ -165,39 +177,39 @@ def _solve(a, b, what):
 
 
 class _StressControl:
-    """The stress-controlled macro components S of one increment attempt.
+    """The stress-controlled macro components S of one load segment.
 
-    ``eps_bar`` is the macro strain with the exact elastic predictor of the
-    components S.  The macro stress is affine in their corrections d eps_S
-    and in the eigen-strain increments x_b of the return,
+    The macro stress is affine in the macro strain and in the eigen-strain
+    increments x_b of the return,
     sig_bar = sig_pred + C_hom[:, S] d eps_S - sum_b f_b A_b^T C_b x_b, so the
     targets hold for d eps_S = C_hom[S, S]^-1 sum_b f_b (A_b^T C_b x_b)_S.
+    Only the elastic predictor of an attempt depends on its state and targets.
     """
 
-    def __init__(self, ops, state, targets, modes):
+    def __init__(self, ops, modes):
         self.ops = ops
-        self.idx = [i for i in range(6) if modes[i] == STRESS]
-        targets = np.asarray(targets, dtype=float)
-        self.target = targets[self.idx]
-        c_hom = ops.stiffness_hom
-        eps = np.where([m == STRAIN for m in modes], targets, state.macro_strain)
+        self.strain_mode = np.array([m == STRAIN for m in modes])
+        self.idx = np.flatnonzero(~self.strain_mode).tolist()
+        self.inverse = _solve(ops.stiffness_hom[np.ix_(self.idx, self.idx)],
+                              np.eye(len(self.idx)), "macro stiffness")
+        # trial-stress sensitivities C_a A_a[:, S] to the controlled strains, (n, 6, k)
+        self.sens = ops.stiffness @ ops.concentration[:, :, self.idx]
+        # controlled-strain corrections per unit eigen-strain increment,
+        # C_hom[S, S]^-1 f_b (A_b^T C_b)[S, :], (n, k, 6)
+        self.gain = self.inverse @ (ops.fractions[:, None, None]
+                                    * self.sens.transpose(0, 2, 1))
+
+    def controlled(self, state):
+        """Per component, the strain if it is strain-controlled, else the stress."""
+        return np.where(self.strain_mode, state.macro_strain, state.macro_stress)
+
+    def predict(self, state, targets):
+        """The exact elastic macro strain of the increment from ``state`` to ``targets``."""
+        c_hom = self.ops.stiffness_hom
+        eps = np.where(self.strain_mode, targets, state.macro_strain)
         sig = state.macro_stress + c_hom @ (eps - state.macro_strain)
-        eps[self.idx] += _solve(c_hom[np.ix_(self.idx, self.idx)],
-                                self.target - sig[self.idx], "macro stiffness")
-        self.eps_bar = eps
-
-    @cached_property
-    def sens(self):
-        """Trial-stress sensitivities C_a A_a[:, S] to the controlled strains, (n, 6, k)."""
-        return self.ops.stiffness @ self.ops.concentration[:, :, self.idx]
-
-    @cached_property
-    def gain(self):
-        """Controlled-strain corrections per unit eigen-strain increment,
-        C_hom[S, S]^-1 f_b (A_b^T C_b)[S, :], (n, k, 6)."""
-        weighted = self.ops.fractions[:, None, None] * self.sens.transpose(0, 2, 1)
-        return _solve(self.ops.stiffness_hom[np.ix_(self.idx, self.idx)], weighted,
-                      "macro stiffness")
+        eps[self.idx] += self.inverse @ (targets[self.idx] - sig[self.idx])
+        return eps
 
     def strain(self, x):
         """Corrections d eps_S (k,) that keep the targets under eigen-strain increments x (n, 6)."""
@@ -382,8 +394,8 @@ def validate_state(ops: MeanFieldOperators, state: REVState,
         raise StepFailureError("macro stress forms disagree beyond roundoff")
 
 
-def _solve_mixed_increment(ops, state, targets, modes, settings):
-    """One attempt at an increment with per-component strain/stress control.
+def _solve_mixed_increment(ops, state, targets, control, settings):
+    """One attempt at the increment to ``targets`` under the segment's ``control``.
 
     The trial state at the exact elastic predictor is accepted if no phase
     yields; otherwise one Newton solve, which revises the active set as it
@@ -391,8 +403,7 @@ def _solve_mixed_increment(ops, state, targets, modes, settings):
     eliminated.  Raises StepFailureError (the caller then subdivides) when
     the solve fails or an active phase reaches the cone apex.
     """
-    control = _StressControl(ops, state, targets, modes)
-    eps_bar, strains, stresses = _trial_at(ops, state, control.eps_bar)
+    eps_bar, strains, stresses = _trial_at(ops, state, control.predict(state, targets))
     _, active = check_yield(ops, stresses)
     eps_p = state.plastic_strain.copy()
     macro_plastic = state.macro_plastic
@@ -400,7 +411,6 @@ def _solve_mixed_increment(ops, state, targets, modes, settings):
     if active:  # warm-started from the last increment's multipliers
         active, lam, dirs, _, d_eps = _newton_multipliers(
             ops, stresses, active, settings, control, state.multipliers[active])
-        eps_bar = eps_bar.copy()
         eps_bar[control.idx] += d_eps
         multipliers[active] = lam
         eps_p[active] += lam[:, None] * dirs
@@ -408,7 +418,7 @@ def _solve_mixed_increment(ops, state, targets, modes, settings):
         stresses = phase_stresses(ops, strains, eps_p)
         macro_plastic = macro_plastic_strain(ops, eps_p)
     sig_bar = upscale_stress(ops, eps_bar, eps_p)
-    miss = np.abs(sig_bar[control.idx] - control.target).max(initial=0.0)
+    miss = np.abs(sig_bar[control.idx] - targets[control.idx]).max(initial=0.0)
     if miss > settings.mixed_tol * max(1.0, float(np.linalg.norm(sig_bar))):
         raise StepFailureError(
             f"stress-controlled components miss their targets by {miss:.3e}")
@@ -419,20 +429,19 @@ def _solve_mixed_increment(ops, state, targets, modes, settings):
                     stress=stresses, multipliers=multipliers, active=tuple(mask.tolist()))
 
 
-def _advance_with_subdivision(ops, state, targets, modes, settings):
+def _advance_with_subdivision(ops, state, targets, control, settings):
     """Solve and validate one increment, halving it on failure up to the subdivision cap."""
 
     def recurse(st, tg, depth):
         try:
-            new = _solve_mixed_increment(ops, st, tg, modes, settings)
+            new = _solve_mixed_increment(ops, st, tg, control, settings)
             validate_state(ops, new)
             return new
         except StepFailureError as exc:
             if depth >= settings.max_subdivisions:
                 exc.depth = depth
                 raise
-        start = np.where([m == STRAIN for m in modes], st.macro_strain, st.macro_stress)
-        mid = 0.5 * (start + np.asarray(tg))
+        mid = 0.5 * (control.controlled(st) + tg)
         # the half increment's Newton starts from half the multipliers
         half = replace(st, multipliers=0.5 * st.multipliers)
         return recurse(recurse(half, mid, depth + 1), tg, depth + 1)
@@ -446,9 +455,11 @@ def drive(ops: MeanFieldOperators, program: LoadProgram,
     settings = settings or SolverSettings()
     states = [initial_state(ops)]
     for s, segment in enumerate(program.segments, 1):
-        start_strain = states[-1].macro_strain.copy()
-        start_stress = states[-1].macro_stress.copy()
-        start = np.where([m == STRAIN for m in segment.modes], start_strain, start_stress)
+        try:
+            control = _StressControl(ops, segment.modes)
+        except StepFailureError as exc:
+            raise StepFailureError(f"segment {s}: {exc}", segment=s) from exc
+        start = control.controlled(states[-1])
         end = np.array([start[i] if t is None else float(t)
                         for i, t in enumerate(segment.targets)])
         for k in range(1, segment.increments + 1):
@@ -457,8 +468,7 @@ def drive(ops: MeanFieldOperators, program: LoadProgram,
             else:
                 targets = start + (end - start) * (k / segment.increments)
             try:
-                new = _advance_with_subdivision(ops, states[-1], targets, segment.modes,
-                                                settings)
+                new = _advance_with_subdivision(ops, states[-1], targets, control, settings)
             except StepFailureError as exc:
                 raise StepFailureError(
                     f"segment {s}, increment {k}, subdivision depth {exc.depth} "

@@ -377,6 +377,14 @@ def test_levin_two_material_eigen_stress(scheme, aspect):
     eps_p = np.vstack((eps_1, np.tile(eps_2, (ops.n_phases - 1, 1))))
     sig = upscale_stress(ops, np.zeros(6), eps_p)
     assert np.abs(sig - levin).max() <= 1e-12 * np.abs(levin).max()
+    # Levin's uniform field: at E* = (C_2 - C_1)^-1 (C_2 eps_p,2 - C_1 eps_p,1)
+    # the strain E* is uniform, and both materials carry C_1 (E* - eps_p,1)
+    e_star = np.linalg.solve(c_2 - c_1, c_2 @ eps_2 - c_1 @ eps_1)
+    eps = localize(ops, e_star, eps_p)
+    assert np.abs(eps - e_star).max() <= 1e-12 * np.abs(e_star).max()
+    sig_star = c_1 @ (e_star - eps_1)
+    sig = upscale_stress(ops, e_star, eps_p)
+    assert np.abs(sig - sig_star).max() <= 1e-12 * np.abs(sig_star).max()
 
 
 def test_stress_average_gap_bounded_for_default(default_ops):

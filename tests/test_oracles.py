@@ -22,7 +22,8 @@ SWAP_13 = [2, 1, 0, 5, 4, 3]
 
 @pytest.fixture(scope="module")
 def counted_default_run():
-    """The default run, counting linearizations and Newton solves (per increment)."""
+    """The default run, counting stress controls, linearizations and Newton
+    solves (per increment)."""
     sc = default_scenario()
     ops = assemble_operators(sc.phases())
     counts = Counter()
@@ -30,6 +31,11 @@ def counted_default_run():
     jacobian = solver_mod._ActiveSystem.jacobian
     newton = solver_mod._newton_multipliers
     increment = solver_mod._advance_with_subdivision
+    control = solver_mod._StressControl
+
+    def counted_control(*args):
+        counts["controls"] += 1
+        return control(*args)
 
     def counted_jacobian(self, *args):
         counts["linearizations"] += 1
@@ -49,6 +55,7 @@ def counted_default_run():
         mp.setattr(solver_mod._ActiveSystem, "jacobian", counted_jacobian)
         mp.setattr(solver_mod, "_newton_multipliers", counted_newton)
         mp.setattr(solver_mod, "_advance_with_subdivision", counted_increment)
+        mp.setattr(solver_mod, "_StressControl", counted_control)
         states = drive(ops, sc.program, sc.settings)
     return sc, ops, states, counts, solves
 
@@ -64,6 +71,8 @@ def test_default_run_work_counts(counted_default_run):
     assert counts["newton_solves"] <= 66
     assert counts["linearizations"] <= 138
     assert max(solves) <= 1
+    # the stress-control constants are built once per load segment
+    assert counts["controls"] == 2
 
 
 def test_elastic_stress_controlled_increments_take_one_pass(counted_default_run):

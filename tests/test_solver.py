@@ -29,6 +29,10 @@ def default_ops():
     return assemble_operators(default_scenario().phases())
 
 
+def strain_control(ops):
+    return solver_mod._StressControl(ops, (STRAIN,) * 6)
+
+
 # ------------------------------------------------------------------ trial
 
 def test_trial_zero_increment_is_identity():
@@ -50,7 +54,7 @@ def test_elastic_rev_accepts_trial():
     deps = np.array([2e-4, -1e-4, -4e-4, 0, 5e-5, 0])
     state = initial_state(ops)
     _, eps_tr, sig_tr = _trial_at(ops, state, deps)
-    new = _solve_mixed_increment(ops, state, deps, (STRAIN,) * 6, SolverSettings())
+    new = _solve_mixed_increment(ops, state, deps, strain_control(ops), SolverSettings())
     assert np.abs(new.stress - sig_tr).max() == 0.0
     assert np.abs(new.macro_stress - ops.stiffness_hom @ deps).max() < 1e-14
 
@@ -169,7 +173,7 @@ def test_jacobian_matches_finite_differences(scheme, modes, active):
     ops = four_phase_ops(scheme)
     state = initial_state(ops)
     _, _, sig_tr = _trial_at(ops, state, FOUR_PHASE_STRAIN)
-    control = solver_mod._StressControl(ops, state, FOUR_PHASE_STRAIN, modes)
+    control = solver_mod._StressControl(ops, modes)
     sys_ = solver_mod._ActiveSystem(ops, active, control)
     m = len(active)
     sig_act = sig_tr[active] * 0.9 + 0.01  # off the trial state, lambda > 0
@@ -209,14 +213,16 @@ def test_controlled_strains_keep_the_targets(scheme):
     # target for any eigen-strain increments, not only at a converged return
     ops = four_phase_ops(scheme)
     targets = np.array([0.03, -0.02, -2e-3, 0.01, 3e-4, 1e-4])
-    control = solver_mod._StressControl(ops, initial_state(ops), targets, MIXED_MODES)
+    control = solver_mod._StressControl(ops, MIXED_MODES)
+    predicted = control.predict(initial_state(ops), targets)
     rng = np.random.default_rng(11)
     for _ in range(5):
         x = 1e-3 * rng.normal(size=(ops.n_phases, 6))
-        eps = control.eps_bar.copy()
+        eps = predicted.copy()
         eps[control.idx] += control.strain(x)
         sig = upscale_stress(ops, eps, x)
-        assert np.abs(sig[control.idx] - control.target).max() <= 1e-12 * np.abs(sig).max()
+        miss = sig[control.idx] - targets[control.idx]
+        assert np.abs(miss).max() <= 1e-12 * np.abs(sig).max()
         held = np.array(MIXED_MODES) == STRAIN
         assert np.array_equal(eps[held], targets[held])
 
@@ -236,12 +242,11 @@ def test_macro_tangent_matches_finite_differences(scheme, active):
     strain = 4.0 * FOUR_PHASE_STRAIN
 
     def converged(targets, modes):
-        control = solver_mod._StressControl(ops, start, targets, modes)
-        _, _, sig_tr = _trial_at(ops, start, control.eps_bar)
+        control = solver_mod._StressControl(ops, modes)
+        eps_bar, _, sig_tr = _trial_at(ops, start, control.predict(start, targets))
         got, lam, dirs, sig, d_eps = solver_mod._newton_multipliers(
             ops, sig_tr, active, settings, control, np.zeros(len(active)))
         assert got == active and (lam > 0.0).all()
-        eps_bar = control.eps_bar.copy()
         eps_bar[control.idx] += d_eps
         return control, np.column_stack((sig[active], lam)), eps_bar, lam[:, None] * dirs
 
@@ -290,8 +295,8 @@ def counted_newton(monkeypatch, ops, state, targets, modes, active, lam):
         return jacobian(self, *args)
 
     monkeypatch.setattr(solver_mod._ActiveSystem, "jacobian", counted)
-    control = solver_mod._StressControl(ops, state, targets, modes)
-    _, _, sig_tr = _trial_at(ops, state, control.eps_bar)
+    control = solver_mod._StressControl(ops, modes)
+    _, _, sig_tr = _trial_at(ops, state, control.predict(state, targets))
     out = solver_mod._newton_multipliers(ops, sig_tr, active, SolverSettings(), control,
                                          lam)
     return out, len(calls)
@@ -388,7 +393,7 @@ def test_negative_multiplier_candidate_dropped(monkeypatch):
     assert candidates == [1, 2]
     assert 0.0 < f_tr[2] < 1e-4
     sets, solves = recorded_sets(monkeypatch)
-    new = _solve_mixed_increment(ops, state, deps, (STRAIN,) * 6, SolverSettings())
+    new = _solve_mixed_increment(ops, state, deps, strain_control(ops), SolverSettings())
     assert sets == [[1, 2], [1]] and len(solves) == 1
     assert new.active[1] and not new.active[2]
     assert new.multipliers[1] > 0.0
@@ -403,7 +408,7 @@ def test_switch_acts_on_the_start_iterate(monkeypatch):
     # hard twin below yield at the start iterate: it leaves there, and the
     # solve is done without a linearization
     _, ops, state, deps = twin_inclusions()
-    new = _solve_mixed_increment(ops, state, deps, (STRAIN,) * 6, SolverSettings())
+    new = _solve_mixed_increment(ops, state, deps, strain_control(ops), SolverSettings())
     (active, lam, _, sig, _), steps = counted_newton(
         monkeypatch, ops, state, deps, (STRAIN,) * 6, [1, 2], new.multipliers[[1, 2]])
     assert active == [1] and steps == 0
@@ -429,7 +434,7 @@ def test_all_candidates_withdrawing_raises_typed_error(monkeypatch):
     sets, _ = recorded_sets(monkeypatch)
     with pytest.raises(StepFailureError, match="did not converge in 50 Newton iterations"):
         _solve_mixed_increment(ops, state, np.array([0, 0, -0.002, 0, 0, 0]),
-                               (STRAIN,) * 6, SolverSettings())
+                               strain_control(ops), SolverSettings())
     assert sets[:5] == [[0, 1], [], [0, 1], [], [0, 1]]
 
 
@@ -440,11 +445,11 @@ def test_active_set_iteration_cap(monkeypatch):
     _, ops, state, deps = twin_inclusions()
     sets, _ = recorded_sets(monkeypatch)
     with pytest.raises(StepFailureError) as info:
-        _solve_mixed_increment(ops, state, deps, (STRAIN,) * 6,
+        _solve_mixed_increment(ops, state, deps, strain_control(ops),
                                SolverSettings(newton_max_iter=3))
     assert sets == [[1, 2], [1]]
     assert re.fullmatch(NEWTON_CAP.replace(" 1 ", " 3 "), str(info.value))
-    new = _solve_mixed_increment(ops, state, deps, (STRAIN,) * 6,
+    new = _solve_mixed_increment(ops, state, deps, strain_control(ops),
                                  SolverSettings(newton_max_iter=4))
     assert new.active == (False, True, False)
 
@@ -498,8 +503,8 @@ def test_apex_in_attempt_is_located_step_failure():
 
 
 def test_singular_macro_tangent_raises_step_failure():
-    # a stress-controlled increment whose macro system cannot be solved fails
-    # with the typed error (after subdivision), never a LinAlgError
+    # a stress-controlled segment whose macro system cannot be solved fails
+    # with the typed error at its start, located, never a LinAlgError
     ops = default_ops()
     stiff = ops.stiffness_hom.copy()
     stiff[:2, :2] = 0.0
@@ -507,8 +512,9 @@ def test_singular_macro_tangent_raises_step_failure():
     modes = (STRESS, STRESS, STRAIN, STRAIN, STRAIN, STRAIN)
     program = LoadProgram((LoadSegment(targets=(0.0, 0.0, -0.001, 0.0, 0.0, 0.0),
                                        modes=modes, increments=20),))
-    with pytest.raises(StepFailureError, match="singular macro"):
+    with pytest.raises(StepFailureError, match="singular macro") as info:
         drive(ops, program, SolverSettings(max_subdivisions=1))
+    assert info.value.segment == 1
 
 
 # ------------------------------------------------------------------ driver
@@ -701,12 +707,12 @@ def test_subdivision_recovers_from_oversized_steps(monkeypatch):
     real_attempt = solver_mod._solve_mixed_increment
     calls = []
 
-    def fussy_attempt(ops_, state, targets, modes, settings):
+    def fussy_attempt(ops_, state, targets, control, settings):
         size = np.abs(np.asarray(targets) - state.macro_strain).max()
         calls.append(size)
         if size > 1.1e-4:
             raise StepFailureError("increment too large for this test")
-        return real_attempt(ops_, state, targets, modes, settings)
+        return real_attempt(ops_, state, targets, control, settings)
 
     monkeypatch.setattr(solver_mod, "_solve_mixed_increment", fussy_attempt)
     program = strain_program([(np.array([0, 0, -0.0008, 0, 0, 0]), 2)])
@@ -727,11 +733,11 @@ def test_subdivided_increment_starts_from_half_the_multipliers(monkeypatch):
     real_attempt = solver_mod._solve_mixed_increment
     seen = []
 
-    def failing_once(ops_, state, targets, modes, settings):
+    def failing_once(ops_, state, targets, control, settings):
         seen.append(state.multipliers)
         if state.step == 3 and len(seen) == 4:
             raise StepFailureError("increment too large for this test")
-        return real_attempt(ops_, state, targets, modes, settings)
+        return real_attempt(ops_, state, targets, control, settings)
 
     monkeypatch.setattr(solver_mod, "_solve_mixed_increment", failing_once)
     program = strain_program([(np.array([0, 0, -0.004, 0, 0, 0]), 5)])
@@ -793,6 +799,11 @@ def test_segment_validation():
         LoadSegment(targets=(0.0,) * 6, modes=("bogus",) * 6, increments=1)
     with pytest.raises(ValueError):
         LoadSegment(targets=(0.0,) * 6, modes=(STRAIN,) * 6, increments=0)
+    # a non-integer count would fail only in drive, with a bare TypeError
+    with pytest.raises(ValueError, match="segment increments must be an integer"):
+        LoadSegment(targets=(0.0,) * 6, modes=(STRAIN,) * 6, increments=2.5)
+    assert LoadSegment(targets=(0.0,) * 6, modes=(STRAIN,) * 6,
+                       increments=np.int64(2)).increments == 2
     with pytest.raises(ValueError):
         LoadSegment(targets=(None,) * 6, modes=(STRESS,) * 6, increments=1)
     # a non-finite target would drive NaN states
@@ -814,10 +825,14 @@ def test_segment_validation():
     ({"mixed_tol": 0.0}, "mixed_tol must be positive"),
     ({"mixed_tol": -1e-8}, "mixed_tol must be positive"),
     ({"max_subdivisions": -1}, "max_subdivisions must not be negative"),
+    ({"max_subdivisions": 65}, "max_subdivisions must be at most 64"),
+    ({"newton_max_iter": 2.5}, "newton_max_iter must be an integer"),
+    ({"max_subdivisions": 1.5}, "max_subdivisions must be an integer"),
 ])
 def test_solver_settings_reject_out_of_range(bad, match):
     # each of these used to fail only at the first (plastic) increment, after
-    # every subdivision, or to run silently as another value
+    # every subdivision, with a bare TypeError or RecursionError, or to run
+    # silently as another value
     with pytest.raises(ValueError, match=match):
         SolverSettings(**bad)
 
@@ -826,13 +841,18 @@ def test_solver_settings_accept_their_limits():
     settings = SolverSettings(newton_tol=1e-300, newton_max_iter=1, mixed_tol=1e-300,
                               max_subdivisions=0)
     assert (settings.newton_max_iter, settings.max_subdivisions) == (1, 0)
+    settings = SolverSettings(newton_max_iter=np.int64(3), max_subdivisions=64)
+    assert (settings.newton_max_iter, settings.max_subdivisions) == (3, 64)
 
 
 @pytest.mark.parametrize("path", ["_advance_with_subdivision", "_solve_mixed_increment",
-                                  "check_yield",
+                                  "_trial_at", "check_yield",
                                   "validate_state", "_newton_multipliers",
+                                  "_ActiveSystem.__init__",
                                   "_ActiveSystem.jacobian",
-                                  "_ActiveSystem.stress_update"])
+                                  "_ActiveSystem.stress_update",
+                                  "localize", "upscale_stress",
+                                  "macro_plastic_strain"])
 def test_benchmark_hook_targets_exist(path):
     # perfbench/ wraps these solver attributes by name (speed normalization cuts
     # drives at _advance_with_subdivision); a rename silently drops its metrics
