@@ -3,8 +3,8 @@
 Each check returns (name, measured residual, tolerance); a check passes when
 the residual does not exceed the tolerance.  The oracles deliberately avoid
 the code paths they verify: quadrature against closed forms, a textbook
-radial-return integrator against the coupled solver, and exact limit
-identities against the assembled operators.
+radial-return integrator against the coupled solver, and exact limit and
+two-material (Levin) identities against the assembled operators.
 """
 from __future__ import annotations
 
@@ -12,7 +12,8 @@ import numpy as np
 
 from .eshelby import (eshelby_tensor, eshelby_tensor_quadrature,
                       sphere_eshelby_coefficients)
-from .mean_field import PhaseSpec, Spheroid, assemble_operators
+from .mean_field import (PhaseSpec, Spheroid, assemble_operators, localize,
+                         upscale_stress)
 from .plasticity import DruckerPrager
 from .solver import SolverSettings, drive, strain_program
 from .tensors import IVEC, J_PROJ, K_PROJ, iso_stiffness
@@ -98,6 +99,53 @@ def check_radial_return() -> tuple[str, float, float]:
     return "homogeneous REV vs radial return", worst, 1e-10
 
 
+def _two_material_cases():
+    """Per scheme: operators of a matrix and one inclusion material in three
+    shapes on seeded axes, the two materials' uniform eigen-strains, and the
+    per-phase eigen-strain array."""
+    rng = np.random.default_rng(5)
+    aspects = (0.2, 1.0, 3.0)
+    phases = [PhaseSpec("matrix", 0.7, 100.0, 0.25)] + [
+        PhaseSpec(f"incl{k}", 0.025, 600.0, 0.3,
+                  spheroid=Spheroid(aspects[k % 3], tuple(rng.normal(size=3))))
+        for k in range(12)]
+    eps_1, eps_2 = rng.normal(size=(2, 6)) * 1e-3
+    for scheme in ("mori_tanaka", "dilute"):
+        ops = assemble_operators(phases, scheme=scheme)
+        eps_p = np.vstack((eps_1, np.tile(eps_2, (ops.n_phases - 1, 1))))
+        yield ops, eps_1, eps_2, eps_p
+
+
+def check_levin_eigen_stress() -> tuple[str, float, float]:
+    """Levin: the macro eigen-stress of two materials from C_hom alone,
+    tau_1 + (C_hom - C_1)(C_2 - C_1)^-1 (tau_2 - tau_1), tau_r = -C_r eps_p,r."""
+    worst = 0.0
+    for ops, eps_1, eps_2, eps_p in _two_material_cases():
+        c_1, c_2 = ops.stiffness[0], ops.stiffness[1]
+        tau_1, tau_2 = -c_1 @ eps_1, -c_2 @ eps_2
+        levin = tau_1 + (ops.stiffness_hom - c_1) @ np.linalg.solve(c_2 - c_1, tau_2 - tau_1)
+        sig = upscale_stress(ops, np.zeros(6), eps_p)
+        worst = max(worst, float(np.abs(sig - levin).max() / np.abs(levin).max()))
+    return "Levin two-material eigen-stress (upscale)", worst, 1e-12
+
+
+def check_levin_uniform_field() -> tuple[str, float, float]:
+    """Levin's uniform field: at E* = (C_2 - C_1)^-1 (C_2 eps_p,2 - C_1 eps_p,1)
+    every phase strain is E*, and the macro stress is C_1 (E* - eps_p,1)."""
+    worst = 0.0
+    for ops, eps_1, eps_2, eps_p in _two_material_cases():
+        c_1, c_2 = ops.stiffness[0], ops.stiffness[1]
+        e_star = np.linalg.solve(c_2 - c_1, c_2 @ eps_2 - c_1 @ eps_1)
+        sig_star = c_1 @ (e_star - eps_1)
+        worst = max(worst,
+                    float(np.abs(localize(ops, e_star, eps_p) - e_star).max()
+                          / np.abs(e_star).max()),
+                    float(np.abs(upscale_stress(ops, e_star, eps_p) - sig_star).max()
+                          / np.abs(sig_star).max()))
+    return "Levin uniform field (localize)", worst, 1e-12
+
+
 def run_selfchecks() -> list[tuple[str, float, float]]:
     return [check_sphere_eshelby(), check_spheroid_quadrature(),
-            check_homogeneous_limit(), check_radial_return()]
+            check_homogeneous_limit(), check_radial_return(),
+            check_levin_eigen_stress(), check_levin_uniform_field()]

@@ -1,13 +1,17 @@
 """Incremental multiscale return-mapping driver with mixed strain/stress control.
 
 Each increment is one nonlinear solve.  The stress-controlled macroscopic
-strain components are predicted exactly for an elastic step, and the trial
-state localized there with frozen plastic strains is accepted if no phase
-violates its yield surface.  Otherwise the coupled return of the active
-phases is solved: plastic strains are eigen-strains of the Mori-Tanaka
-medium, so every active phase's stress depends on every phase's flow.  The
-macroscopic stress is affine in the macroscopic strain and the
-eigen-strains, so the corrections of the k stress-controlled strain
+strain components are predicted exactly for an elastic step.  While the
+plastic strains are frozen the medium is linear, so the trial state there is
+the converged state plus the elastic response A_a d eps_bar of every phase;
+it is accepted if no phase violates its yield surface, with the macro stress
+C_hom (eps_bar - eps_bar_p).  Otherwise the coupled return of the active
+phases is solved, and the state it returns is localized and upscaled from the
+total plastic strains, so the roundoff of the elastic updates lasts one
+elastic stretch at most.  In the return, plastic strains are eigen-strains of
+the Mori-Tanaka medium, so every active phase's stress depends on every
+phase's flow.  The macroscopic stress is affine in the macroscopic strain and
+the eigen-strains, so the corrections of the k stress-controlled strain
 components are a fixed linear function of the eigen-strain increments:
 they are eliminated exactly, and the controlled stresses are on target at
 every Newton iterate.  That function depends on the control modes only, so
@@ -153,9 +157,11 @@ def phase_stresses(ops: MeanFieldOperators, strains: np.ndarray,
 
 
 def _trial_at(ops: MeanFieldOperators, state: REVState, eps_bar: np.ndarray):
-    eps_tr = localize(ops, eps_bar, state.plastic_strain)
-    sig_tr = phase_stresses(ops, eps_tr, state.plastic_strain)
-    return eps_bar, eps_tr, sig_tr
+    """Trial strains and stresses at ``eps_bar`` with the plastic strains of
+    ``state`` frozen: the REV is then linear, so they are the converged fields
+    plus the elastic response A_a (eps_bar - eps_bar_n) to the macro increment."""
+    d = np.einsum("aij,j->ai", ops.concentration, eps_bar - state.macro_strain)
+    return eps_bar, state.strain + d, state.stress + np.einsum("aij,aj->ai", ops.stiffness, d)
 
 
 def check_yield(ops: MeanFieldOperators, stresses: np.ndarray
@@ -417,7 +423,9 @@ def _solve_mixed_increment(ops, state, targets, control, settings):
         strains = localize(ops, eps_bar, eps_p)
         stresses = phase_stresses(ops, strains, eps_p)
         macro_plastic = macro_plastic_strain(ops, eps_p)
-    sig_bar = upscale_stress(ops, eps_bar, eps_p)
+        sig_bar = upscale_stress(ops, eps_bar, eps_p)
+    else:
+        sig_bar = ops.stiffness_hom @ (eps_bar - macro_plastic)
     miss = np.abs(sig_bar[control.idx] - targets[control.idx]).max(initial=0.0)
     if miss > settings.mixed_tol * max(1.0, float(np.linalg.norm(sig_bar))):
         raise StepFailureError(

@@ -78,9 +78,10 @@ def test_check_battery(capsys):
     code = main(["check"])
     assert code == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 4
+    assert out.count("PASS") == 6
     assert "FAIL" not in out
     assert "radial return" in out
+    assert "Levin uniform field" in out
 
 
 def test_run_elastic_only_scenario(tmp_path, capsys):
