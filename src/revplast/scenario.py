@@ -102,26 +102,25 @@ def default_scenario() -> Scenario:
 
 
 # ---------------------------------------------------------------------------
+# section tables: the key sets, the parser and the serializer all read these
+
+_ELASTIC = {"young_modulus": "matrix_young", "poisson_ratio": "matrix_poisson"}
+_FAMILY = ("young_modulus", "poisson_ratio", "aspect_ratio", "volume_fraction")
+_PLASTIC = ("friction_angle", "shear_strength", "dilation_angle")
+_OUTPUT = {"macro": "macro_path", "per_phase": "phase_path", "plot_data": "plot_prefix"}
+_SECTION_KEYS = {"matrix": {*_ELASTIC, "plastic_model", *_PLASTIC},
+                 "inclusions": {*_FAMILY, "orientations", "plastic_model", *_PLASTIC},
+                 "loading": {"segment"},
+                 "solver": {"scheme"} | {f.name for f in fields(SolverSettings)},
+                 "output": set(_OUTPUT)}
+
+
+# ---------------------------------------------------------------------------
 # parsing
 
-_MATRIX_KEYS = {"young_modulus", "poisson_ratio", "plastic_model",
-                "friction_angle", "shear_strength", "dilation_angle"}
-_INCL_KEYS = {"young_modulus", "poisson_ratio", "aspect_ratio", "volume_fraction",
-              "orientations", "plastic_model", "friction_angle", "shear_strength",
-              "dilation_angle"}
-_LOADING_KEYS = {"segment"}
-_SOLVER_KEYS = {"scheme"} | {f.name for f in fields(SolverSettings)}
-_OUTPUT_KEYS = {"macro", "per_phase", "plot_data"}
-_SECTION_KEYS = {"matrix": _MATRIX_KEYS, "inclusions": _INCL_KEYS,
-                 "loading": _LOADING_KEYS, "solver": _SOLVER_KEYS,
-                 "output": _OUTPUT_KEYS}
-
-
-def _tokenize(text: str):
-    """Yield (line_no, section, key, value) entries, validating structure."""
-    section = None
-    seen: dict[tuple[int, str], int] = {}
-    section_ord = -1
+def _sections(text: str) -> list[tuple[str, int, dict, list]]:
+    """Split a document into (name, header line, {key: (value, line)}, segments)."""
+    sections: list[tuple[str, int, dict, list]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -129,26 +128,30 @@ def _tokenize(text: str):
         if line.startswith("["):
             if not line.endswith("]"):
                 raise ScenarioError("unterminated section header", line_no)
-            section = line[1:-1].strip().lower()
-            if section not in _SECTION_KEYS:
-                raise ScenarioError(f"unknown section [{section}]", line_no)
-            section_ord += 1
-            yield line_no, section, None, None
+            name = line[1:-1].strip().lower()
+            if name not in _SECTION_KEYS:
+                raise ScenarioError(f"unknown section [{name}]", line_no)
+            if name != "inclusions" and any(s[0] == name for s in sections):
+                raise ScenarioError(f"section [{name}] may appear only once", line_no)
+            sections.append((name, line_no, {}, []))
             continue
-        if section is None:
+        if not sections:
             raise ScenarioError("key/value outside any section", line_no)
         if "=" not in line:
             raise ScenarioError("expected 'key = value'", line_no)
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.lower()
-        if key not in _SECTION_KEYS[section]:
-            raise ScenarioError(f"unknown key {key!r} in section [{section}]", line_no)
-        if key != "segment":
-            if (section_ord, key) in seen:
-                raise ScenarioError(f"duplicate key {key!r} (first at line "
-                                    f"{seen[(section_ord, key)]})", line_no)
-            seen[(section_ord, key)] = line_no
-        yield line_no, section, key, value
+        name, _, entries, segments = sections[-1]
+        if key not in _SECTION_KEYS[name]:
+            raise ScenarioError(f"unknown key {key!r} in section [{name}]", line_no)
+        if key == "segment":
+            segments.append(_parse_segment(value, line_no))
+        elif key in entries:
+            raise ScenarioError(f"duplicate key {key!r} (first at line "
+                                f"{entries[key][1]})", line_no)
+        else:
+            entries[key] = (value, line_no)
+    return sections
 
 
 def _parse_float(value: str, line_no: int) -> float:
@@ -168,28 +171,29 @@ def _parse_int(value: str, line_no: int) -> int:
         raise ScenarioError(f"malformed integer {value!r}", line_no) from None
 
 
+def _required_float(entries: dict, key: str, section: str, line_no: int) -> float:
+    if key not in entries:
+        raise ScenarioError(f"[{section}] is missing {key!r}", line_no)
+    return _parse_float(*entries[key])
+
+
 def _parse_plastic(entries: dict, section: str, line_no: int) -> DruckerPrager | None:
-    model = entries.pop("plastic_model", (None, line_no))[0]
-    phi = entries.pop("friction_angle", None)
-    sig0 = entries.pop("shear_strength", None)
-    psi = entries.pop("dilation_angle", None)
+    model = entries.get("plastic_model", (None,))[0]
+    given = [entries[key] for key in _PLASTIC if key in entries]
     if model is None or model.lower() in ("none", "elastic"):
-        for extra in (phi, sig0, psi):
-            if extra is not None:
-                raise ScenarioError(
-                    f"plastic parameters given without plastic_model in [{section}]",
-                    extra[1])
+        if given:
+            raise ScenarioError(
+                f"plastic parameters given without plastic_model in [{section}]",
+                given[0][1])
         return None
     if model.lower() != "drucker_prager":
         raise ScenarioError(f"unknown plastic_model {model!r}", line_no)
-    if sig0 is None:
+    if "shear_strength" not in entries:
         raise ScenarioError(f"plastic_model requires shear_strength in [{section}]",
                             line_no)
+    params = {key: _parse_float(*entries[key]) for key in _PLASTIC if key in entries}
     try:
-        return DruckerPrager(
-            friction_angle=_parse_float(phi[0], phi[1]) if phi else 0.0,
-            shear_strength=_parse_float(sig0[0], sig0[1]),
-            dilation_angle=_parse_float(psi[0], psi[1]) if psi else None)
+        return DruckerPrager(**{"friction_angle": 0.0, **params})
     except ValueError as exc:
         raise ScenarioError(str(exc), line_no) from None
 
@@ -205,8 +209,6 @@ def _parse_orientations(value: str, line_no: int):
             raise ScenarioError(f"orientation {chunk.strip()!r} is not three numbers",
                                 line_no)
         axes.append(tuple(_parse_float(p, line_no) for p in parts))
-    if not axes:
-        raise ScenarioError("empty orientation list", line_no)
     return tuple(axes)
 
 
@@ -251,87 +253,42 @@ def _parse_segment(value: str, line_no: int) -> LoadSegment:
 
 def parse_scenario(text: str) -> Scenario:
     """Parse a scenario document; raises ScenarioError with the offending line."""
-    matrix: dict = {}
-    families_raw: list[tuple[dict, int]] = []
-    segments: list[LoadSegment] = []
-    solver_kv: dict = {}
-    output_kv: dict = {}
-    current_family: dict | None = None
-    matrix_line = 0
-    seen_sections: set[str] = set()
-    for line_no, section, key, value in _tokenize(text):
-        if key is None:
-            if section != "inclusions" and section in seen_sections:
-                raise ScenarioError(f"section [{section}] may appear only once",
-                                    line_no)
-            seen_sections.add(section)
-            if section == "inclusions":
-                current_family = {}
-                families_raw.append((current_family, line_no))
-            elif section == "matrix":
-                matrix_line = line_no
-            continue
-        if section == "matrix":
-            matrix[key] = (value, line_no)
-        elif section == "inclusions":
-            current_family[key] = (value, line_no)
-        elif section == "loading":
-            segments.append(_parse_segment(value, line_no))
-        elif section == "solver":
-            solver_kv[key] = (value, line_no)
-        elif section == "output":
-            output_kv[key] = (value, line_no)
-
-    if not matrix and matrix_line == 0:
+    sections = _sections(text)
+    once = {s[0]: s for s in sections if s[0] != "inclusions"}
+    if "matrix" not in once:
         raise ScenarioError("missing required section [matrix]")
-    for req in ("young_modulus", "poisson_ratio"):
-        if req not in matrix:
-            raise ScenarioError(f"[matrix] is missing {req!r}", matrix_line)
-    matrix_young = _parse_float(*matrix.pop("young_modulus"))
-    matrix_poisson = _parse_float(*matrix.pop("poisson_ratio"))
+    _, matrix_line, matrix, _ = once["matrix"]
+    elastic = {attr: _required_float(matrix, key, "matrix", matrix_line)
+               for key, attr in _ELASTIC.items()}
     matrix_plastic = _parse_plastic(matrix, "matrix", matrix_line)
-
-    families = []
-    for fam_kv, fam_line in families_raw:
-        for req in ("young_modulus", "poisson_ratio", "aspect_ratio", "volume_fraction"):
-            if req not in fam_kv:
-                raise ScenarioError(f"[inclusions] is missing {req!r}", fam_line)
-        orient = fam_kv.pop("orientations", None)
-        fam = InclusionFamily(
-            young_modulus=_parse_float(*fam_kv.pop("young_modulus")),
-            poisson_ratio=_parse_float(*fam_kv.pop("poisson_ratio")),
-            aspect_ratio=_parse_float(*fam_kv.pop("aspect_ratio")),
-            volume_fraction=_parse_float(*fam_kv.pop("volume_fraction")),
-            orientations=_parse_orientations(*orient) if orient else "cube26",
-            plastic=_parse_plastic(fam_kv, "inclusions", fam_line))
-        families.append(fam)
-
-    scheme = "mori_tanaka"
-    if "scheme" in solver_kv:
-        scheme, line_no = solver_kv.pop("scheme")
-        if scheme not in ("mori_tanaka", "dilute"):
-            raise ScenarioError(f"unknown scheme {scheme!r}", line_no)
+    families = tuple(InclusionFamily(
+        **{key: _required_float(entries, key, name, line_no) for key in _FAMILY},
+        orientations=(_parse_orientations(*entries["orientations"])
+                      if "orientations" in entries else "cube26"),
+        plastic=_parse_plastic(entries, name, line_no))
+        for name, line_no, entries, _ in sections if name == "inclusions")
+    absent = (None, 0, {}, [])
+    _, _, solver, _ = once.get("solver", absent)
+    scheme, line_no = solver.get("scheme", ("mori_tanaka", 0))
+    if scheme not in ("mori_tanaka", "dilute"):
+        raise ScenarioError(f"unknown scheme {scheme!r}", line_no)
     parsers = {float: _parse_float, int: _parse_int}
     overrides = {}
     for f in fields(SolverSettings):
-        if f.name in solver_kv:
-            value, line_no = solver_kv[f.name]
+        if f.name in solver:
+            value, line_no = solver[f.name]
             overrides[f.name] = parsers[type(f.default)](value, line_no)
             try:  # each setting's range is checked on its own, so the error has its line
                 SolverSettings(**{f.name: overrides[f.name]})
             except ValueError as exc:
                 raise ScenarioError(str(exc), line_no) from None
-    settings = SolverSettings(**overrides)
-
-    output = OutputOptions(
-        macro_path=output_kv.pop("macro", ("macro.csv", 0))[0],
-        phase_path=output_kv.pop("per_phase", (None, 0))[0],
-        plot_prefix=output_kv.pop("plot_data", (None, 0))[0])
-
-    scenario = Scenario(matrix_young=matrix_young, matrix_poisson=matrix_poisson,
-                        families=tuple(families), matrix_plastic=matrix_plastic,
-                        scheme=scheme, program=LoadProgram(segments=tuple(segments)),
-                        settings=settings, output=output)
+    output = once.get("output", absent)[2]
+    scenario = Scenario(
+        **elastic, families=families, matrix_plastic=matrix_plastic, scheme=scheme,
+        program=LoadProgram(segments=tuple(once.get("loading", absent)[3])),
+        settings=SolverSettings(**overrides),
+        output=OutputOptions(**{attr: output[key][0]
+                                for key, attr in _OUTPUT.items() if key in output}))
     try:
         scenario.phases()
     except ValueError as exc:
@@ -349,52 +306,36 @@ def _fmt(x: float) -> str:
 def _plastic_lines(model: DruckerPrager | None) -> list[str]:
     if model is None:
         return []
-    lines = ["plastic_model = drucker_prager",
-             f"friction_angle = {_fmt(model.friction_angle)}",
-             f"shear_strength = {_fmt(model.shear_strength)}"]
-    if model.dilation_angle is not None:
-        lines.append(f"dilation_angle = {_fmt(model.dilation_angle)}")
-    return lines
+    return ["plastic_model = drucker_prager"] + [
+        f"{key} = {_fmt(getattr(model, key))}"
+        for key in _PLASTIC if getattr(model, key) is not None]
 
 
 def serialize_scenario(s: Scenario) -> str:
-    lines = ["[matrix]",
-             f"young_modulus = {_fmt(s.matrix_young)}",
-             f"poisson_ratio = {_fmt(s.matrix_poisson)}"]
+    lines = ["[matrix]"] + [f"{key} = {_fmt(getattr(s, attr))}"
+                            for key, attr in _ELASTIC.items()]
     lines += _plastic_lines(s.matrix_plastic)
     for fam in s.families:
-        lines += ["", "[inclusions]",
-                  f"young_modulus = {_fmt(fam.young_modulus)}",
-                  f"poisson_ratio = {_fmt(fam.poisson_ratio)}",
-                  f"aspect_ratio = {_fmt(fam.aspect_ratio)}",
-                  f"volume_fraction = {_fmt(fam.volume_fraction)}"]
-        if isinstance(fam.orientations, str):
-            lines.append(f"orientations = {fam.orientations}")
-        else:
-            axes = "; ".join(" ".join(_fmt(x) for x in axis)
-                             for axis in fam.orientations)
-            lines.append(f"orientations = {axes}")
-        lines += _plastic_lines(fam.plastic)
+        orientations = fam.orientations if isinstance(fam.orientations, str) else \
+            "; ".join(" ".join(_fmt(x) for x in axis) for axis in fam.orientations)
+        lines += ["", "[inclusions]"]
+        lines += [f"{key} = {_fmt(getattr(fam, key))}" for key in _FAMILY]
+        lines += [f"orientations = {orientations}"] + _plastic_lines(fam.plastic)
     if s.program.segments:
         lines += ["", "[loading]"]
-        for seg in s.program.segments:
-            tokens = []
-            for i, (t, m) in enumerate(zip(seg.targets, seg.modes)):
-                if t is None:
-                    continue
-                prefix = "e" if m == STRAIN else "s"
-                tokens.append(f"{prefix}{COMPONENT_LABELS[i]}:{_fmt(t)}")
-            tokens.append(f"n:{seg.increments}")
-            lines.append(f"segment = {' '.join(tokens)}")
+    for seg in s.program.segments:
+        tokens = [f"{'e' if m == STRAIN else 's'}{label}:{_fmt(t)}"
+                  for label, t, m in zip(COMPONENT_LABELS, seg.targets, seg.modes)
+                  if t is not None]
+        lines.append(f"segment = {' '.join(tokens)} n:{seg.increments}")
     lines += ["", "[solver]", f"scheme = {s.scheme}"]
     for f in fields(SolverSettings):
         value = getattr(s.settings, f.name)
         if value != f.default:
-            fmt = _fmt(value) if isinstance(value, float) else str(value)
-            lines.append(f"{f.name} = {fmt}")
-    lines += ["", "[output]", f"macro = {s.output.macro_path}"]
-    if s.output.phase_path:
-        lines.append(f"per_phase = {s.output.phase_path}")
-    if s.output.plot_prefix:
-        lines.append(f"plot_data = {s.output.plot_prefix}")
+            lines.append(f"{f.name} = {_fmt(value) if isinstance(value, float) else value}")
+    lines += ["", "[output]"]
+    for key, attr in _OUTPUT.items():
+        value = getattr(s.output, attr)
+        if value or key == "macro":
+            lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
