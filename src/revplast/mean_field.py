@@ -12,6 +12,8 @@ for every source phase.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +37,14 @@ class Spheroid:
     def __post_init__(self):
         if not self.aspect_ratio > 0.0:
             raise ValueError(f"aspect ratio must be positive, got {self.aspect_ratio}")
-        if not 0.0 < np.linalg.norm(self.axis) < np.inf:
+        axis = [float(x) for x in self.axis]
+        if not all(map(math.isfinite, axis)) or not any(axis):
             raise ValueError(f"spheroid axis must be a nonzero finite vector, got {self.axis}")
+        # the operators divide by sqrt(axis . axis): its square must neither
+        # overflow nor fall below the normal range
+        if not sys.float_info.min <= sum(x * x for x in axis) < math.inf:
+            raise ValueError(f"spheroid axis {self.axis} cannot be normalized in "
+                             "double precision")
 
 
 @dataclass(frozen=True)

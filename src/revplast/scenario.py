@@ -10,7 +10,7 @@ all other keys are single-valued.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -39,6 +39,14 @@ class InclusionFamily:
     volume_fraction: float
     orientations: str | tuple[tuple[float, float, float], ...] = "cube26"
     plastic: DruckerPrager | None = None
+
+    def __post_init__(self):
+        if isinstance(self.orientations, str):
+            if self.orientations not in ORIENTATION_SETS:
+                raise ValueError(f"unknown orientation set {self.orientations!r}; "
+                                 f"choose from {sorted(ORIENTATION_SETS)}")
+        elif len(self.orientations) == 0:
+            raise ValueError("orientations must list at least one axis")
 
     def axes(self) -> list:
         if isinstance(self.orientations, str):
@@ -113,6 +121,9 @@ _SECTION_KEYS = {"matrix": {*_ELASTIC, "plastic_model", *_PLASTIC},
                  "loading": {"segment"},
                  "solver": {"scheme"} | {f.name for f in fields(SolverSettings)},
                  "output": set(_OUTPUT)}
+# valid instances that one parsed field at a time is swapped into for its range check
+_PLASTIC_PROBE = DruckerPrager(friction_angle=0.0, shear_strength=1.0)
+_SETTINGS_PROBE = SolverSettings()
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +188,19 @@ def _required_float(entries: dict, key: str, section: str, line_no: int) -> floa
     return _parse_float(*entries[key])
 
 
+def _checked(probe, entries: dict, key: str, parse=_parse_float):
+    """Parse one field and range-check it on its own, so an error names its line."""
+    value, line_no = entries[key]
+    value = parse(value, line_no)
+    try:
+        replace(probe, **{key: value})
+    except ValueError as exc:
+        raise ScenarioError(str(exc), line_no) from None
+    return value
+
+
 def _parse_plastic(entries: dict, section: str, line_no: int) -> DruckerPrager | None:
-    model = entries.get("plastic_model", (None,))[0]
+    model, model_line = entries.get("plastic_model", (None, line_no))
     given = [entries[key] for key in _PLASTIC if key in entries]
     if model is None or model.lower() in ("none", "elastic"):
         if given:
@@ -187,15 +209,13 @@ def _parse_plastic(entries: dict, section: str, line_no: int) -> DruckerPrager |
                 given[0][1])
         return None
     if model.lower() != "drucker_prager":
-        raise ScenarioError(f"unknown plastic_model {model!r}", line_no)
+        raise ScenarioError(f"unknown plastic_model {model!r}", model_line)
     if "shear_strength" not in entries:
         raise ScenarioError(f"plastic_model requires shear_strength in [{section}]",
                             line_no)
-    params = {key: _parse_float(*entries[key]) for key in _PLASTIC if key in entries}
-    try:
-        return DruckerPrager(**{"friction_angle": 0.0, **params})
-    except ValueError as exc:
-        raise ScenarioError(str(exc), line_no) from None
+    params = {key: _checked(_PLASTIC_PROBE, entries, key)
+              for key in _PLASTIC if key in entries}
+    return DruckerPrager(**{"friction_angle": 0.0, **params})
 
 
 def _parse_orientations(value: str, line_no: int):
@@ -273,15 +293,9 @@ def parse_scenario(text: str) -> Scenario:
     if scheme not in ("mori_tanaka", "dilute"):
         raise ScenarioError(f"unknown scheme {scheme!r}", line_no)
     parsers = {float: _parse_float, int: _parse_int}
-    overrides = {}
-    for f in fields(SolverSettings):
-        if f.name in solver:
-            value, line_no = solver[f.name]
-            overrides[f.name] = parsers[type(f.default)](value, line_no)
-            try:  # each setting's range is checked on its own, so the error has its line
-                SolverSettings(**{f.name: overrides[f.name]})
-            except ValueError as exc:
-                raise ScenarioError(str(exc), line_no) from None
+    overrides = {f.name: _checked(_SETTINGS_PROBE, solver, f.name,
+                                  parsers[type(f.default)])
+                 for f in fields(SolverSettings) if f.name in solver}
     output = once.get("output", absent)[2]
     scenario = Scenario(
         **elastic, families=families, matrix_plastic=matrix_plastic, scheme=scheme,
@@ -326,16 +340,22 @@ def serialize_scenario(s: Scenario) -> str:
     for seg in s.program.segments:
         tokens = [f"{'e' if m == STRAIN else 's'}{label}:{_fmt(t)}"
                   for label, t, m in zip(COMPONENT_LABELS, seg.targets, seg.modes)
-                  if t is not None]
-        lines.append(f"segment = {' '.join(tokens)} n:{seg.increments}")
+                  if t is not None] + [f"n:{seg.increments}"]
+        lines.append(f"segment = {' '.join(tokens)}")
     lines += ["", "[solver]", f"scheme = {s.scheme}"]
     for f in fields(SolverSettings):
         value = getattr(s.settings, f.name)
         if value != f.default:
-            lines.append(f"{f.name} = {_fmt(value) if isinstance(value, float) else value}")
+            fmt = _fmt(value) if isinstance(value, float) else str(value)
+            lines.append(f"{f.name} = {fmt}")
     lines += ["", "[output]"]
     for key, attr in _OUTPUT.items():
         value = getattr(s.output, attr)
-        if value or key == "macro":
-            lines.append(f"{key} = {value}")
+        if value is None and getattr(OutputOptions, attr) is None:
+            continue  # an omitted key reads back as None
+        if (not isinstance(value, str) or "#" in value or value != value.strip()
+                or len(value.splitlines()) > 1):
+            raise ValueError(f"output {attr} {value!r} would not read back: a path "
+                             "is a string without '#', line breaks or edge whitespace")
+        lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"

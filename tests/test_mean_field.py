@@ -12,6 +12,7 @@ from revplast.mean_field import (PhaseSpec, Spheroid, assemble_operators,
                                  dilute_concentration, localize,
                                  macro_plastic_strain, upscale_stress,
                                  validate_phases)
+from revplast.orientations import rotation_to_axis
 from revplast.plasticity import DruckerPrager
 from revplast.scenario import default_scenario
 from revplast.tensors import J_PROJ, K_PROJ, iso_stiffness
@@ -238,6 +239,23 @@ def test_phase_validation_errors():
 def test_spheroid_rejects_degenerate_input(aspect, axis, match):
     with pytest.raises(ValueError, match=match):
         Spheroid(aspect, axis)
+
+
+@pytest.mark.parametrize("axis", [(1e200, 1e200, 0.0), (1e-200, 1e-200, 0.0),
+                                  (1e-160, 0.0, 0.0)])
+def test_spheroid_rejects_axis_it_cannot_normalize(axis):
+    # nonzero and finite, but axis . axis overflows or leaves the normal range;
+    # rejected by name and without a numpy overflow warning
+    with pytest.raises(ValueError, match="cannot be normalized in double precision"):
+        Spheroid(0.35, axis)
+
+
+@pytest.mark.parametrize("axis", [(1e150, -1e150, 0.0), (1e-150, 0.0, 1e-150)])
+def test_spheroid_axis_at_extreme_scale_gives_a_rotation(axis):
+    Spheroid(0.35, axis)
+    r = rotation_to_axis(axis)
+    assert np.abs(r.T @ r - np.eye(3)).max() < 1e-15
+    assert np.allclose(r[:, 2], np.array(axis) / max(map(abs, axis)) / np.sqrt(2.0))
 
 
 def test_phase_spec_rejects_bad_elasticity():
