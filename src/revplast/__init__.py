@@ -13,7 +13,7 @@ from .eshelby import eshelby_tensor, hill_tensor
 from .mean_field import (MeanFieldOperators, PhaseSpec, Spheroid,
                          assemble_operators, localize, macro_plastic_strain,
                          upscale_stress)
-from .plasticity import DruckerPrager, flow_direction, stress_invariants, yield_value
+from .plasticity import DruckerPrager, stress_invariants
 from .scenario import (InclusionFamily, Scenario, default_scenario,
                        parse_scenario, serialize_scenario)
 from .solver import (LoadProgram, LoadSegment, REVState, SolverSettings, drive,
@@ -27,7 +27,7 @@ __all__ = [
     "MorphologyError", "PhaseSpec", "REVState", "RevplastError", "Scenario",
     "ScenarioError", "SingularOperatorError", "SolverSettings", "Spheroid",
     "StepFailureError", "SymmetryError", "assemble_operators", "default_scenario",
-    "drive", "eshelby_tensor", "flow_direction", "hill_tensor", "localize",
-    "macro_plastic_strain", "parse_scenario", "serialize_scenario",
-    "strain_program", "stress_invariants", "upscale_stress", "yield_value",
+    "drive", "eshelby_tensor", "hill_tensor", "localize", "macro_plastic_strain",
+    "parse_scenario", "serialize_scenario", "strain_program", "stress_invariants",
+    "upscale_stress",
 ]

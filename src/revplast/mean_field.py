@@ -63,6 +63,9 @@ class PhaseSpec:
     plastic: DruckerPrager | None = None
 
     def __post_init__(self):
+        if self.volume_fraction <= 0.0:
+            raise ValueError(f"phase {self.name!r}: volume fraction must be "
+                             f"positive, got {self.volume_fraction}")
         if self.young_modulus <= 0.0:
             raise ValueError(f"phase {self.name!r}: Young's modulus must be "
                              f"positive, got {self.young_modulus}")
@@ -87,9 +90,6 @@ def validate_phases(phases) -> tuple[PhaseSpec, ...]:
         raise ValueError(f"exactly one matrix phase required, got {len(matrices)}")
     if not phases[0].is_matrix:
         raise ValueError("matrix phase must come first")
-    for p in phases:
-        if p.volume_fraction <= 0.0:
-            raise ValueError(f"phase {p.name!r}: volume fraction must be positive")
     total = sum(p.volume_fraction for p in phases)
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"volume fractions sum to {total!r}, expected 1")

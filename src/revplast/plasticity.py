@@ -4,14 +4,14 @@ Zero friction angle reduces the criterion to von Mises with the equivalent
 stress capped at the shear failure stress.  Perfect plasticity only: the
 surface carries no internal variables.
 
-``dp_yield`` and ``dp_flow`` work on ``(m, 6)`` Mandel stresses with ``(m,)``
-arrays of angle tangents and shear strengths (or on one ``(6,)`` stress with
-scalars); the solver calls them with the per-phase parameter arrays stored on
-the mean-field operators.  Each is the invariants followed by its ``_of``
-formula; a return-mapping iterate evaluates the invariants of its stresses
-once with ``dp_direction`` and applies ``dp_yield_of``, ``dp_flow_of`` and
-``dp_flow_gradient_of`` to them.  The model-level functions below call the same
-kernel with one model's scalars.
+The kernel works on ``(m, 6)`` Mandel stresses with ``(m,)`` arrays of angle
+tangents and shear strengths (or on one ``(6,)`` stress with scalars).  The
+solver passes the per-phase parameter arrays stored on the mean-field
+operators; one model's are ``np.tan(model.friction_angle)``,
+``np.tan(model.potential_angle)`` and ``model.shear_strength``.  ``dp_yield``
+is ``stress_invariants`` followed by ``dp_yield_of``; a return-mapping iterate
+evaluates the invariants of its stresses once with ``dp_direction`` and
+applies ``dp_yield_of``, ``dp_flow_of`` and ``dp_flow_gradient_of`` to them.
 """
 from __future__ import annotations
 
@@ -52,7 +52,7 @@ class DruckerPrager:
         return self.friction_angle if self.dilation_angle is None else self.dilation_angle
 
 
-def _invariants(sig):
+def stress_invariants(sig):
     """(mean stress, deviator, equivalent deviatoric stress) of Mandel stresses."""
     sig = np.asarray(sig, dtype=float)
     mean = (sig[..., 0] + sig[..., 1] + sig[..., 2]) / 3.0
@@ -63,7 +63,7 @@ def _invariants(sig):
 
 def dp_yield(sig, tan_friction, strength):
     """Yield values F = s_eq + s_m tan(phi) - s0 in MPa; positive means inadmissible."""
-    mean, _, eq = _invariants(sig)
+    mean, _, eq = stress_invariants(sig)
     return dp_yield_of(mean, eq, tan_friction, strength)
 
 
@@ -75,7 +75,7 @@ def dp_direction(sig, strength):
     direction and its derivative at the same point.  Raises at the apex,
     where n_dev is undefined, naming the first apex row.
     """
-    mean, dev, eq = _invariants(sig)
+    mean, dev, eq = stress_invariants(sig)
     apex = eq <= APEX_TOLERANCE * np.asarray(strength)
     if np.any(apex):
         raise ApexSingularityError(
@@ -95,7 +95,7 @@ def dp_flow_of(n_dev, tan_angle):
 
 
 def dp_flow_gradient_of(n_dev, eq):
-    """Derivatives d n / d sig = (1.5 / s_eq)(K - 2/3 n_dev n_dev) of ``dp_flow``.
+    """Derivatives d n / d sig = (1.5 / s_eq)(K - 2/3 n_dev n_dev) of the flow directions.
 
     ``(m, 6, 6)`` for ``(m, 6)`` directions; the same for every angle, since
     the pressure term of the direction is constant.
@@ -103,35 +103,3 @@ def dp_flow_gradient_of(n_dev, eq):
     outer = n_dev[..., :, None] * n_dev[..., None, :]
     return (1.5 / eq)[..., None, None] * (K_PROJ - (2.0 / 3.0) * outer)
 
-
-def dp_flow(sig, tan_angle, strength):
-    """Gradients of F (or of the potential, given its angle tangent) at ``sig``.
-
-    Undefined where the deviatoric stress vanishes; for positive friction that
-    is the surface apex, which this model deliberately does not regularize.
-    """
-    _, n_dev, _ = dp_direction(sig, strength)
-    return dp_flow_of(n_dev, tan_angle)
-
-
-def stress_invariants(sig: np.ndarray):
-    """(mean stress, equivalent deviatoric stress) of a (6,) or (n, 6) Mandel stress."""
-    mean, _, eq = _invariants(sig)
-    return mean, eq
-
-
-def yield_value(model: DruckerPrager, sig: np.ndarray):
-    """Yield function value(s) of ``model`` in MPa; positive means inadmissible."""
-    return dp_yield(sig, np.tan(model.friction_angle), model.shear_strength)
-
-
-def flow_direction(model: DruckerPrager, sig: np.ndarray,
-                   angle: float | None = None) -> np.ndarray:
-    """Gradient of the yield function (or potential, via ``angle``) at ``sig``."""
-    tan_a = np.tan(model.friction_angle if angle is None else angle)
-    return dp_flow(sig, tan_a, model.shear_strength)
-
-
-def potential_direction(model: DruckerPrager, sig: np.ndarray) -> np.ndarray:
-    """Plastic flow direction from the potential (associated unless a dilation angle is set)."""
-    return flow_direction(model, sig, angle=model.potential_angle)

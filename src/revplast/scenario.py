@@ -41,6 +41,9 @@ class InclusionFamily:
     plastic: DruckerPrager | None = None
 
     def __post_init__(self):
+        # the checks of the phases it expands to, once for the family
+        PhaseSpec("inclusions", self.volume_fraction, self.young_modulus,
+                  self.poisson_ratio, Spheroid(self.aspect_ratio))
         if isinstance(self.orientations, str):
             if self.orientations not in ORIENTATION_SETS:
                 raise ValueError(f"unknown orientation set {self.orientations!r}; "
@@ -122,6 +125,8 @@ _SECTION_KEYS = {"matrix": {*_ELASTIC, "plastic_model", *_PLASTIC},
                  "solver": {"scheme"} | {f.name for f in fields(SolverSettings)},
                  "output": set(_OUTPUT)}
 # valid instances that one parsed field at a time is swapped into for its range check
+_MATRIX_PROBE = PhaseSpec("matrix", 1.0, 1.0, 0.0)
+_FAMILY_PROBE = InclusionFamily(1.0, 0.0, 1.0, 0.5)
 _PLASTIC_PROBE = DruckerPrager(friction_angle=0.0, shear_strength=1.0)
 _SETTINGS_PROBE = SolverSettings()
 
@@ -182,12 +187,6 @@ def _parse_int(value: str, line_no: int) -> int:
         raise ScenarioError(f"malformed integer {value!r}", line_no) from None
 
 
-def _required_float(entries: dict, key: str, section: str, line_no: int) -> float:
-    if key not in entries:
-        raise ScenarioError(f"[{section}] is missing {key!r}", line_no)
-    return _parse_float(*entries[key])
-
-
 def _checked(probe, entries: dict, key: str, parse=_parse_float):
     """Parse one field and range-check it on its own, so an error names its line."""
     value, line_no = entries[key]
@@ -197,6 +196,12 @@ def _checked(probe, entries: dict, key: str, parse=_parse_float):
     except ValueError as exc:
         raise ScenarioError(str(exc), line_no) from None
     return value
+
+
+def _required(probe, entries: dict, key: str, section: str, line_no: int) -> float:
+    if key not in entries:
+        raise ScenarioError(f"[{section}] is missing {key!r}", line_no)
+    return _checked(probe, entries, key)
 
 
 def _parse_plastic(entries: dict, section: str, line_no: int) -> DruckerPrager | None:
@@ -278,11 +283,11 @@ def parse_scenario(text: str) -> Scenario:
     if "matrix" not in once:
         raise ScenarioError("missing required section [matrix]")
     _, matrix_line, matrix, _ = once["matrix"]
-    elastic = {attr: _required_float(matrix, key, "matrix", matrix_line)
+    elastic = {attr: _required(_MATRIX_PROBE, matrix, key, "matrix", matrix_line)
                for key, attr in _ELASTIC.items()}
     matrix_plastic = _parse_plastic(matrix, "matrix", matrix_line)
     families = tuple(InclusionFamily(
-        **{key: _required_float(entries, key, name, line_no) for key in _FAMILY},
+        **{key: _required(_FAMILY_PROBE, entries, key, name, line_no) for key in _FAMILY},
         orientations=(_parse_orientations(*entries["orientations"])
                       if "orientations" in entries else "cube26"),
         plastic=_parse_plastic(entries, name, line_no))

@@ -53,8 +53,8 @@ import numpy as np
 from .errors import ApexSingularityError, StepFailureError
 from .mean_field import (MeanFieldOperators, eigen_response, localize,
                          macro_plastic_strain, upscale_stress)
-from .plasticity import (dp_direction, dp_flow, dp_flow_gradient_of, dp_flow_of,
-                         dp_yield, dp_yield_of)
+from .plasticity import (dp_direction, dp_flow_gradient_of, dp_flow_of, dp_yield,
+                         dp_yield_of)
 
 STRAIN = "strain"
 STRESS = "stress"
@@ -273,7 +273,7 @@ class _ActiveSystem:
     def start(self, sig_tr, lam):
         """Active stresses the multipliers ``lam`` give with flow directions at
         the trial stresses ``sig_tr``: where a warm-started Newton begins."""
-        dirs = dp_flow(sig_tr[self.active], self.tan_g, self.strength)
+        dirs = dp_flow_of(dp_direction(sig_tr[self.active], self.strength)[1], self.tan_g)
         return self.stress_update(sig_tr, lam, dirs)[0][self.active]
 
     def residual(self, sig_tr, sig_act, lam):

@@ -1,3 +1,10 @@
+import os
+
+# one BLAS thread, set before numpy is imported: a second thread only spins
+# on these small matrices, and the timed tests read this process's CPU time
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 

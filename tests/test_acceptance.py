@@ -11,7 +11,7 @@ import pytest
 from revplast.eshelby import (eshelby_tensor, eshelby_tensor_quadrature,
                               sphere_eshelby_coefficients)
 from revplast.mean_field import PhaseSpec, Spheroid, assemble_operators
-from revplast.plasticity import DruckerPrager, yield_value
+from revplast.plasticity import DruckerPrager, dp_yield
 from revplast.results import write_macro_csv
 from revplast.scenario import default_scenario
 from revplast.selfcheck import _radial_return
@@ -112,7 +112,8 @@ def test_criterion_04_yield_consistency(ops, default_run):
         for a, phase in enumerate(ops.phases):
             if phase.plastic is None:
                 continue
-            f_val = yield_value(phase.plastic, st.stress[a])
+            m = phase.plastic
+            f_val = dp_yield(st.stress[a], np.tan(m.friction_angle), m.shear_strength)
             tol = 1e-10 * phase.plastic.shear_strength
             if st.active[a]:
                 worst_f = max(worst_f, abs(f_val) / tol)

@@ -4,54 +4,56 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from revplast.errors import ApexSingularityError
-from revplast.plasticity import (DruckerPrager, dp_direction, dp_flow,
-                                 dp_flow_gradient_of, dp_yield, flow_direction,
-                                 potential_direction, stress_invariants, yield_value)
+from revplast.plasticity import (DruckerPrager, dp_direction, dp_flow_gradient_of,
+                                 dp_flow_of, dp_yield, stress_invariants)
 from revplast.tensors import SQRT2
 
 VM = DruckerPrager(friction_angle=0.0, shear_strength=0.12)
+# the kernel's scalars for the von Mises model
+TAN_VM, S0_VM = np.tan(VM.friction_angle), VM.shear_strength
 
 
 def test_invariants_hydrostatic():
-    mean, eq = stress_invariants(np.array([2.5, 2.5, 2.5, 0, 0, 0]))
+    mean, _, eq = stress_invariants(np.array([2.5, 2.5, 2.5, 0, 0, 0]))
     assert mean == pytest.approx(2.5)
     assert eq == pytest.approx(0.0, abs=1e-15)
 
 
 def test_invariants_uniaxial():
     t = 0.3
-    mean, eq = stress_invariants(np.array([0, 0, -t, 0, 0, 0]))
+    mean, _, eq = stress_invariants(np.array([0, 0, -t, 0, 0, 0]))
     assert mean == pytest.approx(-t / 3.0)
     assert eq == pytest.approx(t)
 
 
 def test_invariants_pure_shear():
     s = 0.25
-    mean, eq = stress_invariants(np.array([0, 0, 0, 0, 0, SQRT2 * s]))
+    mean, _, eq = stress_invariants(np.array([0, 0, 0, 0, 0, SQRT2 * s]))
     assert mean == pytest.approx(0.0)
     assert eq == pytest.approx(np.sqrt(3.0) * s)
 
 
 def test_von_mises_uniaxial_at_yield():
     sig = np.array([0, 0, -0.12, 0, 0, 0])
-    assert yield_value(VM, sig) == pytest.approx(0.0, abs=1e-15)
-    assert yield_value(VM, -sig) == pytest.approx(0.0, abs=1e-15)
+    assert dp_yield(sig, TAN_VM, S0_VM) == pytest.approx(0.0, abs=1e-15)
+    assert dp_yield(-sig, TAN_VM, S0_VM) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_yield_at_zero_stress():
-    assert yield_value(VM, np.zeros(6)) == pytest.approx(-0.12)
+    assert dp_yield(np.zeros(6), TAN_VM, S0_VM) == pytest.approx(-0.12)
 
 
 def test_frictional_hydrostatic():
     model = DruckerPrager(friction_angle=np.pi / 6.0, shear_strength=0.12)
     p = 0.8
     sig = p * np.array([1.0, 1, 1, 0, 0, 0])
-    assert yield_value(model, sig) == pytest.approx(p * np.tan(np.pi / 6.0) - 0.12)
+    assert (dp_yield(sig, np.tan(model.friction_angle), model.shear_strength)
+            == pytest.approx(p * np.tan(np.pi / 6.0) - 0.12))
 
 
 def test_flow_uniaxial_compression():
     sig = np.array([0, 0, -0.2, 0, 0, 0])
-    n = flow_direction(VM, sig)
+    n = dp_flow_of(dp_direction(sig, S0_VM)[1], TAN_VM)
     assert n == pytest.approx([0.5, 0.5, -1.0, 0, 0, 0])
     assert n[:3].sum() == pytest.approx(0.0, abs=1e-15)
 
@@ -59,7 +61,7 @@ def test_flow_uniaxial_compression():
 def test_flow_dilatancy_trace():
     model = DruckerPrager(friction_angle=0.3, shear_strength=0.12)
     sig = np.array([0.1, -0.05, 0.02, 0.03, 0.0, 0.01])
-    n = flow_direction(model, sig)
+    n = dp_flow_of(dp_direction(sig, model.shear_strength)[1], np.tan(model.friction_angle))
     assert n[:3].sum() == pytest.approx(np.tan(0.3), rel=1e-13)
 
 
@@ -67,18 +69,19 @@ def test_flow_dilatancy_trace():
 def test_flow_matches_finite_difference(friction, rng):
     # associated flow: direction equals the yield-function gradient
     model = DruckerPrager(friction_angle=friction, shear_strength=0.12)
-    step = 1e-6 * model.shear_strength
+    tan_f, s0 = np.tan(model.friction_angle), model.shear_strength
+    step = 1e-6 * s0
     for _ in range(100):
         sig = rng.normal(size=6) * 0.2
-        if stress_invariants(sig)[1] < 1e-3:
+        if stress_invariants(sig)[2] < 1e-3:
             continue
-        n = flow_direction(model, sig)
+        n = dp_flow_of(dp_direction(sig, s0)[1], tan_f)
         grad = np.empty(6)
         for k in range(6):
             up, dn = sig.copy(), sig.copy()
             up[k] += step
             dn[k] -= step
-            grad[k] = (yield_value(model, up) - yield_value(model, dn)) / (2 * step)
+            grad[k] = (dp_yield(up, tan_f, s0) - dp_yield(dn, tan_f, s0)) / (2 * step)
         assert np.abs(n - grad).max() < 1e-6
 
 
@@ -88,22 +91,23 @@ def test_yield_positive_homogeneity(c, entries):
     sig = np.array(entries)
     scaled_model = DruckerPrager(friction_angle=0.2, shear_strength=c * 0.12)
     model = DruckerPrager(friction_angle=0.2, shear_strength=0.12)
-    left = yield_value(scaled_model, c * sig)
-    right = c * yield_value(model, sig)
+    left = dp_yield(c * sig, np.tan(scaled_model.friction_angle),
+                    scaled_model.shear_strength)
+    right = c * dp_yield(sig, np.tan(model.friction_angle), model.shear_strength)
     assert left == pytest.approx(right, rel=1e-12, abs=1e-12 * c)
 
 
 @given(st.floats(min_value=1e-3, max_value=1e3))
 def test_flow_scale_invariance(c):
     sig = np.array([0.3, -0.1, 0.05, 0.07, -0.02, 0.01])
-    n1 = flow_direction(VM, sig)
-    n2 = flow_direction(VM, c * sig)
+    n1 = dp_flow_of(dp_direction(sig, S0_VM)[1], TAN_VM)
+    n2 = dp_flow_of(dp_direction(c * sig, S0_VM)[1], TAN_VM)
     assert np.abs(n1 - n2).max() < 1e-12
 
 
 def test_apex_error():
     with pytest.raises(ApexSingularityError) as info:
-        flow_direction(VM, 0.5 * np.array([1.0, 1, 1, 0, 0, 0]))
+        dp_direction(0.5 * np.array([1.0, 1, 1, 0, 0, 0]), S0_VM)
     assert info.value.index == 0
 
 
@@ -120,8 +124,9 @@ def test_non_associated_potential_accepted():
     model = DruckerPrager(friction_angle=0.4, shear_strength=0.12, dilation_angle=0.1)
     assert model.potential_angle == pytest.approx(0.1)
     sig = np.array([0.1, -0.05, 0.02, 0.03, 0.0, 0.01])
-    n_yield = flow_direction(model, sig)
-    n_pot = potential_direction(model, sig)
+    _, n_dev, _ = dp_direction(sig, model.shear_strength)
+    n_yield = dp_flow_of(n_dev, np.tan(model.friction_angle))
+    n_pot = dp_flow_of(n_dev, np.tan(model.potential_angle))
     assert n_pot[:3].sum() == pytest.approx(np.tan(0.1), rel=1e-12)
     assert not np.allclose(n_yield, n_pot)
 
@@ -131,20 +136,25 @@ MIXED = (DruckerPrager(0.0, 0.12), DruckerPrager(0.3, 0.2),
 
 
 def test_batched_kernel_matches_rows(rng):
-    # one (n, 6) call with per-row parameters equals the stacked (6,) results
+    # one (n, 6) call with per-row parameters equals (6,) calls that each
+    # take their own row's model scalars
     sig = rng.normal(size=(len(MIXED), 6)) * 0.3
     tan_f = np.tan([m.friction_angle for m in MIXED])
     tan_g = np.tan([m.potential_angle for m in MIXED])
     s0 = np.array([m.shear_strength for m in MIXED])
-    rows_f = np.array([yield_value(m, s) for m, s in zip(MIXED, sig)])
-    rows_n = np.array([potential_direction(m, s) for m, s in zip(MIXED, sig)])
-    rows_inv = np.array([stress_invariants(s) for s in sig])
+    rows_f = [dp_yield(s, np.tan(m.friction_angle), m.shear_strength)
+              for m, s in zip(MIXED, sig)]
+    rows_n = [dp_flow_of(dp_direction(s, m.shear_strength)[1], np.tan(m.potential_angle))
+              for m, s in zip(MIXED, sig)]
+    rows_inv = [stress_invariants(s) for s in sig]
     assert np.array_equal(dp_yield(sig, tan_f, s0), rows_f)
-    assert np.array_equal(dp_flow(sig, tan_g, s0), rows_n)
-    assert np.array_equal(np.column_stack(stress_invariants(sig)), rows_inv)
-    # one model over a batch of stresses
-    assert np.array_equal(yield_value(MIXED[1], sig),
-                          [yield_value(MIXED[1], s) for s in sig])
+    assert np.array_equal(dp_flow_of(dp_direction(sig, s0)[1], tan_g), rows_n)
+    for batched, rows in zip(stress_invariants(sig), zip(*rows_inv)):
+        assert np.array_equal(batched, np.array(rows))
+    # one model's scalars over a batch of stresses
+    tan_1, s0_1 = np.tan(MIXED[1].friction_angle), MIXED[1].shear_strength
+    assert np.array_equal(dp_yield(sig, tan_1, s0_1),
+                          [dp_yield(s, tan_1, s0_1) for s in sig])
 
 
 def test_batched_flow_apex_row_raises(rng):
@@ -153,16 +163,17 @@ def test_batched_flow_apex_row_raises(rng):
     s0 = np.full(4, 0.12)
     assert dp_yield(sig, np.zeros(4), s0).shape == (4,)  # yield values stay defined
     with pytest.raises(ApexSingularityError) as info:
-        dp_flow(sig, np.zeros(4), s0)
+        dp_direction(sig, s0)
     assert info.value.index == 2  # the first apex row
     sig[3] = sig[2]
     with pytest.raises(ApexSingularityError) as info:
-        flow_direction(VM, sig)
+        dp_direction(sig, S0_VM)  # one model's scalar strength
     assert info.value.index == 2
 
 
 def test_flow_gradient_matches_finite_differences(rng):
-    # d n / d sig against central differences of dp_flow, per row and batched
+    # d n / d sig against central differences of the flow directions, per row
+    # and batched
     sig = rng.normal(size=(len(MIXED), 6)) * 0.3
     tan_g = np.tan([m.potential_angle for m in MIXED])
     s0 = np.array([m.shear_strength for m in MIXED])
@@ -172,7 +183,8 @@ def test_flow_gradient_matches_finite_differences(rng):
         up, dn = sig.copy(), sig.copy()
         up[:, k] += step
         dn[:, k] -= step
-        fd[:, :, k] = (dp_flow(up, tan_g, s0) - dp_flow(dn, tan_g, s0)) / (2 * step)
+        fd[:, :, k] = (dp_flow_of(dp_direction(up, s0)[1], tan_g)
+                       - dp_flow_of(dp_direction(dn, s0)[1], tan_g)) / (2 * step)
     batched = dp_flow_gradient_of(*dp_direction(sig, s0)[1:])
     assert batched.shape == (len(MIXED), 6, 6)
     assert np.abs(batched - fd).max() < 1e-7 * np.abs(fd).max()

@@ -283,6 +283,24 @@ def test_plastic_parameter_error_names_its_line(old, new, match, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize("line,value,match", [
+    (3, "-3", "phase 'matrix': Young's modulus must be positive"),
+    (4, "0.5", "phase 'matrix': Poisson ratio must lie"),
+    (7, "-3", "Young's modulus must be positive"),
+    (8, "-1", "Poisson ratio must lie"),
+    (9, "0", "aspect ratio must be positive"),
+    (10, "0", "volume fraction must be positive"),
+])
+def test_elastic_value_out_of_range_names_its_line(line, value, match):
+    # the [matrix] and [inclusions] numbers are range-checked as they are read
+    lines = GOOD.splitlines()
+    key = lines[line - 1].split("=")[0]
+    lines[line - 1] = f"{key}= {value}"
+    with pytest.raises(ScenarioError, match=match) as err:
+        parse_scenario("\n".join(lines))
+    assert err.value.line == line
+
+
 def test_round_trip_default():
     sc = default_scenario()
     assert parse_scenario(serialize_scenario(sc)) == sc
