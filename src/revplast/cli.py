@@ -37,10 +37,8 @@ def _load_scenario(args) -> Scenario:
 
 
 def _out_path(directory: str | None, path: str) -> str:
-    """``path`` under ``directory`` unless absolute; a relative path's parent
-    directory is created, so a run never fails for it after the solve."""
-    if os.path.isabs(path):
-        return path
+    """``path`` under ``directory`` unless absolute; its parent directory is
+    created, so a run never fails for it after the solve."""
     if directory:
         path = os.path.join(directory, path)
     parent = os.path.dirname(path)
@@ -95,9 +93,8 @@ def _cmd_operators(args) -> int:
     if args.full:
         for a, phase in enumerate(ops.phases):
             _print_tensor(f"A[{phase.name}]", ops.concentration[a])
-        for pa, row in zip(ops.phases, ops.influence):
-            for pb, tensor in zip(ops.phases, row):
-                _print_tensor(f"B[{pa.name}, {pb.name}]", tensor)
+            _print_tensor(f"R[{phase.name}]", ops.response[a])
+            _print_tensor(f"M[{phase.name}]", ops.mixing[a])
     else:
         for a, phase in enumerate(ops.phases):
             norm = np.linalg.norm(ops.concentration[a])
@@ -141,7 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
                                help="print operators and consistency residuals")
     add_scenario_args(operators)
     operators.add_argument("--full", action="store_true",
-                           help="print every concentration and influence tensor")
+                           help="print every phase's concentration tensor A and "
+                                "influence factors R and M")
     operators.set_defaults(func=_cmd_operators)
 
     check = sub.add_parser("check", help="run the built-in oracle battery")

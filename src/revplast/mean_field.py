@@ -102,7 +102,7 @@ class MeanFieldOperators:
 
     concentration: (n, 6, 6) strain concentration tensors.
     response, mixing: (n, 6, 6) factors R_a (zero for the matrix) and M_a of the
-    influence operator that ``eigen_response`` applies; ``influence`` densifies it.
+    influence operator, which ``eigen_response`` applies in O(n).
     plastic: (n,) mask of the phases with a yield surface; tan_friction,
     tan_dilation (potential angle) and shear_strength are their Drucker-Prager
     parameters, zero for elastic phases.
@@ -125,14 +125,6 @@ class MeanFieldOperators:
     @property
     def n_phases(self) -> int:
         return len(self.phases)
-
-    @property
-    def influence(self) -> np.ndarray:
-        """Dense (n, n, 6, 6) tensors; ``influence[a, b]`` maps an eigen-strain in
-        phase b to the induced strain of phase a at zero macroscopic strain."""
-        n = self.n_phases
-        units = np.eye(6 * n).reshape(n, 6, 6 * n)
-        return eigen_response(self, units).reshape(n, 6, n, 6).transpose(0, 2, 1, 3)
 
 
 def dilute_concentration(p_hill: np.ndarray, c_incl: np.ndarray,

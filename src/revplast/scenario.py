@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import ScenarioError
-from .mean_field import PhaseSpec, Spheroid, validate_phases
+from .mean_field import PhaseSpec, Spheroid
 from .orientations import ORIENTATION_SETS
 from .plasticity import DruckerPrager
 from .solver import STRAIN, STRESS, LoadProgram, LoadSegment, SolverSettings
@@ -41,7 +41,7 @@ class InclusionFamily:
     plastic: DruckerPrager | None = None
 
     def __post_init__(self):
-        # the checks of the phases it expands to, once for the family
+        # the checks of the phases it expands to: the material once, each custom axis
         PhaseSpec("inclusions", self.volume_fraction, self.young_modulus,
                   self.poisson_ratio, Spheroid(self.aspect_ratio))
         if isinstance(self.orientations, str):
@@ -50,6 +50,9 @@ class InclusionFamily:
                                  f"choose from {sorted(ORIENTATION_SETS)}")
         elif len(self.orientations) == 0:
             raise ValueError("orientations must list at least one axis")
+        else:
+            for axis in self.orientations:
+                Spheroid(self.aspect_ratio, axis)
 
     def axes(self) -> list:
         if isinstance(self.orientations, str):
@@ -68,28 +71,34 @@ class Scenario:
     settings: SolverSettings = field(default_factory=SolverSettings)
     output: OutputOptions = field(default_factory=OutputOptions)
 
+    def __post_init__(self):
+        # the checks of the phases it expands to that no family field makes alone
+        f_incl = sum(fam.volume_fraction for fam in self.families)
+        if f_incl >= 1.0:
+            raise ValueError(f"inclusion volume fractions sum to {f_incl!r}; "
+                             "no volume left for the matrix")
+        if not all(fam.volume_fraction / len(fam.axes()) > 0.0 for fam in self.families):
+            raise ValueError("an inclusion volume fraction underflows split over its axes")
+        PhaseSpec("matrix", 1.0 - f_incl, self.matrix_young, self.matrix_poisson)
+
     def phases(self) -> tuple[PhaseSpec, ...]:
         """Expand families over their orientations into the flat phase list."""
         specs = []
-        f_incl = 0.0
         for kf, fam in enumerate(self.families, start=1):
             axes = fam.axes()
             f_each = fam.volume_fraction / len(axes)
-            f_incl += fam.volume_fraction
             for ka, axis in enumerate(axes):
                 specs.append(PhaseSpec(
                     name=f"incl{kf}_{ka:02d}", volume_fraction=f_each,
                     young_modulus=fam.young_modulus, poisson_ratio=fam.poisson_ratio,
                     spheroid=Spheroid(fam.aspect_ratio, tuple(float(x) for x in axis)),
                     plastic=fam.plastic))
-        if f_incl >= 1.0:
-            raise ValueError(f"inclusion volume fractions sum to {f_incl!r}; "
-                             "no volume left for the matrix")
+        f_incl = sum(fam.volume_fraction for fam in self.families)
         matrix = PhaseSpec(name="matrix", volume_fraction=1.0 - f_incl,
                            young_modulus=self.matrix_young,
                            poisson_ratio=self.matrix_poisson,
                            plastic=self.matrix_plastic)
-        return validate_phases([matrix] + specs)
+        return (matrix, *specs)
 
 
 def default_scenario() -> Scenario:
@@ -288,7 +297,7 @@ def parse_scenario(text: str) -> Scenario:
     matrix_plastic = _parse_plastic(matrix, "matrix", matrix_line)
     families = tuple(InclusionFamily(
         **{key: _required(_FAMILY_PROBE, entries, key, name, line_no) for key in _FAMILY},
-        orientations=(_parse_orientations(*entries["orientations"])
+        orientations=(_checked(_FAMILY_PROBE, entries, "orientations", _parse_orientations)
                       if "orientations" in entries else "cube26"),
         plastic=_parse_plastic(entries, name, line_no))
         for name, line_no, entries, _ in sections if name == "inclusions")
@@ -302,17 +311,15 @@ def parse_scenario(text: str) -> Scenario:
                                   parsers[type(f.default)])
                  for f in fields(SolverSettings) if f.name in solver}
     output = once.get("output", absent)[2]
-    scenario = Scenario(
-        **elastic, families=families, matrix_plastic=matrix_plastic, scheme=scheme,
-        program=LoadProgram(segments=tuple(once.get("loading", absent)[3])),
-        settings=SolverSettings(**overrides),
-        output=OutputOptions(**{attr: output[key][0]
-                                for key, attr in _OUTPUT.items() if key in output}))
-    try:
-        scenario.phases()
+    try:  # each field is checked as it is read; this checks the fractions together
+        return Scenario(
+            **elastic, families=families, matrix_plastic=matrix_plastic, scheme=scheme,
+            program=LoadProgram(segments=tuple(once.get("loading", absent)[3])),
+            settings=SolverSettings(**overrides),
+            output=OutputOptions(**{attr: output[key][0]
+                                    for key, attr in _OUTPUT.items() if key in output}))
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
-    return scenario
 
 
 # ---------------------------------------------------------------------------

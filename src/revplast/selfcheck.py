@@ -12,8 +12,8 @@ import numpy as np
 
 from .eshelby import (eshelby_tensor, eshelby_tensor_quadrature,
                       sphere_eshelby_coefficients)
-from .mean_field import (PhaseSpec, Spheroid, assemble_operators, localize,
-                         upscale_stress)
+from .mean_field import (PhaseSpec, Spheroid, assemble_operators, eigen_response,
+                         localize, upscale_stress)
 from .plasticity import DruckerPrager
 from .solver import SolverSettings, drive, strain_program
 from .tensors import IVEC, J_PROJ, K_PROJ, iso_stiffness
@@ -50,10 +50,11 @@ def _homogeneous_phases(plastic: DruckerPrager | None = None):
 
 
 def check_homogeneous_limit() -> tuple[str, float, float]:
-    """Identical phases: concentration = identity, influence rows sum to zero."""
+    """Identical phases: concentration = identity, uniform eigen-strains induce no strain."""
     ops = assemble_operators(_homogeneous_phases())
+    uniform = np.broadcast_to(np.eye(6), (ops.n_phases, 6, 6))
     res = max(np.abs(ops.concentration - np.eye(6)).max(),
-              np.abs(ops.influence.sum(axis=1)).max())
+              np.abs(eigen_response(ops, uniform)).max())
     return "homogeneous-limit operators", float(res), 1e-10
 
 

@@ -1,9 +1,16 @@
+import contextlib
+import importlib.util
+import io
 import os
 import re
+import tracemalloc
 
 import pytest
 
 from revplast.cli import main
+from revplast.scenario import Scenario, parse_scenario
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 TINY = """\
 [matrix]
@@ -70,8 +77,31 @@ def test_operators_full_prints_tensors(tiny_file, capsys):
     code = main(["operators", tiny_file, "--full"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "A[matrix]" in out
-    assert "B[incl1_00, incl1_01]" in out
+    for name in ("matrix", "incl1_00", "incl1_01"):
+        for tensor in "ARM":
+            assert f"{tensor}[{name}] =" in out
+    assert "B[" not in out  # the influence operator is printed as its factors
+
+
+def test_operators_full_memory_is_linear_in_phases(tmp_path, capsys):
+    # 201 phases: --full prints O(n) factors, so the peak stays near 1 MB;
+    # the n^2 dense influence tensors would take tens of MB
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    path = tmp_path / "wide.scn"
+    path.write_text(workloads.scenario_text("wide_plastic", 1))
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["operators", str(path), "--full"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out.getvalue().count("M[incl1_") == 200
+    assert peak < 10e6
 
 
 def test_check_battery(capsys):
@@ -145,6 +175,26 @@ def test_run_creates_output_subdirectories(tmp_path, capsys):
     assert code == 0
     assert len((out_dir / "sub" / "macro.csv").read_text().splitlines()) == 6
     assert (out_dir / "phase" / "deep" / "phases.csv").exists()
+
+
+def test_run_creates_parent_of_absolute_output_path(tmp_path, capsys):
+    macro = tmp_path / "missing" / "dir" / "m.csv"
+    path = tmp_path / "absolute.scn"
+    path.write_text(TINY.replace("macro = tiny_macro.csv", f"macro = {macro}"))
+    code = main(["run", str(path), "--output-dir", str(tmp_path / "out")])
+    assert code == 0
+    assert len(macro.read_text().splitlines()) == 6
+
+
+def test_run_expands_the_phases_once(tiny_file, tmp_path, monkeypatch, capsys):
+    # parsing validates without expanding; the run expands once
+    calls = []
+    expand = Scenario.phases
+    monkeypatch.setattr(Scenario, "phases", lambda sc: calls.append(sc) or expand(sc))
+    parse_scenario(TINY)
+    assert calls == []
+    assert main(["run", tiny_file, "--output-dir", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 def test_unwritable_output_path_exit_code(tmp_path, capsys):

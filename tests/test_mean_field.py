@@ -9,7 +9,7 @@ import revplast.solver as solver_mod
 from revplast.errors import MorphologyError
 from revplast.eshelby import hill_tensor
 from revplast.mean_field import (PhaseSpec, Spheroid, assemble_operators,
-                                 dilute_concentration, localize,
+                                 dilute_concentration, eigen_response, localize,
                                  macro_plastic_strain, upscale_stress,
                                  validate_phases)
 from revplast.orientations import rotation_to_axis
@@ -75,7 +75,7 @@ def test_single_phase_operators():
     # identities and the homogeneous-limit rule)
     ops = assemble_operators([matrix_phase(1.0)])
     assert np.abs(ops.concentration[0] - np.eye(6)).max() < 1e-14
-    assert np.abs(ops.influence[0, 0]).max() < 1e-14
+    assert np.abs(eigen_response(ops, np.eye(6)[None])).max() < 1e-14
 
 
 def test_identical_phases_homogeneous_limit():
@@ -84,7 +84,9 @@ def test_identical_phases_homogeneous_limit():
               spheroid_phase("b", 0.20, axis=(1, 1, 1), young=E0, aspect=2.0)]
     ops = assemble_operators(phases)
     assert np.abs(ops.concentration - np.eye(6)).max() < 1e-10
-    assert np.abs(ops.influence.sum(axis=1)).max() < 1e-10
+    # the influence rows summed: the response to uniform unit eigen-strains
+    uniform = np.broadcast_to(np.eye(6), (ops.n_phases, 6, 6))
+    assert np.abs(eigen_response(ops, uniform)).max() < 1e-10
 
 
 def test_default_consistency_invariants(default_ops):
@@ -281,7 +283,11 @@ def test_localize_single_eigenstrain(default_ops):
     eps_p = np.zeros((default_ops.n_phases, 6))
     eps_p[5] = rng.normal(size=6) * 1e-3
     eps = localize(default_ops, np.zeros(6), eps_p)
-    oracle = np.einsum("aij,j->ai", default_ops.influence[:, 5], eps_p[5])
+    # the influence column of phase 5 written out: u_a - M_a sum_c f_c u_c with
+    # u_5 = R_5 C_5 eps_p,5 the only nonzero polarization response
+    u_5 = default_ops.response[5] @ default_ops.stiffness[5] @ eps_p[5]
+    oracle = -default_ops.mixing @ (default_ops.fractions[5] * u_5)
+    oracle[5] += u_5
     assert np.abs(eps - oracle).max() < 1e-16
 
 
@@ -314,6 +320,7 @@ def test_operators_store_no_dense_influence():
         if isinstance(value, np.ndarray):
             assert value.ndim <= 3, fld.name
     assert ".influence" not in inspect.getsource(solver_mod)
+    assert not hasattr(mean_field.MeanFieldOperators, "influence")
 
 
 def test_localize_average_consistency(default_ops):

@@ -373,10 +373,36 @@ def test_serialize_rejects_path_that_would_not_read_back(field, value):
 @pytest.mark.parametrize("orientations,match", [
     ((), "at least one axis"),
     ("CUBE26", "unknown orientation set 'CUBE26'"),
+    (((1.0, 0.0, 0.0), (0.0, 0.0, 0.0)), "nonzero finite vector"),
+    (((1e200, 1e200, 0.0),), "cannot be normalized in double precision"),
 ])
 def test_inclusion_family_rejects_bad_orientations(orientations, match):
     with pytest.raises(ValueError, match=match):
         InclusionFamily(1000.0, 0.25, 0.35, 0.1, orientations=orientations)
+
+
+def test_scenario_rejects_what_no_family_checks_alone():
+    family = InclusionFamily(1000.0, 0.25, 0.35, 0.5)
+    with pytest.raises(ValueError, match="no volume left for the matrix"):
+        Scenario(100.0, 0.25, families=(family, family))
+    with pytest.raises(ValueError, match="Young's modulus must be positive"):
+        Scenario(-100.0, 0.25, families=(family,))
+    tiny = InclusionFamily(1000.0, 0.25, 0.35, 5e-324)  # 0.0 in each of 26 phases
+    with pytest.raises(ValueError, match="underflows split over its axes"):
+        Scenario(100.0, 0.25, families=(tiny,))
+    with pytest.raises(ScenarioError, match="underflows"):
+        parse_scenario(GOOD.replace("volume_fraction = 0.143", "volume_fraction = 5e-324"))
+
+
+@pytest.mark.parametrize("axis,match", [
+    ("0 0 0", "nonzero finite vector"),
+    ("1e-200 1e-200 0", "cannot be normalized in double precision"),
+])
+def test_bad_custom_axis_names_its_orientations_line(axis, match):
+    text = GOOD.replace("orientations = cube26", f"orientations = 0 0 1; {axis}")
+    with pytest.raises(ScenarioError, match=match) as err:
+        parse_scenario(text)
+    assert err.value.line == 11
 
 
 @pytest.mark.parametrize("axis", ["1e200 1e200 0", "1e-200 1e-200 0"])
