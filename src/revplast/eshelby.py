@@ -12,6 +12,8 @@ self-test battery.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import MorphologyError
@@ -32,6 +34,8 @@ _SERIES_WINDOW = 1e-3
 # the closed forms divide by the squared aspect ratio and raise it to the
 # third power; outside this range either overflows
 _ASPECT_RANGE = (np.sqrt(4.0 * np.pi / np.finfo(float).max), np.cbrt(np.finfo(float).max))
+_ISOTROPY_TOL = 1e-10  # relative distance of a reference stiffness from isotropy
+_N_AZIMUTH = 32        # azimuthal points of the quadrature route (exact: see below)
 
 
 def _depolarization_integrals(aspect_ratio: float) -> tuple[float, float]:
@@ -98,10 +102,10 @@ def sphere_eshelby_coefficients(nu_matrix: float) -> tuple[float, float]:
     return (1.0 + nu) / (3.0 * (1.0 - nu)), 2.0 * (4.0 - 5.0 * nu) / (15.0 * (1.0 - nu))
 
 
-def _isotropic_moduli(c0: np.ndarray, tol: float = 1e-10) -> tuple[float, float]:
+def _isotropic_moduli(c0: np.ndarray) -> tuple[float, float]:
     k, mu = bulk_shear_moduli(c0)
     iso = 3.0 * k * J_PROJ + 2.0 * mu * K_PROJ
-    if np.abs(c0 - iso).max() > tol * max(1.0, np.abs(c0).max()):
+    if np.abs(c0 - iso).max() > _ISOTROPY_TOL * max(1.0, np.abs(c0).max()):
         raise MorphologyError("reference stiffness must be isotropic")
     return k, mu
 
@@ -117,8 +121,16 @@ def hill_tensor(aspect_ratio: float, c0: np.ndarray) -> np.ndarray:
     return 0.5 * (p + p.T)
 
 
+@lru_cache(maxsize=None)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of order ``n``, computed once, read-only."""
+    u, wu = np.polynomial.legendre.leggauss(n)
+    u.flags.writeable = wu.flags.writeable = False
+    return u, wu
+
+
 def hill_tensor_quadrature(aspect_ratio: float, young: float, poisson: float,
-                           n_polar: int = 512, n_azimuth: int = 32) -> np.ndarray:
+                           n_polar: int = 512) -> np.ndarray:
     """Hill tensor from Gauss-Legendre quadrature of the Green-operator integral.
 
     Independent of the closed forms: integrates
@@ -132,26 +144,26 @@ def hill_tensor_quadrature(aspect_ratio: float, young: float, poisson: float,
     lam = young * poisson / ((1.0 + poisson) * (1.0 - 2.0 * poisson))
     mu = young / (2.0 * (1.0 + poisson))
     chi = (lam + mu) / (lam + 2.0 * mu)
-    u, wu = np.polynomial.legendre.leggauss(n_polar)
-    phi = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
+    u, wu = _leggauss(n_polar)
+    phi = 2.0 * np.pi * np.arange(_N_AZIMUTH) / _N_AZIMUTH
     st = np.sqrt(1.0 - u**2)
     # unit directions, shape (npts, 3)
     z = np.stack([np.outer(st, np.cos(phi)).ravel(),
                   np.outer(st, np.sin(phi)).ravel(),
-                  np.outer(u, np.ones(n_azimuth)).ravel()], axis=1)
-    weights = (np.outer(wu, np.ones(n_azimuth)) * (2.0 * np.pi / n_azimuth)).ravel()
+                  np.outer(u, np.ones(_N_AZIMUTH)).ravel()], axis=1)
+    weights = (np.outer(wu, np.ones(_N_AZIMUTH)) * (2.0 * np.pi / _N_AZIMUTH)).ravel()
     denom = (z[:, 0] ** 2 + z[:, 1] ** 2 + (w * z[:, 2]) ** 2) ** 1.5
     kinv = (np.eye(3)[None, :, :] - chi * np.einsum("pi,pj->pij", z, z)) / mu
-    g = np.einsum("pjk,pi,pl->pijkl", kinv, z, z)
-    g = 0.25 * (g + g.transpose(0, 2, 1, 3, 4) + g.transpose(0, 1, 2, 4, 3)
-                + g.transpose(0, 2, 1, 4, 3))
-    p = np.einsum("p,pijkl->ijkl", weights / denom, g) * (w / (4.0 * np.pi))
-    return ten4_from_tensor(p)
+    # contract over the points first: symmetrizing is linear
+    g = np.einsum("p,pi,pjk,pl->ijkl", weights / denom, z, kinv, z, optimize=True)
+    g = 0.25 * (g + g.transpose(1, 0, 2, 3) + g.transpose(0, 1, 3, 2)
+                + g.transpose(1, 0, 3, 2))
+    return ten4_from_tensor(g * (w / (4.0 * np.pi)))
 
 
 def eshelby_tensor_quadrature(aspect_ratio: float, poisson: float,
-                              n_polar: int = 512, n_azimuth: int = 32) -> np.ndarray:
+                              n_polar: int = 512) -> np.ndarray:
     """Eshelby tensor S = P : C0 via the quadrature route (scale-free in E)."""
     young = 1.0
-    p = hill_tensor_quadrature(aspect_ratio, young, poisson, n_polar, n_azimuth)
+    p = hill_tensor_quadrature(aspect_ratio, young, poisson, n_polar)
     return p @ iso_stiffness(young, poisson)

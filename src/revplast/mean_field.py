@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,8 @@ class Spheroid:
     def __post_init__(self):
         if not self.aspect_ratio > 0.0:
             raise ValueError(f"aspect ratio must be positive, got {self.aspect_ratio}")
+        if len(self.axis) != 3:
+            raise ValueError(f"spheroid axis must be three numbers, got {self.axis!r}")
         axis = [float(x) for x in self.axis]
         if not all(map(math.isfinite, axis)) or not any(axis):
             raise ValueError(f"spheroid axis must be a nonzero finite vector, got {self.axis}")
@@ -120,7 +122,7 @@ class MeanFieldOperators:
     tan_friction: np.ndarray
     tan_dilation: np.ndarray
     shear_strength: np.ndarray
-    consistency_residuals: tuple[float, float] = field(default=(0.0, 0.0))
+    consistency_residuals: tuple[float, float]
 
     @property
     def n_phases(self) -> int:

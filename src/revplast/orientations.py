@@ -1,4 +1,5 @@
-"""Orientation helpers: axis-to-rotation frames and the built-in direction sets."""
+"""Orientation helpers: axis-to-rotation frames and ``CUBE26``, the built-in
+axis set that the scenario keyword ``cube26`` names."""
 from __future__ import annotations
 
 import numpy as np
@@ -19,7 +20,7 @@ def rotation_to_axis(axes) -> np.ndarray:
     return np.stack([t1, np.cross(d, t1), d], axis=-1)
 
 
-def cube26() -> list[np.ndarray]:
+def _cube26() -> tuple[tuple[float, float, float], ...]:
     """26 unit directions of cube symmetry: 6 face, 12 edge, 8 vertex."""
     dirs: list[np.ndarray] = []
     for i in range(3):
@@ -38,7 +39,7 @@ def cube26() -> list[np.ndarray]:
         for sy in (1.0, -1.0):
             for sz in (1.0, -1.0):
                 dirs.append(np.array([sx, sy, sz]) / np.sqrt(3.0))
-    return dirs
+    return tuple(tuple(map(float, v)) for v in dirs)
 
 
-ORIENTATION_SETS = {"cube26": cube26}
+CUBE26 = _cube26()

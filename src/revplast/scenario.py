@@ -12,11 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 
-import numpy as np
-
 from .errors import ScenarioError
 from .mean_field import PhaseSpec, Spheroid
-from .orientations import ORIENTATION_SETS
+from .orientations import CUBE26
 from .plasticity import DruckerPrager
 from .solver import STRAIN, STRESS, LoadProgram, LoadSegment, SolverSettings
 from .tensors import COMPONENT_LABELS
@@ -31,33 +29,23 @@ class OutputOptions:
 
 @dataclass(frozen=True)
 class InclusionFamily:
-    """One family of identical spheroids distributed over a set of orientations."""
+    """One family of identical spheroids distributed over a set of orientations,
+    each the symmetry axis of one phase."""
 
     young_modulus: float
     poisson_ratio: float
     aspect_ratio: float
     volume_fraction: float
-    orientations: str | tuple[tuple[float, float, float], ...] = "cube26"
+    orientations: tuple[tuple[float, float, float], ...] = CUBE26
     plastic: DruckerPrager | None = None
 
     def __post_init__(self):
-        # the checks of the phases it expands to: the material once, each custom axis
-        PhaseSpec("inclusions", self.volume_fraction, self.young_modulus,
-                  self.poisson_ratio, Spheroid(self.aspect_ratio))
-        if isinstance(self.orientations, str):
-            if self.orientations not in ORIENTATION_SETS:
-                raise ValueError(f"unknown orientation set {self.orientations!r}; "
-                                 f"choose from {sorted(ORIENTATION_SETS)}")
-        elif len(self.orientations) == 0:
+        # the checks of the phases it expands to: the material once, the shape with each axis
+        PhaseSpec("inclusions", self.volume_fraction, self.young_modulus, self.poisson_ratio)
+        if len(self.orientations) == 0:
             raise ValueError("orientations must list at least one axis")
-        else:
-            for axis in self.orientations:
-                Spheroid(self.aspect_ratio, axis)
-
-    def axes(self) -> list:
-        if isinstance(self.orientations, str):
-            return ORIENTATION_SETS[self.orientations]()
-        return [np.asarray(a, dtype=float) for a in self.orientations]
+        for axis in self.orientations:
+            Spheroid(self.aspect_ratio, axis)
 
 
 @dataclass(frozen=True)
@@ -77,7 +65,7 @@ class Scenario:
         if f_incl >= 1.0:
             raise ValueError(f"inclusion volume fractions sum to {f_incl!r}; "
                              "no volume left for the matrix")
-        if not all(fam.volume_fraction / len(fam.axes()) > 0.0 for fam in self.families):
+        if not all(fam.volume_fraction / len(fam.orientations) > 0.0 for fam in self.families):
             raise ValueError("an inclusion volume fraction underflows split over its axes")
         PhaseSpec("matrix", 1.0 - f_incl, self.matrix_young, self.matrix_poisson)
 
@@ -85,13 +73,12 @@ class Scenario:
         """Expand families over their orientations into the flat phase list."""
         specs = []
         for kf, fam in enumerate(self.families, start=1):
-            axes = fam.axes()
-            f_each = fam.volume_fraction / len(axes)
-            for ka, axis in enumerate(axes):
+            f_each = fam.volume_fraction / len(fam.orientations)
+            for ka, axis in enumerate(fam.orientations):
                 specs.append(PhaseSpec(
                     name=f"incl{kf}_{ka:02d}", volume_fraction=f_each,
                     young_modulus=fam.young_modulus, poisson_ratio=fam.poisson_ratio,
-                    spheroid=Spheroid(fam.aspect_ratio, tuple(float(x) for x in axis)),
+                    spheroid=Spheroid(fam.aspect_ratio, axis),
                     plastic=fam.plastic))
         f_incl = sum(fam.volume_fraction for fam in self.families)
         matrix = PhaseSpec(name="matrix", volume_fraction=1.0 - f_incl,
@@ -109,7 +96,6 @@ def default_scenario() -> Scenario:
     """
     family = InclusionFamily(young_modulus=1000.0, poisson_ratio=0.25,
                              aspect_ratio=0.35, volume_fraction=0.143,
-                             orientations="cube26",
                              plastic=DruckerPrager(friction_angle=0.0,
                                                    shear_strength=0.12))
     modes = (STRESS, STRESS, STRAIN, STRAIN, STRAIN, STRAIN)
@@ -135,7 +121,7 @@ _SECTION_KEYS = {"matrix": {*_ELASTIC, "plastic_model", *_PLASTIC},
                  "output": set(_OUTPUT)}
 # valid instances that one parsed field at a time is swapped into for its range check
 _MATRIX_PROBE = PhaseSpec("matrix", 1.0, 1.0, 0.0)
-_FAMILY_PROBE = InclusionFamily(1.0, 0.0, 1.0, 0.5)
+_FAMILY_PROBE = InclusionFamily(1.0, 0.0, 1.0, 0.5, orientations=((0.0, 0.0, 1.0),))
 _PLASTIC_PROBE = DruckerPrager(friction_angle=0.0, shear_strength=1.0)
 _SETTINGS_PROBE = SolverSettings()
 
@@ -232,18 +218,19 @@ def _parse_plastic(entries: dict, section: str, line_no: int) -> DruckerPrager |
     return DruckerPrager(**{"friction_angle": 0.0, **params})
 
 
-def _parse_orientations(value: str, line_no: int):
-    name = value.strip().lower()
-    if name in ORIENTATION_SETS:
-        return name
-    axes = []
-    for chunk in value.split(";"):
-        parts = chunk.split()
-        if len(parts) != 3:
-            raise ScenarioError(f"orientation {chunk.strip()!r} is not three numbers",
-                                line_no)
-        axes.append(tuple(_parse_float(p, line_no) for p in parts))
-    return tuple(axes)
+def _parse_family(entries: dict, section: str, line_no: int) -> InclusionFamily:
+    """Parse one [inclusions] section: ``orientations`` is ``cube26`` (the
+    default) or axes of three numbers separated by ';'."""
+    numbers = {key: _required(_FAMILY_PROBE, entries, key, section, line_no)
+               for key in _FAMILY}
+    value, axes_line = entries.get("orientations", ("cube26", line_no))
+    axes = CUBE26 if value.strip().lower() == "cube26" else tuple(
+        tuple(_parse_float(x, axes_line) for x in chunk.split()) for chunk in value.split(";"))
+    plastic = _parse_plastic(entries, section, line_no)
+    try:  # every other field was checked on its own line: this checks each axis once
+        return InclusionFamily(**numbers, orientations=axes, plastic=plastic)
+    except ValueError as exc:
+        raise ScenarioError(str(exc), axes_line) from None
 
 
 def _parse_segment(value: str, line_no: int) -> LoadSegment:
@@ -295,12 +282,8 @@ def parse_scenario(text: str) -> Scenario:
     elastic = {attr: _required(_MATRIX_PROBE, matrix, key, "matrix", matrix_line)
                for key, attr in _ELASTIC.items()}
     matrix_plastic = _parse_plastic(matrix, "matrix", matrix_line)
-    families = tuple(InclusionFamily(
-        **{key: _required(_FAMILY_PROBE, entries, key, name, line_no) for key in _FAMILY},
-        orientations=(_checked(_FAMILY_PROBE, entries, "orientations", _parse_orientations)
-                      if "orientations" in entries else "cube26"),
-        plastic=_parse_plastic(entries, name, line_no))
-        for name, line_no, entries, _ in sections if name == "inclusions")
+    families = tuple(_parse_family(entries, name, line_no)
+                     for name, line_no, entries, _ in sections if name == "inclusions")
     absent = (None, 0, {}, [])
     _, _, solver, _ = once.get("solver", absent)
     scheme, line_no = solver.get("scheme", ("mori_tanaka", 0))
@@ -342,7 +325,7 @@ def serialize_scenario(s: Scenario) -> str:
                             for key, attr in _ELASTIC.items()]
     lines += _plastic_lines(s.matrix_plastic)
     for fam in s.families:
-        orientations = fam.orientations if isinstance(fam.orientations, str) else \
+        orientations = "cube26" if fam.orientations == CUBE26 else \
             "; ".join(" ".join(_fmt(x) for x in axis) for axis in fam.orientations)
         lines += ["", "[inclusions]"]
         lines += [f"{key} = {_fmt(getattr(fam, key))}" for key in _FAMILY]

@@ -61,6 +61,7 @@ STRESS = "stress"
 
 # candidate threshold relative to each phase's shear strength
 YIELD_TOL = 1e-10
+STATE_TOL = 1e-10  # relative constitutive and strain-average residuals of a converged state
 
 
 def _count(name, value):
@@ -270,12 +271,6 @@ class _ActiveSystem:
         return (sig_tr + self.control.sens @ d_eps
                 + phase_stresses(self.ops, eigen_response(self.ops, x), x)), d_eps
 
-    def start(self, sig_tr, lam):
-        """Active stresses the multipliers ``lam`` give with flow directions at
-        the trial stresses ``sig_tr``: where a warm-started Newton begins."""
-        dirs = dp_flow_of(dp_direction(sig_tr[self.active], self.strength)[1], self.tan_g)
-        return self.stress_update(sig_tr, lam, dirs)[0][self.active]
-
     def residual(self, sig_tr, sig_act, lam):
         """(m, 7) residual (r_sig, r_F) at the iterate, with the flow directions
         n_g(sig_act), the stresses of all phases and the controlled-strain
@@ -342,7 +337,7 @@ def _newton_multipliers(ops, sig_tr, active, settings, control, lam):
     """
     try:
         sys_ = _ActiveSystem(ops, active, control)
-        sig_act = sys_.start(sig_tr, lam)
+        sig_act = sys_.residual(sig_tr, sig_tr[active], lam)[2][active]
         for _ in range(settings.newton_max_iter):
             tols = settings.newton_tol * sys_.strength
             res, dirs, sig, d_eps, point = sys_.residual(sig_tr, sig_act, lam)
@@ -370,18 +365,17 @@ def _newton_multipliers(ops, sig_tr, active, settings, control, lam):
         f"last stress/yield residual {np.max(gap / tols, initial=0.0):.3e} times its tolerance")
 
 
-def validate_state(ops: MeanFieldOperators, state: REVState,
-                   tol: float = 1e-10) -> None:
+def validate_state(ops: MeanFieldOperators, state: REVState) -> None:
     """Raise if a converged state violates the constitutive, averaging or KKT
     identities; a NaN residual fails every check."""
     sig_ref = max(1.0, float(np.abs(state.stress).max()))
     res_c = np.abs(state.stress - phase_stresses(
         ops, state.strain, state.plastic_strain)).max()
-    if not res_c <= tol * sig_ref:
+    if not res_c <= STATE_TOL * sig_ref:
         raise StepFailureError(f"constitutive residual {res_c:.3e} exceeds tolerance")
     avg = np.einsum("a,ai->i", ops.fractions, state.strain)
     res_avg = np.abs(avg - state.macro_strain).max()
-    if not res_avg <= tol * max(1.0, float(np.abs(state.macro_strain).max())):
+    if not res_avg <= STATE_TOL * max(1.0, float(np.abs(state.macro_strain).max())):
         raise StepFailureError(f"strain-average residual {res_avg:.3e} exceeds tolerance")
     p = ops.plastic
     f_vals = dp_yield(state.stress[p], ops.tan_friction[p], ops.shear_strength[p])

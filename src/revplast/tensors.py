@@ -26,14 +26,18 @@ _PAIR_I, _PAIR_J = np.array(COMPONENT_PAIRS).T
 IVEC = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
 IDENTITY = np.eye(6)
 
+SYMMETRY_TOL = 1e-12   # of a 3x3 matrix, relative to max(1, its largest entry)
+COND_LIMIT = 1e12      # condition number past which a fourth-order operator is singular
+ROTATION_TOL = 1e-12   # of orthonormality and of det = +1
 
-def sym2_from_matrix(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+
+def sym2_from_matrix(m: np.ndarray) -> np.ndarray:
     """Convert a symmetric 3x3 matrix to its Mandel 6-vector."""
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
     scale = max(1.0, np.abs(m).max())
-    if np.abs(m - m.T).max() > tol * scale:
+    if np.abs(m - m.T).max() > SYMMETRY_TOL * scale:
         raise SymmetryError("matrix is not symmetric to within tolerance")
     return np.array([_SCALE[k] * m[i, j] for k, (i, j) in enumerate(COMPONENT_PAIRS)])
 
@@ -57,11 +61,11 @@ def ten4_from_tensor(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def ten4_inv(t: np.ndarray, cond_limit: float = 1e12) -> np.ndarray:
+def ten4_inv(t: np.ndarray) -> np.ndarray:
     """Invert fourth-order operators (..., 6, 6), rejecting ill-conditioned input."""
     t = np.asarray(t, dtype=float)
     cond = np.ravel(np.linalg.cond(t))
-    bad = np.flatnonzero(~(cond <= cond_limit))
+    bad = np.flatnonzero(~(cond <= COND_LIMIT))
     if bad.size:
         raise SingularOperatorError("fourth-order operator not invertible",
                                     float(cond[bad[0]]), index=int(bad[0]))
@@ -102,14 +106,14 @@ def bulk_shear_moduli(c: np.ndarray) -> tuple[float, float]:
     return float(np.tensordot(J_PROJ, c) / 3.0), float(np.tensordot(K_PROJ, c) / 10.0)
 
 
-def check_rotation(r: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def check_rotation(r: np.ndarray) -> np.ndarray:
     """Validate proper rotation matrices (..., 3, 3) and return them as a float array."""
     r = np.asarray(r, dtype=float)
     if r.shape[-2:] != (3, 3):
         raise ValueError(f"rotations must be 3x3, got shape {r.shape}")
-    if not np.all(np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)) <= tol):
+    if not np.all(np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)) <= ROTATION_TOL):
         raise ValueError("rotation matrix is not orthonormal")
-    if not np.all(np.abs(np.linalg.det(r) - 1.0) <= tol):
+    if not np.all(np.abs(np.linalg.det(r) - 1.0) <= ROTATION_TOL):
         raise ValueError("rotation matrix must be proper (det = +1)")
     return r
 

@@ -212,13 +212,6 @@ def test_singular_dilute_concentration_names_phase():
         assemble_operators(phases)
 
 
-@pytest.mark.parametrize("name", ["assemble_operators", "hill_tensor"])
-def test_benchmark_hook_targets_exist(name):
-    # perfbench/ wraps these mean_field attributes by name for its setup-layer
-    # metrics; a rename silently drops them
-    assert callable(getattr(mean_field, name))
-
-
 # ---------------------------------------------------------------- validation
 
 def test_phase_validation_errors():
@@ -237,6 +230,7 @@ def test_phase_validation_errors():
     (0.35, (np.nan, 0.0, 1.0), "axis"),
     (0.35, (np.inf, 0.0, 0.0), "axis"),
     (np.nan, (0.0, 0.0, 1.0), "aspect ratio"),
+    (0.35, (1.0, 2.0), "axis must be three numbers"),
 ])
 def test_spheroid_rejects_degenerate_input(aspect, axis, match):
     with pytest.raises(ValueError, match=match):

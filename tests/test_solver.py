@@ -1,3 +1,4 @@
+import importlib
 import re
 
 import numpy as np
@@ -849,18 +850,23 @@ def test_solver_settings_accept_their_limits():
     assert (settings.newton_max_iter, settings.max_subdivisions) == (3, 64)
 
 
-@pytest.mark.parametrize("path", ["_advance_with_subdivision", "_solve_mixed_increment",
-                                  "_trial_at", "check_yield",
-                                  "validate_state", "_newton_multipliers",
-                                  "_ActiveSystem.__init__",
-                                  "_ActiveSystem.jacobian",
-                                  "_ActiveSystem.stress_update",
-                                  "localize", "upscale_stress",
-                                  "macro_plastic_strain"])
-def test_benchmark_hook_targets_exist(path):
-    # perfbench/ wraps these solver attributes by name (speed normalization cuts
-    # drives at _advance_with_subdivision); a rename silently drops its metrics
-    owner = solver_mod
+BENCHMARK_HOOKS = [
+    ("revplast.scenario", "parse_scenario"), ("revplast.scenario", "Scenario.phases"),
+    ("revplast.mean_field", "assemble_operators"), ("revplast.mean_field", "hill_tensor"),
+    *[("revplast.solver", path) for path in (
+        "_advance_with_subdivision", "_solve_mixed_increment", "_trial_at", "check_yield",
+        "validate_state", "_newton_multipliers", "_ActiveSystem.__init__",
+        "_ActiveSystem.jacobian", "_ActiveSystem.stress_update", "localize",
+        "upscale_stress", "macro_plastic_strain")]]
+
+
+@pytest.mark.parametrize("module,path", BENCHMARK_HOOKS,
+                         ids=[path for _, path in BENCHMARK_HOOKS])
+def test_benchmark_hook_targets_exist(module, path):
+    # perfbench/ wraps these attributes by name for its metrics (speed
+    # normalization cuts drives at _advance_with_subdivision); a rename
+    # silently drops them
+    owner = importlib.import_module(module)
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
