@@ -26,6 +26,7 @@ _I1_SERIES = np.pi * np.array([
     4.0 / 3.0, 8.0 / 15.0, -12.0 / 35.0, 64.0 / 315.0, -80.0 / 693.0,
     64.0 / 1001.0, -224.0 / 6435.0, 2048.0 / 109395.0, -2304.0 / 230945.0,
 ])
+_I1_SERIES.setflags(write=False)
 
 # inside this window the arccos/arccosh forms lose ~|w-1| in relative accuracy,
 # so the series (truncation error ~|w-1|^9) takes over

@@ -65,12 +65,12 @@ class PhaseSpec:
     plastic: DruckerPrager | None = None
 
     def __post_init__(self):
-        if self.volume_fraction <= 0.0:
+        if not 0.0 < self.volume_fraction < math.inf:
             raise ValueError(f"phase {self.name!r}: volume fraction must be "
-                             f"positive, got {self.volume_fraction}")
-        if self.young_modulus <= 0.0:
+                             f"positive and finite, got {self.volume_fraction}")
+        if not 0.0 < self.young_modulus < math.inf:
             raise ValueError(f"phase {self.name!r}: Young's modulus must be "
-                             f"positive, got {self.young_modulus}")
+                             f"positive and finite, got {self.young_modulus}")
         if not -1.0 < self.poisson_ratio < 0.5:
             raise ValueError(f"phase {self.name!r}: Poisson ratio must lie in "
                              f"(-1, 0.5), got {self.poisson_ratio}")

@@ -40,8 +40,9 @@ class DruckerPrager:
     dilation_angle: float | None = None
 
     def __post_init__(self):
-        if self.shear_strength <= 0.0:
-            raise ValueError(f"shear strength must be positive, got {self.shear_strength}")
+        if not 0.0 < self.shear_strength < np.inf:
+            raise ValueError(f"shear strength must be positive and finite, "
+                             f"got {self.shear_strength}")
         if not 0.0 <= self.friction_angle < np.pi / 2.0:
             raise ValueError(f"friction angle must lie in [0, pi/2), got {self.friction_angle}")
         if self.dilation_angle is not None and not 0.0 <= self.dilation_angle < np.pi / 2.0:

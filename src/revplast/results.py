@@ -20,6 +20,7 @@ from .solver import REVState
 from .tensors import COMPONENT_LABELS, SQRT2
 
 _UNSCALE = np.tile([1.0, 1.0, 1.0, 1.0 / SQRT2, 1.0 / SQRT2, 1.0 / SQRT2], 3)
+_UNSCALE.setflags(write=False)
 _VALUES = ",".join(["%.17g"] * 18)
 
 

@@ -249,6 +249,9 @@ def _parse_segment(value: str, line_no: int) -> LoadSegment:
         head, val = token.split(":", 1)
         head = head.lower()
         if head == "n":
+            if increments is not None:
+                raise ScenarioError("increment count 'n:' specified twice in segment",
+                                    line_no)
             increments = _parse_int(val, line_no)
             continue
         if len(head) != 3 or head[0] not in ("e", "s"):

@@ -80,10 +80,10 @@ class SolverSettings:
     max_subdivisions: int = 8
 
     def __post_init__(self):
-        if not self.newton_tol > 0.0:
-            raise ValueError(f"newton_tol must be positive, got {self.newton_tol}")
-        if not self.mixed_tol > 0.0:
-            raise ValueError(f"mixed_tol must be positive, got {self.mixed_tol}")
+        if not 0.0 < self.newton_tol < math.inf:
+            raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol}")
+        if not 0.0 < self.mixed_tol < math.inf:
+            raise ValueError(f"mixed_tol must be positive and finite, got {self.mixed_tol}")
         if _count("newton_max_iter", self.newton_max_iter) < 1:
             raise ValueError(f"newton_max_iter must be at least 1, got {self.newton_max_iter}")
         if _count("max_subdivisions", self.max_subdivisions) < 0:
@@ -130,7 +130,13 @@ class LoadProgram:
 
 @dataclass(frozen=True)
 class REVState:
-    """Converged state of the representative volume at one time step."""
+    """Converged state of the representative volume at one time step.
+
+    A state is a read-only value: construction marks its arrays read-only, so
+    consecutive states share the arrays an increment leaves unchanged (an
+    elastic increment shares the plastic strains of the state before it).  A
+    caller who wants to write takes a copy, ``np.array(state.stress)``.
+    """
 
     step: int
     macro_strain: np.ndarray
@@ -142,13 +148,17 @@ class REVState:
     multipliers: np.ndarray     # (n,), zero for inactive phases
     active: tuple[bool, ...]
 
+    def __post_init__(self):
+        for arr in (self.macro_strain, self.macro_stress, self.macro_plastic, self.strain,
+                    self.plastic_strain, self.stress, self.multipliers):
+            arr.setflags(write=False)
+
 
 def initial_state(ops: MeanFieldOperators) -> REVState:
     n = ops.n_phases
-    z6 = np.zeros(6)
-    return REVState(step=0, macro_strain=z6, macro_stress=z6.copy(),
-                    macro_plastic=z6.copy(), strain=np.zeros((n, 6)),
-                    plastic_strain=np.zeros((n, 6)), stress=np.zeros((n, 6)),
+    z6, zn6 = np.zeros(6), np.zeros((n, 6))
+    return REVState(step=0, macro_strain=z6, macro_stress=z6, macro_plastic=z6,
+                    strain=zn6, plastic_strain=zn6, stress=zn6,
                     multipliers=np.zeros(n), active=(False,) * n)
 
 
@@ -405,14 +415,14 @@ def _solve_mixed_increment(ops, state, targets, control, settings):
     """
     eps_bar, strains, stresses = _trial_at(ops, state, control.predict(state, targets))
     _, active = check_yield(ops, stresses)
-    eps_p = state.plastic_strain.copy()
-    macro_plastic = state.macro_plastic
+    eps_p, macro_plastic = state.plastic_strain, state.macro_plastic
     multipliers = np.zeros(ops.n_phases)
     if active:  # warm-started from the last increment's multipliers
         active, lam, dirs, _, d_eps = _newton_multipliers(
             ops, stresses, active, settings, control, state.multipliers[active])
         eps_bar[control.idx] += d_eps
         multipliers[active] = lam
+        eps_p = eps_p.copy()
         eps_p[active] += lam[:, None] * dirs
         strains = localize(ops, eps_bar, eps_p)
         stresses = phase_stresses(ops, strains, eps_p)
@@ -432,7 +442,10 @@ def _solve_mixed_increment(ops, state, targets, control, settings):
 
 
 def _advance_with_subdivision(ops, state, targets, control, settings):
-    """Solve and validate one increment, halving it on failure up to the subdivision cap."""
+    """Solve and validate one increment, halving it on failure up to the subdivision cap.
+
+    The two halves of a subdivided increment make one step of the history.
+    """
 
     def recurse(st, tg, depth):
         try:
@@ -446,14 +459,19 @@ def _advance_with_subdivision(ops, state, targets, control, settings):
         mid = 0.5 * (control.controlled(st) + tg)
         # the half increment's Newton starts from half the multipliers
         half = replace(st, multipliers=0.5 * st.multipliers)
-        return recurse(recurse(half, mid, depth + 1), tg, depth + 1)
+        return replace(recurse(recurse(half, mid, depth + 1), tg, depth + 1), step=st.step + 1)
 
-    return replace(recurse(state, targets, 0), step=state.step + 1)
+    return recurse(state, targets, 0)
 
 
 def drive(ops: MeanFieldOperators, program: LoadProgram,
           settings: SolverSettings | None = None) -> list[REVState]:
-    """Run a load program from the virgin state; returns one state per increment plus the start."""
+    """Run a load program from the virgin state; returns one state per increment plus the start.
+
+    The states are read-only and share the arrays an increment left unchanged:
+    each elastic increment's ``plastic_strain`` and ``macro_plastic`` are the
+    previous state's objects.
+    """
     settings = settings or SolverSettings()
     states = [initial_state(ops)]
     for s, segment in enumerate(program.segments, 1):
@@ -466,7 +484,7 @@ def drive(ops: MeanFieldOperators, program: LoadProgram,
                         for i, t in enumerate(segment.targets)])
         for k in range(1, segment.increments + 1):
             if k == segment.increments:
-                targets = end.copy()  # land on the segment target bit-exactly
+                targets = end  # land on the segment target bit-exactly
             else:
                 targets = start + (end - start) * (k / segment.increments)
             try:

@@ -85,6 +85,8 @@ def iso_projectors() -> tuple[np.ndarray, np.ndarray]:
 
 
 J_PROJ, K_PROJ = iso_projectors()
+for _constant in (_SCALE, _PAIR_I, _PAIR_J, IVEC, IDENTITY, J_PROJ, K_PROJ):
+    _constant.setflags(write=False)
 
 
 def iso_stiffness(young: float, poisson: float) -> np.ndarray:

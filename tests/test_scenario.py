@@ -213,6 +213,7 @@ def test_plastic_without_model_rejected():
 @pytest.mark.parametrize("segment,match", [
     ("segment = e33:-0.001", "increment count"),
     ("segment = e33:-0.001 e33:0 n:5", "twice"),
+    ("segment = e33:-0.001 n:10 n:20", "increment count 'n:' specified twice"),
     ("segment = e99:-0.001 n:5", "unknown component"),
     ("segment = x33:-0.001 n:5", "malformed segment token"),
     ("segment = e33:abc n:5", "malformed number"),

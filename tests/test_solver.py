@@ -612,6 +612,28 @@ def test_elastic_step_keeps_macro_plastic():
     assert np.array_equal(states[11].plastic_strain, states[10].plastic_strain)
 
 
+STATE_ARRAYS = ("macro_strain", "macro_stress", "macro_plastic", "strain",
+                "plastic_strain", "stress", "multipliers")
+
+
+def test_states_are_read_only_and_share_frozen_plastic_strains():
+    states = drive(default_ops(), default_scenario().program)
+    for st in states:
+        assert not any(getattr(st, field).flags.writeable for field in STATE_ARRAYS)
+    with pytest.raises(ValueError, match="read-only"):
+        states[1].macro_plastic[2] = 123.0
+    elastic = plastic = 0
+    for prev, st in zip(states, states[1:]):
+        if any(st.active):
+            plastic += 1
+            assert st.plastic_strain is not prev.plastic_strain
+        else:
+            elastic += 1
+            assert st.plastic_strain is prev.plastic_strain
+            assert st.macro_plastic is prev.macro_plastic
+    assert elastic and plastic
+
+
 def test_stress_routes_at_converged_plastic_state():
     # the eigen-stress upscaling route and the volume average of localized
     # stresses are distinct mean-field estimates for a multi-orientation
@@ -848,6 +870,25 @@ def test_solver_settings_accept_their_limits():
     assert (settings.newton_max_iter, settings.max_subdivisions) == (1, 0)
     settings = SolverSettings(newton_max_iter=np.int64(3), max_subdivisions=64)
     assert (settings.newton_max_iter, settings.max_subdivisions) == (3, 64)
+
+
+NON_FINITE_FIELDS = [
+    ("volume fraction", lambda v: PhaseSpec("matrix", v, E0, NU)),
+    ("Young's modulus", lambda v: PhaseSpec("matrix", 1.0, v, NU)),
+    ("shear strength", lambda v: DruckerPrager(0.0, v)),
+    ("newton_tol", lambda v: SolverSettings(newton_tol=v)),
+    ("mixed_tol", lambda v: SolverSettings(mixed_tol=v)),
+]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field,build", NON_FINITE_FIELDS,
+                         ids=[field for field, _ in NON_FINITE_FIELDS])
+def test_constructors_reject_non_finite_constants(field, build, value):
+    # each used to be accepted and fail later: a bare LinAlgError in the
+    # assembly, a KKT violation after every subdivision, or a switched-off check
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite, got {value}"):
+        build(value)
 
 
 BENCHMARK_HOOKS = [

@@ -133,6 +133,9 @@ def test_projectors_algebra():
     hydro = 3.1 * IVEC
     assert np.abs(k @ hydro).max() < 1e-15
     assert np.allclose(j @ hydro, hydro)
+    # the shared module constants are read-only, so no caller can change them
+    assert not any(c.flags.writeable for c in (tensors.IVEC, tensors.IDENTITY,
+                                               tensors.J_PROJ, tensors.K_PROJ))
 
 
 def test_rotation_identity():
