@@ -30,7 +30,10 @@ couples to the others only through a few 6-vectors (one fraction-weighted
 polarization sum and, when the matrix yields, the matrix eigen-stress) and
 the k controlled-strain corrections, so a step is one batched solve of the
 blocks plus one (6 + k)x(6 + k) ((12 + k)x(12 + k)) system: O(m) in the
-number m of active phases.
+number m of active phases.  The residual goes through the same coupling
+vectors, so a whole iterate costs O(m); the stresses of all n phases are
+evaluated once per converged iterate, for the phases that join and for the
+result.
 
 Yield checks, the Newton residuals and flow directions and the KKT check of
 every converged increment all call the batched Drucker-Prager kernel of
@@ -134,7 +137,8 @@ class REVState:
 
     A state is a read-only value: construction marks its arrays read-only, so
     consecutive states share the arrays an increment leaves unchanged (an
-    elastic increment shares the plastic strains of the state before it).  A
+    elastic increment shares the plastic strains of the state before it, and
+    its zero multipliers and flags too when that state was elastic).  A
     caller who wants to write takes a copy, ``np.array(state.stress)``.
     """
 
@@ -283,16 +287,26 @@ class _ActiveSystem:
 
     def residual(self, sig_tr, sig_act, lam):
         """(m, 7) residual (r_sig, r_F) at the iterate, with the flow directions
-        n_g(sig_act), the stresses of all phases and the controlled-strain
+        n_g(sig_act), the active stresses (m, 6) and the controlled-strain
         corrections these directions give, and the point ``(n_dev, s_eq)`` of
-        sig_act that ``jacobian`` linearizes at."""
+        sig_act that ``jacobian`` linearizes at.
+
+        O(m): with x_a = lam_a n_g,a the active stresses are
+        sig_tr,a - own_a x_a - coupling_a . v, v = (sum_b weighted_b x_b, C_0 x_0),
+        whose first 6 + k entries are w and d eps_S.
+        """
         mean, n_dev, eq = dp_direction(sig_act, self.strength)
         dirs = dp_flow_of(n_dev, self.tan_g)
-        sig, d_eps = self.stress_update(sig_tr, lam, dirs)
+        x = lam[:, None] * dirs
+        v = np.einsum("bij,bj->i", self.weighted, x)
+        if self.matrix_index is not None:
+            v = np.concatenate((v, self.ops.stiffness[0] @ x[self.matrix_index]))
+        sig = (sig_tr[self.active] - np.einsum("aij,aj->ai", self.own, x)
+               - self.coupling[:, :6] @ v)
         res = np.empty((len(lam), 7))
-        res[:, :6] = sig_act - sig[self.active]
+        res[:, :6] = sig_act - sig
         res[:, 6] = dp_yield_of(mean, eq, self.tan_f, self.strength)
-        return res, dirs, sig, d_eps, (n_dev, eq)
+        return res, dirs, sig, v[6:6 + len(self.control.idx)], (n_dev, eq)
 
     def jacobian(self, point, lam, rhs):
         """Solve the residual's linearization at (sig_act, lam) for ``rhs`` (m, 7, r);
@@ -347,15 +361,18 @@ def _newton_multipliers(ops, sig_tr, active, settings, control, lam):
     """
     try:
         sys_ = _ActiveSystem(ops, active, control)
-        sig_act = sys_.residual(sig_tr, sig_tr[active], lam)[2][active]
+        sig_act = sys_.residual(sig_tr, sig_tr[active], lam)[2]
         for _ in range(settings.newton_max_iter):
             tols = settings.newton_tol * sys_.strength
-            res, dirs, sig, d_eps, point = sys_.residual(sig_tr, sig_act, lam)
-            f_chk = dp_yield(sig[active], sys_.tan_f, sys_.strength)
+            res, dirs, sig, _, point = sys_.residual(sig_tr, sig_act, lam)
+            f_chk = dp_yield(sig, sys_.tan_f, sys_.strength)
             gap = np.maximum(np.abs(f_chk), np.abs(res[:, :6]).max(axis=1))
             converged = np.all(gap <= tols)
             keep = lam + sys_.switch_c * res[:, 6] > sys_.switch_at
-            join = sorted(set(check_yield(ops, sig)[1]) - set(active)) if converged else []
+            join = []
+            if converged:  # the only all-phase evaluation: join check and result
+                sig, d_eps = sys_.stress_update(sig_tr, lam, dirs)
+                join = sorted(set(check_yield(ops, sig)[1]) - set(active))
             if keep.all() and not join:
                 if converged:
                     return active, lam, dirs, sig, d_eps
@@ -416,12 +433,16 @@ def _solve_mixed_increment(ops, state, targets, control, settings):
     eps_bar, strains, stresses = _trial_at(ops, state, control.predict(state, targets))
     _, active = check_yield(ops, stresses)
     eps_p, macro_plastic = state.plastic_strain, state.macro_plastic
-    multipliers = np.zeros(ops.n_phases)
+    multipliers, flags = state.multipliers, state.active
     if active:  # warm-started from the last increment's multipliers
         active, lam, dirs, _, d_eps = _newton_multipliers(
             ops, stresses, active, settings, control, state.multipliers[active])
         eps_bar[control.idx] += d_eps
+        multipliers = np.zeros(ops.n_phases)
         multipliers[active] = lam
+        mask = np.zeros(ops.n_phases, dtype=bool)
+        mask[active] = True
+        flags = tuple(mask.tolist())
         eps_p = eps_p.copy()
         eps_p[active] += lam[:, None] * dirs
         strains = localize(ops, eps_bar, eps_p)
@@ -430,15 +451,15 @@ def _solve_mixed_increment(ops, state, targets, control, settings):
         sig_bar = upscale_stress(ops, eps_bar, eps_p)
     else:
         sig_bar = ops.stiffness_hom @ (eps_bar - macro_plastic)
+        if any(flags) or multipliers.any():  # else shared, like the plastic strains
+            multipliers, flags = np.zeros(ops.n_phases), (False,) * ops.n_phases
     miss = np.abs(sig_bar[control.idx] - targets[control.idx]).max(initial=0.0)
     if miss > settings.mixed_tol * max(1.0, float(np.linalg.norm(sig_bar))):
         raise StepFailureError(
             f"stress-controlled components miss their targets by {miss:.3e}")
-    mask = np.zeros(ops.n_phases, dtype=bool)
-    mask[active] = True
     return REVState(step=state.step + 1, macro_strain=eps_bar, macro_stress=sig_bar,
                     macro_plastic=macro_plastic, strain=strains, plastic_strain=eps_p,
-                    stress=stresses, multipliers=multipliers, active=tuple(mask.tolist()))
+                    stress=stresses, multipliers=multipliers, active=flags)
 
 
 def _advance_with_subdivision(ops, state, targets, control, settings):
@@ -470,7 +491,8 @@ def drive(ops: MeanFieldOperators, program: LoadProgram,
 
     The states are read-only and share the arrays an increment left unchanged:
     each elastic increment's ``plastic_strain`` and ``macro_plastic`` are the
-    previous state's objects.
+    previous state's objects, and so are its ``multipliers`` and ``active``
+    when the previous state is elastic too.
     """
     settings = settings or SolverSettings()
     states = [initial_state(ops)]

@@ -10,6 +10,8 @@ strains dimensionless.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import IncompressibilityError, SingularOperatorError, SymmetryError
@@ -91,8 +93,8 @@ for _constant in (_SCALE, _PAIR_I, _PAIR_J, IVEC, IDENTITY, J_PROJ, K_PROJ):
 
 def iso_stiffness(young: float, poisson: float) -> np.ndarray:
     """Isotropic stiffness 3k*J + 2mu*K from Young's modulus (MPa) and Poisson ratio."""
-    if young <= 0.0:
-        raise ValueError(f"Young's modulus must be positive, got {young}")
+    if not 0.0 < young < math.inf:
+        raise ValueError(f"Young's modulus must be positive and finite, got {young}")
     if not -1.0 < poisson < 0.5:
         if poisson == 0.5:
             raise IncompressibilityError("poisson ratio 0.5 gives a singular stiffness")

@@ -26,7 +26,8 @@ SWAP_13 = [2, 1, 0, 5, 4, 3]
 @pytest.fixture(scope="module")
 def counted_default_run():
     """The default run, counting stress controls, linearizations, Newton
-    solves (per increment) and calls of ``localize`` and ``upscale_stress``."""
+    solves (per increment) and calls of ``localize``, ``upscale_stress`` and
+    ``eigen_response``."""
     sc = default_scenario()
     ops = assemble_operators(sc.phases())
     counts = Counter()
@@ -52,6 +53,9 @@ def counted_default_run():
                                  (solver_mod, "localize", "localize"),
                                  (solver_mod, "upscale_stress", "upscale_stress")):
             mp.setattr(owner, name, counted(key, getattr(owner, name)))
+        response = counted("eigen_response", mean_field.eigen_response)
+        mp.setattr(solver_mod, "eigen_response", response)
+        mp.setattr(mean_field, "eigen_response", response)
         mp.setattr(solver_mod, "_advance_with_subdivision", counted_increment)
         states = drive(ops, sc.program, sc.settings)
     return sc, ops, states, counts, solves
@@ -75,6 +79,10 @@ def test_default_run_work_counts(counted_default_run):
     # when every attempt localized and every acceptance upscaled)
     assert counts["localize"] == 60
     assert counts["upscale_stress"] == 60
+    # a Newton iterate evaluates its m active stresses only; all n phases are
+    # evaluated once per converged iterate and once per localization (305 calls
+    # when every one of the 245 residuals went through eigen_response)
+    assert counts["eigen_response"] == 120
 
 
 def test_elastic_stress_controlled_increments_take_one_pass(counted_default_run):

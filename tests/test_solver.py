@@ -210,6 +210,37 @@ def test_jacobian_matches_finite_differences(scheme, modes, active):
     assert np.abs(dx[..., 0] - dx_fd).max() <= 1e-6 * np.abs(dx_fd).max()
 
 
+@pytest.mark.parametrize("scheme,modes", [
+    pytest.param(scheme, modes, id=scheme + suffix)
+    for suffix, modes in (("", (STRAIN,) * 6), ("-mixed", MIXED_MODES))
+    for scheme in ("mori_tanaka", "dilute")])
+@pytest.mark.parametrize("active", [[0, 1, 2], [1, 2], [2, 0]])
+def test_condensed_residual_matches_all_phase_stresses(scheme, modes, active):
+    # the residual's O(m) active stresses and controlled-strain corrections
+    # against the all-phase evaluation through eigen_response, at random iterates
+    ops = four_phase_ops(scheme)
+    _, _, sig_tr = _trial_at(ops, initial_state(ops), FOUR_PHASE_STRAIN)
+    control = solver_mod._StressControl(ops, modes)
+    sys_ = solver_mod._ActiveSystem(ops, active, control)
+    m = len(active)
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        sig_act = sig_tr[active] * rng.uniform(0.5, 1.5, size=(m, 6)) + 0.05 * rng.normal(
+            size=(m, 6))
+        lam = 1e-3 * rng.uniform(0.1, 1.0, size=m)
+        dirs = dp_flow_of(dp_direction(sig_act, sys_.strength)[1], sys_.tan_g)
+        full, d_eps = sys_.stress_update(sig_tr, lam, dirs)
+        res, _, sig, d_eps_act, _ = sys_.residual(sig_tr, sig_act, lam)
+        scale = np.abs(full).max()
+        assert np.abs(sig - full[active]).max() <= 1e-13 * scale
+        assert np.abs(res[:, :6] - (sig_act - full[active])).max() <= 1e-13 * scale
+        assert d_eps_act.shape == d_eps.shape == (len(control.idx),)
+        assert np.abs(d_eps_act - d_eps).max(initial=0.0) <= 1e-13 * np.abs(d_eps).max(
+            initial=0.0)
+        # the flow reaches the stresses: not the trial state
+        assert np.abs(sig - sig_tr[active]).max() > 1e-2 * scale
+
+
 @pytest.mark.parametrize("scheme", ["mori_tanaka", "dilute"])
 def test_controlled_strains_keep_the_targets(scheme):
     # the eliminated strain corrections put the controlled macro stresses on
@@ -622,7 +653,7 @@ def test_states_are_read_only_and_share_frozen_plastic_strains():
         assert not any(getattr(st, field).flags.writeable for field in STATE_ARRAYS)
     with pytest.raises(ValueError, match="read-only"):
         states[1].macro_plastic[2] = 123.0
-    elastic = plastic = 0
+    elastic = plastic = after_plastic = 0
     for prev, st in zip(states, states[1:]):
         if any(st.active):
             plastic += 1
@@ -631,7 +662,15 @@ def test_states_are_read_only_and_share_frozen_plastic_strains():
             elastic += 1
             assert st.plastic_strain is prev.plastic_strain
             assert st.macro_plastic is prev.macro_plastic
-    assert elastic and plastic
+            # zero multipliers and flags pass through consecutive elastic
+            # states; the first one after a plastic state needs fresh zeros
+            assert not st.multipliers.any() and not any(st.active)
+            if any(prev.active):
+                after_plastic += 1
+                assert st.multipliers is not prev.multipliers
+            else:
+                assert st.multipliers is prev.multipliers and st.active is prev.active
+    assert elastic and plastic and after_plastic
 
 
 def test_stress_routes_at_converged_plastic_state():

@@ -124,6 +124,13 @@ def test_iso_stiffness_invalid():
         iso_stiffness(100.0, 0.7)
 
 
+@pytest.mark.parametrize("young", [np.nan, np.inf, -np.inf])
+def test_iso_stiffness_rejects_non_finite_modulus(young):
+    # NaN fails every comparison, so only a positive-and-finite test rejects it
+    with pytest.raises(ValueError, match=f"must be positive and finite, got {young}"):
+        iso_stiffness(young, 0.25)
+
+
 def test_projectors_algebra():
     j, k = iso_projectors()
     assert np.allclose(j + k, np.eye(6))
