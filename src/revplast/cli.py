@@ -6,6 +6,7 @@ self-check failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -36,12 +37,14 @@ def _load_scenario(args) -> Scenario:
     return parse_scenario(text)
 
 
-def _out_path(directory: str | None, path: str) -> str:
-    """``path`` under ``directory`` unless absolute; its parent directory is
-    created, so a run never fails for it after the solve."""
+def _out_path(directory: str | None, path: str, stem: bool = False) -> str:
+    """``path`` under ``directory`` unless absolute, with its parent created; it must name
+    a file (with ``stem``, begin file names), so a run never fails for it after the solve."""
     if directory:
         path = os.path.join(directory, path)
-    parent = os.path.dirname(path)
+    parent, name = os.path.split(path)
+    if not stem and (not name or os.path.isdir(path)):
+        raise OSError(errno.EISDIR, "output path names no file", path)
     if parent:
         try:
             os.makedirs(parent, exist_ok=True)
@@ -57,7 +60,7 @@ def _cmd_run(args) -> int:
     phase_path = out.phase_path or ("phases.csv" if args.per_phase else None)
     phase_path = phase_path and _out_path(args.output_dir, phase_path)
     plot_prefix = out.plot_prefix or ("plot" if args.plot_data else None)
-    plot_prefix = plot_prefix and _out_path(args.output_dir, plot_prefix)
+    plot_prefix = plot_prefix and _out_path(args.output_dir, plot_prefix, stem=True)
     ops = assemble_operators(scenario.phases(), scenario.scheme)
     states = drive(ops, scenario.program, scenario.settings)
     write_macro_csv(states, macro_path)

@@ -1,27 +1,26 @@
 """Incremental multiscale return-mapping driver with mixed strain/stress control.
 
 Each increment is one nonlinear solve.  The stress-controlled macroscopic
-strain components are predicted exactly for an elastic step.  While the
-plastic strains are frozen the medium is linear, so the trial state there is
-the converged state plus the elastic response A_a d eps_bar of every phase;
-it is accepted if no phase violates its yield surface, with the macro stress
-C_hom (eps_bar - eps_bar_p).  Otherwise the coupled return of the active
-phases is solved, and the state it returns is localized and upscaled from the
-total plastic strains, so the roundoff of the elastic updates lasts one
-elastic stretch at most.  In the return, plastic strains are eigen-strains of
-the Mori-Tanaka medium, so every active phase's stress depends on every
-phase's flow.  The macroscopic stress is affine in the macroscopic strain and
-the eigen-strains, so the corrections of the k stress-controlled strain
-components are a fixed linear function of the eigen-strain increments:
-they are eliminated exactly, and the controlled stresses are on target at
-every Newton iterate.  That function depends on the control modes only, so
-``drive`` builds it once per load segment.  The active set is revised
-between Newton iterates by a primal-dual active-set switch: phases whose
-multiplier it rejects leave, phases pushed past yield join at a converged
-iterate, and the solve goes on.  It is warm-started from the multipliers of
-the previous increment (halved when the increment is subdivided).  On the
-default scenario that takes 125 Newton steps for the 60 plastic increments,
-against 180 from zero multipliers.
+strain components are predicted exactly for an elastic step.  Plastic strains
+are eigen-strains of the Mori-Tanaka medium, which is linear, so an
+increment's phase fields are the converged ones plus their response to the
+increment.  The trial state adds the elastic response A_a d eps_bar with the
+plastic strains frozen and is accepted if no phase yields.  Otherwise the
+coupled return of the active phases, where every active stress depends on
+every phase's flow, is solved, and its converged iterate adds the response to
+its eigen-strain increments and controlled-strain corrections.  Either way
+the macro stress is C_hom (eps_bar - eps_bar_p).  It is affine in the
+macroscopic strain and the eigen-strains, so the corrections of the k
+stress-controlled strain components are a fixed linear function of the
+eigen-strain increments: they are eliminated exactly, and the controlled
+stresses are on target at every Newton iterate.  That function depends on
+the control modes only, so ``drive`` builds it once per load segment.  The
+active set is revised between Newton iterates by a primal-dual active-set
+switch: phases whose multiplier it rejects leave, phases pushed past yield
+join at a converged iterate, and the solve goes on.  It is warm-started from
+the multipliers of the previous increment (halved when the increment is
+subdivided).  On the default scenario that takes 125 Newton steps for the 60
+plastic increments, against 180 from zero multipliers.
 
 The Newton method is linearized consistently, with the flow-direction
 derivative d n / d sig, so it converges quadratically.  Because the
@@ -31,15 +30,15 @@ polarization sum and, when the matrix yields, the matrix eigen-stress) and
 the k controlled-strain corrections, so a step is one batched solve of the
 blocks plus one (6 + k)x(6 + k) ((12 + k)x(12 + k)) system: O(m) in the
 number m of active phases.  The residual goes through the same coupling
-vectors, so a whole iterate costs O(m); the stresses of all n phases are
-evaluated once per converged iterate, for the phases that join and for the
-result.
+vectors, so a whole iterate costs O(m); all n phases are evaluated once per
+converged iterate, for the joins and the state.
 
-Yield checks, the Newton residuals and flow directions and the KKT check of
-every converged increment all call the batched Drucker-Prager kernel of
-``plasticity`` on the per-phase parameter arrays of the operators.  A Newton
-iterate evaluates the invariants of its active stresses once: the residual
-keeps their deviatoric direction and equivalent stress for the linearization.
+Yield checks, Newton residuals and flow directions and the KKT check all call
+the batched Drucker-Prager kernel of ``plasticity``.  A Newton iterate
+evaluates the invariants of its active stresses twice: for the residual and
+its linearization at the iterate, and for the convergence check at the
+stresses recomputed with its flow, which bounds F on the stresses (up to
+roundoff) that a converged iterate hands to the state.
 
 An increment attempt returns a state ``validate_state`` accepts or raises
 StepFailureError, whatever the cause; ``drive`` halves a failed increment up
@@ -54,8 +53,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ApexSingularityError, StepFailureError
-from .mean_field import (MeanFieldOperators, eigen_response, localize,
-                         macro_plastic_strain, upscale_stress)
+from .mean_field import MeanFieldOperators, eigen_response, macro_plastic_strain
 from .plasticity import (dp_direction, dp_flow_gradient_of, dp_flow_of, dp_yield,
                          dp_yield_of)
 
@@ -277,13 +275,15 @@ class _ActiveSystem:
         self.coupling[:, :6] = np.concatenate(blocks, axis=2)
 
     def stress_update(self, sig_tr, lam, dirs):
-        """Stresses of all phases for multipliers ``lam`` with flow ``dirs``, and
-        the controlled-strain corrections d eps_S (k,) of that flow."""
+        """All-phase response to multipliers ``lam`` with flow ``dirs``: eigen-strain
+        increments x (n, 6), their controlled-strain corrections d eps_S (k,), strain
+        increments du = A[:, :, S] d eps_S + eigen_response(x) and stresses
+        sig_tr + C_a (du_a - x_a)."""
         x = np.zeros_like(sig_tr)
         x[self.active] = lam[:, None] * dirs
         d_eps = self.control.strain(x)
-        return (sig_tr + self.control.sens @ d_eps
-                + phase_stresses(self.ops, eigen_response(self.ops, x), x)), d_eps
+        du = self.ops.concentration[:, :, self.control.idx] @ d_eps + eigen_response(self.ops, x)
+        return x, d_eps, du, sig_tr + phase_stresses(self.ops, du, x)
 
     def residual(self, sig_tr, sig_act, lam):
         """(m, 7) residual (r_sig, r_F) at the iterate, with the flow directions
@@ -345,7 +345,8 @@ class _ActiveSystem:
 def _newton_multipliers(ops, sig_tr, active, settings, control, lam):
     """Solve the coupled return under the stress control of ``control`` from
     the candidate phases ``active`` and their guess ``lam``, revising the
-    active set between iterates; returns (active, lam, dirs, stresses, d_eps).
+    active set between iterates; returns the final set and multipliers with the
+    converged iterate's ``stress_update``, (active, lam, x, d_eps, du, stresses).
 
     Newton on the active stresses and multipliers from the trial state
     ``sig_tr`` at the predicted macro strain, starting at the stresses the
@@ -371,11 +372,11 @@ def _newton_multipliers(ops, sig_tr, active, settings, control, lam):
             keep = lam + sys_.switch_c * res[:, 6] > sys_.switch_at
             join = []
             if converged:  # the only all-phase evaluation: join check and result
-                sig, d_eps = sys_.stress_update(sig_tr, lam, dirs)
+                x, d_eps, du, sig = sys_.stress_update(sig_tr, lam, dirs)
                 join = sorted(set(check_yield(ops, sig)[1]) - set(active))
             if keep.all() and not join:
                 if converged:
-                    return active, lam, dirs, sig, d_eps
+                    return active, lam, x, d_eps, du, sig
                 z, _ = sys_.jacobian(point, lam, -res[:, :, None])
                 sig_act = sig_act + z[:, :6, 0]
                 lam = lam + z[:, 6, 0]
@@ -435,7 +436,7 @@ def _solve_mixed_increment(ops, state, targets, control, settings):
     eps_p, macro_plastic = state.plastic_strain, state.macro_plastic
     multipliers, flags = state.multipliers, state.active
     if active:  # warm-started from the last increment's multipliers
-        active, lam, dirs, _, d_eps = _newton_multipliers(
+        active, lam, x, d_eps, du, stresses = _newton_multipliers(
             ops, stresses, active, settings, control, state.multipliers[active])
         eps_bar[control.idx] += d_eps
         multipliers = np.zeros(ops.n_phases)
@@ -443,16 +444,11 @@ def _solve_mixed_increment(ops, state, targets, control, settings):
         mask = np.zeros(ops.n_phases, dtype=bool)
         mask[active] = True
         flags = tuple(mask.tolist())
-        eps_p = eps_p.copy()
-        eps_p[active] += lam[:, None] * dirs
-        strains = localize(ops, eps_bar, eps_p)
-        stresses = phase_stresses(ops, strains, eps_p)
+        strains, eps_p = strains + du, eps_p + x
         macro_plastic = macro_plastic_strain(ops, eps_p)
-        sig_bar = upscale_stress(ops, eps_bar, eps_p)
-    else:
-        sig_bar = ops.stiffness_hom @ (eps_bar - macro_plastic)
-        if any(flags) or multipliers.any():  # else shared, like the plastic strains
-            multipliers, flags = np.zeros(ops.n_phases), (False,) * ops.n_phases
+    elif any(flags) or multipliers.any():  # else shared, like the plastic strains
+        multipliers, flags = np.zeros(ops.n_phases), (False,) * ops.n_phases
+    sig_bar = ops.stiffness_hom @ (eps_bar - macro_plastic)
     miss = np.abs(sig_bar[control.idx] - targets[control.idx]).max(initial=0.0)
     if miss > settings.mixed_tol * max(1.0, float(np.linalg.norm(sig_bar))):
         raise StepFailureError(

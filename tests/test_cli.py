@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+import revplast.cli as cli
 from revplast.cli import main
 from revplast.scenario import Scenario, parse_scenario
 
@@ -207,6 +208,26 @@ def test_unwritable_output_path_exit_code(tmp_path, capsys):
     assert str(tmp_path / "blocker" / "macro.csv") in err
     assert ".tmp_" not in err
     assert sorted(os.listdir(tmp_path)) == ["blocked.scn", "blocker"]
+
+
+@pytest.mark.parametrize("macro", ["", "sub/", "sub"])
+def test_output_path_naming_no_file_fails_before_the_solve(macro, tmp_path, monkeypatch,
+                                                           capsys):
+    # an empty path, a trailing separator and an existing directory name no
+    # file: the run stops before the solve and leaves nothing behind
+    def no_drive(*args):
+        raise AssertionError("the output paths are checked before the solve")
+
+    monkeypatch.setattr(cli, "drive", no_drive)
+    monkeypatch.chdir(tmp_path)
+    if macro == "sub":
+        (tmp_path / "sub").mkdir()
+    path = tmp_path / "nofile.scn"
+    path.write_text(TINY.replace("macro = tiny_macro.csv", f"macro = {macro}"))
+    before = sorted(os.walk(tmp_path))
+    assert main(["run", str(path)]) == 4
+    assert f"output path names no file: {macro!r}" in capsys.readouterr().err
+    assert sorted(os.walk(tmp_path)) == before
 
 
 def test_solver_failure_exit_code(tmp_path, capsys):

@@ -123,6 +123,35 @@ def test_default_axial_modulus_against_scalar_oracle(default_ops):
     assert abs(young_engine - young_oracle) / young_oracle < 5e-3
 
 
+def test_mori_tanaka_spheres_match_hashin_shtrikman():
+    # for isotropic spheres, Mori-Tanaka is the Hashin-Shtrikman estimate with
+    # the matrix as reference medium (Weng 1984); the forms below divide by no
+    # modulus difference, so equal phases are included (measured 1.8e-15)
+    rng = np.random.default_rng(1984)
+    worst = 0.0
+    for _ in range(200):
+        young0 = 100.0
+        young1 = young0 * 10.0 ** rng.uniform(-3.0, 3.0)
+        nu0, nu1 = rng.uniform(-0.4, 0.45, size=2)
+        f1 = rng.uniform(0.0, 0.6)
+        if rng.random() < 0.05:
+            young1, nu1 = young0, nu0
+        ops = assemble_operators([
+            PhaseSpec("matrix", 1.0 - f1, young0, nu0),
+            PhaseSpec("sphere", f1, young1, nu1,
+                      spheroid=Spheroid(1.0, tuple(rng.normal(size=3))))])
+        k0, mu0 = young0 / (3 * (1 - 2 * nu0)), young0 / (2 * (1 + nu0))
+        k1, mu1 = young1 / (3 * (1 - 2 * nu1)), young1 / (2 * (1 + nu1))
+        f0 = 1.0 - f1
+        zeta0 = mu0 * (9 * k0 + 8 * mu0) / (6 * (k0 + 2 * mu0))
+        k_hs = k0 + f1 * (k1 - k0) * (3 * k0 + 4 * mu0) / (3 * k0 + 4 * mu0
+                                                          + 3 * f0 * (k1 - k0))
+        mu_hs = mu0 + f1 * (mu1 - mu0) * (mu0 + zeta0) / (mu0 + zeta0 + f0 * (mu1 - mu0))
+        c_hs = 3.0 * k_hs * J_PROJ + 2.0 * mu_hs * K_PROJ
+        worst = max(worst, np.abs(ops.stiffness_hom - c_hs).max() / np.abs(c_hs).max())
+    assert worst <= 1e-12
+
+
 def test_dilute_scheme_assembles():
     phases = [matrix_phase(0.98), spheroid_phase("i", 0.02)]
     ops = assemble_operators(phases, scheme="dilute")

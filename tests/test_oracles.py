@@ -26,8 +26,7 @@ SWAP_13 = [2, 1, 0, 5, 4, 3]
 @pytest.fixture(scope="module")
 def counted_default_run():
     """The default run, counting stress controls, linearizations, Newton
-    solves (per increment) and calls of ``localize``, ``upscale_stress`` and
-    ``eigen_response``."""
+    solves (per increment) and calls of ``eigen_response``."""
     sc = default_scenario()
     ops = assemble_operators(sc.phases())
     counts = Counter()
@@ -49,9 +48,7 @@ def counted_default_run():
     with pytest.MonkeyPatch.context() as mp:
         for owner, name, key in ((solver_mod._ActiveSystem, "jacobian", "linearizations"),
                                  (solver_mod, "_newton_multipliers", "newton_solves"),
-                                 (solver_mod, "_StressControl", "controls"),
-                                 (solver_mod, "localize", "localize"),
-                                 (solver_mod, "upscale_stress", "upscale_stress")):
+                                 (solver_mod, "_StressControl", "controls")):
             mp.setattr(owner, name, counted(key, getattr(owner, name)))
         response = counted("eigen_response", mean_field.eigen_response)
         mp.setattr(solver_mod, "eigen_response", response)
@@ -74,15 +71,11 @@ def test_default_run_work_counts(counted_default_run):
     assert max(solves) <= 1
     # the stress-control constants are built once per load segment
     assert counts["controls"] == 2
-    # only the 60 plastic increments re-localize and re-upscale their plastic
-    # strains; an elastic one updates the converged fields (210 and 150 calls
-    # when every attempt localized and every acceptance upscaled)
-    assert counts["localize"] == 60
-    assert counts["upscale_stress"] == 60
     # a Newton iterate evaluates its m active stresses only; all n phases are
-    # evaluated once per converged iterate and once per localization (305 calls
-    # when every one of the 245 residuals went through eigen_response)
-    assert counts["eigen_response"] == 120
+    # evaluated once per converged iterate, whose response updates the state
+    # (305 calls when every one of the 245 residuals went through
+    # eigen_response, 120 when each plastic increment re-localized its state)
+    assert counts["eigen_response"] == 60
 
 
 def test_elastic_stress_controlled_increments_take_one_pass(counted_default_run):
@@ -178,6 +171,24 @@ def test_long_elastic_segment_does_not_drift():
     assert np.abs(constitutive).max() <= 1e-12 * np.abs(stress).max()
     two_forms = (macro_strain - macro_plastic) @ ops.stiffness_hom.T - macro_stress
     assert np.abs(two_forms).max() <= 1e-14 * np.abs(macro_stress).max()
+
+
+def test_long_plastic_cycles_do_not_drift():
+    # a plastic increment adds its return's response to the trial state, so
+    # the roundoff of the updates is never reset: over six mixed-control
+    # cycles of compression and shear reversal (748 plastic increments) the
+    # states stay within 1e-12 of the identities (measured 3.7e-15)
+    phases = [PhaseSpec("matrix", 0.8, 100.0, 0.25)] + [
+        PhaseSpec(f"incl{k}", 0.1, 400.0, 0.3, spheroid=Spheroid(0.5, axis),
+                  plastic=DruckerPrager(0.2, 0.05))
+        for k, axis in enumerate(((1.0, 0.0, 1.0), (0.0, 1.0, 2.0)))]
+    ops = assemble_operators(phases)
+    modes = (STRESS, STRESS, STRAIN, STRAIN, STRAIN, STRAIN)
+    cycle = (LoadSegment((0.0, 0.0, -3e-3, 1e-3, 0.0, 0.0), modes, 90),
+             LoadSegment((0.0, 0.0, -1e-3, -1e-3, 0.0, 0.0), modes, 90))
+    states = drive(ops, LoadProgram(cycle * 6))
+    assert sum(any(st.active) for st in states) >= 700
+    assert max(localization_gaps(ops, states)) <= 1e-12
 
 
 def test_dissipation_nonnegative(counted_default_run):

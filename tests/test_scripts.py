@@ -8,14 +8,19 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_run_default_script(tmp_path):
+def run_script(name, *args):
+    """Run ``scripts/<name>`` on this checkout's package; its completed process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    done = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", "run_default.py"), "--out",
-         str(tmp_path / "out")], env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    return done
+
+
+def test_run_default_script(tmp_path):
+    done = run_script("run_default.py", "--out", str(tmp_path / "out"))
     assert "peak axial stress" in done.stdout
     for label, yields in (("plastic", True), ("elastic", False)):
         macro = np.loadtxt(tmp_path / "out" / f"macro_{label}.csv", delimiter=",",
@@ -27,6 +32,19 @@ def test_run_default_script(tmp_path):
                               skiprows=1)
             assert plot.shape == (151, 2)
             assert np.isfinite(plot).all()
+
+
+def test_refinement_study_converges_at_first_order():
+    # backward-Euler increments: the change of the final axial stress halves
+    # with each doubling of the increments (measured ratios 1.99 and 2.00)
+    lines = run_script("refinement_study.py").stdout.splitlines()
+    assert lines[0].split() == ["increments", "final", "sig33", "(MPa)", "change", "vs",
+                                "previous"]
+    rows = [line.split() for line in lines[1:]]
+    assert [int(row[0]) for row in rows] == [150, 300, 600, 1200]
+    changes = [float(row[2]) for row in rows[1:]]
+    for coarse, fine in zip(changes, changes[1:]):
+        assert 1.8 <= coarse / fine <= 2.2
 
 
 def test_phase_sweep_counts_its_work(monkeypatch):

@@ -229,9 +229,19 @@ def test_condensed_residual_matches_all_phase_stresses(scheme, modes, active):
             size=(m, 6))
         lam = 1e-3 * rng.uniform(0.1, 1.0, size=m)
         dirs = dp_flow_of(dp_direction(sig_act, sys_.strength)[1], sys_.tan_g)
-        full, d_eps = sys_.stress_update(sig_tr, lam, dirs)
+        x, d_eps, du, full = sys_.stress_update(sig_tr, lam, dirs)
         res, _, sig, d_eps_act, _ = sys_.residual(sig_tr, sig_act, lam)
         scale = np.abs(full).max()
+        # the update is the localization of its eigen-strain increments and
+        # controlled-strain corrections, and the stresses follow from it
+        assert np.array_equal(x[active], lam[:, None] * dirs)
+        assert not np.delete(x, active, axis=0).any()
+        e = np.zeros(6)
+        e[control.idx] = d_eps
+        local = localize(ops, e, x)
+        assert np.abs(du - local).max() <= 1e-13 * np.abs(local).max()
+        stresses = sig_tr + solver_mod.phase_stresses(ops, du, x)
+        assert np.abs(full - stresses).max() <= 1e-13 * scale
         assert np.abs(sig - full[active]).max() <= 1e-13 * scale
         assert np.abs(res[:, :6] - (sig_act - full[active])).max() <= 1e-13 * scale
         assert d_eps_act.shape == d_eps.shape == (len(control.idx),)
@@ -278,11 +288,11 @@ def test_macro_tangent_matches_finite_differences(scheme, active):
     def converged(targets, modes):
         control = solver_mod._StressControl(ops, modes)
         eps_bar, _, sig_tr = _trial_at(ops, start, control.predict(start, targets))
-        got, lam, dirs, sig, d_eps = solver_mod._newton_multipliers(
+        got, lam, x, d_eps, _, sig = solver_mod._newton_multipliers(
             ops, sig_tr, active, settings, control, np.zeros(len(active)))
         assert got == active and (lam > 0.0).all()
         eps_bar[control.idx] += d_eps
-        return control, np.column_stack((sig[active], lam)), eps_bar, lam[:, None] * dirs
+        return control, np.column_stack((sig[active], lam)), eps_bar, x[active]
 
     # targets: the macro stresses of the strain-controlled return at ``strain``
     _, _, _, flow = converged(strain, (STRAIN,) * 6)
@@ -344,11 +354,11 @@ def test_converged_guess_needs_no_linearization(monkeypatch):
     state = initial_state(ops)
     targets = np.array([0.0, 0.0, -0.004, 0.0, 0.0, 0.0])
     active = [0, 1]
-    (got, lam, _, sig, d_eps), cold = counted_newton(monkeypatch, ops, state, targets,
-                                                     MIXED_MODES, active, np.zeros(2))
+    (got, lam, _, d_eps, _, sig), cold = counted_newton(monkeypatch, ops, state, targets,
+                                                        MIXED_MODES, active, np.zeros(2))
     assert cold >= 1 and got == active and (lam > 0.0).all()
-    (got, lam_w, _, sig_w, d_w), warm = counted_newton(monkeypatch, ops, state, targets,
-                                                       MIXED_MODES, active, lam)
+    (got, lam_w, _, d_w, _, sig_w), warm = counted_newton(monkeypatch, ops, state, targets,
+                                                          MIXED_MODES, active, lam)
     assert warm == 0 and got == active
     tol = SolverSettings().newton_tol * 0.12
     assert np.abs(lam_w - lam).max() <= tol
@@ -369,10 +379,10 @@ def test_seeded_newton_reaches_the_same_return(monkeypatch, scale):
                        new.macro_stress)
     active = np.flatnonzero(new.active).tolist()
     assert len(active) >= 10
-    (got, lam, _, sig, _), _ = counted_newton(monkeypatch, ops, prev, targets,
-                                              segment.modes, active, new.multipliers[active])
-    (got_s, lam_s, _, sig_s, _), _ = counted_newton(monkeypatch, ops, prev, targets,
-                                                    segment.modes, active, scale * lam)
+    (got, lam, *_, sig), _ = counted_newton(monkeypatch, ops, prev, targets,
+                                            segment.modes, active, new.multipliers[active])
+    (got_s, lam_s, *_, sig_s), _ = counted_newton(monkeypatch, ops, prev, targets,
+                                                  segment.modes, active, scale * lam)
     assert got == got_s == active
     tol = SolverSettings().newton_tol * ops.shear_strength[active].min()
     assert np.abs(lam_s - lam).max() <= tol
@@ -445,7 +455,7 @@ def test_switch_acts_on_the_start_iterate(monkeypatch):
     # solve is done without a linearization
     _, ops, state, deps = twin_inclusions()
     new = _solve_mixed_increment(ops, state, deps, strain_control(ops), SolverSettings())
-    (active, lam, _, sig, _), steps = counted_newton(
+    (active, lam, *_, sig), steps = counted_newton(
         monkeypatch, ops, state, deps, (STRAIN,) * 6, [1, 2], new.multipliers[[1, 2]])
     assert active == [1] and steps == 0
     tol = SolverSettings().newton_tol * 0.12
@@ -936,8 +946,8 @@ BENCHMARK_HOOKS = [
     *[("revplast.solver", path) for path in (
         "_advance_with_subdivision", "_solve_mixed_increment", "_trial_at", "check_yield",
         "validate_state", "_newton_multipliers", "_ActiveSystem.__init__",
-        "_ActiveSystem.jacobian", "_ActiveSystem.stress_update", "localize",
-        "upscale_stress", "macro_plastic_strain")]]
+        "_ActiveSystem.jacobian", "_ActiveSystem.stress_update",
+        "macro_plastic_strain")]]
 
 
 @pytest.mark.parametrize("module,path", BENCHMARK_HOOKS,
