@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import RevplastError, ScenarioError
 from .mean_field import assemble_operators
-from .results import write_macro_csv, write_phase_csv, write_plot_data
+from .results import plot_paths, write_macro_csv, write_phase_csv, write_plot_data
 from .scenario import Scenario, default_scenario, parse_scenario
 from .solver import drive
 
@@ -37,39 +37,45 @@ def _load_scenario(args) -> Scenario:
     return parse_scenario(text)
 
 
-def _out_path(directory: str | None, path: str, stem: bool = False) -> str:
-    """``path`` under ``directory`` unless absolute, with its parent created; it must name
-    a file (with ``stem``, begin file names), so a run never fails for it after the solve."""
-    if directory:
-        path = os.path.join(directory, path)
-    parent, name = os.path.split(path)
-    if not stem and (not name or os.path.isdir(path)):
-        raise OSError(errno.EISDIR, "output path names no file", path)
-    if parent:
-        try:
-            os.makedirs(parent, exist_ok=True)
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, path) from exc
-    return path
+def _out_paths(paths: list[str]) -> list[str]:
+    """Check that each of ``paths`` names a file, and one no other path names, then
+    create their parents: a run never fails for them after the solve, and a
+    refused run leaves nothing behind."""
+    seen = set()
+    for path in paths:
+        if not os.path.basename(path) or os.path.isdir(path):
+            raise OSError(errno.EISDIR, "output path names no file", path)
+        if os.path.realpath(path) in seen:
+            raise OSError(errno.EEXIST, "output path named twice", path)
+        seen.add(os.path.realpath(path))
+    for path in paths:
+        parent = os.path.dirname(path)
+        if parent:
+            try:
+                os.makedirs(parent, exist_ok=True)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from exc
+    return paths
 
 
 def _cmd_run(args) -> int:
     scenario = _load_scenario(args)
     out = scenario.output
-    macro_path = _out_path(args.output_dir, out.macro_path)
+    where = args.output_dir or ""  # relative paths are taken under it
+    macro_path = os.path.join(where, out.macro_path)
     phase_path = out.phase_path or ("phases.csv" if args.per_phase else None)
-    phase_path = phase_path and _out_path(args.output_dir, phase_path)
+    phase_path = phase_path and os.path.join(where, phase_path)
     plot_prefix = out.plot_prefix or ("plot" if args.plot_data else None)
-    plot_prefix = plot_prefix and _out_path(args.output_dir, plot_prefix, stem=True)
+    plot_prefix = plot_prefix and os.path.join(where, plot_prefix)
+    written = _out_paths([macro_path] + ([phase_path] if phase_path else [])
+                         + (plot_paths(plot_prefix) if plot_prefix else []))
     ops = assemble_operators(scenario.phases(), scenario.scheme)
     states = drive(ops, scenario.program, scenario.settings)
     write_macro_csv(states, macro_path)
-    written = [macro_path]
     if phase_path:
         write_phase_csv(states, [p.name for p in ops.phases], phase_path)
-        written.append(phase_path)
     if plot_prefix:
-        written.extend(write_plot_data(states, plot_prefix))
+        write_plot_data(states, plot_prefix)
     final = states[-1]
     print(f"completed {len(states) - 1} increments; "
           f"final axial strain {final.macro_strain[2]:.6g}, "

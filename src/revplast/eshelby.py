@@ -34,7 +34,8 @@ _SERIES_WINDOW = 1e-3
 
 # the closed forms divide by the squared aspect ratio and raise it to the
 # third power; outside this range either overflows
-_ASPECT_RANGE = (np.sqrt(4.0 * np.pi / np.finfo(float).max), np.cbrt(np.finfo(float).max))
+ASPECT_RANGE = (float(np.sqrt(4.0 * np.pi / np.finfo(float).max)),
+                float(np.cbrt(np.finfo(float).max)))
 _ISOTROPY_TOL = 1e-10  # relative distance of a reference stiffness from isotropy
 _N_AZIMUTH = 32        # azimuthal points of the quadrature route (exact: see below)
 
@@ -69,9 +70,9 @@ def eshelby_tensor(aspect_ratio: float, nu_matrix: float) -> np.ndarray:
         raise ValueError(f"aspect ratio must be positive, got {w}")
     if not -1.0 < nu < 0.5:
         raise ValueError(f"matrix Poisson ratio must lie in (-1, 0.5), got {nu}")
-    if not _ASPECT_RANGE[0] < w < _ASPECT_RANGE[1]:
-        raise MorphologyError(f"aspect ratio {w!r} lies outside ({_ASPECT_RANGE[0]:.3g}, "
-                              f"{_ASPECT_RANGE[1]:.3g}), where the closed forms overflow")
+    if not ASPECT_RANGE[0] < w < ASPECT_RANGE[1]:
+        raise MorphologyError(f"aspect ratio {w!r} lies outside ({ASPECT_RANGE[0]:.3g}, "
+                              f"{ASPECT_RANGE[1]:.3g}), where the closed forms overflow")
     i1, i13 = _depolarization_integrals(w)
     i3 = 4.0 * np.pi - 2.0 * i1
     i12 = np.pi - i13 / 4.0

@@ -19,11 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MorphologyError, SingularOperatorError
-from .eshelby import hill_tensor
+from .eshelby import ASPECT_RANGE, hill_tensor
 from .orientations import rotation_to_axis
 from .plasticity import DruckerPrager
 from .tensors import IDENTITY, iso_stiffness, rotation_operator, ten4_inv
 
+SCHEMES = ("mori_tanaka", "dilute")  # mean-field schemes of assemble_operators
 CONSISTENCY_TOL = 1e-10
 
 
@@ -35,8 +36,12 @@ class Spheroid:
     axis: tuple[float, float, float] = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
-        if not self.aspect_ratio > 0.0:
-            raise ValueError(f"aspect ratio must be positive, got {self.aspect_ratio}")
+        lo, hi = ASPECT_RANGE
+        if not lo < self.aspect_ratio < hi:
+            if not self.aspect_ratio > 0.0:
+                raise ValueError(f"aspect ratio must be positive, got {self.aspect_ratio}")
+            raise ValueError(f"aspect ratio {self.aspect_ratio!r} lies outside "
+                             f"({lo:.3g}, {hi:.3g}), where the closed forms overflow")
         if len(self.axis) != 3:
             raise ValueError(f"spheroid axis must be three numbers, got {self.axis!r}")
         axis = [float(x) for x in self.axis]
@@ -170,7 +175,7 @@ def assemble_operators(phases, scheme: str = "mori_tanaka") -> MeanFieldOperator
     fractions (its consistency residuals grow with the fraction).
     """
     phases = validate_phases(phases)
-    if scheme not in ("mori_tanaka", "dilute"):
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     f = np.array([p.volume_fraction for p in phases])
     cmats, a_dil, resp = _phase_tensors(phases)

@@ -73,9 +73,14 @@ def write_phase_csv(states: list[REVState], phase_names: list[str], path: str) -
                  "%d,%s," + _VALUES + ",%d\n", chunks())
 
 
+def plot_paths(prefix: str) -> list[str]:
+    """The files ``write_plot_data`` writes for ``prefix``."""
+    return [f"{prefix}_axial.csv", f"{prefix}_lateral.csv"]
+
+
 def write_plot_data(states: list[REVState], prefix: str) -> list[str]:
     """Two-column extracts: |axial stress| against axial and lateral strain."""
-    paths = [f"{prefix}_axial.csv", f"{prefix}_lateral.csv"]
+    paths = plot_paths(prefix)
     for path, i in zip(paths, (2, 0)):
         rows = [(st.macro_strain[i], abs(st.macro_stress[2])) for st in states]
         _write_table(path, [f"eps_{COMPONENT_LABELS[i]}", "abs_sig_33"], "%.17g,%.17g\n",

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ScenarioError
-from .mean_field import PhaseSpec, Spheroid
+from .mean_field import SCHEMES, PhaseSpec, Spheroid
 from .orientations import CUBE26
 from .plasticity import DruckerPrager
 from .solver import STRAIN, STRESS, LoadProgram, LoadSegment, SolverSettings
@@ -60,6 +60,8 @@ class Scenario:
     output: OutputOptions = field(default_factory=OutputOptions)
 
     def __post_init__(self):
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}")
         # the checks of the phases it expands to that no family field makes alone
         f_incl = sum(fam.volume_fraction for fam in self.families)
         if f_incl >= 1.0:
@@ -290,7 +292,7 @@ def parse_scenario(text: str) -> Scenario:
     absent = (None, 0, {}, [])
     _, _, solver, _ = once.get("solver", absent)
     scheme, line_no = solver.get("scheme", ("mori_tanaka", 0))
-    if scheme not in ("mori_tanaka", "dilute"):
+    if scheme not in SCHEMES:
         raise ScenarioError(f"unknown scheme {scheme!r}", line_no)
     parsers = {float: _parse_float, int: _parse_int}
     overrides = {f.name: _checked(_SETTINGS_PROBE, solver, f.name,

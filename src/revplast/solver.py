@@ -136,8 +136,9 @@ class REVState:
     A state is a read-only value: construction marks its arrays read-only, so
     consecutive states share the arrays an increment leaves unchanged (an
     elastic increment shares the plastic strains of the state before it, and
-    its zero multipliers and flags too when that state was elastic).  A
-    caller who wants to write takes a copy, ``np.array(state.stress)``.
+    its zero multipliers too when that state was elastic).  A caller who wants
+    to write takes a copy, ``np.array(state.stress)``.  The active phases are
+    those with a positive multiplier.
     """
 
     step: int
@@ -148,12 +149,15 @@ class REVState:
     plastic_strain: np.ndarray  # (n, 6)
     stress: np.ndarray          # (n, 6)
     multipliers: np.ndarray     # (n,), zero for inactive phases
-    active: tuple[bool, ...]
 
     def __post_init__(self):
         for arr in (self.macro_strain, self.macro_stress, self.macro_plastic, self.strain,
                     self.plastic_strain, self.stress, self.multipliers):
             arr.setflags(write=False)
+
+    @property
+    def active(self) -> tuple[bool, ...]:
+        return tuple((self.multipliers > 0.0).tolist())
 
 
 def initial_state(ops: MeanFieldOperators) -> REVState:
@@ -161,7 +165,7 @@ def initial_state(ops: MeanFieldOperators) -> REVState:
     z6, zn6 = np.zeros(6), np.zeros((n, 6))
     return REVState(step=0, macro_strain=z6, macro_stress=z6, macro_plastic=z6,
                     strain=zn6, plastic_strain=zn6, stress=zn6,
-                    multipliers=np.zeros(n), active=(False,) * n)
+                    multipliers=np.zeros(n))
 
 
 def phase_stresses(ops: MeanFieldOperators, strains: np.ndarray,
@@ -174,17 +178,15 @@ def _trial_at(ops: MeanFieldOperators, state: REVState, eps_bar: np.ndarray):
     ``state`` frozen: the REV is then linear, so they are the converged fields
     plus the elastic response A_a (eps_bar - eps_bar_n) to the macro increment."""
     d = np.einsum("aij,j->ai", ops.concentration, eps_bar - state.macro_strain)
-    return eps_bar, state.strain + d, state.stress + np.einsum("aij,aj->ai", ops.stiffness, d)
+    return state.strain + d, state.stress + np.einsum("aij,aj->ai", ops.stiffness, d)
 
 
-def check_yield(ops: MeanFieldOperators, stresses: np.ndarray
-                ) -> tuple[np.ndarray, list[int]]:
-    """Per-phase yield values (-inf for elastic phases) and candidate plastic set."""
-    p = ops.plastic
-    f_vals = np.full(ops.n_phases, -np.inf)
-    f_vals[p] = dp_yield(stresses[p], ops.tan_friction[p], ops.shear_strength[p])
-    candidates = np.flatnonzero(f_vals > YIELD_TOL * ops.shear_strength).tolist()
-    return f_vals, candidates
+def check_yield(ops: MeanFieldOperators, stresses: np.ndarray) -> list[int]:
+    """Candidate plastic set: the plastic phases whose yield value exceeds YIELD_TOL s0."""
+    p = np.flatnonzero(ops.plastic)
+    strength = ops.shear_strength[p]
+    return p[dp_yield(stresses[p], ops.tan_friction[p], strength)
+             > YIELD_TOL * strength].tolist()
 
 
 def _solve(a, b, what):
@@ -230,10 +232,6 @@ class _StressControl:
         eps[self.idx] += self.inverse @ (targets[self.idx] - sig[self.idx])
         return eps
 
-    def strain(self, x):
-        """Corrections d eps_S (k,) that keep the targets under eigen-strain increments x (n, 6)."""
-        return np.einsum("bki,bi->k", self.gain, x)
-
 
 class _ActiveSystem:
     """Residual and condensed linearization of the coupled return of the active phases.
@@ -274,30 +272,28 @@ class _ActiveSystem:
         self.coupling = np.zeros((len(active), 7, sum(b.shape[2] for b in blocks)))
         self.coupling[:, :6] = np.concatenate(blocks, axis=2)
 
-    def stress_update(self, sig_tr, lam, dirs):
-        """All-phase response to multipliers ``lam`` with flow ``dirs``: eigen-strain
-        increments x (n, 6), their controlled-strain corrections d eps_S (k,), strain
-        increments du = A[:, :, S] d eps_S + eigen_response(x) and stresses
-        sig_tr + C_a (du_a - x_a)."""
+    def stress_update(self, sig_tr, x_act, d_eps):
+        """All-phase response to the active eigen-strain increments ``x_act`` (m, 6)
+        and their controlled-strain corrections ``d_eps`` (k,), as ``residual``
+        returns them: eigen-strain increments x (n, 6), strain increments
+        du = A[:, :, S] d_eps + eigen_response(x) and stresses sig_tr + C_a (du_a - x_a)."""
         x = np.zeros_like(sig_tr)
-        x[self.active] = lam[:, None] * dirs
-        d_eps = self.control.strain(x)
+        x[self.active] = x_act
         du = self.ops.concentration[:, :, self.control.idx] @ d_eps + eigen_response(self.ops, x)
-        return x, d_eps, du, sig_tr + phase_stresses(self.ops, du, x)
+        return x, du, sig_tr + phase_stresses(self.ops, du, x)
 
     def residual(self, sig_tr, sig_act, lam):
-        """(m, 7) residual (r_sig, r_F) at the iterate, with the flow directions
-        n_g(sig_act), the active stresses (m, 6) and the controlled-strain
-        corrections these directions give, and the point ``(n_dev, s_eq)`` of
-        sig_act that ``jacobian`` linearizes at.
+        """(m, 7) residual (r_sig, r_F) at the iterate, with the eigen-strain
+        increments x = lam n_g(sig_act), the active stresses (m, 6) and the
+        controlled-strain corrections this flow gives, and the point
+        ``(n_dev, s_eq)`` of sig_act that ``jacobian`` linearizes at.
 
         O(m): with x_a = lam_a n_g,a the active stresses are
         sig_tr,a - own_a x_a - coupling_a . v, v = (sum_b weighted_b x_b, C_0 x_0),
         whose first 6 + k entries are w and d eps_S.
         """
         mean, n_dev, eq = dp_direction(sig_act, self.strength)
-        dirs = dp_flow_of(n_dev, self.tan_g)
-        x = lam[:, None] * dirs
+        x = lam[:, None] * dp_flow_of(n_dev, self.tan_g)
         v = np.einsum("bij,bj->i", self.weighted, x)
         if self.matrix_index is not None:
             v = np.concatenate((v, self.ops.stiffness[0] @ x[self.matrix_index]))
@@ -306,7 +302,7 @@ class _ActiveSystem:
         res = np.empty((len(lam), 7))
         res[:, :6] = sig_act - sig
         res[:, 6] = dp_yield_of(mean, eq, self.tan_f, self.strength)
-        return res, dirs, sig, v[6:6 + len(self.control.idx)], (n_dev, eq)
+        return res, x, sig, v[6:6 + len(self.control.idx)], (n_dev, eq)
 
     def jacobian(self, point, lam, rhs):
         """Solve the residual's linearization at (sig_act, lam) for ``rhs`` (m, 7, r);
@@ -345,8 +341,9 @@ class _ActiveSystem:
 def _newton_multipliers(ops, sig_tr, active, settings, control, lam):
     """Solve the coupled return under the stress control of ``control`` from
     the candidate phases ``active`` and their guess ``lam``, revising the
-    active set between iterates; returns the final set and multipliers with the
-    converged iterate's ``stress_update``, (active, lam, x, d_eps, du, stresses).
+    active set between iterates; returns the final set and multipliers, the
+    converged iterate's controlled-strain corrections and its ``stress_update``,
+    (active, lam, x, d_eps, du, stresses).
 
     Newton on the active stresses and multipliers from the trial state
     ``sig_tr`` at the predicted macro strain, starting at the stresses the
@@ -365,15 +362,15 @@ def _newton_multipliers(ops, sig_tr, active, settings, control, lam):
         sig_act = sys_.residual(sig_tr, sig_tr[active], lam)[2]
         for _ in range(settings.newton_max_iter):
             tols = settings.newton_tol * sys_.strength
-            res, dirs, sig, _, point = sys_.residual(sig_tr, sig_act, lam)
+            res, x, sig, d_eps, point = sys_.residual(sig_tr, sig_act, lam)
             f_chk = dp_yield(sig, sys_.tan_f, sys_.strength)
             gap = np.maximum(np.abs(f_chk), np.abs(res[:, :6]).max(axis=1))
             converged = np.all(gap <= tols)
             keep = lam + sys_.switch_c * res[:, 6] > sys_.switch_at
             join = []
             if converged:  # the only all-phase evaluation: join check and result
-                x, d_eps, du, sig = sys_.stress_update(sig_tr, lam, dirs)
-                join = sorted(set(check_yield(ops, sig)[1]) - set(active))
+                x, du, sig = sys_.stress_update(sig_tr, x, d_eps)
+                join = sorted(set(check_yield(ops, sig)) - set(active))
             if keep.all() and not join:
                 if converged:
                     return active, lam, x, d_eps, du, sig
@@ -431,23 +428,21 @@ def _solve_mixed_increment(ops, state, targets, control, settings):
     eliminated.  Raises StepFailureError (the caller then subdivides) when
     the solve fails or an active phase reaches the cone apex.
     """
-    eps_bar, strains, stresses = _trial_at(ops, state, control.predict(state, targets))
-    _, active = check_yield(ops, stresses)
+    eps_bar = control.predict(state, targets)
+    strains, stresses = _trial_at(ops, state, eps_bar)
+    active = check_yield(ops, stresses)
     eps_p, macro_plastic = state.plastic_strain, state.macro_plastic
-    multipliers, flags = state.multipliers, state.active
+    multipliers = state.multipliers
     if active:  # warm-started from the last increment's multipliers
         active, lam, x, d_eps, du, stresses = _newton_multipliers(
-            ops, stresses, active, settings, control, state.multipliers[active])
+            ops, stresses, active, settings, control, multipliers[active])
         eps_bar[control.idx] += d_eps
         multipliers = np.zeros(ops.n_phases)
         multipliers[active] = lam
-        mask = np.zeros(ops.n_phases, dtype=bool)
-        mask[active] = True
-        flags = tuple(mask.tolist())
         strains, eps_p = strains + du, eps_p + x
         macro_plastic = macro_plastic_strain(ops, eps_p)
-    elif any(flags) or multipliers.any():  # else shared, like the plastic strains
-        multipliers, flags = np.zeros(ops.n_phases), (False,) * ops.n_phases
+    elif multipliers.any():  # else shared, like the plastic strains
+        multipliers = np.zeros(ops.n_phases)
     sig_bar = ops.stiffness_hom @ (eps_bar - macro_plastic)
     miss = np.abs(sig_bar[control.idx] - targets[control.idx]).max(initial=0.0)
     if miss > settings.mixed_tol * max(1.0, float(np.linalg.norm(sig_bar))):
@@ -455,7 +450,7 @@ def _solve_mixed_increment(ops, state, targets, control, settings):
             f"stress-controlled components miss their targets by {miss:.3e}")
     return REVState(step=state.step + 1, macro_strain=eps_bar, macro_stress=sig_bar,
                     macro_plastic=macro_plastic, strain=strains, plastic_strain=eps_p,
-                    stress=stresses, multipliers=multipliers, active=flags)
+                    stress=stresses, multipliers=multipliers)
 
 
 def _advance_with_subdivision(ops, state, targets, control, settings):
@@ -487,8 +482,8 @@ def drive(ops: MeanFieldOperators, program: LoadProgram,
 
     The states are read-only and share the arrays an increment left unchanged:
     each elastic increment's ``plastic_strain`` and ``macro_plastic`` are the
-    previous state's objects, and so are its ``multipliers`` and ``active``
-    when the previous state is elastic too.
+    previous state's objects, and so are its ``multipliers`` when the previous
+    state is elastic too.
     """
     settings = settings or SolverSettings()
     states = [initial_state(ops)]

@@ -210,23 +210,32 @@ def test_unwritable_output_path_exit_code(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["blocked.scn", "blocker"]
 
 
-@pytest.mark.parametrize("macro", ["", "sub/", "sub"])
-def test_output_path_naming_no_file_fails_before_the_solve(macro, tmp_path, monkeypatch,
-                                                           capsys):
-    # an empty path, a trailing separator and an existing directory name no
-    # file: the run stops before the solve and leaves nothing behind
+@pytest.mark.parametrize("output,made,message", [
+    pytest.param("macro = ", None, "output path names no file: ''", id=""),
+    pytest.param("macro = sub/", None, "output path names no file: 'sub/'", id="sub/"),
+    pytest.param("macro = sub", "sub", "output path names no file: 'sub'", id="sub"),
+    pytest.param("macro = m.csv\nplot_data = p", "p_axial.csv",
+                 "output path names no file: 'p_axial.csv'", id="plot-file-is-a-directory"),
+    pytest.param("macro = p_axial.csv\nper_phase = p_axial.csv\nplot_data = p", None,
+                 "output path named twice: 'p_axial.csv'", id="colliding-names"),
+])
+def test_output_path_naming_no_file_fails_before_the_solve(output, made, message, tmp_path,
+                                                           monkeypatch, capsys):
+    # an empty path, a trailing separator, an existing directory (also as a
+    # plot file) and a file named twice: the run stops before the solve and
+    # leaves nothing behind
     def no_drive(*args):
         raise AssertionError("the output paths are checked before the solve")
 
     monkeypatch.setattr(cli, "drive", no_drive)
     monkeypatch.chdir(tmp_path)
-    if macro == "sub":
-        (tmp_path / "sub").mkdir()
+    if made:
+        (tmp_path / made).mkdir()
     path = tmp_path / "nofile.scn"
-    path.write_text(TINY.replace("macro = tiny_macro.csv", f"macro = {macro}"))
+    path.write_text(TINY.replace("macro = tiny_macro.csv", output))
     before = sorted(os.walk(tmp_path))
     assert main(["run", str(path)]) == 4
-    assert f"output path names no file: {macro!r}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert sorted(os.walk(tmp_path)) == before
 
 

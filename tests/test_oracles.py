@@ -142,6 +142,25 @@ def test_default_states_are_localizations(counted_default_run):
     assert max(localization_gaps(ops, states)) <= 1e-12
 
 
+def phase_average_gap(ops, states):
+    """Largest gap of a state's phase-averaged stress sum_a f_a sig_a to its
+    macro stress, relative to that macro stress.  The two agree where the
+    influence operator is reciprocal (the dilute scheme, or Mori-Tanaka with
+    one inclusion shape and axis); on the default Mori-Tanaka run they
+    differ by up to 5.6e-3 once plastic strains exist."""
+    return max(float(np.abs(ops.fractions @ st.stress - st.macro_stress).max()
+                     / max(np.abs(st.macro_stress).max(), np.finfo(float).tiny))
+               for st in states)
+
+
+def test_dilute_default_stress_is_the_phase_average():
+    sc = default_scenario()
+    ops = assemble_operators(sc.phases(), "dilute")
+    states = drive(ops, sc.program, sc.settings)
+    assert any(st.multipliers.any() for st in states)
+    assert phase_average_gap(ops, states) <= 1e-12
+
+
 def test_long_elastic_segment_does_not_drift():
     # 2,000 elastic increments after a plastic one, each trial built on the
     # last: the roundoff of the updates grows with the stretch but stays
@@ -290,6 +309,7 @@ def test_random_mixed_scenarios_converge_without_subdivision(seed, monkeypatch):
     assert not failures
     assert max(solves) <= 1
     assert max(localization_gaps(ops, states)) <= 1e-12
+    assert phase_average_gap(ops, states) <= 1e-12
     plastic = 0
     for prev, st in zip(states, states[1:]):
         assert np.isfinite(st.stress).all()

@@ -94,18 +94,18 @@ def _vec(**components):
 @pytest.fixture
 def hand_states():
     # two states of two phases: signed zero, the smallest subnormal, a tiny
-    # normal, values that need all 17 digits, Mandel shears and mixed flags
+    # normal, values that need all 17 digits, Mandel shears and one active phase
     z = np.zeros(6)
     return [
         REVState(step=0, macro_strain=_vec(c0=-0.0), macro_stress=z, macro_plastic=z,
                  strain=np.array([_vec(c0=-0.0), z]), plastic_strain=np.zeros((2, 6)),
-                 stress=np.zeros((2, 6)), multipliers=np.zeros(2), active=(False, False)),
+                 stress=np.zeros((2, 6)), multipliers=np.zeros(2)),
         REVState(step=1, macro_strain=_vec(c0=0.1, c2=1 / 3, c5=SQRT2 * 0.25),
                  macro_stress=_vec(c2=-1e-300), macro_plastic=_vec(c0=5e-324),
                  strain=np.array([_vec(c0=0.1), _vec(c2=1 / 3)]),
                  plastic_strain=np.array([z, _vec(c3=0.2)]),
                  stress=np.array([_vec(c0=-0.0), _vec(c2=-1e-300)]),
-                 multipliers=np.array([0.0, 1e-3]), active=(False, True)),
+                 multipliers=np.array([0.0, 1e-3])),
     ]
 
 

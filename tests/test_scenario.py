@@ -290,6 +290,8 @@ def test_plastic_parameter_error_names_its_line(old, new, match, line):
     (7, "-3", "Young's modulus must be positive"),
     (8, "-1", "Poisson ratio must lie"),
     (9, "0", "aspect ratio must be positive"),
+    (9, "1e-200", "aspect ratio 1e-200 lies outside"),
+    (9, "1e120", r"aspect ratio 1e\+120 lies outside"),
     (10, "0", "volume fraction must be positive"),
 ])
 def test_elastic_value_out_of_range_names_its_line(line, value, match):
@@ -300,6 +302,12 @@ def test_elastic_value_out_of_range_names_its_line(line, value, match):
     with pytest.raises(ScenarioError, match=match) as err:
         parse_scenario("\n".join(lines))
     assert err.value.line == line
+
+
+def test_unknown_scheme_rejected_by_the_constructor():
+    # a scenario that builds also serializes to a document that parses
+    with pytest.raises(ValueError, match="unknown scheme 'bogus'"):
+        Scenario(50.0, 0.3, scheme="bogus")
 
 
 def test_round_trip_default():
