@@ -17,9 +17,9 @@ import os
 import numpy as np
 
 from .solver import REVState
-from .tensors import COMPONENT_LABELS, SQRT2
+from .tensors import COMPONENT_LABELS, MANDEL_SCALE
 
-_UNSCALE = np.tile([1.0, 1.0, 1.0, 1.0 / SQRT2, 1.0 / SQRT2, 1.0 / SQRT2], 3)
+_UNSCALE = np.tile(1.0 / MANDEL_SCALE, 3)
 _UNSCALE.setflags(write=False)
 _VALUES = ",".join(["%.17g"] * 18)
 
@@ -60,9 +60,17 @@ def write_macro_csv(states: list[REVState], path: str) -> None:
 
 
 def write_phase_csv(states: list[REVState], phase_names: list[str], path: str) -> None:
-    """Per-phase series in long format: one row per (step, phase)."""
+    """Per-phase series in long format: one row per (step, phase).
+
+    Names are written unquoted, so one holding a comma, a double quote or a
+    line break is refused with ValueError before any file is created.
+    """
     if states and len(phase_names) != len(states[0].active):
         raise ValueError(f"{len(phase_names)} phase names for {len(states[0].active)} phases")
+    for name in phase_names:
+        if any(c in name for c in ',"\n\r'):
+            raise ValueError(f"phase name {name!r} would break the CSV row: "
+                             "it holds a comma, a double quote or a line break")
 
     def chunks():
         for st in states:

@@ -56,6 +56,7 @@ from .errors import ApexSingularityError, StepFailureError
 from .mean_field import MeanFieldOperators, eigen_response, macro_plastic_strain
 from .plasticity import (dp_direction, dp_flow_gradient_of, dp_flow_of, dp_yield,
                          dp_yield_of)
+from .tensors import MANDEL_SCALE
 
 STRAIN = "strain"
 STRESS = "stress"
@@ -99,8 +100,11 @@ class SolverSettings:
 class LoadSegment:
     """Per-component end targets and control modes, reached in equal increments.
 
-    A None target means "hold": the component stays at its segment-start value.
-    Only strain-controlled components may hold.
+    Targets are plain tensor components, as in a scenario document and the
+    CSV files: ``drive`` scales the shears by sqrt(2) into the Mandel
+    components of the states.  A None target means "hold": the component
+    stays at its segment-start value.  Only strain-controlled components may
+    hold.
     """
 
     targets: tuple[float | None, ...]
@@ -241,8 +245,8 @@ class _ActiveSystem:
     e = sum_b gain_b x_b of ``control`` the residual is
     r_sig,a = sig_a - sig_tr,a - sens_a e - C_a (sum_b B[a, b] x_b - x_a) and
     r_F,a = F(sig_a).  In the factored influence operator a phase's block
-    couples to the others only through w = sum_c f_c R_c C_c dx_c, de and,
-    when the matrix is active, y = C_0 dx_0.
+    couples to the others only through v = sum_b weighted_b x_b, which stacks
+    w = sum_c f_c R_c C_c x_c, e and, when the matrix is active, y = C_0 x_0.
     """
 
     def __init__(self, ops, active, control):
@@ -260,17 +264,18 @@ class _ActiveSystem:
         mix_stress = stiff @ ops.mixing[active]  # C_a M_a: response to w
         # C_a (I - R_a C_a): response to the phase's own eigen-strain
         self.own = stiff - stiff @ resp @ stiff
-        # rows of the coupling vectors (w, e) per unit eigen-strain of each phase
-        self.weighted = np.concatenate(
-            (ops.fractions[active, None, None] * (resp @ stiff), control.gain[active]), axis=1)
-        self.matrix_index = active.index(0) if 0 in active else None
-        blocks = [mix_stress, -control.sens[active]]
-        if self.matrix_index is not None:
-            # C_a (R_a - M_a sum_c f_c R_c): response to y
+        # per coupling vector (w, e and, with the matrix active, y): its rows per
+        # unit eigen-strain of each phase and the active stresses' response to it
+        pairs = [(ops.fractions[active, None, None] * (resp @ stiff), mix_stress),
+                 (control.gain[active], -control.sens[active])]
+        if 0 in active:  # y = C_0 x_0, to which C_a (R_a - M_a sum_c f_c R_c) responds
+            c0_rows = np.zeros((len(active), 6, 6))
+            c0_rows[active.index(0)] = ops.stiffness[0]
             resp_mean = np.einsum("c,cij->ij", ops.fractions, ops.response)
-            blocks.append(stiff @ resp - mix_stress @ resp_mean)
-        self.coupling = np.zeros((len(active), 7, sum(b.shape[2] for b in blocks)))
-        self.coupling[:, :6] = np.concatenate(blocks, axis=2)
+            pairs.append((c0_rows, stiff @ resp - mix_stress @ resp_mean))
+        self.weighted = np.concatenate([p[0] for p in pairs], axis=1)
+        self.coupling = np.zeros((len(active), 7, self.weighted.shape[1]))
+        self.coupling[:, :6] = np.concatenate([p[1] for p in pairs], axis=2)
 
     def stress_update(self, sig_tr, x_act, d_eps):
         """All-phase response to the active eigen-strain increments ``x_act`` (m, 6)
@@ -289,14 +294,12 @@ class _ActiveSystem:
         ``(n_dev, s_eq)`` of sig_act that ``jacobian`` linearizes at.
 
         O(m): with x_a = lam_a n_g,a the active stresses are
-        sig_tr,a - own_a x_a - coupling_a . v, v = (sum_b weighted_b x_b, C_0 x_0),
+        sig_tr,a - own_a x_a - coupling_a . v, v = sum_b weighted_b x_b,
         whose first 6 + k entries are w and d eps_S.
         """
         mean, n_dev, eq = dp_direction(sig_act, self.strength)
         x = lam[:, None] * dp_flow_of(n_dev, self.tan_g)
         v = np.einsum("bij,bj->i", self.weighted, x)
-        if self.matrix_index is not None:
-            v = np.concatenate((v, self.ops.stiffness[0] @ x[self.matrix_index]))
         sig = (sig_tr[self.active] - np.einsum("aij,aj->ai", self.own, x)
                - self.coupling[:, :6] @ v)
         res = np.empty((len(lam), 7))
@@ -329,9 +332,6 @@ class _ActiveSystem:
         # coupling vectors: w = sum_c f_c R_c C_c dx_c, e = sum_c gain_c dx_c, y = C_0 dx_0
         lead = (self.weighted @ flow).transpose(1, 0, 2).reshape(self.weighted.shape[1], -1)
         coupled = lead @ sol.reshape(-1, sol.shape[2])
-        if self.matrix_index is not None:
-            c0_flow = self.ops.stiffness[0] @ flow[self.matrix_index]
-            coupled = np.vstack((coupled, c0_flow @ sol[self.matrix_index]))
         schur = coupled[:, r:] + np.eye(coupled.shape[0])
         wy = _solve(schur, coupled[:, :r], "return-mapping system")
         z = sol[:, :, :r] - sol[:, :, r:] @ wy
@@ -493,7 +493,7 @@ def drive(ops: MeanFieldOperators, program: LoadProgram,
         except StepFailureError as exc:
             raise StepFailureError(f"segment {s}: {exc}", segment=s) from exc
         start = control.controlled(states[-1])
-        end = np.array([start[i] if t is None else float(t)
+        end = np.array([start[i] if t is None else float(t) * MANDEL_SCALE[i]
                         for i, t in enumerate(segment.targets)])
         for k in range(1, segment.increments + 1):
             if k == segment.increments:
@@ -512,7 +512,8 @@ def drive(ops: MeanFieldOperators, program: LoadProgram,
 
 
 def strain_program(path: list[tuple[np.ndarray, int]]) -> LoadProgram:
-    """Fully strain-controlled program from (target strain, increments) pairs."""
+    """Fully strain-controlled program from (target strain, increments) pairs;
+    the targets are tensor components, like those of ``LoadSegment``."""
     segments = tuple(LoadSegment(targets=tuple(float(x) for x in eps),
                                  modes=(STRAIN,) * 6, increments=n)
                      for eps, n in path)

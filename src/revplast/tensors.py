@@ -21,7 +21,8 @@ SQRT2 = np.sqrt(2.0)
 # component order of the Mandel basis: 11, 22, 33, 23, 13, 12
 COMPONENT_PAIRS = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
 COMPONENT_LABELS = ("11", "22", "33", "23", "13", "12")
-_SCALE = np.array([1.0, 1.0, 1.0, SQRT2, SQRT2, SQRT2])
+#: Mandel component per tensor component: 1 for the normal ones, sqrt(2) for the shears
+MANDEL_SCALE = np.array([1.0, 1.0, 1.0, SQRT2, SQRT2, SQRT2])
 _PAIR_I, _PAIR_J = np.array(COMPONENT_PAIRS).T
 
 #: second-order identity as a Mandel vector
@@ -41,7 +42,7 @@ def sym2_from_matrix(m: np.ndarray) -> np.ndarray:
     scale = max(1.0, np.abs(m).max())
     if np.abs(m - m.T).max() > SYMMETRY_TOL * scale:
         raise SymmetryError("matrix is not symmetric to within tolerance")
-    return np.array([_SCALE[k] * m[i, j] for k, (i, j) in enumerate(COMPONENT_PAIRS)])
+    return np.array([MANDEL_SCALE[k] * m[i, j] for k, (i, j) in enumerate(COMPONENT_PAIRS)])
 
 
 def sym2_to_matrix(v: np.ndarray) -> np.ndarray:
@@ -49,7 +50,7 @@ def sym2_to_matrix(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     m = np.zeros((3, 3))
     for k, (i, j) in enumerate(COMPONENT_PAIRS):
-        m[i, j] = m[j, i] = v[k] / _SCALE[k]
+        m[i, j] = m[j, i] = v[k] / MANDEL_SCALE[k]
     return m
 
 
@@ -59,7 +60,7 @@ def ten4_from_tensor(t: np.ndarray) -> np.ndarray:
     out = np.empty((6, 6))
     for a, (i, j) in enumerate(COMPONENT_PAIRS):
         for b, (k, l) in enumerate(COMPONENT_PAIRS):
-            out[a, b] = _SCALE[a] * _SCALE[b] * t[i, j, k, l]
+            out[a, b] = MANDEL_SCALE[a] * MANDEL_SCALE[b] * t[i, j, k, l]
     return out
 
 
@@ -87,7 +88,7 @@ def iso_projectors() -> tuple[np.ndarray, np.ndarray]:
 
 
 J_PROJ, K_PROJ = iso_projectors()
-for _constant in (_SCALE, _PAIR_I, _PAIR_J, IVEC, IDENTITY, J_PROJ, K_PROJ):
+for _constant in (MANDEL_SCALE, _PAIR_I, _PAIR_J, IVEC, IDENTITY, J_PROJ, K_PROJ):
     _constant.setflags(write=False)
 
 
@@ -131,5 +132,5 @@ def rotation_operator(r: np.ndarray) -> np.ndarray:
     r = check_rotation(r)
     i, j = _PAIR_I[:, None], _PAIR_J[:, None]
     k, l = _PAIR_I[None, :], _PAIR_J[None, :]
-    return 0.5 * np.outer(_SCALE, _SCALE) * (r[..., i, k] * r[..., j, l]
-                                             + r[..., i, l] * r[..., j, k])
+    return 0.5 * np.outer(MANDEL_SCALE, MANDEL_SCALE) * (r[..., i, k] * r[..., j, l]
+                                                         + r[..., i, l] * r[..., j, k])

@@ -3,6 +3,7 @@ import importlib.util
 import io
 import os
 import re
+import shlex
 import tracemalloc
 
 import pytest
@@ -125,6 +126,31 @@ def test_run_elastic_only_scenario(tmp_path, capsys):
     rows = (tmp_path / "tiny_macro.csv").read_text().splitlines()
     assert len(rows) == 6
     assert all(row.split(",")[-1] == "0" for row in rows[1:])  # never plastic
+
+
+SHEAR = """\
+[matrix]
+young_modulus = 100.0
+poisson_ratio = 0.25
+
+[loading]
+segment = e12:0.001 n:1
+segment = s12:0.05 s11:0 s22:0 s33:0 n:1
+"""
+
+
+def test_shear_targets_are_tensor_components(tmp_path, capsys):
+    # segment targets and CSV columns are plain tensor components: a shear
+    # target comes back unchanged, with no sqrt(2) of the Mandel basis
+    path = tmp_path / "shear.scn"
+    path.write_text(SHEAR)
+    assert main(["run", str(path), "--output-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "macro.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    strained = dict(zip(header, map(float, lines[2].split(","))))
+    stressed = dict(zip(header, map(float, lines[3].split(","))))
+    assert strained["eps_12"] == pytest.approx(0.001, rel=1e-15, abs=0)
+    assert stressed["sig_12"] == pytest.approx(0.05, rel=1e-15, abs=0)
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -256,3 +282,20 @@ def test_requires_exactly_one_source(capsys):
         main(["run"])
     with pytest.raises(SystemExit):
         main(["run", "file.scn", "--default-scenario"])
+
+
+def test_readme_examples_parse():
+    # the README's scenario document and command lines are inputs too: they
+    # must parse, so the documentation cannot drift from the program
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        blocks = re.findall(r"```(\w+)\n(.*?)```", handle.read(), re.S)
+    scenarios = [body for lang, body in blocks if lang == "ini"]
+    assert len(scenarios) == 1
+    assert parse_scenario(scenarios[0]).families
+    commands = [shlex.split(line, comments=True)[1:]
+                for lang, body in blocks if lang == "sh"
+                for line in body.splitlines() if line.startswith("revplast ")]
+    assert len(commands) >= 5
+    parser = cli.build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]

@@ -3,6 +3,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import revplast.mean_field as mean_field
 import revplast.solver as solver_mod
@@ -433,6 +435,54 @@ def test_levin_two_material_eigen_stress(scheme, aspect):
     sig_star = c_1 @ (e_star - eps_1)
     sig = upscale_stress(ops, e_star, eps_p)
     assert np.abs(sig - sig_star).max() <= 1e-12 * np.abs(sig_star).max()
+
+
+def distinct(ratio):
+    """A modulus ratio at least 10 % away from 1."""
+    return abs(np.log(ratio)) >= np.log(1.1)
+
+
+# per shape: log10 of its aspect ratio and its volume fraction
+SHAPES = st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(0.01, 0.2)),
+                  min_size=1, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shapes=SHAPES, log_contrast=st.floats(-3.0, 3.0),
+       poisson=st.tuples(st.floats(-0.4, 0.45), st.floats(-0.4, 0.45)),
+       scheme=st.sampled_from(["mori_tanaka", "dilute"]), seed=st.integers(0, 2**32 - 1))
+def test_levin_identities_hold_for_any_two_materials(shapes, log_contrast, poisson, scheme,
+                                                     seed):
+    # both Levin identities of ``selfcheck`` for a matrix and one inclusion
+    # material in one to three shapes on random axes: they follow from C_hom
+    # alone for any two-material assembly.  They divide by C_2 - C_1, so the
+    # bulk and shear moduli each differ by 10 % at least.  A dilute assembly
+    # at a large fraction can lose positive definiteness; that draw is rejected.
+    nu_0, nu_1 = poisson
+    young_1 = E0 * 10.0 ** log_contrast
+    k_ratio = young_1 * (1 - 2 * nu_0) / (E0 * (1 - 2 * nu_1))
+    mu_ratio = young_1 * (1 + nu_0) / (E0 * (1 + nu_1))
+    if not (distinct(k_ratio) and distinct(mu_ratio)):
+        reject()
+    rng = np.random.default_rng(seed)
+    phases = [PhaseSpec("matrix", 1.0 - sum(f for _, f in shapes), E0, nu_0)] + [
+        PhaseSpec(f"i{k}", f, young_1, nu_1,
+                  spheroid=Spheroid(10.0 ** log_aspect, tuple(rng.normal(size=3))))
+        for k, (log_aspect, f) in enumerate(shapes)]
+    try:
+        ops = assemble_operators(phases, scheme=scheme)
+    except MorphologyError:
+        reject()
+    eps_1, eps_2 = rng.normal(size=(2, 6)) * 1e-3
+    eps_p = np.vstack((eps_1, np.tile(eps_2, (ops.n_phases - 1, 1))))
+    c_1, c_2 = ops.stiffness[0], ops.stiffness[1]
+    tau_1, tau_2 = -c_1 @ eps_1, -c_2 @ eps_2
+    levin = tau_1 + (ops.stiffness_hom - c_1) @ np.linalg.solve(c_2 - c_1, tau_2 - tau_1)
+    sig = upscale_stress(ops, np.zeros(6), eps_p)
+    assert np.abs(sig - levin).max() <= 1e-12 * np.abs(levin).max()
+    e_star = np.linalg.solve(c_2 - c_1, c_2 @ eps_2 - c_1 @ eps_1)
+    eps = localize(ops, e_star, eps_p)
+    assert np.abs(eps - e_star).max() <= 1e-12 * np.abs(e_star).max()
 
 
 def test_stress_average_gap_bounded_for_default(default_ops):

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -32,8 +33,10 @@ def test_one_step_elastic_file(elastic_ops, tmp_path):
     sig = elastic_ops.stiffness_hom @ states[1].macro_strain
     # stress columns match the homogenized law; shears are unscaled on output
     assert float(row[7]) == pytest.approx(sig[0], abs=1e-18)
-    assert float(row[12]) == pytest.approx(sig[5] / SQRT2, abs=1e-18)
-    assert float(row[6]) == pytest.approx(2e-4 / SQRT2, abs=1e-20)
+    assert float(row[12]) == pytest.approx(sig[5] * (1 / SQRT2), abs=1e-18)
+    # the shear target is a tensor component: the state holds its Mandel value
+    assert states[1].macro_strain[5] == 2e-4 * SQRT2
+    assert float(row[6]) == pytest.approx(states[1].macro_strain[5] * (1 / SQRT2), abs=1e-20)
 
 
 def test_rows_match_increments(elastic_ops, tmp_path):
@@ -67,6 +70,15 @@ def test_phase_file_layout(elastic_ops, tmp_path):
     with pytest.raises(ValueError, match="2 phase names for 1 phases"):
         write_phase_csv(states, ["matrix", "extra"], str(tmp_path / "bad.csv"))
     assert not (tmp_path / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["soft, wet", 'say "hi"', "two\nlines", "cr\r"])
+def test_phase_name_that_breaks_a_row_is_refused(elastic_ops, tmp_path, name):
+    # names are written unquoted: a separator in one would shift its row's fields
+    states = run_one_step(elastic_ops, [1e-3, 0, 0, 0, 0, 0])
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        write_phase_csv(states, [name], str(tmp_path / "phases.csv"))
+    assert os.listdir(tmp_path) == []  # no file and no temporary file
 
 
 def test_plot_data_axes(elastic_ops, tmp_path):

@@ -17,6 +17,7 @@ from revplast.solver import (STRAIN, STRESS, LoadProgram, LoadSegment,
                              SolverSettings, _solve_mixed_increment, _trial_at,
                              check_yield, drive, initial_state, strain_program,
                              validate_state)
+from revplast.tensors import MANDEL_SCALE
 
 E0, NU, EI = 100.0, 0.25, 1000.0
 VM12 = DruckerPrager(friction_angle=0.0, shear_strength=0.12)
@@ -567,7 +568,7 @@ def test_strain_controlled_elastic_path():
     states = drive(ops, strain_program([(target, 5)]))
     for k, st in enumerate(states):
         frac = k / 5.0
-        assert np.abs(st.macro_strain - frac * target).max() < 1e-18
+        assert np.abs(st.macro_strain - frac * target * MANDEL_SCALE).max() < 1e-18
         assert np.abs(st.macro_stress - ops.stiffness_hom @ st.macro_strain).max() < 1e-12
 
 
