@@ -3,8 +3,9 @@
 Each check returns (name, measured residual, tolerance); a check passes when
 the residual does not exceed the tolerance.  The oracles deliberately avoid
 the code paths they verify: quadrature against closed forms, a textbook
-radial-return integrator against the coupled solver, and exact limit and
-two-material (Levin) identities against the assembled operators.
+radial-return integrator against the coupled solver, and exact limit,
+two-material (Levin) and Hashin-Shtrikman identities against the assembled
+operators.
 """
 from __future__ import annotations
 
@@ -146,7 +147,38 @@ def check_levin_uniform_field() -> tuple[str, float, float]:
     return "Levin uniform field (localize)", worst, 1e-12
 
 
+def hashin_shtrikman_spheres(young0, nu0, young1, nu1, f1) -> np.ndarray:
+    """Hashin-Shtrikman stiffness of isotropic spheres (fraction ``f1``) in a
+    matrix taken as reference medium, from the Young's moduli and Poisson
+    ratios; it divides by no modulus difference, so equal phases are allowed."""
+    k0, mu0 = young0 / (3 * (1 - 2 * nu0)), young0 / (2 * (1 + nu0))
+    k1, mu1 = young1 / (3 * (1 - 2 * nu1)), young1 / (2 * (1 + nu1))
+    f0 = 1.0 - f1
+    zeta0 = mu0 * (9 * k0 + 8 * mu0) / (6 * (k0 + 2 * mu0))
+    k_hs = k0 + f1 * (k1 - k0) * (3 * k0 + 4 * mu0) / (3 * k0 + 4 * mu0 + 3 * f0 * (k1 - k0))
+    mu_hs = mu0 + f1 * (mu1 - mu0) * (mu0 + zeta0) / (mu0 + zeta0 + f0 * (mu1 - mu0))
+    return 3.0 * k_hs * J_PROJ + 2.0 * mu_hs * K_PROJ
+
+
+def check_hashin_shtrikman_spheres() -> tuple[str, float, float]:
+    """Mori-Tanaka on isotropic spheres is the Hashin-Shtrikman estimate with
+    the matrix as reference medium (Weng, 1984): one seeded two-phase case."""
+    rng = np.random.default_rng(1984)
+    young0, nu0 = 100.0, 0.25
+    young1 = young0 * 10.0 ** rng.uniform(-3.0, 3.0)
+    nu1 = rng.uniform(-0.4, 0.45)
+    f1 = rng.uniform(0.1, 0.6)
+    ops = assemble_operators([
+        PhaseSpec("matrix", 1.0 - f1, young0, nu0),
+        PhaseSpec("sphere", f1, young1, nu1,
+                  spheroid=Spheroid(1.0, tuple(rng.normal(size=3))))])
+    c_hs = hashin_shtrikman_spheres(young0, nu0, young1, nu1, f1)
+    res = np.abs(ops.stiffness_hom - c_hs).max() / np.abs(c_hs).max()
+    return "Mori-Tanaka spheres vs Hashin-Shtrikman", float(res), 1e-12
+
+
 def run_selfchecks() -> list[tuple[str, float, float]]:
     return [check_sphere_eshelby(), check_spheroid_quadrature(),
             check_homogeneous_limit(), check_radial_return(),
-            check_levin_eigen_stress(), check_levin_uniform_field()]
+            check_levin_eigen_stress(), check_levin_uniform_field(),
+            check_hashin_shtrikman_spheres()]

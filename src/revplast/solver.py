@@ -14,13 +14,16 @@ macroscopic strain and the eigen-strains, so the corrections of the k
 stress-controlled strain components are a fixed linear function of the
 eigen-strain increments: they are eliminated exactly, and the controlled
 stresses are on target at every Newton iterate.  That function depends on
-the control modes only, so ``drive`` builds it once per load segment.  The
-active set is revised between Newton iterates by a primal-dual active-set
-switch: phases whose multiplier it rejects leave, phases pushed past yield
-join at a converged iterate, and the solve goes on.  It is warm-started from
-the multipliers of the previous increment (halved when the increment is
-subdivided).  On the default scenario that takes 125 Newton steps for the 60
-plastic increments, against 180 from zero multipliers.
+the control modes only, so ``drive`` builds it once per load segment.  An
+active set's Newton system depends on the control modes and the set only, so
+a segment keeps the last one it built and rebuilds it only when the active
+set changes.  The active set is revised between Newton iterates by a
+primal-dual active-set switch: phases whose multiplier it rejects leave,
+phases pushed past yield join at a converged iterate, and the solve goes on.
+It is warm-started from the multipliers of the previous increment (halved
+when the increment is subdivided).  On the default scenario that takes 125
+Newton steps for the 60 plastic increments, against 180 from zero
+multipliers, and 4 systems are built.
 
 The Newton method is linearized consistently, with the flow-direction
 derivative d n / d sig, so it converges quadratically.  Because the
@@ -209,6 +212,7 @@ class _StressControl:
     sig_bar = sig_pred + C_hom[:, S] d eps_S - sum_b f_b A_b^T C_b x_b, so the
     targets hold for d eps_S = C_hom[S, S]^-1 sum_b f_b (A_b^T C_b x_b)_S.
     Only the elastic predictor of an attempt depends on its state and targets.
+    The segment's attempts share the last active system it built.
     """
 
     def __init__(self, ops, modes):
@@ -223,6 +227,16 @@ class _StressControl:
         # C_hom[S, S]^-1 f_b (A_b^T C_b)[S, :], (n, k, 6)
         self.gain = self.inverse @ (ops.fractions[:, None, None]
                                     * self.sens.transpose(0, 2, 1))
+        self._system = None
+
+    def system(self, active):
+        """The segment's active system for ``active``: the kept one when its
+        active list is ``active`` in the same order (the order is the row
+        layout), else a new one, which replaces it."""
+        if self._system is None or self._system.active != active:
+            self._system = None  # at most one system per segment stays alive
+            self._system = _ActiveSystem(self.ops, active, self)
+        return self._system
 
     def controlled(self, state):
         """Per component, the strain if it is strain-controlled, else the stress."""
@@ -247,12 +261,14 @@ class _ActiveSystem:
     r_F,a = F(sig_a).  In the factored influence operator a phase's block
     couples to the others only through v = sum_b weighted_b x_b, which stacks
     w = sum_c f_c R_c C_c x_c, e and, when the matrix is active, y = C_0 x_0.
+    A system holds nothing that depends on an iterate or an increment, so the
+    attempts of a load segment reuse it while their active set is the same.
     """
 
     def __init__(self, ops, active, control):
         self.ops = ops
         self.active = active
-        self.control = control
+        self.idx = control.idx
         self.tan_f = ops.tan_friction[active]
         self.tan_g = ops.tan_dilation[active]
         self.strength = ops.shear_strength[active]
@@ -284,7 +300,7 @@ class _ActiveSystem:
         du = A[:, :, S] d_eps + eigen_response(x) and stresses sig_tr + C_a (du_a - x_a)."""
         x = np.zeros_like(sig_tr)
         x[self.active] = x_act
-        du = self.ops.concentration[:, :, self.control.idx] @ d_eps + eigen_response(self.ops, x)
+        du = self.ops.concentration[:, :, self.idx] @ d_eps + eigen_response(self.ops, x)
         return x, du, sig_tr + phase_stresses(self.ops, du, x)
 
     def residual(self, sig_tr, sig_act, lam):
@@ -305,7 +321,7 @@ class _ActiveSystem:
         res = np.empty((len(lam), 7))
         res[:, :6] = sig_act - sig
         res[:, 6] = dp_yield_of(mean, eq, self.tan_f, self.strength)
-        return res, x, sig, v[6:6 + len(self.control.idx)], (n_dev, eq)
+        return res, x, sig, v[6:6 + len(self.idx)], (n_dev, eq)
 
     def jacobian(self, point, lam, rhs):
         """Solve the residual's linearization at (sig_act, lam) for ``rhs`` (m, 7, r);
@@ -358,7 +374,7 @@ def _newton_multipliers(ops, sig_tr, active, settings, control, lam):
     nothing.  ``newton_max_iter`` caps steps and revisions together.
     """
     try:
-        sys_ = _ActiveSystem(ops, active, control)
+        sys_ = control.system(active)
         sig_act = sys_.residual(sig_tr, sig_tr[active], lam)[2]
         for _ in range(settings.newton_max_iter):
             tols = settings.newton_tol * sys_.strength
@@ -381,7 +397,7 @@ def _newton_multipliers(ops, sig_tr, active, settings, control, lam):
             active = [a for a, k in zip(active, keep) if k] + join
             sig_act = np.concatenate((sig_act[keep], sig[join]))
             lam = np.concatenate((lam[keep], np.zeros(len(join))))
-            sys_ = _ActiveSystem(ops, active, control)
+            sys_ = control.system(active)
     except ApexSingularityError as exc:
         raise StepFailureError(f"cone apex reached in phase "
                                f"{ops.phases[active[exc.index]].name!r}") from exc
@@ -458,22 +474,26 @@ def _advance_with_subdivision(ops, state, targets, control, settings):
 
     The two halves of a subdivided increment make one step of the history.
     """
+    return _halved(ops, state, targets, control, settings, 0)
 
-    def recurse(st, tg, depth):
-        try:
-            new = _solve_mixed_increment(ops, st, tg, control, settings)
-            validate_state(ops, new)
-            return new
-        except StepFailureError as exc:
-            if depth >= settings.max_subdivisions:
-                exc.depth = depth
-                raise
-        mid = 0.5 * (control.controlled(st) + tg)
-        # the half increment's Newton starts from half the multipliers
-        half = replace(st, multipliers=0.5 * st.multipliers)
-        return replace(recurse(recurse(half, mid, depth + 1), tg, depth + 1), step=st.step + 1)
 
-    return recurse(state, targets, 0)
+def _halved(ops, state, targets, control, settings, depth):
+    """``_advance_with_subdivision`` at subdivision ``depth``; it recurses
+    here, so a subdivided increment is still one call of that function."""
+    try:
+        new = _solve_mixed_increment(ops, state, targets, control, settings)
+        validate_state(ops, new)
+        return new
+    except StepFailureError as exc:
+        if depth >= settings.max_subdivisions:
+            exc.depth = depth
+            raise
+    mid = 0.5 * (control.controlled(state) + targets)
+    # the half increment's Newton starts from half the multipliers
+    half = replace(state, multipliers=0.5 * state.multipliers)
+    first = _halved(ops, half, mid, control, settings, depth + 1)
+    return replace(_halved(ops, first, targets, control, settings, depth + 1),
+                   step=state.step + 1)
 
 
 def drive(ops: MeanFieldOperators, program: LoadProgram,

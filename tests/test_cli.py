@@ -110,10 +110,11 @@ def test_check_battery(capsys):
     code = main(["check"])
     assert code == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 6
+    assert out.count("PASS") == 7
     assert "FAIL" not in out
     assert "radial return" in out
     assert "Levin uniform field" in out
+    assert "Mori-Tanaka spheres vs Hashin-Shtrikman" in out
 
 
 def test_run_elastic_only_scenario(tmp_path, capsys):

@@ -17,6 +17,7 @@ from revplast.mean_field import (PhaseSpec, Spheroid, assemble_operators,
 from revplast.orientations import rotation_to_axis
 from revplast.plasticity import DruckerPrager
 from revplast.scenario import default_scenario
+from revplast.selfcheck import hashin_shtrikman_spheres
 from revplast.tensors import J_PROJ, K_PROJ, iso_stiffness
 
 E0, NU = 100.0, 0.25
@@ -127,8 +128,8 @@ def test_default_axial_modulus_against_scalar_oracle(default_ops):
 
 def test_mori_tanaka_spheres_match_hashin_shtrikman():
     # for isotropic spheres, Mori-Tanaka is the Hashin-Shtrikman estimate with
-    # the matrix as reference medium (Weng 1984); the forms below divide by no
-    # modulus difference, so equal phases are included (measured 1.8e-15)
+    # the matrix as reference medium (Weng 1984); its closed form divides by
+    # no modulus difference, so equal phases are included (measured 1.8e-15)
     rng = np.random.default_rng(1984)
     worst = 0.0
     for _ in range(200):
@@ -142,14 +143,7 @@ def test_mori_tanaka_spheres_match_hashin_shtrikman():
             PhaseSpec("matrix", 1.0 - f1, young0, nu0),
             PhaseSpec("sphere", f1, young1, nu1,
                       spheroid=Spheroid(1.0, tuple(rng.normal(size=3))))])
-        k0, mu0 = young0 / (3 * (1 - 2 * nu0)), young0 / (2 * (1 + nu0))
-        k1, mu1 = young1 / (3 * (1 - 2 * nu1)), young1 / (2 * (1 + nu1))
-        f0 = 1.0 - f1
-        zeta0 = mu0 * (9 * k0 + 8 * mu0) / (6 * (k0 + 2 * mu0))
-        k_hs = k0 + f1 * (k1 - k0) * (3 * k0 + 4 * mu0) / (3 * k0 + 4 * mu0
-                                                          + 3 * f0 * (k1 - k0))
-        mu_hs = mu0 + f1 * (mu1 - mu0) * (mu0 + zeta0) / (mu0 + zeta0 + f0 * (mu1 - mu0))
-        c_hs = 3.0 * k_hs * J_PROJ + 2.0 * mu_hs * K_PROJ
+        c_hs = hashin_shtrikman_spheres(young0, nu0, young1, nu1, f1)
         worst = max(worst, np.abs(ops.stiffness_hom - c_hs).max() / np.abs(c_hs).max())
     assert worst <= 1e-12
 

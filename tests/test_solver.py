@@ -1,3 +1,4 @@
+import gc
 import importlib
 import re
 
@@ -497,6 +498,44 @@ def test_active_set_iteration_cap(monkeypatch):
     assert new.active == (False, True, False)
 
 
+def same_return(a, b):
+    """Whether two ``_newton_multipliers`` results are bitwise equal."""
+    return a[0] == b[0] and all(np.array_equal(p, q) for p, q in zip(a[1:], b[1:]))
+
+
+@pytest.mark.parametrize("scale,revised", [
+    (2.0, [[0, 1, 2], [0], [0, 2]]),  # 'soft' leaves and rejoins
+    (3.0, [[0, 1, 2], [0, 2]]),       # 'stiff' leaves
+])
+def test_kept_system_across_a_revision(monkeypatch, scale, revised):
+    # the solve revises its set, so the segment keeps the last system it
+    # built; a second solve on the same control starts from that system and
+    # rebuilds, a third from the returned set reuses it, a fourth from that
+    # set reversed rebuilds (the order is the row layout), and each returns
+    # bitwise what it returns on a fresh control
+    ops = four_phase_ops("dilute")
+    state = initial_state(ops)
+    targets = scale * FOUR_PHASE_STRAIN
+    sets, _ = recorded_sets(monkeypatch)
+
+    def solve(control, active, lam):
+        _, sig_tr = _trial_at(ops, state, control.predict(state, targets))
+        return solver_mod._newton_multipliers(ops, sig_tr, active, SolverSettings(),
+                                              control, lam)
+
+    control = solver_mod._StressControl(ops, MIXED_MODES)
+    first = solve(control, [0, 1, 2], np.zeros(3))
+    second = solve(control, [0, 1, 2], np.zeros(3))
+    third = solve(control, first[0], first[1])
+    reverse = (first[0][::-1], first[1][::-1])
+    fourth = solve(control, *reverse)
+    assert first[0] == revised[-1] and (first[1] > 0.0).all()
+    assert sets == revised * 2 + [reverse[0]]
+    for got, start in ((first, ([0, 1, 2], np.zeros(3))), (second, ([0, 1, 2], np.zeros(3))),
+                       (third, first[:2]), (fourth, reverse)):
+        assert same_return(got, solve(solver_mod._StressControl(ops, MIXED_MODES), *start))
+
+
 NEWTON_CAP = (r"return mapping did not converge in 1 Newton iterations; last stress/yield "
               r"residual (\S+) times its tolerance")
 
@@ -760,6 +799,45 @@ def test_kkt_yield_violation_names_first_phase():
         validate_state(ops, bad)
 
 
+@pytest.fixture(scope="module")
+def plastic_default_state():
+    """Operators and the last state of the default scenario's loading segment."""
+    sc = default_scenario()
+    ops = assemble_operators(sc.phases())
+    final = drive(ops, LoadProgram(sc.program.segments[:1]), sc.settings)[-1]
+    assert sum(final.active) >= 10
+    return ops, final
+
+
+def bumped(arr, delta):
+    out = np.array(arr)
+    out.flat[0] += delta
+    return out
+
+
+VALIDATION_CHECKS = {
+    # a plastic strain off its phase's stress breaks the constitutive identity alone
+    "constitutive residual": lambda st: {
+        "plastic_strain": bumped(st.plastic_strain, 1e-6)},
+    # the macro strain and macro plastic strain moved together: the phase
+    # strains no longer average to the macro strain, the macro stress forms agree
+    "strain-average residual": lambda st: {
+        "macro_strain": bumped(st.macro_strain, 1e-6),
+        "macro_plastic": bumped(st.macro_plastic, 1e-6)},
+    "macro stress forms disagree": lambda st: {
+        "macro_stress": bumped(st.macro_stress, 1e-9)},
+}
+
+
+@pytest.mark.parametrize("message", list(VALIDATION_CHECKS))
+def test_each_validation_check_fires_alone(plastic_default_state, message):
+    ops, final = plastic_default_state
+    validate_state(ops, final)
+    bad = replace(final, **VALIDATION_CHECKS[message](final))
+    with pytest.raises(StepFailureError, match=f"^{message}"):
+        validate_state(ops, bad)
+
+
 def test_determinism_bitwise():
     sc = default_scenario()
     program = LoadProgram((sc.program.segments[0],))
@@ -776,8 +854,9 @@ def test_determinism_bitwise():
         assert np.array_equal(a.stress, b.stress)
 
 
-def test_subdivision_recovers_from_oversized_steps(monkeypatch):
-    ops = two_phase_homogeneous()
+def reject_oversized_attempts(monkeypatch):
+    """Fail every increment attempt larger than 1.1e-4, so that ``drive``
+    subdivides it; returns the attempted sizes as they happen."""
     real_attempt = solver_mod._solve_mixed_increment
     calls = []
 
@@ -789,15 +868,53 @@ def test_subdivision_recovers_from_oversized_steps(monkeypatch):
         return real_attempt(ops_, state, targets, control, settings)
 
     monkeypatch.setattr(solver_mod, "_solve_mixed_increment", fussy_attempt)
+    return calls
+
+
+def test_subdivision_recovers_from_oversized_steps(monkeypatch):
+    ops = two_phase_homogeneous()
+    calls = reject_oversized_attempts(monkeypatch)
     program = strain_program([(np.array([0, 0, -0.0008, 0, 0, 0]), 2)])
     states = drive(ops, program, SolverSettings(max_subdivisions=3))
     assert len(states) == 3
     assert states[-1].macro_strain[2] == pytest.approx(-0.0008, abs=0)
     assert any(c > 1.1e-4 for c in calls)  # at least one rejected attempt
 
-    monkeypatch.setattr(solver_mod, "_solve_mixed_increment", real_attempt)
+    monkeypatch.undo()
     oracle = drive(ops, program, SolverSettings())
     assert np.abs(states[-1].macro_stress - oracle[-1].macro_stress).max() < 1e-12
+
+
+def cyclic_garbage(run):
+    """The objects ``run()`` leaves that only the cycle collector frees."""
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_drive_leaves_no_cyclic_garbage():
+    # a finished increment or segment frees what it built, Newton systems
+    # included, by reference counting alone: neither the subdivision
+    # recursion nor a kept system may sit in a reference cycle
+    sc = default_scenario()
+    ops = assemble_operators(sc.phases())
+    assert cyclic_garbage(lambda: drive(ops, sc.program, sc.settings)) == 0
+
+
+def test_subdivided_drive_leaves_no_cyclic_garbage(monkeypatch):
+    # every plastic increment is halved three times
+    ops = two_phase_homogeneous()
+    calls = reject_oversized_attempts(monkeypatch)
+    program = strain_program([(np.array([0, 0, -0.004, 0, 0, 0]), 5)])
+    states = []
+    assert cyclic_garbage(lambda: states.extend(
+        drive(ops, program, SolverSettings(max_subdivisions=3)))) == 0
+    assert len(states) == 6 and states[-1].active == (True, True)
+    assert len(calls) == 5 * 15
 
 
 def test_subdivided_increment_starts_from_half_the_multipliers(monkeypatch):
