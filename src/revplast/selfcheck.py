@@ -3,9 +3,12 @@
 Each check returns (name, measured residual, tolerance); a check passes when
 the residual does not exceed the tolerance.  The oracles deliberately avoid
 the code paths they verify: quadrature against closed forms, a textbook
-radial-return integrator against the coupled solver, and exact limit,
-two-material (Levin) and Hashin-Shtrikman identities against the assembled
-operators.
+radial-return integrator against the coupled solver (macro stress and
+plastic strain, every phase's stress and plastic strain, and the
+multipliers), and exact limit, two-material (Levin) and Hashin-Shtrikman
+identities against the assembled operators.  The residual functions
+``homogeneous_limit_gap``, ``radial_return_gap`` and ``levin_gaps`` take
+their case, so the test suite evaluates the same oracles on its own cases.
 """
 from __future__ import annotations
 
@@ -50,13 +53,19 @@ def _homogeneous_phases(plastic: DruckerPrager | None = None):
     )
 
 
+def homogeneous_limit_gap(ops) -> float:
+    """Largest gap of identical phases' operators to the homogeneous limit:
+    every concentration tensor is the identity, and uniform eigen-strains
+    (the influence rows summed) induce no strain."""
+    uniform = np.broadcast_to(np.eye(6), (ops.n_phases, 6, 6))
+    return float(max(np.abs(ops.concentration - np.eye(6)).max(),
+                     np.abs(eigen_response(ops, uniform)).max()))
+
+
 def check_homogeneous_limit() -> tuple[str, float, float]:
     """Identical phases: concentration = identity, uniform eigen-strains induce no strain."""
-    ops = assemble_operators(_homogeneous_phases())
-    uniform = np.broadcast_to(np.eye(6), (ops.n_phases, 6, 6))
-    res = max(np.abs(ops.concentration - np.eye(6)).max(),
-              np.abs(eigen_response(ops, uniform)).max())
-    return "homogeneous-limit operators", float(res), 1e-10
+    res = homogeneous_limit_gap(assemble_operators(_homogeneous_phases()))
+    return "homogeneous-limit operators", res, 1e-10
 
 
 def _radial_return(young, nu, strength, strain_path):
@@ -84,27 +93,57 @@ def _radial_return(young, nu, strength, strain_path):
     return out
 
 
-def check_radial_return() -> tuple[str, float, float]:
-    """Homogeneous two-phase REV against the single-material radial return."""
+def radial_return_gap(n_steps: int) -> float:
+    """Largest gap of a homogeneous two-phase von Mises REV, driven to 0.4 %
+    axial compression in ``n_steps`` strain-controlled increments, to the
+    single-material radial return: the macro stress and plastic strain, every
+    phase's stress and plastic strain, and every phase's multiplier."""
     young, nu, strength = 100.0, 0.25, 0.12
     model = DruckerPrager(friction_angle=0.0, shear_strength=strength)
     ops = assemble_operators(_homogeneous_phases(model))
-    program = strain_program([(np.array([0.0, 0.0, -0.004, 0.0, 0.0, 0.0]), 20)])
-    states = drive(ops, program, SolverSettings())
-    oracle = _radial_return(young, nu, strength,
-                            [st.macro_strain for st in states[1:]])
+    program = strain_program([(np.array([0.0, 0.0, -0.004, 0.0, 0.0, 0.0]), n_steps)])
+    states = drive(ops, program, SolverSettings())[1:]
+    oracle = _radial_return(young, nu, strength, [st.macro_strain for st in states])
     worst = 0.0
-    for st, (sig, eps_p, _) in zip(states[1:], oracle):
-        worst = max(worst, float(np.abs(st.macro_stress - sig).max()))
-        worst = max(worst, float(np.abs(st.plastic_strain - eps_p).max()))
-        worst = max(worst, float(np.abs(st.macro_plastic - eps_p).max()))
-    return "homogeneous REV vs radial return", worst, 1e-10
+    for st, (sig, eps_p, lam) in zip(states, oracle):
+        for got, ref in ((st.macro_stress, sig), (st.macro_plastic, eps_p),
+                         (st.stress, sig), (st.plastic_strain, eps_p),
+                         (st.multipliers, lam)):
+            worst = max(worst, float(np.abs(got - ref).max()))
+    return worst
+
+
+def check_radial_return() -> tuple[str, float, float]:
+    """Homogeneous two-phase REV against the single-material radial return."""
+    return "homogeneous REV vs radial return", radial_return_gap(20), 1e-10
+
+
+def levin_gaps(ops, eps_1, eps_2) -> tuple[float, float, float]:
+    """Relative gaps of a matrix (phase 0) and one inclusion material (every
+    other phase) with the uniform eigen-strains ``eps_1`` and ``eps_2`` to
+    Levin's two-material identities, which need C_hom alone:
+
+    - the macro eigen-stress is tau_1 + (C_hom - C_1)(C_2 - C_1)^-1 (tau_2 - tau_1),
+      tau_r = -C_r eps_r (``upscale_stress`` at zero strain);
+    - at E* = (C_2 - C_1)^-1 (C_2 eps_2 - C_1 eps_1) every phase strain is E*
+      (``localize``), and the macro stress is C_1 (E* - eps_1).
+
+    Since tau_2 - tau_1 = -(C_2 - C_1) E*, both follow from one solve.
+    """
+    c_1, c_2 = ops.stiffness[0], ops.stiffness[1]
+    eps_p = np.vstack((eps_1, np.tile(eps_2, (ops.n_phases - 1, 1))))
+    e_star = np.linalg.solve(c_2 - c_1, c_2 @ eps_2 - c_1 @ eps_1)
+    eigen_stress = -c_1 @ eps_1 - (ops.stiffness_hom - c_1) @ e_star
+    sig_star = c_1 @ (e_star - eps_1)
+    return tuple(float(np.abs(got - ref).max() / np.abs(ref).max()) for got, ref in (
+        (upscale_stress(ops, np.zeros(6), eps_p), eigen_stress),
+        (localize(ops, e_star, eps_p), e_star),
+        (upscale_stress(ops, e_star, eps_p), sig_star)))
 
 
 def _two_material_cases():
     """Per scheme: operators of a matrix and one inclusion material in three
-    shapes on seeded axes, the two materials' uniform eigen-strains, and the
-    per-phase eigen-strain array."""
+    shapes on seeded axes, and the two materials' uniform eigen-strains."""
     rng = np.random.default_rng(5)
     aspects = (0.2, 1.0, 3.0)
     phases = [PhaseSpec("matrix", 0.7, 100.0, 0.25)] + [
@@ -113,37 +152,18 @@ def _two_material_cases():
         for k in range(12)]
     eps_1, eps_2 = rng.normal(size=(2, 6)) * 1e-3
     for scheme in ("mori_tanaka", "dilute"):
-        ops = assemble_operators(phases, scheme=scheme)
-        eps_p = np.vstack((eps_1, np.tile(eps_2, (ops.n_phases - 1, 1))))
-        yield ops, eps_1, eps_2, eps_p
+        yield assemble_operators(phases, scheme=scheme), eps_1, eps_2
 
 
 def check_levin_eigen_stress() -> tuple[str, float, float]:
-    """Levin: the macro eigen-stress of two materials from C_hom alone,
-    tau_1 + (C_hom - C_1)(C_2 - C_1)^-1 (tau_2 - tau_1), tau_r = -C_r eps_p,r."""
-    worst = 0.0
-    for ops, eps_1, eps_2, eps_p in _two_material_cases():
-        c_1, c_2 = ops.stiffness[0], ops.stiffness[1]
-        tau_1, tau_2 = -c_1 @ eps_1, -c_2 @ eps_2
-        levin = tau_1 + (ops.stiffness_hom - c_1) @ np.linalg.solve(c_2 - c_1, tau_2 - tau_1)
-        sig = upscale_stress(ops, np.zeros(6), eps_p)
-        worst = max(worst, float(np.abs(sig - levin).max() / np.abs(levin).max()))
+    """Levin: the macro eigen-stress of two materials from C_hom alone."""
+    worst = max(levin_gaps(*case)[0] for case in _two_material_cases())
     return "Levin two-material eigen-stress (upscale)", worst, 1e-12
 
 
 def check_levin_uniform_field() -> tuple[str, float, float]:
-    """Levin's uniform field: at E* = (C_2 - C_1)^-1 (C_2 eps_p,2 - C_1 eps_p,1)
-    every phase strain is E*, and the macro stress is C_1 (E* - eps_p,1)."""
-    worst = 0.0
-    for ops, eps_1, eps_2, eps_p in _two_material_cases():
-        c_1, c_2 = ops.stiffness[0], ops.stiffness[1]
-        e_star = np.linalg.solve(c_2 - c_1, c_2 @ eps_2 - c_1 @ eps_1)
-        sig_star = c_1 @ (e_star - eps_1)
-        worst = max(worst,
-                    float(np.abs(localize(ops, e_star, eps_p) - e_star).max()
-                          / np.abs(e_star).max()),
-                    float(np.abs(upscale_stress(ops, e_star, eps_p) - sig_star).max()
-                          / np.abs(sig_star).max()))
+    """Levin's uniform field: the phase strains and the macro stress at E*."""
+    worst = max(max(levin_gaps(*case)[1:]) for case in _two_material_cases())
     return "Levin uniform field (localize)", worst, 1e-12
 
 

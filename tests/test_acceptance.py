@@ -10,13 +10,12 @@ import pytest
 
 from revplast.eshelby import (eshelby_tensor, eshelby_tensor_quadrature,
                               sphere_eshelby_coefficients)
-from revplast.mean_field import PhaseSpec, Spheroid, assemble_operators, eigen_response
-from revplast.plasticity import DruckerPrager, dp_yield
+from revplast.mean_field import PhaseSpec, assemble_operators, eigen_response
+from revplast.plasticity import dp_yield
 from revplast.results import write_macro_csv
 from revplast.scenario import default_scenario
-from revplast.selfcheck import _radial_return
-from revplast.solver import (LoadProgram, LoadSegment, SolverSettings, drive,
-                             strain_program)
+from revplast.selfcheck import radial_return_gap
+from revplast.solver import LoadProgram, LoadSegment, drive
 from revplast.tensors import J_PROJ, K_PROJ
 
 
@@ -88,18 +87,7 @@ def test_criterion_02_eshelby_grid():
 
 def test_criterion_03_homogeneous_limit():
     t0 = time.perf_counter()
-    young, nu, strength = 100.0, 0.25, 0.12
-    model = DruckerPrager(friction_angle=0.0, shear_strength=strength)
-    ops = assemble_operators([
-        PhaseSpec("matrix", 0.7, young, nu, plastic=model),
-        PhaseSpec("incl", 0.3, young, nu, spheroid=Spheroid(0.35, (1, 2, 3)),
-                  plastic=model)])
-    states = drive(ops, strain_program([(np.array([0, 0, -0.004, 0, 0, 0]), 40)]))
-    oracle = _radial_return(young, nu, strength, [st.macro_strain for st in states[1:]])
-    worst = 0.0
-    for st, (sig, eps_p, _) in zip(states[1:], oracle):
-        worst = max(worst, float(np.abs(st.macro_stress - sig).max()))
-        worst = max(worst, float(np.abs(st.plastic_strain - eps_p).max()))
+    worst = radial_return_gap(40)
     elapsed = time.perf_counter() - t0
     report("3 homogeneous-limit equivalence",
            worst < 1e-10 and elapsed < 1.0,

@@ -117,6 +117,19 @@ def test_check_battery(capsys):
     assert "Mori-Tanaka spheres vs Hashin-Shtrikman" in out
 
 
+def test_check_failures_are_named_and_exit_3(monkeypatch, capsys):
+    # a check fails when its residual exceeds its tolerance or is NaN; each
+    # failure prints a FAIL line with its name, and the command exits 3
+    monkeypatch.setattr("revplast.selfcheck.run_selfchecks", lambda: [
+        ("passing check", 1e-15, 1e-10), ("failing check", 1e-3, 1e-10),
+        ("nan check", float("nan"), 1e-10)])
+    assert main(["check"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "PASS  passing check", "FAIL  failing check", "FAIL  nan check"]
+    assert "residual nan" in lines[2]
+
+
 def test_run_elastic_only_scenario(tmp_path, capsys):
     text = TINY.replace("plastic_model = drucker_prager\n", "")
     text = text.replace("shear_strength = 0.12\n", "")

@@ -5,15 +5,13 @@ on seeded random mixed-control scenarios and the localization identities of
 every converged state check the converged states from the outside; the work
 counts pin the cost of the default run.
 """
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import revplast.solver as solver_mod
-from revplast.errors import StepFailureError
-import revplast.mean_field as mean_field
+from conftest import STATE_FIELDS, record_work
 from revplast.mean_field import (PhaseSpec, Spheroid, assemble_operators, localize,
                                  upscale_stress)
 from revplast.plasticity import DruckerPrager, dp_direction, dp_flow_of
@@ -27,38 +25,13 @@ SWAP_13 = [2, 1, 0, 5, 4, 3]
 
 @pytest.fixture(scope="module")
 def counted_default_run():
-    """The default run, counting stress controls, active systems built,
-    linearizations, Newton solves (per increment) and calls of ``eigen_response``."""
+    """The default run and the work it recorded."""
     sc = default_scenario()
     ops = assemble_operators(sc.phases())
-    counts = Counter()
-    solves = []
-    increment = solver_mod._advance_with_subdivision
-
-    def counted(name, func):
-        def wrapper(*args):
-            counts[name] += 1
-            return func(*args)
-        return wrapper
-
-    def counted_increment(*args):
-        before = counts["newton_solves"]
-        out = increment(*args)
-        solves.append(counts["newton_solves"] - before)
-        return out
-
     with pytest.MonkeyPatch.context() as mp:
-        for owner, name, key in ((solver_mod._ActiveSystem, "jacobian", "linearizations"),
-                                 (solver_mod, "_newton_multipliers", "newton_solves"),
-                                 (solver_mod, "_StressControl", "controls"),
-                                 (solver_mod._ActiveSystem, "__init__", "systems")):
-            mp.setattr(owner, name, counted(key, getattr(owner, name)))
-        response = counted("eigen_response", mean_field.eigen_response)
-        mp.setattr(solver_mod, "eigen_response", response)
-        mp.setattr(mean_field, "eigen_response", response)
-        mp.setattr(solver_mod, "_advance_with_subdivision", counted_increment)
+        work = record_work(mp)
         states = drive(ops, sc.program, sc.settings)
-    return sc, ops, states, counts, solves
+    return sc, ops, states, work
 
 
 # ------------------------------------------------------------------ work counts
@@ -67,26 +40,28 @@ def test_default_run_work_counts(counted_default_run):
     # one Newton solve per plastic increment, warm-started from the last
     # increment's multipliers: about two linearizations each (measured 60
     # solves and 125 linearizations, 180 from zero multipliers; 10 % headroom)
-    _, _, states, counts, solves = counted_default_run
+    _, _, states, work = counted_default_run
+    solves = work.per("_advance_with_subdivision", "_newton_multipliers")
     assert len(solves) == len(states) - 1 == 150
-    assert counts["newton_solves"] <= 66
-    assert counts["linearizations"] <= 138
+    assert sum(solves) <= 66
+    assert len(work.calls("_ActiveSystem.jacobian")) <= 138
     assert max(solves) <= 1
     # the stress-control constants are built once per load segment, and a
     # segment rebuilds its active system only when the active set changes
     # (4 distinct sets; 60 builds when every solve built its own)
-    assert counts["controls"] == 2
-    assert counts["systems"] == 4
+    assert len(work.calls("_StressControl.__init__")) == 2
+    assert len(work.calls("_ActiveSystem.__init__")) == 4
     # a Newton iterate evaluates its m active stresses only; all n phases are
     # evaluated once per converged iterate, whose response updates the state
     # (305 calls when every one of the 245 residuals went through
     # eigen_response, 120 when each plastic increment re-localized its state)
-    assert counts["eigen_response"] == 60
+    assert len(work.calls("eigen_response")) == 60
 
 
 def test_elastic_stress_controlled_increments_take_one_pass(counted_default_run):
     # the elastic predictor is exact below yield: no Newton solve
-    _, _, states, _, solves = counted_default_run
+    _, _, states, work = counted_default_run
+    solves = work.per("_advance_with_subdivision", "_newton_multipliers")
     first_plastic = next(k for k, st in enumerate(states) if any(st.active))
     assert first_plastic > 10
     assert solves[:first_plastic - 1] == [0] * (first_plastic - 1)
@@ -98,29 +73,12 @@ def test_stress_controlled_elastic_increment_one_pass(monkeypatch):
     # increment, no Newton solve, and the plastic strains are never localized
     sc = default_scenario()
     ops = assemble_operators(sc.phases())
-    calls = Counter()
-    attempt = solver_mod._solve_mixed_increment
-    response = mean_field.eigen_response
-
-    def counted_attempt(*args):
-        calls["attempts"] += 1
-        return attempt(*args)
-
-    def counted_response(*args):
-        calls["eigen_response"] += 1
-        return response(*args)
-
-    def no_newton(*args):
-        raise AssertionError("elastic increments make no Newton solve")
-
-    monkeypatch.setattr(solver_mod, "_solve_mixed_increment", counted_attempt)
-    monkeypatch.setattr(solver_mod, "_newton_multipliers", no_newton)
-    monkeypatch.setattr(solver_mod, "eigen_response", counted_response)
-    monkeypatch.setattr(mean_field, "eigen_response", counted_response)
+    work = record_work(monkeypatch)
     target = (2e-3, -1e-3, -4e-3, 1e-3, 0.0, -5e-4)  # MPa, well below yield
     segment = LoadSegment(targets=target, modes=(STRESS,) * 6, increments=2)
     states = drive(ops, LoadProgram((segment,)))
-    assert calls == {"attempts": 2}
+    assert len(work.calls("_solve_mixed_increment")) == 2
+    assert not work.calls("_newton_multipliers") and not work.calls("eigen_response")
     strain = np.linalg.solve(ops.stiffness_hom, np.asarray(target) * MANDEL_SCALE)
     assert np.abs(states[-1].macro_strain - strain).max() <= 1e-12 * np.abs(strain).max()
 
@@ -144,7 +102,7 @@ def localization_gaps(ops, states):
 
 
 def test_default_states_are_localizations(counted_default_run):
-    _, ops, states, _, _ = counted_default_run
+    _, ops, states, _ = counted_default_run
     assert max(localization_gaps(ops, states)) <= 1e-12
 
 
@@ -217,7 +175,7 @@ def test_long_plastic_cycles_do_not_drift():
 
 
 def test_dissipation_nonnegative(counted_default_run):
-    _, _, states, _, _ = counted_default_run
+    _, _, states, _ = counted_default_run
     dissipated = np.array([np.einsum("ai,ai->a", st.stress,
                                      st.plastic_strain - prev.plastic_strain)
                            for prev, st in zip(states, states[1:])])
@@ -228,7 +186,7 @@ def test_dissipation_nonnegative(counted_default_run):
 def test_loading_along_x1_mirrors_x3(counted_default_run):
     # cube26 is closed under swapping x1 and x3: driving the default program
     # along x1 reproduces the x3 response with its components permuted
-    sc, ops, states, _, _ = counted_default_run
+    sc, ops, states, _ = counted_default_run
     mirrored = LoadProgram(tuple(
         LoadSegment(targets=tuple(s.targets[i] for i in SWAP_13),
                     modes=tuple(s.modes[i] for i in SWAP_13), increments=s.increments)
@@ -248,6 +206,36 @@ def test_loading_along_x1_mirrors_x3(counted_default_run):
                 <= 1e-12 * eps_p_ref)
         assert (np.abs(b_st.plastic_strain[partner] - a_st.plastic_strain[:, SWAP_13]).max()
                 <= 1e-12 * eps_p_ref)
+
+
+def work_counts(work):
+    """Attempts, Newton solves, linearizations and active systems built."""
+    return tuple(len(work.calls(site)) for site in (
+        "_solve_mixed_increment", "_newton_multipliers", "_ActiveSystem.jacobian",
+        "_ActiveSystem.__init__"))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_phase_order_is_equivariant(counted_default_run, seed, monkeypatch):
+    # the benchmark seeds permute the phase order: the default inclusions in a
+    # seeded order make the same work (150 attempts, 60 solves, 125
+    # linearizations, 4 systems) and, un-permuted, the same active sets and
+    # states (measured over ten orders: at most 1.5e-16 relative)
+    sc, ops, states, work = counted_default_run
+    order = np.concatenate(([0], 1 + np.random.default_rng(seed).permutation(
+        ops.n_phases - 1)))
+    permuted = record_work(monkeypatch)
+    states_p = drive(assemble_operators([ops.phases[a] for a in order]),
+                     sc.program, sc.settings)
+    assert work_counts(permuted) == work_counts(work)
+    assert [tuple(np.array(st.active)[order]) for st in states] == [
+        st.active for st in states_p]
+    for field in STATE_FIELDS:
+        ref = np.array([getattr(st, field) for st in states])
+        got = np.array([getattr(st, field) for st in states_p])
+        if not field.startswith("macro_"):  # per phase
+            ref = ref[:, order]
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), field
 
 
 def shared_criterion_ops(friction):
@@ -342,29 +330,20 @@ def random_scenario(seed):
     return assemble_operators(phases), program
 
 
-STATE_FIELDS = ("macro_strain", "macro_stress", "macro_plastic", "strain",
-                "plastic_strain", "stress", "multipliers")
-
-
 def test_kept_active_systems_match_fresh_ones(monkeypatch):
     # a segment keeps its last active system and reuses it while the active
     # set repeats; a fresh system at every request gives bitwise the same
     # states, from about three times the builds (measured 228 against 646)
-    builds = Counter()
-    runs = {}
-    init = solver_mod._ActiveSystem.__init__
-
-    def counted(self, *args):
-        builds[mode] += 1
-        init(self, *args)
-
-    monkeypatch.setattr(solver_mod._ActiveSystem, "__init__", counted)
+    work = record_work(monkeypatch)
+    runs, builds = {}, {}
     for mode in ("kept", "fresh"):
         if mode == "fresh":
             monkeypatch.setattr(solver_mod._StressControl, "system",
                                 lambda control, active: solver_mod._ActiveSystem(
                                     control.ops, active, control))
         runs[mode] = [drive(*random_scenario(seed)) for seed in range(60)]
+        builds[mode] = len(work.calls("_ActiveSystem.__init__"))
+        work.clear()
     for kept, fresh in zip(runs["kept"], runs["fresh"]):
         assert len(kept) == len(fresh)
         for a, b in zip(kept, fresh):
@@ -377,27 +356,11 @@ def test_random_mixed_scenarios_converge_without_subdivision(seed, monkeypatch):
     # every attempt is one Newton solve at most: the active set is revised
     # inside it, never by solving again
     ops, program = random_scenario(seed)
-    failures, solves = [], []
-    solve_increment = solver_mod._solve_mixed_increment
-    newton = solver_mod._newton_multipliers
-
-    def watched(*args):
-        solves.append(0)
-        try:
-            return solve_increment(*args)
-        except StepFailureError as exc:
-            failures.append(exc)
-            raise
-
-    def counted(*args):
-        solves[-1] += 1
-        return newton(*args)
-
-    monkeypatch.setattr(solver_mod, "_solve_mixed_increment", watched)
-    monkeypatch.setattr(solver_mod, "_newton_multipliers", counted)
+    work = record_work(monkeypatch)
     states = drive(ops, program)  # validates every state
-    assert not failures
-    assert max(solves) <= 1
+    assert not work.calls("failed")
+    assert len(work.calls("_solve_mixed_increment")) == len(states) - 1
+    assert max(work.per("_solve_mixed_increment", "_newton_multipliers")) <= 1
     assert max(localization_gaps(ops, states)) <= 1e-12
     assert phase_average_gap(ops, states) <= 1e-12
     plastic = 0

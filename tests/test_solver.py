@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 import revplast.solver as solver_mod
+from conftest import STATE_FIELDS, record_work
 from revplast.errors import ApexSingularityError, RevplastError, StepFailureError
 from revplast.mean_field import (PhaseSpec, Spheroid, assemble_operators, localize,
                                  upscale_stress)
 from revplast.plasticity import DruckerPrager, dp_direction, dp_flow_of, dp_yield
 from revplast.scenario import default_scenario
-from revplast.selfcheck import _homogeneous_phases, _radial_return
+from revplast.selfcheck import _homogeneous_phases, radial_return_gap
 from dataclasses import replace
 
 from revplast.solver import (STRAIN, STRESS, LoadProgram, LoadSegment,
@@ -34,6 +35,20 @@ def default_ops():
 
 def strain_control(ops):
     return solver_mod._StressControl(ops, (STRAIN,) * 6)
+
+
+def newton_solve(ops, state, targets, control, active, lam):
+    """The Newton solve of the increment from ``state`` to ``targets`` under
+    ``control``, from the candidates ``active`` and their guess ``lam``: the
+    ``_newton_multipliers`` result at the trial state of the predictor."""
+    _, sig_tr = _trial_at(ops, state, control.predict(state, targets))
+    return solver_mod._newton_multipliers(ops, sig_tr, active, SolverSettings(), control,
+                                          lam)
+
+
+def active_sets(work):
+    """The active sets the recorded solves built their systems for, in order."""
+    return [list(args[2]) for args in work.calls("_ActiveSystem.__init__")]
 
 
 # ------------------------------------------------------------------ trial
@@ -122,19 +137,7 @@ def test_symmetric_orientations_yield_symmetrically():
 # ------------------------------------------------------------------ return map
 
 def test_homogeneous_matches_radial_return():
-    ops = two_phase_homogeneous()
-    n_steps = 40
-    program = strain_program([(np.array([0, 0, -0.004, 0, 0, 0]), n_steps)])
-    states = drive(ops, program)
-    oracle = _radial_return(E0, NU, 0.12, [st.macro_strain for st in states[1:]])
-    for st, (sig, eps_p, lam) in zip(states[1:], oracle):
-        assert np.abs(st.macro_stress - sig).max() < 1e-10
-        assert np.abs(st.macro_plastic - eps_p).max() < 1e-10
-        for a in range(2):
-            assert np.abs(st.plastic_strain[a] - eps_p).max() < 1e-10
-            assert np.abs(st.stress[a] - sig).max() < 1e-10
-        if lam > 0.0:
-            assert st.multipliers[:2] == pytest.approx([lam, lam], abs=1e-10)
+    assert radial_return_gap(40) < 1e-10
 
 
 def four_phase_ops(scheme, plastic=(0, 1, 2)):
@@ -279,17 +282,15 @@ def test_macro_tangent_matches_finite_differences(scheme, active):
     # returns exactly that set with positive multipliers
     ops = four_phase_ops(scheme, plastic=active)
     start = initial_state(ops)
-    settings = SolverSettings()
     stress_idx = [i for i in range(6) if MIXED_MODES[i] == STRESS]
     strain = 4.0 * FOUR_PHASE_STRAIN
 
     def converged(targets, modes):
         control = solver_mod._StressControl(ops, modes)
-        eps_bar = control.predict(start, targets)
-        _, sig_tr = _trial_at(ops, start, eps_bar)
-        got, lam, x, d_eps, _, sig = solver_mod._newton_multipliers(
-            ops, sig_tr, active, settings, control, np.zeros(len(active)))
+        got, lam, x, d_eps, _, sig = newton_solve(ops, start, targets, control, active,
+                                                  np.zeros(len(active)))
         assert got == active and (lam > 0.0).all()
+        eps_bar = control.predict(start, targets)
         eps_bar[control.idx] += d_eps
         return control, np.column_stack((sig[active], lam)), eps_bar, x[active]
 
@@ -327,24 +328,6 @@ def test_macro_tangent_matches_finite_differences(scheme, active):
         assert np.abs(d_eps - elastic).max() > 1e-3 * np.abs(eps_fd).max()
 
 
-def counted_newton(monkeypatch, ops, state, targets, modes, active, lam):
-    """One seeded Newton solve of the increment to ``targets`` from the
-    candidates ``active``: its result and the number of linearizations it made."""
-    calls = []
-    jacobian = solver_mod._ActiveSystem.jacobian
-
-    def counted(self, *args):
-        calls.append(1)
-        return jacobian(self, *args)
-
-    monkeypatch.setattr(solver_mod._ActiveSystem, "jacobian", counted)
-    control = solver_mod._StressControl(ops, modes)
-    _, sig_tr = _trial_at(ops, state, control.predict(state, targets))
-    out = solver_mod._newton_multipliers(ops, sig_tr, active, SolverSettings(), control,
-                                         lam)
-    return out, len(calls)
-
-
 def test_converged_guess_needs_no_linearization(monkeypatch):
     # von Mises phases of one stiffness return radially, so the flow directions
     # at the trial stresses are the converged ones: seeded with its own
@@ -353,12 +336,14 @@ def test_converged_guess_needs_no_linearization(monkeypatch):
     state = initial_state(ops)
     targets = np.array([0.0, 0.0, -0.004, 0.0, 0.0, 0.0])
     active = [0, 1]
-    (got, lam, _, d_eps, _, sig), cold = counted_newton(monkeypatch, ops, state, targets,
-                                                        MIXED_MODES, active, np.zeros(2))
-    assert cold >= 1 and got == active and (lam > 0.0).all()
-    (got, lam_w, _, d_w, _, sig_w), warm = counted_newton(monkeypatch, ops, state, targets,
-                                                          MIXED_MODES, active, lam)
-    assert warm == 0 and got == active
+    work = record_work(monkeypatch)
+    got, lam, _, d_eps, _, sig = newton_solve(
+        ops, state, targets, solver_mod._StressControl(ops, MIXED_MODES), active, np.zeros(2))
+    assert got == active and (lam > 0.0).all()
+    got, lam_w, _, d_w, _, sig_w = newton_solve(
+        ops, state, targets, solver_mod._StressControl(ops, MIXED_MODES), active, lam)
+    cold, warm = work.per("_newton_multipliers", "_ActiveSystem.jacobian")
+    assert cold >= 1 and warm == 0 and got == active
     tol = SolverSettings().newton_tol * 0.12
     assert np.abs(lam_w - lam).max() <= tol
     assert np.abs(sig_w - sig).max() <= tol
@@ -366,7 +351,7 @@ def test_converged_guess_needs_no_linearization(monkeypatch):
 
 
 @pytest.mark.parametrize("scale", [0.0, 5.0])
-def test_seeded_newton_reaches_the_same_return(monkeypatch, scale):
+def test_seeded_newton_reaches_the_same_return(scale):
     # a plastic increment of the default run, solved from no multipliers and
     # from five times the converged ones: one answer within the tolerance
     sc = default_scenario()
@@ -378,10 +363,12 @@ def test_seeded_newton_reaches_the_same_return(monkeypatch, scale):
                        new.macro_stress)
     active = np.flatnonzero(new.active).tolist()
     assert len(active) >= 10
-    (got, lam, *_, sig), _ = counted_newton(monkeypatch, ops, prev, targets,
-                                            segment.modes, active, new.multipliers[active])
-    (got_s, lam_s, *_, sig_s), _ = counted_newton(monkeypatch, ops, prev, targets,
-                                                  segment.modes, active, scale * lam)
+    got, lam, *_, sig = newton_solve(ops, prev, targets,
+                                     solver_mod._StressControl(ops, segment.modes), active,
+                                     new.multipliers[active])
+    got_s, lam_s, *_, sig_s = newton_solve(ops, prev, targets,
+                                           solver_mod._StressControl(ops, segment.modes),
+                                           active, scale * lam)
     assert got == got_s == active
     tol = SolverSettings().newton_tol * ops.shear_strength[active].min()
     assert np.abs(lam_s - lam).max() <= tol
@@ -407,25 +394,6 @@ def twin_inclusions():
     return phases, ops, state, probe * (0.121 / f_unit) * 1.0001
 
 
-def recorded_sets(monkeypatch):
-    """The active sets the return builds its systems for, and the number of
-    Newton solves, as they happen."""
-    sets, solves = [], []
-    init, newton = solver_mod._ActiveSystem.__init__, solver_mod._newton_multipliers
-
-    def recorded_init(self, ops_, active, control):
-        sets.append(list(active))
-        init(self, ops_, active, control)
-
-    def counted(*args):
-        solves.append(1)
-        return newton(*args)
-
-    monkeypatch.setattr(solver_mod._ActiveSystem, "__init__", recorded_init)
-    monkeypatch.setattr(solver_mod, "_newton_multipliers", counted)
-    return sets, solves
-
-
 def test_negative_multiplier_candidate_dropped(monkeypatch):
     # the weaker-violation twin starts in the candidate set, but the switch
     # withdraws it within the one Newton solve: the solve continues on the
@@ -434,9 +402,10 @@ def test_negative_multiplier_candidate_dropped(monkeypatch):
     _, sig_tr = _trial_at(ops, state, deps)
     assert check_yield(ops, sig_tr) == [1, 2]
     assert 0.0 < dp_yield(sig_tr[2], ops.tan_friction[2], ops.shear_strength[2]) < 1e-4
-    sets, solves = recorded_sets(monkeypatch)
+    work = record_work(monkeypatch)
     new = _solve_mixed_increment(ops, state, deps, strain_control(ops), SolverSettings())
-    assert sets == [[1, 2], [1]] and len(solves) == 1
+    assert active_sets(work) == [[1, 2], [1]]
+    assert len(work.calls("_newton_multipliers")) == 1
     assert new.active[1] and not new.active[2]
     assert new.multipliers[1] > 0.0
     assert new.multipliers[2] == 0.0
@@ -453,9 +422,10 @@ def test_switch_acts_on_the_start_iterate(monkeypatch):
     # solve is done without a linearization
     _, ops, state, deps = twin_inclusions()
     new = _solve_mixed_increment(ops, state, deps, strain_control(ops), SolverSettings())
-    (active, lam, *_, sig), steps = counted_newton(
-        monkeypatch, ops, state, deps, (STRAIN,) * 6, [1, 2], new.multipliers[[1, 2]])
-    assert active == [1] and steps == 0
+    work = record_work(monkeypatch)
+    active, lam, *_, sig = newton_solve(ops, state, deps, strain_control(ops), [1, 2],
+                                        new.multipliers[[1, 2]])
+    assert active == [1] and not work.calls("_ActiveSystem.jacobian")
     tol = SolverSettings().newton_tol * 0.12
     assert abs(lam[0] - new.multipliers[1]) <= tol
     assert np.abs(sig - new.stress).max() <= tol
@@ -475,11 +445,11 @@ def test_all_candidates_withdrawing_raises_typed_error(monkeypatch):
         return z, None
 
     monkeypatch.setattr(solver_mod._ActiveSystem, "jacobian", negative_step)
-    sets, _ = recorded_sets(monkeypatch)
+    work = record_work(monkeypatch)
     with pytest.raises(StepFailureError, match="did not converge in 50 Newton iterations"):
         _solve_mixed_increment(ops, state, np.array([0, 0, -0.002, 0, 0, 0]),
                                strain_control(ops), SolverSettings())
-    assert sets[:5] == [[0, 1], [], [0, 1], [], [0, 1]]
+    assert active_sets(work)[:5] == [[0, 1], [], [0, 1], [], [0, 1]]
 
 
 def test_active_set_iteration_cap(monkeypatch):
@@ -487,11 +457,11 @@ def test_active_set_iteration_cap(monkeypatch):
     # attempt like any other cause: the twin case revises its set at the second
     # iterate and converges at the fourth, so a cap of three fails after the revision
     _, ops, state, deps = twin_inclusions()
-    sets, _ = recorded_sets(monkeypatch)
+    work = record_work(monkeypatch)
     with pytest.raises(StepFailureError) as info:
         _solve_mixed_increment(ops, state, deps, strain_control(ops),
                                SolverSettings(newton_max_iter=3))
-    assert sets == [[1, 2], [1]]
+    assert active_sets(work) == [[1, 2], [1]]
     assert re.fullmatch(NEWTON_CAP.replace(" 1 ", " 3 "), str(info.value))
     new = _solve_mixed_increment(ops, state, deps, strain_control(ops),
                                  SolverSettings(newton_max_iter=4))
@@ -516,12 +486,10 @@ def test_kept_system_across_a_revision(monkeypatch, scale, revised):
     ops = four_phase_ops("dilute")
     state = initial_state(ops)
     targets = scale * FOUR_PHASE_STRAIN
-    sets, _ = recorded_sets(monkeypatch)
+    work = record_work(monkeypatch)
 
     def solve(control, active, lam):
-        _, sig_tr = _trial_at(ops, state, control.predict(state, targets))
-        return solver_mod._newton_multipliers(ops, sig_tr, active, SolverSettings(),
-                                              control, lam)
+        return newton_solve(ops, state, targets, control, active, lam)
 
     control = solver_mod._StressControl(ops, MIXED_MODES)
     first = solve(control, [0, 1, 2], np.zeros(3))
@@ -530,7 +498,7 @@ def test_kept_system_across_a_revision(monkeypatch, scale, revised):
     reverse = (first[0][::-1], first[1][::-1])
     fourth = solve(control, *reverse)
     assert first[0] == revised[-1] and (first[1] > 0.0).all()
-    assert sets == revised * 2 + [reverse[0]]
+    assert active_sets(work) == revised * 2 + [reverse[0]]
     for got, start in ((first, ([0, 1, 2], np.zeros(3))), (second, ([0, 1, 2], np.zeros(3))),
                        (third, first[:2]), (fourth, reverse)):
         assert same_return(got, solve(solver_mod._StressControl(ops, MIXED_MODES), *start))
@@ -689,14 +657,10 @@ def test_elastic_step_keeps_macro_plastic():
     assert np.array_equal(states[11].plastic_strain, states[10].plastic_strain)
 
 
-STATE_ARRAYS = ("macro_strain", "macro_stress", "macro_plastic", "strain",
-                "plastic_strain", "stress", "multipliers")
-
-
 def test_states_are_read_only_and_share_frozen_plastic_strains():
     states = drive(default_ops(), default_scenario().program)
     for st in states:
-        assert not any(getattr(st, field).flags.writeable for field in STATE_ARRAYS)
+        assert not any(getattr(st, field).flags.writeable for field in STATE_FIELDS)
     with pytest.raises(ValueError, match="read-only"):
         states[1].macro_plastic[2] = 123.0
     elastic = plastic = after_plastic = 0
