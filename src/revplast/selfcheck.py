@@ -9,6 +9,9 @@ multipliers), and exact limit, two-material (Levin) and Hashin-Shtrikman
 identities against the assembled operators.  The residual functions
 ``homogeneous_limit_gap``, ``radial_return_gap`` and ``levin_gaps`` take
 their case, so the test suite evaluates the same oracles on its own cases.
+The CSV number formatter is compared with Python's ``%.17g`` on
+``number_format_cases``, because its exactness rests on the platform's IEEE
+double arithmetic.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ from .eshelby import (eshelby_tensor, eshelby_tensor_quadrature,
 from .mean_field import (PhaseSpec, Spheroid, assemble_operators, eigen_response,
                          localize, upscale_stress)
 from .plasticity import DruckerPrager
+from .results import format_rows
 from .solver import SolverSettings, drive, strain_program
 from .tensors import IVEC, J_PROJ, K_PROJ, iso_stiffness
 
@@ -197,8 +201,42 @@ def check_hashin_shtrikman_spheres() -> tuple[str, float, float]:
     return "Mori-Tanaka spheres vs Hashin-Shtrikman", float(res), 1e-12
 
 
+def number_format_cases() -> np.ndarray:
+    """Doubles to format: a seeded log-uniform sample of both signs from 1e-30
+    to 1e20, and an edge grid of each power of ten from 1e-30 to 1e20 with its
+    neighbours on both sides, integers in [1e16, 1e17), dyadic values whose
+    18th significant digit is an exact tie (odd ``m`` over ``2**s`` with
+    ``m 5**s`` of 18 digits), signed zeros, subnormals, extremes, inf and nan."""
+    rng = np.random.default_rng(1990)
+    sample = 10.0 ** rng.uniform(-30.0, 20.0, 20000)
+    powers = np.array([float(f"1e{k}") for k in range(-30, 21)])
+    integers = np.concatenate(([1e16, 1e16 + 2.0, 1e17 - 16.0],
+                               rng.integers(10**16, 10**17, 2000).astype(float)))
+    ties = [m / 2**s for s in range(3, 26)
+            for m in rng.integers(-(-10**17 // 5**s), min(10**18 // 5**s, 2**53), 200) | 1]
+    grid = np.concatenate((sample, powers, np.nextafter(powers, 0.0),
+                           np.nextafter(powers, np.inf), integers, ties))
+    special = [0.0, 5e-324, 1.2345e-310, 2.2250738585072014e-308, 1.7976931348623157e308,
+               np.inf]
+    return np.concatenate((grid, -grid, special, np.negative(special), [np.nan]))
+
+
+def number_format_mismatches(values: np.ndarray) -> list[float]:
+    """The values whose ``format_rows`` field differs from ``b"%.17g" % x``."""
+    lines = format_rows(np.asarray(values, dtype=np.float64)[:, None]).split(b"\n")[:-1]
+    if len(lines) != len(values):
+        return list(values)
+    return [x for x, line in zip(values.tolist(), lines) if line != b"%.17g" % x]
+
+
+def check_csv_number_format() -> tuple[str, float, float]:
+    """The vectorized CSV number formatter against ``%.17g``: mismatches counted."""
+    return ("CSV numbers vs %.17g", float(len(number_format_mismatches(number_format_cases()))),
+            0.0)
+
+
 def run_selfchecks() -> list[tuple[str, float, float]]:
     return [check_sphere_eshelby(), check_spheroid_quadrature(),
             check_homogeneous_limit(), check_radial_return(),
             check_levin_eigen_stress(), check_levin_uniform_field(),
-            check_hashin_shtrikman_spheres()]
+            check_hashin_shtrikman_spheres(), check_csv_number_format()]

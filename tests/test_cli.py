@@ -110,11 +110,12 @@ def test_check_battery(capsys):
     code = main(["check"])
     assert code == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 7
+    assert out.count("PASS") == 8
     assert "FAIL" not in out
     assert "radial return" in out
     assert "Levin uniform field" in out
     assert "Mori-Tanaka spheres vs Hashin-Shtrikman" in out
+    assert "CSV numbers vs %.17g" in out
 
 
 def test_check_failures_are_named_and_exit_3(monkeypatch, capsys):

@@ -1,13 +1,23 @@
+import dataclasses
+import importlib.util
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from revplast.mean_field import PhaseSpec, assemble_operators
-from revplast.results import write_macro_csv, write_phase_csv, write_plot_data
+from revplast.mean_field import PhaseSpec, Spheroid, assemble_operators
+from revplast.results import (format_rows, plot_paths, write_macro_csv, write_phase_csv,
+                              write_plot_data)
+from revplast.scenario import parse_scenario
+from revplast.selfcheck import number_format_cases, number_format_mismatches
 from revplast.solver import REVState, drive, strain_program
-from revplast.tensors import SQRT2
+from revplast.tensors import COMPONENT_LABELS, MANDEL_SCALE, SQRT2
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture(scope="module")
@@ -173,3 +183,138 @@ def test_failed_write_names_destination(hand_states, tmp_path):
     assert ".tmp_" not in str(info.value)
     assert os.listdir(tmp_path) == ["taken"]
     assert os.listdir(target) == []
+
+
+def test_phase_count_is_checked_in_every_state(elastic_ops, tmp_path):
+    # a later state with more phases than names must not lose rows silently
+    two = assemble_operators([PhaseSpec("matrix", 0.7, 100.0, 0.25),
+                              PhaseSpec("b", 0.3, 300.0, 0.3, spheroid=Spheroid(1.0, (0, 0, 1)))])
+    states = (run_one_step(elastic_ops, [1e-3, 0, 0, 0, 0, 0])
+              + run_one_step(two, [1e-3, 0, 0, 0, 0, 0]))
+    with pytest.raises(ValueError, match="1 phase names for 2 phases"):
+        write_phase_csv(states, ["matrix"], str(tmp_path / "phases.csv"))
+    assert os.listdir(tmp_path) == []
+
+
+# -- the number formatter against Python's %.17g ----------------------------
+
+def test_number_format_cases():
+    # the edge grid and sample of `revplast check`, evaluated here too
+    assert number_format_mismatches(number_format_cases()) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), max_size=60), st.integers(1, 4))
+def test_format_rows_is_percent_17g(xs, cols):
+    # any double, ±0, subnormals, inf and nan, in no rows or rows of 1 to 4 columns
+    values = np.array(xs + [0.0] * (-len(xs) % cols)).reshape(-1, cols)
+    assert format_rows(values) == b"".join(
+        b",".join(b"%.17g" % x for x in row) + b"\n" for row in values.tolist())
+
+
+# -- table assembly against the per-row % writer it replaced ---------------
+
+_VALUES = ",".join(["%.17g"] * 18)
+_UNSCALE = np.tile(1.0 / MANDEL_SCALE, 3)
+
+
+def _reference_table(header, row_format, rows) -> bytes:
+    return (",".join(header) + "\n" + "".join(row_format % row for row in rows)).encode()
+
+
+def _labels(*prefixes):
+    return [f"{prefix}_{c}" for prefix in prefixes for c in COMPONENT_LABELS]
+
+
+def reference_files(states, phase_names=None, prefix=None) -> dict[str, bytes]:
+    """The bytes of each file as one ``%`` per row wrote them."""
+    values = [np.concatenate((st.macro_strain, st.macro_stress, st.macro_plastic)) * _UNSCALE
+              for st in states]
+    files = {"macro.csv": _reference_table(
+        ["step"] + _labels("eps", "sig", "epsp") + ["n_active"], "%d," + _VALUES + ",%d\n",
+        [(st.step, *v, sum(st.active)) for st, v in zip(states, values)])}
+    if phase_names is not None:
+        files["phases.csv"] = _reference_table(
+            ["step", "phase"] + _labels("eps", "epsp", "sig") + ["active"],
+            "%d,%s," + _VALUES + ",%d\n",
+            [(st.step, name, *v, active) for st in states for name, v, active in zip(
+                phase_names, (np.hstack((st.strain, st.plastic_strain, st.stress))
+                              * _UNSCALE).tolist(), st.active)])
+    if prefix is not None:
+        for path, i in zip(plot_paths(prefix), (2, 0)):
+            files[path] = _reference_table(
+                [f"eps_{COMPONENT_LABELS[i]}", "abs_sig_33"], "%.17g,%.17g\n",
+                [(st.macro_strain[i], abs(st.macro_stress[2])) for st in states])
+    return files
+
+
+def written_files(states, directory, phase_names=None, prefix=None) -> dict[str, bytes]:
+    write_macro_csv(states, str(directory / "macro.csv"))
+    files = {"macro.csv": (directory / "macro.csv").read_bytes()}
+    if phase_names is not None:
+        write_phase_csv(states, phase_names, str(directory / "phases.csv"))
+        files["phases.csv"] = (directory / "phases.csv").read_bytes()
+    if prefix is not None:
+        for path in write_plot_data(states, prefix):
+            with open(path, "rb") as handle:
+                files[path] = handle.read()
+    return files
+
+
+def test_tables_match_reference_on_edge_cases(hand_states, elastic_ops, tmp_path):
+    fig = str(tmp_path / "fig")
+    # no states: the headers alone
+    assert written_files([], tmp_path, ["matrix"], fig) == reference_files([], ["matrix"], fig)
+    # names beyond ASCII are written as UTF-8
+    names = ["Matrix_ä", "包含体"]
+    assert (written_files(hand_states, tmp_path, names, fig)
+            == reference_files(hand_states, names, fig))
+    # steps of six and seven digits
+    late = [dataclasses.replace(st, step=step)
+            for st, step in zip(hand_states * 2, (99999, 100000, 123456, 10**6))]
+    assert (written_files(late, tmp_path, ["matrix", "incl"], fig)
+            == reference_files(late, ["matrix", "incl"], fig))
+    # one phase
+    states = drive(elastic_ops, strain_program([(np.array([1e-3, -2e-4, 0, 3e-4, 0, 1e-5]), 7)]))
+    assert (written_files(states, tmp_path, ["matrix"], fig)
+            == reference_files(states, ["matrix"], fig))
+
+
+def _benchmark_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+@pytest.mark.parametrize("workload", ["default", "wide_plastic", "elastic_wide"])
+def test_benchmark_tables_match_reference(workload, tmp_path):
+    scn = parse_scenario(_benchmark_workloads().scenario_text(workload, 1))
+    phases = scn.phases()
+    ops = assemble_operators(phases, scn.scheme)
+    states = drive(ops, scn.program, scn.settings)
+    names = [p.name for p in phases] if scn.output.phase_path else None
+    prefix = str(tmp_path / scn.output.plot_prefix) if scn.output.plot_prefix else None
+    assert (written_files(states, tmp_path, names, prefix)
+            == reference_files(states, names, prefix))
+
+
+def test_phase_writer_memory_does_not_grow_with_the_run(tmp_path):
+    # the numbers are formatted in blocks of a fixed size, so ten times the
+    # states (and rows) leave the writer's peak allocation where it was
+    phases = [PhaseSpec("matrix", 0.6, 100.0, 0.25)] + [
+        PhaseSpec(f"incl{k}", 0.4 / 59, 600.0, 0.3, spheroid=Spheroid(0.5, (1.0, k, 2.0)))
+        for k in range(59)]
+    ops = assemble_operators(phases)
+    states = drive(ops, strain_program([(np.array([1e-3, 0, -2e-4, 0, 1e-4, 0]), 299)]))
+    names = [p.name for p in phases]
+    peaks = []
+    for count in (30, 300):
+        tracemalloc.start()
+        try:
+            write_phase_csv(states[:count], names, str(tmp_path / "phases.csv"))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0], peaks
