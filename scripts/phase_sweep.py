@@ -7,10 +7,10 @@ For 26, 100, 200 and 400 seeded random spheroid axes (plus the elastic
 matrix) it drives one fully strain-controlled segment of 30 increments in
 which every inclusion yields, the first segment of the ``wide_plastic``
 benchmark workload, with one BLAS thread.  Per size it records the best of
-``--repeats`` uninstrumented ``drive`` times and, from one more drive with
-counting wrappers, the Newton linearizations, Newton solves and
-subdivisions.  The JSON record also carries the Python and numpy versions
-and the host.
+``--repeats`` ``drive`` times and the work summed over the increment records
+of the states: attempts, Newton solves and linearizations, active systems
+built, active-set revisions and subdivisions.  The JSON record also carries
+the Python and numpy versions and the host.
 """
 import os
 
@@ -22,12 +22,9 @@ import json
 import platform
 import sys
 import time
-from collections import Counter
 
 import numpy as np
 
-import revplast.solver as solver_mod
-from revplast.errors import StepFailureError
 from revplast.mean_field import PhaseSpec, Spheroid, assemble_operators
 from revplast.plasticity import DruckerPrager
 from revplast.solver import STRAIN, LoadProgram, LoadSegment, drive
@@ -49,38 +46,19 @@ def phases(n_axes: int, seed: int):
         for k, axis in enumerate(axes)]
 
 
-def counted_drive(ops):
-    """One drive with counting wrappers on the solver's attributes, which it
-    looks up at call time; the originals are restored afterwards."""
-    counts = Counter()
-    originals = (solver_mod._ActiveSystem.jacobian, solver_mod._newton_multipliers,
-                 solver_mod._solve_mixed_increment)
-    jacobian, newton, solve_increment = originals
+# JSON key: IncrementStats field summed into it
+WORK = {"attempts": "attempts", "newton_solves": "solves",
+        "newton_linearizations": "linearizations", "systems": "systems",
+        "revisions": "revisions"}
 
-    def counted_jacobian(self, *args):
-        counts["newton_linearizations"] += 1
-        return jacobian(self, *args)
 
-    def counted_newton(*args):
-        counts["newton_solves"] += 1
-        return newton(*args)
-
-    def counted_increment(*args):
-        try:
-            return solve_increment(*args)
-        except StepFailureError:
-            counts["subdivisions"] += 1
-            raise
-
-    solver_mod._ActiveSystem.jacobian = counted_jacobian
-    solver_mod._newton_multipliers = counted_newton
-    solver_mod._solve_mixed_increment = counted_increment
-    try:
-        states = drive(ops, PROGRAM)
-    finally:
-        (solver_mod._ActiveSystem.jacobian, solver_mod._newton_multipliers,
-         solver_mod._solve_mixed_increment) = originals
-    return states, counts
+def work(states) -> dict:
+    """The work of a drive, summed over the increment records of its states;
+    an increment halved s times makes 2 s + 1 attempts."""
+    counts = {key: sum(getattr(st.stats, field) for st in states[1:])
+              for key, field in WORK.items()}
+    counts["subdivisions"] = (counts["attempts"] - (len(states) - 1)) // 2
+    return counts
 
 
 def run(n_axes: int, seed: int, repeats: int) -> dict:
@@ -90,16 +68,13 @@ def run(n_axes: int, seed: int, repeats: int) -> dict:
         start = time.perf_counter()
         states = drive(ops, PROGRAM)
         times.append(time.perf_counter() - start)
-    _, counts = counted_drive(ops)
     return {
         "axes": n_axes,
         "phases": ops.n_phases,
         "increments": PROGRAM.total_increments,
         "drive_s_best": min(times),
         "drive_s_all": times,
-        "newton_linearizations": counts["newton_linearizations"],
-        "newton_solves": counts["newton_solves"],
-        "subdivisions": counts["subdivisions"],
+        **work(states),
         "plastic_phases_final": int(sum(states[-1].active)),
         "final_macro_stress": states[-1].macro_stress.tolist(),
     }

@@ -7,18 +7,14 @@ elastic, prints a summary and writes plot extracts for both runs.
 """
 import argparse
 import os
+from dataclasses import replace
 
 import numpy as np
 
-from revplast.mean_field import PhaseSpec, assemble_operators
+from revplast.mean_field import assemble_operators
 from revplast.results import write_macro_csv, write_plot_data
 from revplast.scenario import default_scenario
 from revplast.solver import drive
-
-
-def elastic_twin(phases):
-    return [PhaseSpec(p.name, p.volume_fraction, p.young_modulus, p.poisson_ratio,
-                      spheroid=p.spheroid, plastic=None) for p in phases]
 
 
 def main():
@@ -30,7 +26,7 @@ def main():
     scenario = default_scenario()
     runs = {}
     for label, phases in (("plastic", scenario.phases()),
-                          ("elastic", elastic_twin(scenario.phases()))):
+                          ("elastic", [replace(p, plastic=None) for p in scenario.phases()])):
         ops = assemble_operators(phases)
         states = drive(ops, scenario.program, scenario.settings)
         runs[label] = (ops, states)

@@ -16,14 +16,14 @@ from .mean_field import (MeanFieldOperators, PhaseSpec, Spheroid,
 from .plasticity import DruckerPrager, stress_invariants
 from .scenario import (InclusionFamily, Scenario, default_scenario,
                        parse_scenario, serialize_scenario)
-from .solver import (LoadProgram, LoadSegment, REVState, SolverSettings, drive,
-                     strain_program)
+from .solver import (IncrementStats, LoadProgram, LoadSegment, REVState, SolverSettings,
+                     drive, strain_program)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ApexSingularityError", "DruckerPrager", "IncompressibilityError",
-    "InclusionFamily", "LoadProgram", "LoadSegment", "MeanFieldOperators",
+    "IncrementStats", "InclusionFamily", "LoadProgram", "LoadSegment", "MeanFieldOperators",
     "MorphologyError", "PhaseSpec", "REVState", "RevplastError", "Scenario",
     "ScenarioError", "SingularOperatorError", "SolverSettings", "Spheroid",
     "StepFailureError", "SymmetryError", "assemble_operators", "default_scenario",

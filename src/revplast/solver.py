@@ -46,6 +46,10 @@ roundoff) that a converged iterate hands to the state.
 An increment attempt returns a state ``validate_state`` accepts or raises
 StepFailureError, whatever the cause; ``drive`` halves a failed increment up
 to ``max_subdivisions`` times, then raises with segment, increment and depth.
+
+Each state after the first records its increment's work, ``IncrementStats``,
+counted by the segment's control where the work happens; a subdivided
+increment's record holds the work of all its attempts, failed ones included.
 """
 from __future__ import annotations
 
@@ -136,6 +140,19 @@ class LoadProgram:
         return sum(s.increments for s in self.segments)
 
 
+@dataclass(frozen=True, slots=True)
+class IncrementStats:
+    """The work ``drive`` spent on one increment, failed attempts included;
+    equal records of one load segment are one object."""
+
+    attempts: int        # increment attempts: 1, plus 2 per halving
+    depth: int           # deepest subdivision level an attempt reached; 0 unsubdivided
+    solves: int          # Newton solves of the coupled return
+    linearizations: int  # Newton steps, each one solve of the linearized return
+    systems: int         # active-set Newton systems built (a segment keeps its last one)
+    revisions: int       # new active sets inside a Newton solve
+
+
 @dataclass(frozen=True)
 class REVState:
     """Converged state of the representative volume at one time step.
@@ -156,6 +173,7 @@ class REVState:
     plastic_strain: np.ndarray  # (n, 6)
     stress: np.ndarray          # (n, 6)
     multipliers: np.ndarray     # (n,), zero for inactive phases
+    stats: IncrementStats | None = None  # the increment's work; None for the initial state
 
     def __post_init__(self):
         for arr in (self.macro_strain, self.macro_stress, self.macro_plastic, self.strain,
@@ -212,7 +230,8 @@ class _StressControl:
     sig_bar = sig_pred + C_hom[:, S] d eps_S - sum_b f_b A_b^T C_b x_b, so the
     targets hold for d eps_S = C_hom[S, S]^-1 sum_b f_b (A_b^T C_b x_b)_S.
     Only the elastic predictor of an attempt depends on its state and targets.
-    The segment's attempts share the last active system it built.
+    The segment's attempts share the last active system it built, and it
+    counts the work of the current increment.
     """
 
     def __init__(self, ops, modes):
@@ -228,6 +247,21 @@ class _StressControl:
         self.gain = self.inverse @ (ops.fractions[:, None, None]
                                     * self.sens.transpose(0, 2, 1))
         self._system = None
+        self._records = {}
+        self.begin()
+
+    def begin(self):
+        """Start counting the work of a new increment: its first attempt."""
+        self.attempts, self.depth = 1, 0
+        self.solves = self.linearizations = self.systems = self.revisions = 0
+
+    def record(self):
+        """The work counted since ``begin``; one object per distinct record of the segment."""
+        counts = (self.attempts, self.depth, self.solves, self.linearizations,
+                  self.systems, self.revisions)
+        if counts not in self._records:
+            self._records[counts] = IncrementStats(*counts)
+        return self._records[counts]
 
     def system(self, active):
         """The segment's active system for ``active``: the kept one when its
@@ -236,6 +270,7 @@ class _StressControl:
         if self._system is None or self._system.active != active:
             self._system = None  # at most one system per segment stays alive
             self._system = _ActiveSystem(self.ops, active, self)
+            self.systems += 1
         return self._system
 
     def controlled(self, state):
@@ -373,6 +408,7 @@ def _newton_multipliers(ops, sig_tr, active, settings, control, lam):
     linearization; the solve returns at a converged iterate that changes
     nothing.  ``newton_max_iter`` caps steps and revisions together.
     """
+    control.solves += 1
     try:
         sys_ = control.system(active)
         sig_act = sys_.residual(sig_tr, sig_tr[active], lam)[2]
@@ -390,6 +426,7 @@ def _newton_multipliers(ops, sig_tr, active, settings, control, lam):
             if keep.all() and not join:
                 if converged:
                     return active, lam, x, d_eps, du, sig
+                control.linearizations += 1
                 z, _ = sys_.jacobian(point, lam, -res[:, :, None])
                 sig_act = sig_act + z[:, :6, 0]
                 lam = lam + z[:, 6, 0]
@@ -397,6 +434,7 @@ def _newton_multipliers(ops, sig_tr, active, settings, control, lam):
             active = [a for a, k in zip(active, keep) if k] + join
             sig_act = np.concatenate((sig_act[keep], sig[join]))
             lam = np.concatenate((lam[keep], np.zeros(len(join))))
+            control.revisions += 1
             sys_ = control.system(active)
     except ApexSingularityError as exc:
         raise StepFailureError(f"cone apex reached in phase "
@@ -466,7 +504,7 @@ def _solve_mixed_increment(ops, state, targets, control, settings):
             f"stress-controlled components miss their targets by {miss:.3e}")
     return REVState(step=state.step + 1, macro_strain=eps_bar, macro_stress=sig_bar,
                     macro_plastic=macro_plastic, strain=strains, plastic_strain=eps_p,
-                    stress=stresses, multipliers=multipliers)
+                    stress=stresses, multipliers=multipliers, stats=control.record())
 
 
 def _advance_with_subdivision(ops, state, targets, control, settings):
@@ -474,6 +512,7 @@ def _advance_with_subdivision(ops, state, targets, control, settings):
 
     The two halves of a subdivided increment make one step of the history.
     """
+    control.begin()  # counted across all attempts: the last half's record is the increment's
     return _halved(ops, state, targets, control, settings, 0)
 
 
@@ -488,6 +527,8 @@ def _halved(ops, state, targets, control, settings, depth):
         if depth >= settings.max_subdivisions:
             exc.depth = depth
             raise
+    control.attempts += 2  # the two halves
+    control.depth = max(control.depth, depth + 1)
     mid = 0.5 * (control.controlled(state) + targets)
     # the half increment's Newton starts from half the multipliers
     half = replace(state, multipliers=0.5 * state.multipliers)

@@ -12,17 +12,14 @@ import pytest
 
 import revplast.mean_field as mean_field
 import revplast.solver as solver_mod
-from revplast.errors import StepFailureError
 
 # the arrays of a converged state
 STATE_FIELDS = tuple(f.name for f in dataclasses.fields(solver_mod.REVState)
-                     if f.name != "step")
+                     if f.name not in ("step", "stats"))
 
-# the one place the tests name solver internals to count work: each site and
-# the objects that hold it under its last name
+# the one place the tests name solver internals to count work, beyond the
+# increment records: each site and the objects that hold it under its last name
 WORK_SITES = {
-    "_advance_with_subdivision": (solver_mod,),
-    "_solve_mixed_increment": (solver_mod,),
     "_newton_multipliers": (solver_mod,),
     "_StressControl.__init__": (solver_mod._StressControl,),
     "_ActiveSystem.__init__": (solver_mod._ActiveSystem,),
@@ -33,23 +30,31 @@ WORK_SITES = {
 
 
 class WorkLog(list):
-    """Events in call order: ``(site, args)`` per call of a work site, and
-    ``("failed", site)`` when that call raised StepFailureError."""
+    """``(site, args)`` per call of a work site, in call order."""
 
     def calls(self, site):
-        """The arguments of each call of ``site`` (the failing sites for "failed")."""
-        return [payload for name, payload in self if name == site]
+        """The arguments of each call of ``site``."""
+        return [args for name, args in self if name == site]
 
-    def per(self, unit, site):
-        """Calls of ``site`` after each call of ``unit`` and before the next,
-        e.g. the Newton solves per increment or per attempt."""
-        counts = []
-        for name, _ in self:
-            if name == unit:
-                counts.append(0)
-            elif name == site and counts:
-                counts[-1] += 1
-        return counts
+    def per_increment(self, records):
+        """Per increment record, the (linearizations, systems built, active-set
+        revisions) logged inside the next as many logged solves as it counts.
+        A revision always builds a system; a solve's first build is its
+        start's exactly when its set is the start set."""
+        solves = []
+        for name, args in self:
+            if name == "_newton_multipliers":
+                start = list(args[2])
+                solves.append([0, 0, 0])
+            elif name == "_ActiveSystem.jacobian":
+                solves[-1][0] += 1
+            elif name == "_ActiveSystem.__init__":
+                solves[-1][1] += 1
+                solves[-1][2] += solves[-1][1] > 1 or list(args[2]) != start
+        solves = iter(solves)
+        grouped = [[next(solves) for _ in range(r.solves)] for r in records]
+        assert next(solves, None) is None, "a logged solve that no record counts"
+        return [tuple(map(sum, zip((0, 0, 0), *group))) for group in grouped]
 
 
 def record_work(mp):
@@ -60,11 +65,7 @@ def record_work(mp):
     def recorded(site, func):
         def wrapper(*args):
             log.append((site, args))
-            try:
-                return func(*args)
-            except StepFailureError:
-                log.append(("failed", site))
-                raise
+            return func(*args)
         return wrapper
 
     for site, owners in WORK_SITES.items():

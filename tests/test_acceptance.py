@@ -4,13 +4,14 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as the
 criteria execute.
 """
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from revplast.eshelby import (eshelby_tensor, eshelby_tensor_quadrature,
                               sphere_eshelby_coefficients)
-from revplast.mean_field import PhaseSpec, assemble_operators, eigen_response
+from revplast.mean_field import assemble_operators, eigen_response
 from revplast.plasticity import dp_yield
 from revplast.results import write_macro_csv
 from revplast.scenario import default_scenario
@@ -41,10 +42,7 @@ def default_run(scenario, ops):
 
 @pytest.fixture(scope="module")
 def elastic_variant(scenario):
-    phases = [PhaseSpec(p.name, p.volume_fraction, p.young_modulus,
-                        p.poisson_ratio, spheroid=p.spheroid, plastic=None)
-              for p in scenario.phases()]
-    return assemble_operators(phases)
+    return assemble_operators([replace(p, plastic=None) for p in scenario.phases()])
 
 
 @pytest.fixture(scope="module")

@@ -48,8 +48,8 @@ def test_refinement_study_converges_at_first_order():
 
 
 def test_phase_sweep_counts_its_work(monkeypatch):
-    # the sweep patches solver internals by name to count work; a rename would
-    # silently zero its counts, so pin them on the smallest size
+    # the sweep sums the increment records of its states; pin its counts on
+    # the smallest size
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")  # the script pins them; restored afterwards
     spec = importlib.util.spec_from_file_location(
@@ -57,7 +57,8 @@ def test_phase_sweep_counts_its_work(monkeypatch):
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
     ops = sweep.assemble_operators(sweep.phases(26, sweep.AXES_SEED))
-    states, counts = sweep.counted_drive(ops)
+    states = sweep.drive(ops, sweep.PROGRAM)
+    counts = sweep.work(states)
     assert len(states) == 31
     assert (counts["newton_solves"], counts["newton_linearizations"],
             counts["subdivisions"]) == (20, 61, 0)
