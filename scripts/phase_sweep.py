@@ -86,6 +86,8 @@ def main():
     parser.add_argument("--repeats", type=int, default=3, help="timed drives per size")
     parser.add_argument("--seed", type=int, default=AXES_SEED, help="axes seed")
     args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error(f"--repeats must be at least 1, got {args.repeats}")
     runs = []
     for n_axes in SIZES:
         record = run(n_axes, args.seed, args.repeats)

@@ -20,10 +20,11 @@ a segment keeps the last one it built and rebuilds it only when the active
 set changes.  The active set is revised between Newton iterates by a
 primal-dual active-set switch: phases whose multiplier it rejects leave,
 phases pushed past yield join at a converged iterate, and the solve goes on.
-It is warm-started from the multipliers of the previous increment (halved
-when the increment is subdivided).  On the default scenario that takes 125
-Newton steps for the 60 plastic increments, against 180 from zero
-multipliers, and 4 systems are built.
+It is warm-started from the previous increment's multipliers; a half of a
+failed part of an increment starts from half that part's guess, and the part
+after a converged part from that part's multipliers.  On the default
+scenario that takes 125 Newton steps for the 60 plastic increments, against
+180 from zero multipliers, and 4 systems are built.
 
 The Newton method is linearized consistently, with the flow-direction
 derivative d n / d sig, so it converges quadratically.  Because the
@@ -44,8 +45,9 @@ stresses recomputed with its flow, which bounds F on the stresses (up to
 roundoff) that a converged iterate hands to the state.
 
 An increment attempt returns a state ``validate_state`` accepts or raises
-StepFailureError, whatever the cause; ``drive`` halves a failed increment up
-to ``max_subdivisions`` times, then raises with segment, increment and depth.
+StepFailureError, whatever the cause; a failed part of an increment is
+replaced by its two halves up to ``max_subdivisions`` levels deep, then
+``drive`` raises with segment, increment and depth.
 
 Each state after the first records its increment's work, ``IncrementStats``,
 counted by the segment's control where the work happens; a subdivided
@@ -473,23 +475,25 @@ def validate_state(ops: MeanFieldOperators, state: REVState) -> None:
         raise StepFailureError("macro stress forms disagree beyond roundoff")
 
 
-def _solve_mixed_increment(ops, state, targets, control, settings):
-    """One attempt at the increment to ``targets`` under the segment's ``control``.
+def _solve_mixed_increment(ops, state, targets, control, settings, guess):
+    """One attempt at the increment from ``state`` to ``targets`` under the
+    segment's ``control``, whose Newton solve starts from the multipliers ``guess`` (n,).
 
     The trial state at the exact elastic predictor is accepted if no phase
     yields; otherwise one Newton solve, which revises the active set as it
     goes, returns the coupled return with the stress-controlled strains
-    eliminated.  Raises StepFailureError (the caller then subdivides) when
-    the solve fails or an active phase reaches the cone apex.
+    eliminated.  Returns the new state once ``validate_state`` accepts it;
+    raises StepFailureError (the caller then subdivides) when the solve fails,
+    an active phase reaches the cone apex or the state is rejected.
     """
     eps_bar = control.predict(state, targets)
     strains, stresses = _trial_at(ops, state, eps_bar)
     active = check_yield(ops, stresses)
     eps_p, macro_plastic = state.plastic_strain, state.macro_plastic
     multipliers = state.multipliers
-    if active:  # warm-started from the last increment's multipliers
+    if active:
         active, lam, x, d_eps, du, stresses = _newton_multipliers(
-            ops, stresses, active, settings, control, multipliers[active])
+            ops, stresses, active, settings, control, guess[active])
         eps_bar[control.idx] += d_eps
         multipliers = np.zeros(ops.n_phases)
         multipliers[active] = lam
@@ -502,39 +506,34 @@ def _solve_mixed_increment(ops, state, targets, control, settings):
     if miss > settings.mixed_tol * max(1.0, float(np.linalg.norm(sig_bar))):
         raise StepFailureError(
             f"stress-controlled components miss their targets by {miss:.3e}")
-    return REVState(step=state.step + 1, macro_strain=eps_bar, macro_stress=sig_bar,
-                    macro_plastic=macro_plastic, strain=strains, plastic_strain=eps_p,
-                    stress=stresses, multipliers=multipliers, stats=control.record())
+    new = REVState(step=state.step + 1, macro_strain=eps_bar, macro_stress=sig_bar,
+                   macro_plastic=macro_plastic, strain=strains, plastic_strain=eps_p,
+                   stress=stresses, multipliers=multipliers, stats=control.record())
+    validate_state(ops, new)
+    return new
 
 
 def _advance_with_subdivision(ops, state, targets, control, settings):
-    """Solve and validate one increment, halving it on failure up to the subdivision cap.
-
-    The two halves of a subdivided increment make one step of the history.
-    """
-    control.begin()  # counted across all attempts: the last half's record is the increment's
-    return _halved(ops, state, targets, control, settings, 0)
-
-
-def _halved(ops, state, targets, control, settings, depth):
-    """``_advance_with_subdivision`` at subdivision ``depth``; it recurses
-    here, so a subdivided increment is still one call of that function."""
-    try:
-        new = _solve_mixed_increment(ops, state, targets, control, settings)
-        validate_state(ops, new)
-        return new
-    except StepFailureError as exc:
-        if depth >= settings.max_subdivisions:
-            exc.depth = depth
-            raise
-    control.attempts += 2  # the two halves
-    control.depth = max(control.depth, depth + 1)
-    mid = 0.5 * (control.controlled(state) + targets)
-    # the half increment's Newton starts from half the multipliers
-    half = replace(state, multipliers=0.5 * state.multipliers)
-    first = _halved(ops, half, mid, control, settings, depth + 1)
-    return replace(_halved(ops, first, targets, control, settings, depth + 1),
-                   step=state.step + 1)
+    """Solve one increment: its pending parts, (end targets, depth), are tried
+    depth-first from the last converged state, and a failed part is replaced by
+    its two halves up to the subdivision cap.  The parts make one step of the history."""
+    control.begin()  # counted across all attempts: the last part's record is the increment's
+    start, guess, pending = state, state.multipliers, [(targets, 0)]
+    while pending:
+        end, depth = pending.pop()
+        try:
+            start = _solve_mixed_increment(ops, start, end, control, settings, guess)
+            guess = start.multipliers
+        except StepFailureError as exc:
+            if depth >= settings.max_subdivisions:
+                exc.depth = depth
+                raise
+            control.attempts += 2  # the two halves
+            control.depth = max(control.depth, depth + 1)
+            mid = 0.5 * (control.controlled(start) + end)
+            pending += [(end, depth + 1), (mid, depth + 1)]  # the first half on top
+            guess = 0.5 * guess
+    return start if control.depth == 0 else replace(start, step=state.step + 1)
 
 
 def drive(ops: MeanFieldOperators, program: LoadProgram,

@@ -12,6 +12,7 @@ import pytest
 
 import revplast.mean_field as mean_field
 import revplast.solver as solver_mod
+from revplast.errors import StepFailureError
 
 # the arrays of a converged state
 STATE_FIELDS = tuple(f.name for f in dataclasses.fields(solver_mod.REVState)
@@ -74,6 +75,24 @@ def record_work(mp):
         for owner in owners:
             mp.setattr(owner, name, wrapped)
     return log
+
+
+def inject_failures(mp, fails):
+    """Make each increment attempt do its work, then raise StepFailureError
+    where ``fails(state, targets, guess)`` holds, with the MonkeyPatch ``mp``;
+    returns the ``(state, targets, guess)`` of each attempt as they happen."""
+    real_attempt = solver_mod._solve_mixed_increment
+    seen = []
+
+    def attempt(ops, state, targets, control, settings, guess):
+        seen.append((state, targets, guess))
+        new = real_attempt(ops, state, targets, control, settings, guess)
+        if fails(state, targets, guess):
+            raise StepFailureError("failure injected by the test")
+        return new
+
+    mp.setattr(solver_mod, "_solve_mixed_increment", attempt)
+    return seen
 
 
 def rodrigues(axis, angle):

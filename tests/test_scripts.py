@@ -8,14 +8,14 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_script(name, *args):
+def run_script(name, *args, returncode=0):
     """Run ``scripts/<name>`` on this checkout's package; its completed process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     done = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args],
                           env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == returncode, done.stderr
     return done
 
 
@@ -62,3 +62,14 @@ def test_phase_sweep_counts_its_work(monkeypatch):
     assert len(states) == 31
     assert (counts["newton_solves"], counts["newton_linearizations"],
             counts["subdivisions"]) == (20, 61, 0)
+
+
+def test_phase_sweep_refuses_no_repeats(tmp_path):
+    # with no timed drive it used to assemble the operators, then crash on an
+    # empty min() and write nothing
+    out = tmp_path / "sweep.json"
+    for repeats in ("0", "-2"):
+        done = run_script("phase_sweep.py", "--out", str(out), "--repeats", repeats,
+                          returncode=2)
+        assert f"--repeats must be at least 1, got {repeats}" in done.stderr
+        assert "axes:" not in done.stdout and not out.exists()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import revplast.solver as solver_mod
-from conftest import STATE_FIELDS, record_work
+from conftest import STATE_FIELDS, inject_failures, record_work
 from revplast.errors import ApexSingularityError, RevplastError, StepFailureError
 from revplast.mean_field import (PhaseSpec, Spheroid, assemble_operators, localize,
                                  upscale_stress)
@@ -34,6 +34,11 @@ def default_ops():
 
 def strain_control(ops):
     return solver_mod._StressControl(ops, (STRAIN,) * 6)
+
+
+def attempt(ops, state, targets, settings=SolverSettings()):
+    return _solve_mixed_increment(ops, state, targets, strain_control(ops), settings,
+                                  state.multipliers)
 
 
 def newton_solve(ops, state, targets, control, active, lam):
@@ -68,7 +73,7 @@ def test_elastic_rev_accepts_trial():
     deps = np.array([2e-4, -1e-4, -4e-4, 0, 5e-5, 0])
     state = initial_state(ops)
     _, sig_tr = _trial_at(ops, state, deps)
-    new = _solve_mixed_increment(ops, state, deps, strain_control(ops), SolverSettings())
+    new = attempt(ops, state, deps)
     assert np.abs(new.stress - sig_tr).max() == 0.0
     assert np.abs(new.macro_stress - ops.stiffness_hom @ deps).max() < 1e-14
 
@@ -400,7 +405,7 @@ def test_negative_multiplier_candidate_dropped(monkeypatch):
     assert check_yield(ops, sig_tr) == [1, 2]
     assert 0.0 < dp_yield(sig_tr[2], ops.tan_friction[2], ops.shear_strength[2]) < 1e-4
     work = record_work(monkeypatch)
-    new = _solve_mixed_increment(ops, state, deps, strain_control(ops), SolverSettings())
+    new = attempt(ops, state, deps)
     assert active_sets(work) == [[1, 2], [1]]
     assert (new.stats.solves, new.stats.revisions) == (1, 1)
     assert new.active[1] and not new.active[2]
@@ -418,7 +423,7 @@ def test_switch_acts_on_the_start_iterate(monkeypatch):
     # hard twin below yield at the start iterate: it leaves there, and the
     # solve is done without a linearization
     _, ops, state, deps = twin_inclusions()
-    new = _solve_mixed_increment(ops, state, deps, strain_control(ops), SolverSettings())
+    new = attempt(ops, state, deps)
     work = record_work(monkeypatch)
     active, lam, *_, sig = newton_solve(ops, state, deps, strain_control(ops), [1, 2],
                                         new.multipliers[[1, 2]])
@@ -444,8 +449,7 @@ def test_all_candidates_withdrawing_raises_typed_error(monkeypatch):
     monkeypatch.setattr(solver_mod._ActiveSystem, "jacobian", negative_step)
     work = record_work(monkeypatch)
     with pytest.raises(StepFailureError, match="did not converge in 50 Newton iterations"):
-        _solve_mixed_increment(ops, state, np.array([0, 0, -0.002, 0, 0, 0]),
-                               strain_control(ops), SolverSettings())
+        attempt(ops, state, np.array([0, 0, -0.002, 0, 0, 0]))
     assert active_sets(work)[:5] == [[0, 1], [], [0, 1], [], [0, 1]]
 
 
@@ -456,12 +460,10 @@ def test_active_set_iteration_cap(monkeypatch):
     _, ops, state, deps = twin_inclusions()
     work = record_work(monkeypatch)
     with pytest.raises(StepFailureError) as info:
-        _solve_mixed_increment(ops, state, deps, strain_control(ops),
-                               SolverSettings(newton_max_iter=3))
+        attempt(ops, state, deps, SolverSettings(newton_max_iter=3))
     assert active_sets(work) == [[1, 2], [1]]
     assert re.fullmatch(NEWTON_CAP.replace(" 1 ", " 3 "), str(info.value))
-    new = _solve_mixed_increment(ops, state, deps, strain_control(ops),
-                                 SolverSettings(newton_max_iter=4))
+    new = attempt(ops, state, deps, SolverSettings(newton_max_iter=4))
     assert new.active == (False, True, False)
 
 
@@ -811,32 +813,24 @@ def test_determinism_bitwise():
         assert np.array_equal(a.stress, b.stress)
 
 
-def reject_oversized_attempts(monkeypatch):
-    """Fail every increment attempt larger than 1.1e-4 after its work, so that
-    ``drive`` subdivides it; returns the attempted sizes as they happen."""
-    real_attempt = solver_mod._solve_mixed_increment
-    calls = []
+def part_size(state, targets):
+    """The largest strain component of the increment part from ``state`` to ``targets``."""
+    return np.abs(targets - state.macro_strain).max()
 
-    def fussy_attempt(ops_, state, targets, control, settings):
-        size = np.abs(np.asarray(targets) - state.macro_strain).max()
-        calls.append(size)
-        new = real_attempt(ops_, state, targets, control, settings)
-        if size > 1.1e-4:
-            raise StepFailureError("increment too large for this test")
-        return new
 
-    monkeypatch.setattr(solver_mod, "_solve_mixed_increment", fussy_attempt)
-    return calls
+def oversized(state, targets, guess):
+    """Whether an attempt is larger than 1.1e-4: ``inject_failures`` then fails it."""
+    return part_size(state, targets) > 1.1e-4
 
 
 def test_subdivision_recovers_from_oversized_steps(monkeypatch):
     ops = two_phase_homogeneous()
-    calls = reject_oversized_attempts(monkeypatch)
+    seen = inject_failures(monkeypatch, oversized)
     program = strain_program([(np.array([0, 0, -0.0008, 0, 0, 0]), 2)])
     states = drive(ops, program, SolverSettings(max_subdivisions=3))
     assert len(states) == 3
     assert states[-1].macro_strain[2] == pytest.approx(-0.0008, abs=0)
-    assert any(c > 1.1e-4 for c in calls)  # at least one rejected attempt
+    assert any(oversized(*args) for args in seen)  # at least one rejected attempt
 
     monkeypatch.undo()
     oracle = drive(ops, program, SolverSettings())
@@ -846,14 +840,14 @@ def test_subdivision_recovers_from_oversized_steps(monkeypatch):
 def test_records_count_every_attempt(monkeypatch):
     # an increment's record counts all its attempts and the work of the
     # failed ones: halved three times, each increment makes 15 attempts, as
-    # many as the sizes the helper saw, down to depth 3; every attempt of the
+    # many as the attempts the helper saw, down to depth 3; every attempt of the
     # last three increments, which yield throughout, makes a Newton solve
     ops = two_phase_homogeneous()
     program = strain_program([(np.array([0, 0, -0.004, 0, 0, 0]), 5)])
-    calls = reject_oversized_attempts(monkeypatch)
+    seen = inject_failures(monkeypatch, oversized)
     work = record_work(monkeypatch)
     states = drive(ops, program, SolverSettings(max_subdivisions=3))
-    sizes = iter(calls)
+    sizes = iter([part_size(state, targets) for state, targets, _ in seen])
     for st in states[1:]:
         attempted = np.array([next(sizes) for _ in range(st.stats.attempts)])
         assert attempted[0] == pytest.approx(8e-4, rel=1e-12)
@@ -880,8 +874,8 @@ def cyclic_garbage(run):
 
 def test_drive_leaves_no_cyclic_garbage():
     # a finished increment or segment frees what it built, Newton systems
-    # included, by reference counting alone: neither the subdivision
-    # recursion nor a kept system may sit in a reference cycle
+    # included, by reference counting alone: neither the subdivision loop
+    # nor a kept system may sit in a reference cycle
     sc = default_scenario()
     ops = assemble_operators(sc.phases())
     assert cyclic_garbage(lambda: drive(ops, sc.program, sc.settings)) == 0
@@ -890,35 +884,45 @@ def test_drive_leaves_no_cyclic_garbage():
 def test_subdivided_drive_leaves_no_cyclic_garbage(monkeypatch):
     # every plastic increment is halved three times
     ops = two_phase_homogeneous()
-    calls = reject_oversized_attempts(monkeypatch)
+    seen = inject_failures(monkeypatch, oversized)
     program = strain_program([(np.array([0, 0, -0.004, 0, 0, 0]), 5)])
     states = []
     assert cyclic_garbage(lambda: states.extend(
         drive(ops, program, SolverSettings(max_subdivisions=3)))) == 0
     assert len(states) == 6 and states[-1].active == (True, True)
-    assert len(calls) == 5 * 15
+    assert len(seen) == 5 * 15
 
 
 def test_subdivided_increment_starts_from_half_the_multipliers(monkeypatch):
-    # the warm start of a half increment is half the last increment's
-    # multipliers; the second half starts from the first half's
+    # a half of a failed part starts from half that part's guess, and the part
+    # after a converged part from that part's multipliers: the 4th increment
+    # fails whole, then also its first half, or its second
     ops = two_phase_homogeneous()
-    real_attempt = solver_mod._solve_mixed_increment
-    seen = []
-
-    def failing_once(ops_, state, targets, control, settings):
-        seen.append(state.multipliers)
-        if state.step == 3 and len(seen) == 4:
-            raise StepFailureError("increment too large for this test")
-        return real_attempt(ops_, state, targets, control, settings)
-
-    monkeypatch.setattr(solver_mod, "_solve_mixed_increment", failing_once)
     program = strain_program([(np.array([0, 0, -0.004, 0, 0, 0]), 5)])
-    states = drive(ops, program)
-    assert len(seen) == 7 and len(states) == 6
-    assert (seen[3] > 0.0).all()
-    assert np.array_equal(seen[4], 0.5 * seen[3])
-    assert (seen[5] > 0.0).all() and not np.array_equal(seen[5], seen[3])
+
+    def run(*failing):  # fails the attempts at (start step, 8e-4 / size) in failing
+        monkeypatch.undo()
+        seen = inject_failures(monkeypatch, lambda state, targets, guess: (
+            state.step, round(8e-4 / part_size(state, targets))) in failing)
+        assert len(drive(ops, program)) == 6
+        starts, targets, guesses = zip(*seen)
+        return starts, guesses, [round(8e-4 / part_size(*p)) for p in zip(starts, targets)]
+
+    starts, guesses, parts = run((3, 1))
+    assert parts == [1, 1, 1, 1, 2, 2, 1]
+    assert (guesses[3] > 0.0).all() and guesses[3] is starts[3].multipliers
+    assert np.array_equal(guesses[4], 0.5 * guesses[3])
+    assert (guesses[5] > 0.0).all() and not np.array_equal(guesses[5], guesses[3])
+    assert guesses[5] is starts[5].multipliers  # the converged first half's
+
+    starts, guesses, parts = run((3, 1), (3, 2))  # the first half fails too
+    assert parts == [1, 1, 1, 1, 2, 4, 4, 2, 1] and starts[5] is starts[3]
+    assert np.array_equal(guesses[5], 0.5 * (0.5 * guesses[3]))
+
+    starts, guesses, parts = run((3, 1), (4, 2))  # the second half fails too
+    assert parts == [1, 1, 1, 1, 2, 2, 4, 4, 1] and starts[6] is starts[5]
+    assert guesses[5] is starts[5].multipliers
+    assert np.array_equal(guesses[6], 0.5 * starts[5].multipliers)
 
 
 def test_failed_validation_is_subdivided(monkeypatch):
@@ -956,10 +960,7 @@ def test_failed_validation_is_subdivided(monkeypatch):
 def test_subdivision_cap_exhausts(monkeypatch):
     ops = two_phase_homogeneous()
 
-    def always_fails(*args, **kwargs):
-        raise StepFailureError("forced failure")
-
-    monkeypatch.setattr(solver_mod, "_solve_mixed_increment", always_fails)
+    inject_failures(monkeypatch, lambda state, targets, guess: True)
     program = strain_program([(np.array([0, 0, -0.0008, 0, 0, 0]), 1)])
     with pytest.raises(StepFailureError):
         drive(ops, program, SolverSettings(max_subdivisions=3))
@@ -1057,3 +1058,25 @@ def test_benchmark_hook_targets_exist(module, path):
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_drive_advances_once_per_increment(monkeypatch):
+    # perfbench's increment clock wraps _advance_with_subdivision the same way
+    # and cuts each drive at its calls: drive must look it up at call time and
+    # call it once per increment, however often the increment is halved
+    real_advance = solver_mod._advance_with_subdivision
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real_advance(*args)
+
+    monkeypatch.setattr(solver_mod, "_advance_with_subdivision", counted)
+    sc = default_scenario()
+    drive(assemble_operators(sc.phases()), sc.program, sc.settings)
+    assert len(calls) == 150
+    calls.clear()
+    seen = inject_failures(monkeypatch, oversized)
+    program = strain_program([(np.array([0, 0, -0.004, 0, 0, 0]), 5)])
+    drive(two_phase_homogeneous(), program, SolverSettings(max_subdivisions=3))
+    assert len(calls) == 5 and len(seen) == 75
