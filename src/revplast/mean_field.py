@@ -21,7 +21,7 @@ import numpy as np
 from .errors import MorphologyError, SingularOperatorError
 from .eshelby import ASPECT_RANGE, hill_tensor
 from .orientations import rotation_to_axis
-from .plasticity import DruckerPrager
+from .plasticity import YIELD_TOL, DruckerPrager
 from .tensors import IDENTITY, iso_stiffness, rotation_operator, ten4_inv
 
 SCHEMES = ("mori_tanaka", "dilute")  # mean-field schemes of assemble_operators
@@ -113,6 +113,11 @@ class MeanFieldOperators:
     plastic: (n,) mask of the phases with a yield surface; tan_friction,
     tan_dilation (potential angle) and shear_strength are their Drucker-Prager
     parameters, zero for elastic phases.
+    plastic_index: (p,) ascending indices of the plastic phases, the one copy
+    of the plastic index the solver's yield check and state validation read;
+    plastic_tan_friction, plastic_strength and plastic_yield_tol are their
+    tan(phi), s0 and past-yield threshold YIELD_TOL s0, gathered once here.
+    Every array is read-only.
     """
 
     phases: tuple[PhaseSpec, ...]
@@ -127,6 +132,10 @@ class MeanFieldOperators:
     tan_friction: np.ndarray
     tan_dilation: np.ndarray
     shear_strength: np.ndarray
+    plastic_index: np.ndarray
+    plastic_tan_friction: np.ndarray
+    plastic_strength: np.ndarray
+    plastic_yield_tol: np.ndarray
     consistency_residuals: tuple[float, float]
 
     @property
@@ -216,13 +225,19 @@ def assemble_operators(phases, scheme: str = "mori_tanaka") -> MeanFieldOperator
     tan_f = np.array([np.tan(m.friction_angle) if m else 0.0 for m in models])
     tan_g = np.array([np.tan(m.potential_angle) if m else 0.0 for m in models])
     s0 = np.array([m.shear_strength if m else 0.0 for m in models])
+    index = np.flatnonzero(plastic)
+    index_tan_f, index_s0 = tan_f[index], s0[index]
+    index_tol = YIELD_TOL * index_s0
 
-    for arr in (f, cmats, conc, resp, mix, c_hom, plastic, tan_f, tan_g, s0):
+    for arr in (f, cmats, conc, resp, mix, c_hom, plastic, tan_f, tan_g, s0,
+                index, index_tan_f, index_s0, index_tol):
         arr.setflags(write=False)
     return MeanFieldOperators(phases=phases, scheme=scheme, fractions=f, stiffness=cmats,
                               concentration=conc, response=resp, mixing=mix,
                               stiffness_hom=c_hom, plastic=plastic, tan_friction=tan_f,
                               tan_dilation=tan_g, shear_strength=s0,
+                              plastic_index=index, plastic_tan_friction=index_tan_f,
+                              plastic_strength=index_s0, plastic_yield_tol=index_tol,
                               consistency_residuals=(float(res_a), float(res_b)))
 
 

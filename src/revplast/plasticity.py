@@ -24,6 +24,8 @@ from .tensors import IVEC, K_PROJ
 
 # relative equivalent-stress floor below which the deviatoric direction is undefined
 APEX_TOLERANCE = 1e-10
+# yield value, relative to the shear strength, above which a stress is past yield
+YIELD_TOL = 1e-10
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,12 @@ its linearization at the iterate, and for the convergence check at the
 stresses recomputed with its flow, which bounds F on the stresses (up to
 roundoff) that a converged iterate hands to the state.
 
+``check_yield`` and ``validate_state`` read the plastic phases' index, tan(phi),
+s0 and past-yield thresholds YIELD_TOL s0 that ``assemble_operators`` gathers
+once (``MeanFieldOperators.plastic_index`` and the ``plastic_*`` arrays beside
+it).  ``validate_state`` still recomputes every value it checks from the
+state's own arrays, never from the solver's intermediates.
+
 An increment attempt returns a state ``validate_state`` accepts or raises
 StepFailureError, whatever the cause; a failed part of an increment is
 replaced by its two halves up to ``max_subdivisions`` levels deep, then
@@ -63,15 +69,13 @@ import numpy as np
 
 from .errors import ApexSingularityError, StepFailureError
 from .mean_field import MeanFieldOperators, eigen_response, macro_plastic_strain
-from .plasticity import (dp_direction, dp_flow_gradient_of, dp_flow_of, dp_yield,
-                         dp_yield_of)
+from .plasticity import (YIELD_TOL, dp_direction, dp_flow_gradient_of, dp_flow_of,
+                         dp_yield, dp_yield_of)
 from .tensors import MANDEL_SCALE
 
 STRAIN = "strain"
 STRESS = "stress"
 
-# candidate threshold relative to each phase's shear strength
-YIELD_TOL = 1e-10
 STATE_TOL = 1e-10  # relative constitutive and strain-average residuals of a converged state
 
 
@@ -210,10 +214,9 @@ def _trial_at(ops: MeanFieldOperators, state: REVState, eps_bar: np.ndarray):
 
 def check_yield(ops: MeanFieldOperators, stresses: np.ndarray) -> list[int]:
     """Candidate plastic set: the plastic phases whose yield value exceeds YIELD_TOL s0."""
-    p = np.flatnonzero(ops.plastic)
-    strength = ops.shear_strength[p]
-    return p[dp_yield(stresses[p], ops.tan_friction[p], strength)
-             > YIELD_TOL * strength].tolist()
+    p = ops.plastic_index
+    f_vals = dp_yield(stresses.take(p, axis=0), ops.plastic_tan_friction, ops.plastic_strength)
+    return p[f_vals > ops.plastic_yield_tol].tolist()
 
 
 def _solve(a, b, what):
@@ -454,19 +457,17 @@ def validate_state(ops: MeanFieldOperators, state: REVState) -> None:
         ops, state.strain, state.plastic_strain)).max()
     if not res_c <= STATE_TOL * sig_ref:
         raise StepFailureError(f"constitutive residual {res_c:.3e} exceeds tolerance")
-    avg = np.einsum("a,ai->i", ops.fractions, state.strain)
-    res_avg = np.abs(avg - state.macro_strain).max()
+    res_avg = np.abs(ops.fractions @ state.strain - state.macro_strain).max()
     if not res_avg <= STATE_TOL * max(1.0, float(np.abs(state.macro_strain).max())):
         raise StepFailureError(f"strain-average residual {res_avg:.3e} exceeds tolerance")
-    p = ops.plastic
-    f_vals = dp_yield(state.stress[p], ops.tan_friction[p], ops.shear_strength[p])
-    tol_f = YIELD_TOL * ops.shear_strength[p]
+    p, tol_f = ops.plastic_index, ops.plastic_yield_tol
+    f_vals = dp_yield(state.stress.take(p, axis=0), ops.plastic_tan_friction,
+                      ops.plastic_strength)
     lam = state.multipliers[p]
     ok = (f_vals <= tol_f) & (lam >= 0.0) & (np.abs(lam * f_vals) <= tol_f)
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        k = bad[0]
-        name = ops.phases[np.flatnonzero(p)[k]].name
+    if not ok.all():
+        k = int(np.argmin(ok))  # the first violating plastic phase
+        name = ops.phases[p[k]].name
         raise StepFailureError(
             f"KKT violation in phase {name!r}: F = {f_vals[k]:.3e}, "
             f"multiplier = {lam[k]:.3e}")

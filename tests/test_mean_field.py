@@ -331,6 +331,34 @@ def test_operators_store_no_dense_influence():
     assert not hasattr(mean_field.MeanFieldOperators, "influence")
 
 
+@pytest.mark.parametrize("scheme", ["mori_tanaka", "dilute"])
+def test_operator_arrays_are_read_only_and_derived_from_the_mask(scheme):
+    # a plastic matrix, an elastic inclusion between plastic ones, mixed angles
+    models = (DruckerPrager(0.2, 0.3), None, DruckerPrager(0.0, 0.12), None,
+              DruckerPrager(0.4, 0.05, dilation_angle=0.1))
+    phases = [matrix_phase(0.6, plastic=models[0])] + [
+        spheroid_phase(f"incl{k}", 0.1, axis=axis, plastic=m)
+        for k, (axis, m) in enumerate(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)),
+                                          models[1:]))]
+    ops = assemble_operators(phases, scheme=scheme)
+    arrays = {fld.name: getattr(ops, fld.name) for fld in dataclasses.fields(ops)
+              if isinstance(getattr(ops, fld.name), np.ndarray)}
+    assert {"plastic_index", "plastic_tan_friction", "plastic_strength",
+            "plastic_yield_tol"} <= set(arrays)
+    for name, arr in arrays.items():
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+    mask = ops.plastic
+    assert mask.tolist() == [m is not None for m in models]
+    assert ops.plastic_index.dtype.kind == "i"
+    assert ops.plastic_index.tolist() == [0, 2, 4]
+    assert np.array_equal(ops.plastic_tan_friction, ops.tan_friction[mask])
+    assert np.array_equal(ops.plastic_strength, ops.shear_strength[mask])
+    assert np.array_equal(ops.plastic_yield_tol,
+                          solver_mod.YIELD_TOL * ops.shear_strength[mask])
+
+
 def test_localize_average_consistency(default_ops):
     rng = np.random.default_rng(5)
     eps_bar = rng.normal(size=6) * 1e-3

@@ -120,6 +120,66 @@ def test_check_yield_mixed_angles_and_elastic_phase(rng):
     assert all(type(a) is int for a in cand)
 
 
+def interleaved_ops():
+    """An elastic matrix and four inclusions with the plastic mask
+    [F, T, F, T, T]: the plastic index [1, 3, 4] skips the elastic inclusion 2.
+    Inclusion 4 is the weakest, so a small compression makes it yield alone."""
+    models = (DruckerPrager(0.3, 0.5), None, DruckerPrager(0.0, 0.5),
+              DruckerPrager(0.0, 1e-3))
+    axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0))
+    phases = [PhaseSpec("matrix", 0.6, E0, NU)] + [
+        PhaseSpec(f"incl{k}", 0.1, EI, NU, spheroid=Spheroid(0.35, axis), plastic=m)
+        for k, (axis, m) in enumerate(zip(axes, models), 1)]
+    ops = assemble_operators(phases)
+    assert ops.plastic.tolist() == [False, True, False, True, True]
+    assert ops.plastic_index.tolist() == [1, 3, 4]
+    return ops
+
+
+def test_check_yield_maps_the_plastic_index_to_phases():
+    ops = interleaved_ops()
+    sig = np.zeros((5, 6))
+    sig[:, 2] = -1.0  # past every plastic phase's yield surface
+    cand = check_yield(ops, sig)
+    assert cand == [1, 3, 4]
+    assert all(type(a) is int for a in cand)
+    sig[[1, 3]] = 0.0  # the elastic phases 0 and 2 are never candidates
+    assert check_yield(ops, sig) == [4]
+
+
+def test_validation_names_phases_through_the_plastic_index():
+    ops = interleaved_ops()
+    state = initial_state(ops)
+    validate_state(ops, state)
+    for a in (1, 3, 4):
+        lam = np.zeros(5)
+        lam[a] = -1e-3
+        with pytest.raises(StepFailureError, match=f"phase 'incl{a}'.*multiplier"):
+            validate_state(ops, replace(state, multipliers=lam))
+    # an unreturned trial state past yield in inclusion 4 alone
+    eps_bar = np.array([0, 0, -2e-5, 0, 0, 0])
+    eps_tr, sig_tr = _trial_at(ops, state, eps_bar)
+    assert check_yield(ops, sig_tr) == [4]
+    bad = replace(state, step=1, macro_strain=eps_bar,
+                  macro_stress=ops.stiffness_hom @ eps_bar, strain=eps_tr, stress=sig_tr)
+    with pytest.raises(StepFailureError, match="KKT violation in phase 'incl4': F = "):
+        validate_state(ops, bad)
+
+
+def test_all_elastic_assembly_has_an_empty_plastic_index():
+    ops = assemble_operators([replace(p, plastic=None) for p in default_scenario().phases()])
+    assert ops.plastic_index.shape == (0,) and ops.plastic_index.dtype.kind == "i"
+    assert ops.plastic_yield_tol.shape == (0,)
+    assert check_yield(ops, np.full((ops.n_phases, 6), 1e3)) == []
+    states = drive(ops, strain_program([(np.array([2e-4, 0, -1e-3, 0, 0, 0]), 3)]))
+    for st in states:
+        validate_state(ops, st)
+    stress = np.array(states[-1].stress)
+    stress[5, 1] = np.nan
+    with pytest.raises(StepFailureError, match="constitutive residual"):
+        validate_state(ops, replace(states[-1], stress=stress))
+
+
 def test_symmetric_orientations_yield_symmetrically():
     # axisymmetric loading of the cube orientation set: equal yield values
     # inside each orientation orbit (faces, edges, vertices)
