@@ -20,11 +20,18 @@ a segment keeps the last one it built and rebuilds it only when the active
 set changes.  The active set is revised between Newton iterates by a
 primal-dual active-set switch: phases whose multiplier it rejects leave,
 phases pushed past yield join at a converged iterate, and the solve goes on.
-It is warm-started from the previous increment's multipliers; a half of a
-failed part of an increment starts from half that part's guess, and the part
-after a converged part from that part's multipliers.  On the default
-scenario that takes 125 Newton steps for the 60 plastic increments, against
-180 from zero multipliers, and 4 systems are built.
+After a segment's first increment, an increment's first attempt starts from
+the linear extrapolation of the last two converged states (the secant
+predictor): the multipliers max(2 lam_n - lam_n-1, 0) of the phases active
+before, else lam_n, and flow directions at 2 sig_n - sig_n-1; a segment's
+increments are equal steps, so 2 and -1 are the exact coefficients.  Every
+other attempt takes its start's directions at the trial stresses: a segment's
+first increment starts from the previous multipliers, a half of a failed part
+of an increment from half that part's guess, and the part after a converged
+part from that part's multipliers.  On the default scenario that takes 97
+Newton steps for the 60 plastic increments, against 125 from the last
+multipliers with directions at the trial stresses and 180 from zero
+multipliers, and 4 systems are built.
 
 The Newton method is linearized consistently, with the flow-direction
 derivative d n / d sig, so it converges quadratically.  Because the
@@ -394,7 +401,7 @@ class _ActiveSystem:
         return z, flow @ z
 
 
-def _newton_multipliers(ops, sig_tr, active, settings, control, lam):
+def _newton_multipliers(ops, sig_tr, active, settings, control, lam, sig_dir=None):
     """Solve the coupled return under the stress control of ``control`` from
     the candidate phases ``active`` and their guess ``lam``, revising the
     active set between iterates; returns the final set and multipliers, the
@@ -403,7 +410,8 @@ def _newton_multipliers(ops, sig_tr, active, settings, control, lam):
 
     Newton on the active stresses and multipliers from the trial state
     ``sig_tr`` at the predicted macro strain, starting at the stresses the
-    guessed multipliers give with flow directions at the trial stresses;
+    guessed multipliers give with flow directions at the candidates' stresses
+    ``sig_dir`` (m, 6), by default their trial stresses;
     every iterate carries the controlled-strain corrections d_eps of its flow.
     An iterate has converged once the stress residual and F of the stresses
     recomputed with its flow directions are within tolerance.  At every
@@ -416,7 +424,9 @@ def _newton_multipliers(ops, sig_tr, active, settings, control, lam):
     control.solves += 1
     try:
         sys_ = control.system(active)
-        sig_act = sys_.residual(sig_tr, sig_tr[active], lam)[2]
+        if sig_dir is None:
+            sig_dir = sig_tr[active]
+        sig_act = sys_.residual(sig_tr, sig_dir, lam)[2]
         for _ in range(settings.newton_max_iter):
             tols = settings.newton_tol * sys_.strength
             res, x, sig, d_eps, point = sys_.residual(sig_tr, sig_act, lam)
@@ -476,14 +486,18 @@ def validate_state(ops: MeanFieldOperators, state: REVState) -> None:
         raise StepFailureError("macro stress forms disagree beyond roundoff")
 
 
-def _solve_mixed_increment(ops, state, targets, control, settings, guess):
+def _solve_mixed_increment(ops, state, targets, control, settings, guess, before=None):
     """One attempt at the increment from ``state`` to ``targets`` under the
     segment's ``control``, whose Newton solve starts from the multipliers ``guess`` (n,).
 
     The trial state at the exact elastic predictor is accepted if no phase
     yields; otherwise one Newton solve, which revises the active set as it
     goes, returns the coupled return with the stress-controlled strains
-    eliminated.  Returns the new state once ``validate_state`` accepts it;
+    eliminated.  Given the converged state ``before`` one equal step before
+    ``state``, the solve starts from the linear extrapolation of the two over
+    the candidate phases instead: multipliers max(2 lam_n - lam_n-1, 0) where
+    the phase was active before, else ``guess``, and flow directions at
+    2 sig_n - sig_n-1.  Returns the new state once ``validate_state`` accepts it;
     raises StepFailureError (the caller then subdivides) when the solve fails,
     an active phase reaches the cone apex or the state is rejected.
     """
@@ -493,8 +507,13 @@ def _solve_mixed_increment(ops, state, targets, control, settings, guess):
     eps_p, macro_plastic = state.plastic_strain, state.macro_plastic
     multipliers = state.multipliers
     if active:
+        lam, sig_dir = guess[active], None
+        if before is not None:  # the secant predictor
+            lam_before = before.multipliers[active]
+            lam = np.where(lam_before > 0.0, np.maximum(2.0 * lam - lam_before, 0.0), lam)
+            sig_dir = 2.0 * state.stress[active] - before.stress[active]
         active, lam, x, d_eps, du, stresses = _newton_multipliers(
-            ops, stresses, active, settings, control, guess[active])
+            ops, stresses, active, settings, control, lam, sig_dir)
         eps_bar[control.idx] += d_eps
         multipliers = np.zeros(ops.n_phases)
         multipliers[active] = lam
@@ -514,16 +533,18 @@ def _solve_mixed_increment(ops, state, targets, control, settings, guess):
     return new
 
 
-def _advance_with_subdivision(ops, state, targets, control, settings):
+def _advance_with_subdivision(ops, state, targets, control, settings, before=None):
     """Solve one increment: its pending parts, (end targets, depth), are tried
     depth-first from the last converged state, and a failed part is replaced by
-    its two halves up to the subdivision cap.  The parts make one step of the history."""
+    its two halves up to the subdivision cap.  The parts make one step of the
+    history.  Only the first attempt, at the whole increment, extrapolates from
+    ``before``, the state one equal step before ``state``."""
     control.begin()  # counted across all attempts: the last part's record is the increment's
     start, guess, pending = state, state.multipliers, [(targets, 0)]
     while pending:
         end, depth = pending.pop()
         try:
-            start = _solve_mixed_increment(ops, start, end, control, settings, guess)
+            start = _solve_mixed_increment(ops, start, end, control, settings, guess, before)
             guess = start.multipliers
         except StepFailureError as exc:
             if depth >= settings.max_subdivisions:
@@ -534,6 +555,7 @@ def _advance_with_subdivision(ops, state, targets, control, settings):
             mid = 0.5 * (control.controlled(start) + end)
             pending += [(end, depth + 1), (mid, depth + 1)]  # the first half on top
             guess = 0.5 * guess
+        before = None
     return start if control.depth == 0 else replace(start, step=state.step + 1)
 
 
@@ -561,8 +583,10 @@ def drive(ops: MeanFieldOperators, program: LoadProgram,
                 targets = end  # land on the segment target bit-exactly
             else:
                 targets = start + (end - start) * (k / segment.increments)
+            before = states[-2] if k > 1 else None  # the segment's steps are equal
             try:
-                new = _advance_with_subdivision(ops, states[-1], targets, control, settings)
+                new = _advance_with_subdivision(ops, states[-1], targets, control, settings,
+                                                before)
             except StepFailureError as exc:
                 raise StepFailureError(
                     f"segment {s}, increment {k}, subdivision depth {exc.depth} "

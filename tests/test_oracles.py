@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 import revplast.solver as solver_mod
-from conftest import STATE_FIELDS, WorkLog, record_work
+from conftest import STATE_FIELDS, WorkLog, inject_failures, record_work
 from revplast.mean_field import (PhaseSpec, Spheroid, assemble_operators, localize,
                                  upscale_stress)
 from revplast.plasticity import DruckerPrager, dp_direction, dp_flow_of
 from revplast.scenario import default_scenario
-from revplast.solver import STRAIN, STRESS, LoadProgram, LoadSegment, drive
+from revplast.selfcheck import _homogeneous_phases
+from revplast.solver import STRAIN, STRESS, LoadProgram, LoadSegment, SolverSettings, drive
 from revplast.tensors import MANDEL_SCALE, sym2_to_matrix
 
 # Mandel components of a tensor reflected through the plane x1 = x3
@@ -37,14 +38,16 @@ def counted_default_run():
 # ------------------------------------------------------------------ work counts
 
 def test_default_run_work_counts(counted_default_run):
-    # one Newton solve per plastic increment, warm-started from the last
-    # increment's multipliers: about two linearizations each (measured 60
-    # solves and 125 linearizations, 180 from zero multipliers; 10 % headroom)
+    # one Newton solve per plastic increment, started from the extrapolation
+    # of the last two states: one to two linearizations each (measured 60
+    # solves and 97 linearizations, 125 from the last increment's multipliers
+    # with directions at the trial stresses, 180 from zero multipliers; 10 %
+    # headroom)
     _, _, states, work = counted_default_run
     solves = [st.stats.solves for st in states[1:]]
     assert len(solves) == 150
     assert sum(solves) <= 66
-    assert sum(st.stats.linearizations for st in states[1:]) <= 138
+    assert sum(st.stats.linearizations for st in states[1:]) <= 106
     assert max(solves) <= 1
     # the stress-control constants are built once per load segment, and a
     # segment rebuilds its active system only when the active set changes
@@ -217,7 +220,7 @@ def test_loading_along_x1_mirrors_x3(counted_default_run):
 def test_phase_order_is_equivariant(counted_default_run, seed):
     # the benchmark seeds permute the phase order: the default inclusions in a
     # seeded order make the same work, increment by increment (150 attempts,
-    # 60 solves, 125 linearizations, 4 systems in all) and, un-permuted, the
+    # 60 solves, 97 linearizations, 4 systems in all) and, un-permuted, the
     # same active sets and states (measured over ten orders: at most 1.5e-16
     # relative)
     sc, ops, states, _ = counted_default_run
@@ -331,10 +334,10 @@ def random_scenario(seed):
 def test_kept_active_systems_match_fresh_ones(monkeypatch):
     # a segment keeps its last active system and reuses it while the active
     # set repeats; a fresh system at every request gives bitwise the same
-    # states, from about three times the builds (measured 228 against 646).
+    # states, from about three times the builds (measured 235 against 652).
     # The kept runs' records match the logged work increment by increment
-    # and sum to 960 attempts (none subdivided), 615 solves, 2,099
-    # linearizations, 228 systems and 31 active-set revisions
+    # and sum to 960 attempts (none subdivided), 615 solves, 1,995
+    # linearizations, 235 systems and 37 active-set revisions
     work = record_work(monkeypatch)
     runs, logs = {}, {}
     for mode in ("kept", "fresh"):
@@ -356,7 +359,66 @@ def test_kept_active_systems_match_fresh_ones(monkeypatch):
             for r in records] == logs["kept"].per_increment(records)
     assert tuple(sum(getattr(r, name) for r in records) for name in (
         "attempts", "depth", "solves", "linearizations", "systems", "revisions")) == (
-        960, 0, 615, 2099, 228, 31)
+        960, 0, 615, 1995, 235, 37)
+
+
+# ------------------------------------------------------------------ the secant start
+
+def rerun_from_trial_directions(ops, program, settings, states, seen):
+    """Per plastic increment of an unsubdivided drive, its converged state and
+    its first attempt re-run from its start state with ``before=None``."""
+    modes = [seg.modes for seg in program.segments for _ in range(seg.increments)]
+    for (state, targets, guess, _), new, mode in zip(seen, states[1:], modes):
+        if new.stats.solves:
+            control = solver_mod._StressControl(ops, mode)
+            yield new, solver_mod._solve_mixed_increment(ops, state, targets, control,
+                                                          settings, guess)
+
+
+@pytest.mark.parametrize("seed", [None, *range(60)])
+def test_secant_start_changes_the_work_not_the_answer(monkeypatch, seed):
+    # the extrapolated start of an increment's first attempt reaches the same
+    # active set and state as the start at the trial directions, within the
+    # Newton tolerance (default: None; else random_scenario(seed))
+    if seed is None:
+        sc = default_scenario()
+        ops, program, settings = assemble_operators(sc.phases()), sc.program, sc.settings
+    else:
+        (ops, program), settings = random_scenario(seed), SolverSettings()
+    seen = inject_failures(monkeypatch, lambda state, targets, guess: False)
+    states = drive(ops, program, settings)
+    monkeypatch.undo()
+    assert len(seen) == len(states) - 1  # one attempt per increment
+    plastic = 0
+    for new, old in rerun_from_trial_directions(ops, program, settings, states, seen):
+        plastic += 1
+        assert new.active == old.active
+        for field in ("stress", "strain", "macro_stress", "macro_strain"):
+            ref = np.abs(getattr(old, field)).max()
+            assert np.abs(getattr(new, field) - getattr(old, field)).max() <= 1e-10 * ref, field
+    assert plastic >= (60 if seed is None else 2)
+
+
+def test_only_a_whole_increment_after_a_segment_start_extrapolates(monkeypatch):
+    # an increment's first attempt extrapolates from the state one step
+    # before its start, except in a segment's first increment; the halves of
+    # a failed part and the part after a converged part start as before: the
+    # two-phase homogeneous run, whose parts above 1.1e-4 fail (each plastic
+    # increment is halved three times)
+    ops = assemble_operators(_homogeneous_phases(DruckerPrager(0.0, 0.12)))
+    program = LoadProgram(tuple(
+        LoadSegment((0.0, 0.0, e33, 0.0, 0.0, 0.0), (STRAIN,) * 6, 5)
+        for e33 in (-0.004, -0.008)))
+    seen = inject_failures(monkeypatch, lambda state, targets, guess: (
+        np.abs(targets - state.macro_strain).max() > 1.1e-4))
+    states = drive(ops, program, SolverSettings(max_subdivisions=3))
+    befores = iter(before for *_, before in seen)
+    for i, st in enumerate(states[1:], 1):
+        first = next(befores)
+        assert first is (None if i in (1, 6) else states[i - 2])
+        assert all(next(befores) is None for _ in range(st.stats.attempts - 1))
+    assert next(befores, None) is None
+    assert [st.stats.attempts for st in states[1:]] == [15] * 10
 
 
 @pytest.mark.parametrize("seed", range(60))

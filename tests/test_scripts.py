@@ -61,7 +61,7 @@ def test_phase_sweep_counts_its_work(monkeypatch):
     counts = sweep.work(states)
     assert len(states) == 31
     assert (counts["newton_solves"], counts["newton_linearizations"],
-            counts["subdivisions"]) == (20, 61, 0)
+            counts["subdivisions"]) == (20, 52, 0)
 
 
 def test_phase_sweep_refuses_no_repeats(tmp_path):

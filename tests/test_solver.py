@@ -890,7 +890,7 @@ def test_subdivision_recovers_from_oversized_steps(monkeypatch):
     states = drive(ops, program, SolverSettings(max_subdivisions=3))
     assert len(states) == 3
     assert states[-1].macro_strain[2] == pytest.approx(-0.0008, abs=0)
-    assert any(oversized(*args) for args in seen)  # at least one rejected attempt
+    assert any(oversized(*args[:3]) for args in seen)  # at least one rejected attempt
 
     monkeypatch.undo()
     oracle = drive(ops, program, SolverSettings())
@@ -907,7 +907,7 @@ def test_records_count_every_attempt(monkeypatch):
     seen = inject_failures(monkeypatch, oversized)
     work = record_work(monkeypatch)
     states = drive(ops, program, SolverSettings(max_subdivisions=3))
-    sizes = iter([part_size(state, targets) for state, targets, _ in seen])
+    sizes = iter([part_size(state, targets) for state, targets, *_ in seen])
     for st in states[1:]:
         attempted = np.array([next(sizes) for _ in range(st.stats.attempts)])
         assert attempted[0] == pytest.approx(8e-4, rel=1e-12)
@@ -965,7 +965,7 @@ def test_subdivided_increment_starts_from_half_the_multipliers(monkeypatch):
         seen = inject_failures(monkeypatch, lambda state, targets, guess: (
             state.step, round(8e-4 / part_size(state, targets))) in failing)
         assert len(drive(ops, program)) == 6
-        starts, targets, guesses = zip(*seen)
+        starts, targets, guesses, _ = zip(*seen)
         return starts, guesses, [round(8e-4 / part_size(*p)) for p in zip(starts, targets)]
 
     starts, guesses, parts = run((3, 1))
