@@ -8,9 +8,9 @@ matrix) it drives one fully strain-controlled segment of 30 increments in
 which every inclusion yields, the first segment of the ``wide_plastic``
 benchmark workload, with one BLAS thread.  Per size it records the best of
 ``--repeats`` ``drive`` times and the work summed over the increment records
-of the states: attempts, Newton solves and linearizations, active systems
-built, active-set revisions and subdivisions.  The JSON record also carries
-the Python and numpy versions and the host.
+of the states: attempts, Newton solves, linearizations and chord steps,
+active systems built, active-set revisions and subdivisions.  The JSON
+record also carries the Python and numpy versions and the host.
 """
 import os
 
@@ -48,8 +48,8 @@ def phases(n_axes: int, seed: int):
 
 # JSON key: IncrementStats field summed into it
 WORK = {"attempts": "attempts", "newton_solves": "solves",
-        "newton_linearizations": "linearizations", "systems": "systems",
-        "revisions": "revisions"}
+        "newton_linearizations": "linearizations", "chords": "chords",
+        "systems": "systems", "revisions": "revisions"}
 
 
 def work(states) -> dict:
@@ -94,6 +94,7 @@ def main():
         runs.append(record)
         print(f"{n_axes:4d} axes: drive {record['drive_s_best']:.3f} s, "
               f"{record['newton_linearizations']} linearizations, "
+              f"{record['chords']} chord steps, "
               f"{record['newton_solves']} Newton solves, "
               f"{record['subdivisions']} subdivisions",
               flush=True)

@@ -28,21 +28,27 @@ increments are equal steps, so 2 and -1 are the exact coefficients.  Every
 other attempt takes its start's directions at the trial stresses: a segment's
 first increment starts from the previous multipliers, a half of a failed part
 of an increment from half that part's guess, and the part after a converged
-part from that part's multipliers.  On the default scenario that takes 97
-Newton steps for the 60 plastic increments, against 125 from the last
-multipliers with directions at the trial stresses and 180 from zero
-multipliers, and 4 systems are built.
+part from that part's multipliers.  On the default scenario the 60 plastic
+increments take 68 linearizations and 31 chord steps (below), against 97
+linearizations without chord steps, 125 from the last multipliers with
+directions at the trial stresses and 180 from zero multipliers, and 4
+systems are built.
 
 The Newton method is linearized consistently, with the flow-direction
 derivative d n / d sig, so it converges quadratically.  Because the
 influence operator is stored as per-phase factors, each phase's 7x7 block
 couples to the others only through a few 6-vectors (one fraction-weighted
 polarization sum and, when the matrix yields, the matrix eigen-stress) and
-the k controlled-strain corrections, so a step is one batched solve of the
-blocks plus one (6 + k)x(6 + k) ((12 + k)x(12 + k)) system: O(m) in the
-number m of active phases.  The residual goes through the same coupling
-vectors, so a whole iterate costs O(m); all n phases are evaluated once per
-converged iterate, for the joins and the state.
+the k controlled-strain corrections, so a linearization is one batched
+inversion of the blocks plus one (6 + k)x(6 + k) ((12 + k)x(12 + k)) Schur
+system: O(m) in the number m of active phases.  Its factors are kept for the
+rest of the solve, and solving with them is a few matmuls.  So an iterate
+whose residual the last linearized step's contraction would take to the
+tolerance in two steps makes a chord step (the modified Newton method): it
+solves the kept linearization for its own residual instead of building a new
+one.  The residual goes through the same coupling vectors, so a whole
+iterate costs O(m); all n phases are evaluated once per converged iterate,
+for the joins and the state.
 
 Yield checks, Newton residuals and flow directions and the KKT check all call
 the batched Drucker-Prager kernel of ``plasticity``.  A Newton iterate
@@ -71,6 +77,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -161,7 +168,8 @@ class IncrementStats:
     attempts: int        # increment attempts: 1, plus 2 per halving
     depth: int           # deepest subdivision level an attempt reached; 0 unsubdivided
     solves: int          # Newton solves of the coupled return
-    linearizations: int  # Newton steps, each one solve of the linearized return
+    linearizations: int  # Newton linearizations built, each with its step
+    chords: int          # Newton steps that re-solved a solve's last linearization
     systems: int         # active-set Newton systems built (a segment keeps its last one)
     revisions: int       # new active sets inside a Newton solve
 
@@ -226,10 +234,11 @@ def check_yield(ops: MeanFieldOperators, stresses: np.ndarray) -> list[int]:
     return p[f_vals > ops.plastic_yield_tol].tolist()
 
 
-def _solve(a, b, what):
-    """``np.linalg.solve`` that raises StepFailureError when ``a`` is singular."""
+def _inverse(a, what):
+    """``np.linalg.inv`` that raises StepFailureError when ``a`` (or one of a
+    stack) is singular."""
     try:
-        return np.linalg.solve(a, b)
+        return np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise StepFailureError(f"singular {what}: {exc}") from exc
 
@@ -250,8 +259,8 @@ class _StressControl:
         self.ops = ops
         self.strain_mode = np.array([m == STRAIN for m in modes])
         self.idx = np.flatnonzero(~self.strain_mode).tolist()
-        self.inverse = _solve(ops.stiffness_hom[np.ix_(self.idx, self.idx)],
-                              np.eye(len(self.idx)), "macro stiffness")
+        self.inverse = _inverse(ops.stiffness_hom[np.ix_(self.idx, self.idx)],
+                                "macro stiffness")
         # trial-stress sensitivities C_a A_a[:, S] to the controlled strains, (n, 6, k)
         self.sens = ops.stiffness @ ops.concentration[:, :, self.idx]
         # controlled-strain corrections per unit eigen-strain increment,
@@ -265,12 +274,12 @@ class _StressControl:
     def begin(self):
         """Start counting the work of a new increment: its first attempt."""
         self.attempts, self.depth = 1, 0
-        self.solves = self.linearizations = self.systems = self.revisions = 0
+        self.solves = self.linearizations = self.chords = self.systems = self.revisions = 0
 
     def record(self):
         """The work counted since ``begin``; one object per distinct record of the segment."""
         counts = (self.attempts, self.depth, self.solves, self.linearizations,
-                  self.systems, self.revisions)
+                  self.chords, self.systems, self.revisions)
         if counts not in self._records:
             self._records[counts] = IncrementStats(*counts)
         return self._records[counts]
@@ -370,35 +379,68 @@ class _ActiveSystem:
         res[:, 6] = dp_yield_of(mean, eq, self.tan_f, self.strength)
         return res, x, sig, v[6:6 + len(self.idx)], (n_dev, eq)
 
-    def jacobian(self, point, lam, rhs):
-        """Solve the residual's linearization at (sig_act, lam) for ``rhs`` (m, 7, r);
-        ``point`` is the ``(n_dev, s_eq)`` of sig_act that ``residual`` returns.
-
-        Phase a's 7x7 block [[I + lam_a D_a N_a, D_a n_a], [g_a^T, 0]], with
-        D_a = C_a (I - R_a C_a), N_a = dn_g/dsig and g_a = dF/dsig, is solved
-        for the right-hand sides and the coupling columns at once; the coupling
-        vectors (w, e, y) then follow from one (6 + k)x(6 + k) ((12 + k)x(12 + k))
-        system.  Returns the corrections (m, 7, r) and the eigen-strain
-        increments dx (m, 6, r).
-        """
+    def flow(self, point, lam):
+        """(m, 6, 7): the eigen-strain increments dx_a = flow_a @ (dsig_a, dlam_a)
+        of a correction at (sig_act, lam); ``point`` as for ``jacobian``."""
         n_dev, eq = point
-        flow = np.empty((len(lam), 6, 7))  # dx_a = flow_a @ (dsig_a, dlam_a)
+        flow = np.empty((len(lam), 6, 7))
         flow[:, :, :6] = lam[:, None, None] * dp_flow_gradient_of(n_dev, eq)
         flow[:, :, 6] = dp_flow_of(n_dev, self.tan_g)
+        return flow
+
+    def jacobian(self, point, lam, rhs):
+        """Linearize the residual at (sig_act, lam) and solve it for ``rhs`` (m, 7, r);
+        ``point`` is the ``(n_dev, s_eq)`` of sig_act that ``residual`` returns.
+        Returns the corrections (m, 7, r) and the linearization's ``_Linearization``,
+        which solves it again for another right-hand side.
+
+        Phase a's 7x7 block [[I + lam_a D_a N_a, D_a n_a], [g_a^T, 0]], with
+        D_a = C_a (I - R_a C_a), N_a = dn_g/dsig and g_a = dF/dsig, is inverted
+        and applied to the coupling columns; the coupling vectors (w, e, y) then
+        follow from one (6 + k)x(6 + k) ((12 + k)x(12 + k)) Schur system, whose
+        inverse is kept with them.
+        """
+        flow = self.flow(point, lam)
         block = np.zeros((len(lam), 7, 7))
         block[:, :6] = self.own @ flow
         block[:, :6, :6] += np.eye(6)
-        block[:, 6, :6] = dp_flow_of(n_dev, self.tan_f)
-        r = rhs.shape[2]
-        sol = _solve(block, np.concatenate((rhs, self.coupling), axis=2),
-                     "return-mapping system")
+        block[:, 6, :6] = dp_flow_of(point[0], self.tan_f)
+        inv_block = _inverse(block, "return-mapping system")
+        del block
+        inv_coupling = inv_block @ self.coupling
         # coupling vectors: w = sum_c f_c R_c C_c dx_c, e = sum_c gain_c dx_c, y = C_0 dx_0
-        lead = (self.weighted @ flow).transpose(1, 0, 2).reshape(self.weighted.shape[1], -1)
-        coupled = lead @ sol.reshape(-1, sol.shape[2])
-        schur = coupled[:, r:] + np.eye(coupled.shape[0])
-        wy = _solve(schur, coupled[:, :r], "return-mapping system")
-        z = sol[:, :, :r] - sol[:, :, r:] @ wy
-        return z, flow @ z
+        n_coupling = self.weighted.shape[1]
+        lead = (self.weighted @ flow).transpose(1, 0, 2).reshape(n_coupling, -1)
+        schur = lead @ inv_coupling.reshape(-1, n_coupling) + np.eye(n_coupling)
+        lin = _Linearization(inv_block, inv_coupling, lead,
+                             _inverse(schur, "return-mapping system"))
+        return lin.solve(rhs), lin
+
+
+class _Linearization(NamedTuple):
+    """The kept factors of one Newton linearization of an ``_ActiveSystem``: the
+    inverse blocks B^-1 (m, 7, 7), their solution B^-1 U for the coupling
+    columns (m, 7, c), the coupling rows L (c, 7m) and the Schur inverse
+    (I + L B^-1 U)^-1 (c, c)."""
+
+    inv_block: np.ndarray
+    inv_coupling: np.ndarray
+    lead: np.ndarray
+    inv_schur: np.ndarray
+
+    def solve(self, rhs):
+        """The corrections (m, 7, r) of the linearization for ``rhs`` (m, 7, r):
+        B^-1 rhs - B^-1 U (I + L B^-1 U)^-1 L B^-1 rhs, a few matmuls."""
+        sol = self.inv_block @ rhs
+        wy = self.inv_schur @ (self.lead @ sol.reshape(-1, sol.shape[2]))
+        return sol - self.inv_coupling @ wy
+
+
+def _chord(err, rate):
+    """Whether a Newton iterate with the scaled residual ``err`` solves the kept
+    linearization again: whether two steps at the last linearized step's
+    contraction ``rate`` would take it to the tolerance (``err`` 1)."""
+    return err * rate * rate <= 1.0
 
 
 def _newton_multipliers(ops, sig_tr, active, settings, control, lam, sig_dir=None):
@@ -420,6 +462,13 @@ def _newton_multipliers(ops, sig_tr, active, settings, control, lam, sig_dir=Non
     past yield join from their current stress with lam = 0.  A revision costs no
     linearization; the solve returns at a converged iterate that changes
     nothing.  ``newton_max_iter`` caps steps and revisions together.
+
+    Chord steps: if the last linearized step took the worst scaled residual
+    (in units of the tolerance) from e0 to e1, a later iterate with residual e
+    solves that linearization again for its own residual while
+    e (e1/e0)^2 <= 1, i.e. while two steps at that rate would reach the
+    tolerance; otherwise it linearizes anew.  A revision drops the kept
+    factors, and a solve starts without any.
     """
     control.solves += 1
     try:
@@ -427,6 +476,7 @@ def _newton_multipliers(ops, sig_tr, active, settings, control, lam, sig_dir=Non
         if sig_dir is None:
             sig_dir = sig_tr[active]
         sig_act = sys_.residual(sig_tr, sig_dir, lam)[2]
+        lin = None  # the kept factors of the last linearization of sys_
         for _ in range(settings.newton_max_iter):
             tols = settings.newton_tol * sys_.strength
             res, x, sig, d_eps, point = sys_.residual(sig_tr, sig_act, lam)
@@ -441,8 +491,16 @@ def _newton_multipliers(ops, sig_tr, active, settings, control, lam, sig_dir=Non
             if keep.all() and not join:
                 if converged:
                     return active, lam, x, d_eps, du, sig
-                control.linearizations += 1
-                z, _ = sys_.jacobian(point, lam, -res[:, :, None])
+                err = float(np.max(gap / tols))
+                if lin is not None and rate is None:
+                    rate = err / err_lin  # the contraction of the linearized step
+                if lin is not None and _chord(err, rate):
+                    control.chords += 1
+                    z = lin.solve(-res[:, :, None])
+                else:
+                    control.linearizations += 1
+                    z, lin = sys_.jacobian(point, lam, -res[:, :, None])
+                    err_lin, rate = err, None
                 sig_act = sig_act + z[:, :6, 0]
                 lam = lam + z[:, 6, 0]
                 continue
@@ -450,7 +508,7 @@ def _newton_multipliers(ops, sig_tr, active, settings, control, lam, sig_dir=Non
             sig_act = np.concatenate((sig_act[keep], sig[join]))
             lam = np.concatenate((lam[keep], np.zeros(len(join))))
             control.revisions += 1
-            sys_ = control.system(active)
+            sys_, lin = control.system(active), None
     except ApexSingularityError as exc:
         raise StepFailureError(f"cone apex reached in phase "
                                f"{ops.phases[active[exc.index]].name!r}") from exc

@@ -25,6 +25,7 @@ WORK_SITES = {
     "_StressControl.__init__": (solver_mod._StressControl,),
     "_ActiveSystem.__init__": (solver_mod._ActiveSystem,),
     "_ActiveSystem.jacobian": (solver_mod._ActiveSystem,),
+    "_Linearization.solve": (solver_mod._Linearization,),
     "eigen_response": (solver_mod, mean_field),
     "hill_tensor": (mean_field,),
 }
@@ -38,24 +39,28 @@ class WorkLog(list):
         return [args for name, args in self if name == site]
 
     def per_increment(self, records):
-        """Per increment record, the (linearizations, systems built, active-set
-        revisions) logged inside the next as many logged solves as it counts.
-        A revision always builds a system; a solve's first build is its
-        start's exactly when its set is the start set."""
-        solves = []
+        """Per increment record, the (linearizations, chord steps, systems built,
+        active-set revisions) logged inside the next as many logged solves as
+        it counts.  A linearization solves its own step, so a re-solve logged
+        right after it is no chord step.  A revision always builds a system; a
+        solve's first build is its start's exactly when its set is the start set."""
+        solves, last = [], None
         for name, args in self:
             if name == "_newton_multipliers":
                 start = list(args[2])
-                solves.append([0, 0, 0])
+                solves.append([0, 0, 0, 0])
             elif name == "_ActiveSystem.jacobian":
                 solves[-1][0] += 1
+            elif name == "_Linearization.solve":
+                solves[-1][1] += last != "_ActiveSystem.jacobian"
             elif name == "_ActiveSystem.__init__":
-                solves[-1][1] += 1
-                solves[-1][2] += solves[-1][1] > 1 or list(args[2]) != start
+                solves[-1][2] += 1
+                solves[-1][3] += solves[-1][2] > 1 or list(args[2]) != start
+            last = name
         solves = iter(solves)
         grouped = [[next(solves) for _ in range(r.solves)] for r in records]
         assert next(solves, None) is None, "a logged solve that no record counts"
-        return [tuple(map(sum, zip((0, 0, 0), *group))) for group in grouped]
+        return [tuple(map(sum, zip((0, 0, 0, 0), *group))) for group in grouped]
 
 
 def record_work(mp):

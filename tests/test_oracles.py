@@ -39,15 +39,18 @@ def counted_default_run():
 
 def test_default_run_work_counts(counted_default_run):
     # one Newton solve per plastic increment, started from the extrapolation
-    # of the last two states: one to two linearizations each (measured 60
-    # solves and 97 linearizations, 125 from the last increment's multipliers
-    # with directions at the trial stresses, 180 from zero multipliers; 10 %
-    # headroom)
+    # of the last two states: one or two linearizations each, and a chord
+    # step where the last linearized step's rate reaches the tolerance in
+    # two (measured 60 solves, 68 linearizations and 31 chord steps, 97
+    # linearizations without chord steps, 125 from the last increment's
+    # multipliers with directions at the trial stresses, 180 from zero
+    # multipliers; about 10 % headroom)
     _, _, states, work = counted_default_run
     solves = [st.stats.solves for st in states[1:]]
     assert len(solves) == 150
     assert sum(solves) <= 66
-    assert sum(st.stats.linearizations for st in states[1:]) <= 106
+    assert sum(st.stats.linearizations for st in states[1:]) <= 75
+    assert sum(st.stats.chords for st in states[1:]) <= 35
     assert max(solves) <= 1
     # the stress-control constants are built once per load segment, and a
     # segment rebuilds its active system only when the active set changes
@@ -83,7 +86,7 @@ def test_records_match_an_independent_count(counted_default_run):
     # increments, elastic under stress control, take none
     _, _, states, work = counted_default_run
     records = [st.stats for st in states[1:]]
-    assert [(r.linearizations, r.systems, r.revisions)
+    assert [(r.linearizations, r.chords, r.systems, r.revisions)
             for r in records] == work.per_increment(records)
     solves = [r.solves for r in records]
     assert solves == [int(any(st.active)) for st in states[1:]]
@@ -220,9 +223,9 @@ def test_loading_along_x1_mirrors_x3(counted_default_run):
 def test_phase_order_is_equivariant(counted_default_run, seed):
     # the benchmark seeds permute the phase order: the default inclusions in a
     # seeded order make the same work, increment by increment (150 attempts,
-    # 60 solves, 97 linearizations, 4 systems in all) and, un-permuted, the
-    # same active sets and states (measured over ten orders: at most 1.5e-16
-    # relative)
+    # 60 solves, 68 linearizations, 31 chord steps, 4 systems in all) and,
+    # un-permuted, the same active sets and states (measured over ten orders:
+    # at most 4.1e-14 relative, in the multipliers)
     sc, ops, states, _ = counted_default_run
     order = np.concatenate(([0], 1 + np.random.default_rng(seed).permutation(
         ops.n_phases - 1)))
@@ -336,8 +339,9 @@ def test_kept_active_systems_match_fresh_ones(monkeypatch):
     # set repeats; a fresh system at every request gives bitwise the same
     # states, from about three times the builds (measured 235 against 652).
     # The kept runs' records match the logged work increment by increment
-    # and sum to 960 attempts (none subdivided), 615 solves, 1,995
-    # linearizations, 235 systems and 37 active-set revisions
+    # and sum to 960 attempts (none subdivided), 615 solves, 1,367
+    # linearizations, 1,002 chord steps, 235 systems and 37 active-set
+    # revisions
     work = record_work(monkeypatch)
     runs, logs = {}, {}
     for mode in ("kept", "fresh"):
@@ -355,24 +359,50 @@ def test_kept_active_systems_match_fresh_ones(monkeypatch):
     builds = {mode: len(log.calls("_ActiveSystem.__init__")) for mode, log in logs.items()}
     assert builds["kept"] < 0.5 * builds["fresh"]
     records = [st.stats for states in runs["kept"] for st in states[1:]]
-    assert [(r.linearizations, r.systems, r.revisions)
+    assert [(r.linearizations, r.chords, r.systems, r.revisions)
             for r in records] == logs["kept"].per_increment(records)
     assert tuple(sum(getattr(r, name) for r in records) for name in (
-        "attempts", "depth", "solves", "linearizations", "systems", "revisions")) == (
-        960, 0, 615, 1995, 235, 37)
+        "attempts", "depth", "solves", "linearizations", "chords", "systems",
+        "revisions")) == (960, 0, 615, 1367, 1002, 235, 37)
 
 
-# ------------------------------------------------------------------ the secant start
+# ------------------------------------------------------------ the secant start and chord steps
 
-def rerun_from_trial_directions(ops, program, settings, states, seen):
+def recorded_drive(mp, seed):
+    """The default run (seed None) or ``random_scenario(seed)`` driven with each
+    attempt recorded through the MonkeyPatch ``mp``, which is then undone:
+    (ops, program, settings, states, ``inject_failures``' record)."""
+    if seed is None:
+        sc = default_scenario()
+        ops, program, settings = assemble_operators(sc.phases()), sc.program, sc.settings
+    else:
+        (ops, program), settings = random_scenario(seed), SolverSettings()
+    seen = inject_failures(mp, lambda state, targets, guess: False)
+    states = drive(ops, program, settings)
+    mp.undo()
+    assert len(seen) == len(states) - 1  # one attempt per increment
+    return ops, program, settings, states, seen
+
+
+def rerun_plastic_increments(ops, program, settings, states, seen, extrapolate):
     """Per plastic increment of an unsubdivided drive, its converged state and
-    its first attempt re-run from its start state with ``before=None``."""
+    the state of its attempt re-run from its start state, with the ``before``
+    it had if ``extrapolate``, else with ``before=None``."""
     modes = [seg.modes for seg in program.segments for _ in range(seg.increments)]
-    for (state, targets, guess, _), new, mode in zip(seen, states[1:], modes):
+    for (state, targets, guess, before), new, mode in zip(seen, states[1:], modes):
         if new.stats.solves:
             control = solver_mod._StressControl(ops, mode)
-            yield new, solver_mod._solve_mixed_increment(ops, state, targets, control,
-                                                          settings, guess)
+            yield new, solver_mod._solve_mixed_increment(
+                ops, state, targets, control, settings, guess,
+                before if extrapolate else None)
+
+
+def assert_same_return(new, old, fields):
+    """The same active set, and ``fields`` within 1e-10 of their largest value."""
+    assert new.active == old.active
+    for field in fields:
+        ref = np.abs(getattr(old, field)).max()
+        assert np.abs(getattr(new, field) - getattr(old, field)).max() <= 1e-10 * ref, field
 
 
 @pytest.mark.parametrize("seed", [None, *range(60)])
@@ -380,23 +410,33 @@ def test_secant_start_changes_the_work_not_the_answer(monkeypatch, seed):
     # the extrapolated start of an increment's first attempt reaches the same
     # active set and state as the start at the trial directions, within the
     # Newton tolerance (default: None; else random_scenario(seed))
-    if seed is None:
-        sc = default_scenario()
-        ops, program, settings = assemble_operators(sc.phases()), sc.program, sc.settings
-    else:
-        (ops, program), settings = random_scenario(seed), SolverSettings()
-    seen = inject_failures(monkeypatch, lambda state, targets, guess: False)
-    states = drive(ops, program, settings)
-    monkeypatch.undo()
-    assert len(seen) == len(states) - 1  # one attempt per increment
+    ops, program, settings, states, seen = recorded_drive(monkeypatch, seed)
     plastic = 0
-    for new, old in rerun_from_trial_directions(ops, program, settings, states, seen):
+    for new, old in rerun_plastic_increments(ops, program, settings, states, seen, False):
         plastic += 1
-        assert new.active == old.active
-        for field in ("stress", "strain", "macro_stress", "macro_strain"):
-            ref = np.abs(getattr(old, field)).max()
-            assert np.abs(getattr(new, field) - getattr(old, field)).max() <= 1e-10 * ref, field
+        assert_same_return(new, old, ("stress", "strain", "macro_stress", "macro_strain"))
     assert plastic >= (60 if seed is None else 2)
+
+
+@pytest.mark.parametrize("seed", [None, *range(60)])
+def test_chord_steps_change_the_work_not_the_answer(monkeypatch, seed):
+    # every plastic increment re-solved with each Newton step a fresh
+    # linearization reaches the same active set and state as with chord
+    # steps, within the Newton tolerance (default: None; else
+    # random_scenario(seed); measured at most 1.7e-11 relative, in the
+    # multipliers and plastic strains)
+    ops, program, settings, states, seen = recorded_drive(monkeypatch, seed)
+    monkeypatch.setattr(solver_mod, "_chord", lambda *args: False)
+    plastic = chords = 0
+    for chorded, fresh in rerun_plastic_increments(ops, program, settings, states, seen,
+                                                   True):
+        plastic += 1
+        chords += chorded.stats.chords
+        assert fresh.stats.chords == 0
+        assert fresh.stats.linearizations >= chorded.stats.linearizations
+        assert_same_return(chorded, fresh, STATE_FIELDS)
+    assert plastic >= (60 if seed is None else 2)
+    assert chords >= (31 if seed is None else 1)
 
 
 def test_only_a_whole_increment_after_a_segment_start_extrapolates(monkeypatch):

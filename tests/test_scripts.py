@@ -60,8 +60,8 @@ def test_phase_sweep_counts_its_work(monkeypatch):
     states = sweep.drive(ops, sweep.PROGRAM)
     counts = sweep.work(states)
     assert len(states) == 31
-    assert (counts["newton_solves"], counts["newton_linearizations"],
-            counts["subdivisions"]) == (20, 52, 0)
+    assert (counts["newton_solves"], counts["newton_linearizations"], counts["chords"],
+            counts["subdivisions"]) == (20, 30, 41, 0)
 
 
 def test_phase_sweep_refuses_no_repeats(tmp_path):

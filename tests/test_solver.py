@@ -258,9 +258,14 @@ def test_jacobian_matches_finite_differences(scheme, modes, active):
         jac_fd[:, k] = (residual(point + bump) - residual(point - bump)) / (
             2.0 * steps.flat[k])
     res, _, _, _, at = sys_.residual(sig_tr, sig_act, lam)
-    z, dx = sys_.jacobian(at, lam, -res.reshape(m, 7, 1))
+    z, lin = sys_.jacobian(at, lam, -res.reshape(m, 7, 1))
+    dx = sys_.flow(at, lam) @ z
     res = res.ravel()
     assert np.abs(jac_fd @ z.ravel() + res).max() <= 1e-6 * np.abs(res).max()
+    # the kept factors solve the same linearization for other right-hand sides
+    rhs = res.reshape(m, 7, 1) * np.random.default_rng(3).uniform(-1.0, 1.0, size=(m, 7, 2))
+    sol = lin.solve(rhs).reshape(7 * m, 2)
+    assert np.abs(jac_fd @ sol - rhs.reshape(7 * m, 2)).max() <= 1e-6 * np.abs(rhs).max()
     # dx is the eigen-strain increment lam dn + n dlam the correction implies
     def eigen_strain(v):
         return v[:, 6, None] * dp_flow_of(dp_direction(v[:, :6], sys_.strength)[1],
@@ -375,7 +380,8 @@ def test_macro_tangent_matches_finite_differences(scheme, active):
                                   np.eye(k)[j])
         rhs = np.zeros((m, 7, 1))
         rhs[:, :6, 0] = control.sens[active] @ elastic
-        z, dx = sys_.jacobian(at, point[:, 6], rhs)
+        z, _ = sys_.jacobian(at, point[:, 6], rhs)
+        dx = sys_.flow(at, point[:, 6]) @ z
         step = z[..., 0]
         d_eps = elastic + np.einsum("aki,ai->k", control.gain[active], dx[..., 0])
         bump = np.zeros(6)
@@ -476,6 +482,23 @@ def test_negative_multiplier_candidate_dropped(monkeypatch):
         m = phases[a].plastic
         f_val = dp_yield(new.stress[a], np.tan(m.friction_angle), m.shear_strength)
         assert f_val <= 1e-10 * m.shear_strength
+
+
+def test_revision_drops_the_kept_linearization(monkeypatch):
+    # with every step allowed to re-solve the kept factors, the twin case
+    # still linearizes again once the hard twin has left: the factors of the
+    # two-phase system never solve the one-phase one, and the state is the one
+    # the chord rule reaches
+    _, ops, state, deps = twin_inclusions()
+    reference = attempt(ops, state, deps)
+    monkeypatch.setattr(solver_mod, "_chord", lambda *args: True)
+    work = record_work(monkeypatch)
+    new = attempt(ops, state, deps)
+    assert active_sets(work) == [[1, 2], [1]]
+    assert [name for name, _ in work if name.startswith(("_Active", "_Linear"))] == [
+        "_ActiveSystem.__init__", "_ActiveSystem.jacobian", "_Linearization.solve"] * 2
+    assert work.per_increment([new.stats]) == [(2, 0, 2, 1)]
+    assert all(np.array_equal(getattr(new, f), getattr(reference, f)) for f in STATE_FIELDS)
 
 
 def test_switch_acts_on_the_start_iterate(monkeypatch):
@@ -917,7 +940,7 @@ def test_records_count_every_attempt(monkeypatch):
     assert next(sizes, None) is None
     records = [st.stats for st in states[1:]]
     assert [r.solves for r in records] == [0, 4, 15, 15, 15]
-    assert [(r.linearizations, r.systems, r.revisions)
+    assert [(r.linearizations, r.chords, r.systems, r.revisions)
             for r in records] == work.per_increment(records)
 
 
