@@ -11,7 +11,12 @@ operators; one model's are ``np.tan(model.friction_angle)``,
 ``np.tan(model.potential_angle)`` and ``model.shear_strength``.  ``dp_yield``
 is ``stress_invariants`` followed by ``dp_yield_of``; a return-mapping iterate
 evaluates the invariants of its stresses once with ``dp_direction`` and
-applies ``dp_yield_of``, ``dp_flow_of`` and ``dp_flow_gradient_of`` to them.
+applies ``dp_yield_of``, the flow of ``dp_flow_of`` and ``dp_flow_gradient_of``
+to them, and calls ``dp_yield`` once more only at an iterate whose residual is
+within tolerance, for F at the stresses it would hand to the state.  The
+solver's active systems compute ``dp_flow_of``'s pressure terms tan / 3 once
+per system and add them in the same order, so their flow is bitwise
+``dp_flow_of``'s.
 """
 from __future__ import annotations
 

@@ -52,10 +52,14 @@ for the joins and the state.
 
 Yield checks, Newton residuals and flow directions and the KKT check all call
 the batched Drucker-Prager kernel of ``plasticity``.  A Newton iterate
-evaluates the invariants of its active stresses twice: for the residual and
-its linearization at the iterate, and for the convergence check at the
-stresses recomputed with its flow, which bounds F on the stresses (up to
-roundoff) that a converged iterate hands to the state.
+evaluates the invariants of its active stresses once, for the residual and
+its linearization at the iterate.  It has converged once its stress
+residuals and F at the iterate are within tolerance and, evaluated only
+then, F at the stresses recomputed with its flow is too: those are (up to
+roundoff) the stresses a converged iterate hands to the state, so F is
+bounded where the state is accepted.  An active system gathers its phases'
+operators and stresses with one integer index, and the pressure terms of its
+flow and yield gradients are computed once per system.
 
 ``check_yield`` and ``validate_state`` read the plastic phases' index, tan(phi),
 s0 and past-yield thresholds YIELD_TOL s0 that ``assemble_operators`` gathers
@@ -83,14 +87,15 @@ import numpy as np
 
 from .errors import ApexSingularityError, StepFailureError
 from .mean_field import MeanFieldOperators, eigen_response, macro_plastic_strain
-from .plasticity import (YIELD_TOL, dp_direction, dp_flow_gradient_of, dp_flow_of,
-                         dp_yield, dp_yield_of)
-from .tensors import MANDEL_SCALE
+from .plasticity import YIELD_TOL, dp_direction, dp_flow_gradient_of, dp_yield, dp_yield_of
+from .tensors import IVEC, MANDEL_SCALE
 
 STRAIN = "strain"
 STRESS = "stress"
 
 STATE_TOL = 1e-10  # relative constitutive and strain-average residuals of a converged state
+
+_EYE6 = np.eye(6)
 
 
 def _count(name, value):
@@ -324,22 +329,26 @@ class _ActiveSystem:
     def __init__(self, ops, active, control):
         self.ops = ops
         self.active = active
+        self.index = index = np.array(active, dtype=np.intp)  # for take and scatter
         self.idx = control.idx
-        self.tan_f = ops.tan_friction[active]
-        self.tan_g = ops.tan_dilation[active]
-        self.strength = ops.shear_strength[active]
-        stiff = ops.stiffness[active]
+        self.tan_f = ops.tan_friction.take(index)
+        self.tan_g = ops.tan_dilation.take(index)
+        self.strength = ops.shear_strength.take(index)
+        # the pressure terms tan / 3 of the yield and flow gradients, as dp_flow_of forms them
+        self.third_f = (self.tan_f / 3.0)[:, None]
+        self.third_g = (self.tan_g / 3.0)[:, None]
+        stiff = ops.stiffness.take(index, axis=0)
         # active-set switch: leave once lam + c (F - YIELD_TOL s0) <= 0, c = 1 / (3 mu)
         self.switch_c = 2.0 / (3.0 * stiff[:, 3, 3])  # Mandel C[3, 3] = 2 mu
         self.switch_at = self.switch_c * YIELD_TOL * self.strength
-        resp = ops.response[active]
-        mix_stress = stiff @ ops.mixing[active]  # C_a M_a: response to w
+        resp = ops.response.take(index, axis=0)
+        mix_stress = stiff @ ops.mixing.take(index, axis=0)  # C_a M_a: response to w
         # C_a (I - R_a C_a): response to the phase's own eigen-strain
         self.own = stiff - stiff @ resp @ stiff
         # per coupling vector (w, e and, with the matrix active, y): its rows per
         # unit eigen-strain of each phase and the active stresses' response to it
-        pairs = [(ops.fractions[active, None, None] * (resp @ stiff), mix_stress),
-                 (control.gain[active], -control.sens[active])]
+        pairs = [(ops.fractions.take(index)[:, None, None] * (resp @ stiff), mix_stress),
+                 (control.gain.take(index, axis=0), -control.sens.take(index, axis=0))]
         if 0 in active:  # y = C_0 x_0, to which C_a (R_a - M_a sum_c f_c R_c) responds
             c0_rows = np.zeros((len(active), 6, 6))
             c0_rows[active.index(0)] = ops.stiffness[0]
@@ -348,6 +357,7 @@ class _ActiveSystem:
         self.weighted = np.concatenate([p[0] for p in pairs], axis=1)
         self.coupling = np.zeros((len(active), 7, self.weighted.shape[1]))
         self.coupling[:, :6] = np.concatenate([p[1] for p in pairs], axis=2)
+        self.stress_coupling = self.coupling[:, :6]  # a view
 
     def stress_update(self, sig_tr, x_act, d_eps):
         """All-phase response to the active eigen-strain increments ``x_act`` (m, 6)
@@ -355,7 +365,7 @@ class _ActiveSystem:
         returns them: eigen-strain increments x (n, 6), strain increments
         du = A[:, :, S] d_eps + eigen_response(x) and stresses sig_tr + C_a (du_a - x_a)."""
         x = np.zeros_like(sig_tr)
-        x[self.active] = x_act
+        x[self.index] = x_act
         du = self.ops.concentration[:, :, self.idx] @ d_eps + eigen_response(self.ops, x)
         return x, du, sig_tr + phase_stresses(self.ops, du, x)
 
@@ -370,10 +380,10 @@ class _ActiveSystem:
         whose first 6 + k entries are w and d eps_S.
         """
         mean, n_dev, eq = dp_direction(sig_act, self.strength)
-        x = lam[:, None] * dp_flow_of(n_dev, self.tan_g)
+        x = lam[:, None] * (n_dev + self.third_g * IVEC)
         v = np.einsum("bij,bj->i", self.weighted, x)
-        sig = (sig_tr[self.active] - np.einsum("aij,aj->ai", self.own, x)
-               - self.coupling[:, :6] @ v)
+        sig = (sig_tr.take(self.index, axis=0) - np.einsum("aij,aj->ai", self.own, x)
+               - self.stress_coupling @ v)
         res = np.empty((len(lam), 7))
         res[:, :6] = sig_act - sig
         res[:, 6] = dp_yield_of(mean, eq, self.tan_f, self.strength)
@@ -385,7 +395,7 @@ class _ActiveSystem:
         n_dev, eq = point
         flow = np.empty((len(lam), 6, 7))
         flow[:, :, :6] = lam[:, None, None] * dp_flow_gradient_of(n_dev, eq)
-        flow[:, :, 6] = dp_flow_of(n_dev, self.tan_g)
+        flow[:, :, 6] = n_dev + self.third_g * IVEC
         return flow
 
     def jacobian(self, point, lam, rhs):
@@ -403,8 +413,8 @@ class _ActiveSystem:
         flow = self.flow(point, lam)
         block = np.zeros((len(lam), 7, 7))
         block[:, :6] = self.own @ flow
-        block[:, :6, :6] += np.eye(6)
-        block[:, 6, :6] = dp_flow_of(point[0], self.tan_f)
+        block[:, :6, :6] += _EYE6
+        block[:, 6, :6] = point[0] + self.third_f * IVEC
         inv_block = _inverse(block, "return-mapping system")
         del block
         inv_coupling = inv_block @ self.coupling
@@ -455,13 +465,14 @@ def _newton_multipliers(ops, sig_tr, active, settings, control, lam, sig_dir=Non
     guessed multipliers give with flow directions at the candidates' stresses
     ``sig_dir`` (m, 6), by default their trial stresses;
     every iterate carries the controlled-strain corrections d_eps of its flow.
-    An iterate has converged once the stress residual and F of the stresses
-    recomputed with its flow directions are within tolerance.  At every
-    iterate, the start included, a phase with lam_a + c_a (F_a - YIELD_TOL s0_a)
-    <= 0 leaves with its multiplier; at a converged iterate the plastic phases
-    past yield join from their current stress with lam = 0.  A revision costs no
-    linearization; the solve returns at a converged iterate that changes
-    nothing.  ``newton_max_iter`` caps steps and revisions together.
+    An iterate has converged once its residual (r_sig and F at the iterate)
+    is within tolerance and then F of the stresses recomputed with its flow
+    directions is too.  At every iterate, the start included, a phase with
+    lam_a + c_a (F_a - YIELD_TOL s0_a) <= 0 leaves with its multiplier; at a
+    converged iterate the plastic phases past yield join from their current
+    stress with lam = 0.  A revision costs no linearization; the solve returns
+    at a converged iterate that changes nothing.  ``newton_max_iter`` caps
+    steps and revisions together.
 
     Chord steps: if the last linearized step took the worst scaled residual
     (in units of the tolerance) from e0 to e1, a later iterate with residual e
@@ -474,15 +485,16 @@ def _newton_multipliers(ops, sig_tr, active, settings, control, lam, sig_dir=Non
     try:
         sys_ = control.system(active)
         if sig_dir is None:
-            sig_dir = sig_tr[active]
+            sig_dir = sig_tr.take(sys_.index, axis=0)
         sig_act = sys_.residual(sig_tr, sig_dir, lam)[2]
+        tols = settings.newton_tol * sys_.strength
         lin = None  # the kept factors of the last linearization of sys_
         for _ in range(settings.newton_max_iter):
-            tols = settings.newton_tol * sys_.strength
             res, x, sig, d_eps, point = sys_.residual(sig_tr, sig_act, lam)
-            f_chk = dp_yield(sig, sys_.tan_f, sys_.strength)
-            gap = np.maximum(np.abs(f_chk), np.abs(res[:, :6]).max(axis=1))
-            converged = np.all(gap <= tols)
+            gap = np.abs(res).max(axis=1)
+            # F at the stresses the iterate hands on, only where it can converge
+            converged = ((gap <= tols).all()
+                         and (np.abs(dp_yield(sig, sys_.tan_f, sys_.strength)) <= tols).all())
             keep = lam + sys_.switch_c * res[:, 6] > sys_.switch_at
             join = []
             if converged:  # the only all-phase evaluation: join check and result
@@ -504,17 +516,19 @@ def _newton_multipliers(ops, sig_tr, active, settings, control, lam, sig_dir=Non
                 sig_act = sig_act + z[:, :6, 0]
                 lam = lam + z[:, 6, 0]
                 continue
+            err = float(np.max(gap / tols, initial=0.0))
             active = [a for a, k in zip(active, keep) if k] + join
             sig_act = np.concatenate((sig_act[keep], sig[join]))
             lam = np.concatenate((lam[keep], np.zeros(len(join))))
             control.revisions += 1
             sys_, lin = control.system(active), None
+            tols = settings.newton_tol * sys_.strength
     except ApexSingularityError as exc:
         raise StepFailureError(f"cone apex reached in phase "
                                f"{ops.phases[active[exc.index]].name!r}") from exc
     raise StepFailureError(
         f"return mapping did not converge in {settings.newton_max_iter} Newton iterations; "
-        f"last stress/yield residual {np.max(gap / tols, initial=0.0):.3e} times its tolerance")
+        f"last stress/yield residual {err:.3e} times its tolerance")
 
 
 def validate_state(ops: MeanFieldOperators, state: REVState) -> None:
@@ -565,11 +579,12 @@ def _solve_mixed_increment(ops, state, targets, control, settings, guess, before
     eps_p, macro_plastic = state.plastic_strain, state.macro_plastic
     multipliers = state.multipliers
     if active:
-        lam, sig_dir = guess[active], None
+        index = np.array(active, dtype=np.intp)
+        lam, sig_dir = guess.take(index), None
         if before is not None:  # the secant predictor
-            lam_before = before.multipliers[active]
+            lam_before = before.multipliers.take(index)
             lam = np.where(lam_before > 0.0, np.maximum(2.0 * lam - lam_before, 0.0), lam)
-            sig_dir = 2.0 * state.stress[active] - before.stress[active]
+            sig_dir = 2.0 * state.stress.take(index, axis=0) - before.stress.take(index, axis=0)
         active, lam, x, d_eps, du, stresses = _newton_multipliers(
             ops, stresses, active, settings, control, lam, sig_dir)
         eps_bar[control.idx] += d_eps

@@ -5,11 +5,14 @@ on seeded random mixed-control scenarios and the localization identities of
 every converged state check the converged states from the outside; the work
 counts pin the cost of the default run.
 """
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import revplast.plasticity as plasticity
 import revplast.solver as solver_mod
 from conftest import STATE_FIELDS, WorkLog, inject_failures, record_work
 from revplast.mean_field import (PhaseSpec, Spheroid, assemble_operators, localize,
@@ -62,6 +65,28 @@ def test_default_run_work_counts(counted_default_run):
     # (305 calls when every one of the 245 residuals went through
     # eigen_response, 120 when each plastic increment re-localized its state)
     assert len(work.calls("eigen_response")) == 60
+
+
+def test_default_run_yield_kernel_calls(monkeypatch):
+    # the Drucker-Prager invariants, counted by the function that asks for
+    # them: one evaluation per residual (60 Newton starts and 159 iterates),
+    # one more at each iterate whose residual is within tolerance (62; F is
+    # bounded at the stresses a converged iterate hands on), and one per
+    # yield check and state validation: 641 calls, against 738 when every
+    # iterate also evaluated F at its recomputed stresses
+    real = plasticity.stress_invariants
+    callers = Counter()
+
+    def counted(sig):
+        callers[sys._getframe(2).f_code.co_name] += 1
+        return real(sig)
+
+    monkeypatch.setattr(plasticity, "stress_invariants", counted)
+    sc = default_scenario()
+    drive(assemble_operators(sc.phases()), sc.program, sc.settings)
+    assert callers == {"residual": 219, "_newton_multipliers": 62, "check_yield": 210,
+                       "validate_state": 150}
+    assert callers.total() == 641
 
 
 def test_stress_controlled_elastic_increment_one_pass(monkeypatch):
@@ -339,9 +364,10 @@ def test_kept_active_systems_match_fresh_ones(monkeypatch):
     # set repeats; a fresh system at every request gives bitwise the same
     # states, from about three times the builds (measured 235 against 652).
     # The kept runs' records match the logged work increment by increment
-    # and sum to 960 attempts (none subdivided), 615 solves, 1,367
-    # linearizations, 1,002 chord steps, 235 systems and 37 active-set
-    # revisions
+    # and sum to 960 attempts (none subdivided), 615 solves, 1,358
+    # linearizations, 1,024 chord steps, 235 systems and 37 active-set
+    # revisions (1,367 and 1,002 while the convergence test took F at the
+    # recomputed stresses in place of the residual's F at the iterate)
     work = record_work(monkeypatch)
     runs, logs = {}, {}
     for mode in ("kept", "fresh"):
@@ -363,7 +389,7 @@ def test_kept_active_systems_match_fresh_ones(monkeypatch):
             for r in records] == logs["kept"].per_increment(records)
     assert tuple(sum(getattr(r, name) for r in records) for name in (
         "attempts", "depth", "solves", "linearizations", "chords", "systems",
-        "revisions")) == (960, 0, 615, 1367, 1002, 235, 37)
+        "revisions")) == (960, 0, 615, 1358, 1024, 235, 37)
 
 
 # ------------------------------------------------------------ the secant start and chord steps
