@@ -110,13 +110,11 @@ class MeanFieldOperators:
     concentration: (n, 6, 6) strain concentration tensors.
     response, mixing: (n, 6, 6) factors R_a (zero for the matrix) and M_a of the
     influence operator, which ``eigen_response`` applies in O(n).
-    plastic: (n,) mask of the phases with a yield surface; tan_friction,
-    tan_dilation (potential angle) and shear_strength are their Drucker-Prager
-    parameters, zero for elastic phases.
-    plastic_index: (p,) ascending indices of the plastic phases, the one copy
-    of the plastic index the solver's yield check and state validation read;
-    plastic_tan_friction, plastic_strength and plastic_yield_tol are their
-    tan(phi), s0 and past-yield threshold YIELD_TOL s0, gathered once here.
+    The plastic-phase table: plastic_index, the (p,) ascending indices of the
+    phases with a yield surface, and, row k belonging to phase plastic_index[k],
+    their Drucker-Prager tan(phi) plastic_tan_friction, tan(psi) (potential
+    angle) plastic_tan_dilation, s0 plastic_strength and past-yield threshold
+    YIELD_TOL s0 plastic_yield_tol.  Elastic phases have no row.
     Every array is read-only.
     """
 
@@ -128,12 +126,9 @@ class MeanFieldOperators:
     response: np.ndarray
     mixing: np.ndarray
     stiffness_hom: np.ndarray
-    plastic: np.ndarray
-    tan_friction: np.ndarray
-    tan_dilation: np.ndarray
-    shear_strength: np.ndarray
     plastic_index: np.ndarray
     plastic_tan_friction: np.ndarray
+    plastic_tan_dilation: np.ndarray
     plastic_strength: np.ndarray
     plastic_yield_tol: np.ndarray
     consistency_residuals: tuple[float, float]
@@ -220,24 +215,20 @@ def assemble_operators(phases, scheme: str = "mori_tanaka") -> MeanFieldOperator
             f"operator consistency violated: |sum f A - I| = {res_a:.3e}, "
             f"max_b |sum f B| = {res_b:.3e}")
 
-    models = [p.plastic for p in phases]
-    plastic = np.array([m is not None for m in models])
-    tan_f = np.array([np.tan(m.friction_angle) if m else 0.0 for m in models])
-    tan_g = np.array([np.tan(m.potential_angle) if m else 0.0 for m in models])
-    s0 = np.array([m.shear_strength if m else 0.0 for m in models])
-    index = np.flatnonzero(plastic)
-    index_tan_f, index_s0 = tan_f[index], s0[index]
-    index_tol = YIELD_TOL * index_s0
+    index = np.array([a for a, p in enumerate(phases) if p.plastic is not None], dtype=np.intp)
+    models = [phases[a].plastic for a in index]
+    tan_f = np.array([np.tan(m.friction_angle) for m in models])
+    tan_g = np.array([np.tan(m.potential_angle) for m in models])
+    s0 = np.array([m.shear_strength for m in models])
+    yield_tol = YIELD_TOL * s0
 
-    for arr in (f, cmats, conc, resp, mix, c_hom, plastic, tan_f, tan_g, s0,
-                index, index_tan_f, index_s0, index_tol):
+    for arr in (f, cmats, conc, resp, mix, c_hom, index, tan_f, tan_g, s0, yield_tol):
         arr.setflags(write=False)
     return MeanFieldOperators(phases=phases, scheme=scheme, fractions=f, stiffness=cmats,
                               concentration=conc, response=resp, mixing=mix,
-                              stiffness_hom=c_hom, plastic=plastic, tan_friction=tan_f,
-                              tan_dilation=tan_g, shear_strength=s0,
-                              plastic_index=index, plastic_tan_friction=index_tan_f,
-                              plastic_strength=index_s0, plastic_yield_tol=index_tol,
+                              stiffness_hom=c_hom, plastic_index=index,
+                              plastic_tan_friction=tan_f, plastic_tan_dilation=tan_g,
+                              plastic_strength=s0, plastic_yield_tol=yield_tol,
                               consistency_residuals=(float(res_a), float(res_b)))
 
 

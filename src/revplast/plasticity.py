@@ -6,8 +6,9 @@ surface carries no internal variables.
 
 The kernel works on ``(m, 6)`` Mandel stresses with ``(m,)`` arrays of angle
 tangents and shear strengths (or on one ``(6,)`` stress with scalars).  The
-solver passes the per-phase parameter arrays stored on the mean-field
-operators; one model's are ``np.tan(model.friction_angle)``,
+solver passes rows of the plastic-phase table on the mean-field operators
+(``MeanFieldOperators.plastic_index`` and the ``plastic_*`` arrays beside it);
+one model's are ``np.tan(model.friction_angle)``,
 ``np.tan(model.potential_angle)`` and ``model.shear_strength``.  ``dp_yield``
 is ``stress_invariants`` followed by ``dp_yield_of``; a return-mapping iterate
 evaluates the invariants of its stresses once with ``dp_direction`` and

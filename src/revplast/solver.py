@@ -29,10 +29,8 @@ other attempt takes its start's directions at the trial stresses: a segment's
 first increment starts from the previous multipliers, a half of a failed part
 of an increment from half that part's guess, and the part after a converged
 part from that part's multipliers.  On the default scenario the 60 plastic
-increments take 68 linearizations and 31 chord steps (below), against 97
-linearizations without chord steps, 125 from the last multipliers with
-directions at the trial stresses and 180 from zero multipliers, and 4
-systems are built.
+increments take 68 linearizations and 31 chord steps (below), and 4 systems
+are built.
 
 The Newton method is linearized consistently, with the flow-direction
 derivative d n / d sig, so it converges quadratically.  Because the
@@ -61,11 +59,12 @@ bounded where the state is accepted.  An active system gathers its phases'
 operators and stresses with one integer index, and the pressure terms of its
 flow and yield gradients are computed once per system.
 
-``check_yield`` and ``validate_state`` read the plastic phases' index, tan(phi),
-s0 and past-yield thresholds YIELD_TOL s0 that ``assemble_operators`` gathers
-once (``MeanFieldOperators.plastic_index`` and the ``plastic_*`` arrays beside
-it).  ``validate_state`` still recomputes every value it checks from the
-state's own arrays, never from the solver's intermediates.
+The operators' plastic-phase table (``MeanFieldOperators.plastic_index`` and
+the ``plastic_*`` arrays beside it, gathered once by ``assemble_operators``) is
+the only store of the Drucker-Prager parameters and past-yield thresholds:
+``check_yield`` and ``validate_state`` read it whole, and an active system
+reads its phases' rows of it.  ``validate_state`` still recomputes every value
+it checks from the state's own arrays, never from the solver's intermediates.
 
 An increment attempt returns a state ``validate_state`` accepts or raises
 StepFailureError, whatever the cause; a failed part of an increment is
@@ -87,7 +86,7 @@ import numpy as np
 
 from .errors import ApexSingularityError, StepFailureError
 from .mean_field import MeanFieldOperators, eigen_response, macro_plastic_strain
-from .plasticity import YIELD_TOL, dp_direction, dp_flow_gradient_of, dp_yield, dp_yield_of
+from .plasticity import dp_direction, dp_flow_gradient_of, dp_yield, dp_yield_of
 from .tensors import IVEC, MANDEL_SCALE
 
 STRAIN = "strain"
@@ -331,16 +330,18 @@ class _ActiveSystem:
         self.active = active
         self.index = index = np.array(active, dtype=np.intp)  # for take and scatter
         self.idx = control.idx
-        self.tan_f = ops.tan_friction.take(index)
-        self.tan_g = ops.tan_dilation.take(index)
-        self.strength = ops.shear_strength.take(index)
+        # every active phase is plastic, so its row of the plastic-phase table is exact
+        rows = np.searchsorted(ops.plastic_index, index)
+        self.tan_f = ops.plastic_tan_friction.take(rows)
+        self.tan_g = ops.plastic_tan_dilation.take(rows)
+        self.strength = ops.plastic_strength.take(rows)
         # the pressure terms tan / 3 of the yield and flow gradients, as dp_flow_of forms them
         self.third_f = (self.tan_f / 3.0)[:, None]
         self.third_g = (self.tan_g / 3.0)[:, None]
         stiff = ops.stiffness.take(index, axis=0)
         # active-set switch: leave once lam + c (F - YIELD_TOL s0) <= 0, c = 1 / (3 mu)
         self.switch_c = 2.0 / (3.0 * stiff[:, 3, 3])  # Mandel C[3, 3] = 2 mu
-        self.switch_at = self.switch_c * YIELD_TOL * self.strength
+        self.switch_at = self.switch_c * ops.plastic_yield_tol.take(rows)
         resp = ops.response.take(index, axis=0)
         mix_stress = stiff @ ops.mixing.take(index, axis=0)  # C_a M_a: response to w
         # C_a (I - R_a C_a): response to the phase's own eigen-strain

@@ -16,7 +16,7 @@ from revplast.mean_field import (PhaseSpec, Spheroid, assemble_operators,
                                  macro_plastic_strain, upscale_stress,
                                  validate_phases)
 from revplast.orientations import rotation_to_axis
-from revplast.plasticity import DruckerPrager
+from revplast.plasticity import YIELD_TOL, DruckerPrager
 from revplast.scenario import default_scenario
 from revplast.selfcheck import hashin_shtrikman_spheres, homogeneous_limit_gap, levin_gaps
 from revplast.tensors import J_PROJ, K_PROJ, iso_stiffness
@@ -332,7 +332,7 @@ def test_operators_store_no_dense_influence():
 
 
 @pytest.mark.parametrize("scheme", ["mori_tanaka", "dilute"])
-def test_operator_arrays_are_read_only_and_derived_from_the_mask(scheme):
+def test_operator_arrays_are_read_only_and_gathered_from_the_models(scheme):
     # a plastic matrix, an elastic inclusion between plastic ones, mixed angles
     models = (DruckerPrager(0.2, 0.3), None, DruckerPrager(0.0, 0.12), None,
               DruckerPrager(0.4, 0.05, dilation_angle=0.1))
@@ -343,20 +343,24 @@ def test_operator_arrays_are_read_only_and_derived_from_the_mask(scheme):
     ops = assemble_operators(phases, scheme=scheme)
     arrays = {fld.name: getattr(ops, fld.name) for fld in dataclasses.fields(ops)
               if isinstance(getattr(ops, fld.name), np.ndarray)}
-    assert {"plastic_index", "plastic_tan_friction", "plastic_strength",
-            "plastic_yield_tol"} <= set(arrays)
+    assert {"plastic_index", "plastic_tan_friction", "plastic_tan_dilation",
+            "plastic_strength", "plastic_yield_tol"} <= set(arrays)
     for name, arr in arrays.items():
         assert not arr.flags.writeable, name
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0
-    mask = ops.plastic
-    assert mask.tolist() == [m is not None for m in models]
     assert ops.plastic_index.dtype.kind == "i"
     assert ops.plastic_index.tolist() == [0, 2, 4]
-    assert np.array_equal(ops.plastic_tan_friction, ops.tan_friction[mask])
-    assert np.array_equal(ops.plastic_strength, ops.shear_strength[mask])
-    assert np.array_equal(ops.plastic_yield_tol,
-                          solver_mod.YIELD_TOL * ops.shear_strength[mask])
+    table = [models[a] for a in ops.plastic_index]
+    assert ops.plastic_tan_friction.tolist() == [np.tan(m.friction_angle) for m in table]
+    assert ops.plastic_tan_dilation.tolist() == [np.tan(m.potential_angle) for m in table]
+    assert ops.plastic_strength.tolist() == [m.shear_strength for m in table]
+    assert ops.plastic_yield_tol.tolist() == [YIELD_TOL * m.shear_strength for m in table]
+    # the table is the one representation: no zero-padded (n,) copies of it,
+    # and the past-yield threshold is formed in the assembly alone
+    names = {fld.name for fld in dataclasses.fields(ops)}
+    assert not names & {"plastic", "tan_friction", "tan_dilation", "shear_strength"}
+    assert not hasattr(solver_mod, "YIELD_TOL")
 
 
 def test_localize_average_consistency(default_ops):

@@ -505,7 +505,10 @@ def test_random_mixed_scenarios_converge_without_subdivision(seed):
         if active.size:
             plastic += 1
             # discrete flow rule at the returned stresses
-            n_dev = dp_direction(st.stress[active], ops.shear_strength[active])[1]
-            flow = st.multipliers[active, None] * dp_flow_of(n_dev, ops.tan_dilation[active])
+            models = [ops.phases[a].plastic for a in active]
+            s0 = np.array([m.shear_strength for m in models])
+            tan_g = np.array([np.tan(m.potential_angle) for m in models])
+            n_dev = dp_direction(st.stress[active], s0)[1]
+            flow = st.multipliers[active, None] * dp_flow_of(n_dev, tan_g)
             assert np.abs(step[active] - flow).max() <= 1e-10 * np.abs(step).max()
     assert plastic >= 2

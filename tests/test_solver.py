@@ -11,7 +11,7 @@ from conftest import STATE_FIELDS, inject_failures, record_work
 from revplast.errors import ApexSingularityError, RevplastError, StepFailureError
 from revplast.mean_field import (PhaseSpec, Spheroid, assemble_operators, localize,
                                  upscale_stress)
-from revplast.plasticity import DruckerPrager, dp_direction, dp_flow_of, dp_yield
+from revplast.plasticity import YIELD_TOL, DruckerPrager, dp_direction, dp_flow_of, dp_yield
 from revplast.scenario import default_scenario
 from revplast.selfcheck import _homogeneous_phases, radial_return_gap
 from revplast.solver import (STRAIN, STRESS, LoadProgram, LoadSegment,
@@ -109,29 +109,28 @@ def test_check_yield_mixed_angles_and_elastic_phase(rng):
         PhaseSpec(f"incl{k}", 0.1, EI, NU, spheroid=Spheroid(0.35, axis), plastic=m)
         for k, (axis, m) in enumerate(zip(axes, models[1:]))]
     ops = assemble_operators(phases)
-    assert ops.plastic.tolist() == [False, True, True, True]
+    assert ops.plastic_index.tolist() == [1, 2, 3]
     sig = rng.normal(size=(4, 6)) * 0.1
     sig[0] = 10.0 * np.abs(sig).max()  # the elastic matrix is never a candidate
     cand = check_yield(ops, sig)
     rows = [dp_yield(s, np.tan(m.friction_angle), m.shear_strength)
             for m, s in zip(models[1:], sig[1:])]
     assert cand == [a for a in (1, 2, 3)
-                    if rows[a - 1] > solver_mod.YIELD_TOL * models[a].shear_strength]
+                    if rows[a - 1] > YIELD_TOL * models[a].shear_strength]
     assert all(type(a) is int for a in cand)
 
 
-def interleaved_ops():
-    """An elastic matrix and four inclusions with the plastic mask
-    [F, T, F, T, T]: the plastic index [1, 3, 4] skips the elastic inclusion 2.
-    Inclusion 4 is the weakest, so a small compression makes it yield alone."""
-    models = (DruckerPrager(0.3, 0.5), None, DruckerPrager(0.0, 0.5),
-              DruckerPrager(0.0, 1e-3))
+def interleaved_ops(models=(DruckerPrager(0.3, 0.5), None, DruckerPrager(0.0, 0.5),
+                            DruckerPrager(0.0, 1e-3))):
+    """An elastic matrix and four inclusions with the yield surfaces ``models``,
+    of which 1, 3 and 4 are plastic: the plastic index [1, 3, 4] skips the
+    elastic inclusion 2.  With the default models inclusion 4 is the weakest,
+    so a small compression makes it yield alone."""
     axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0))
     phases = [PhaseSpec("matrix", 0.6, E0, NU)] + [
         PhaseSpec(f"incl{k}", 0.1, EI, NU, spheroid=Spheroid(0.35, axis), plastic=m)
         for k, (axis, m) in enumerate(zip(axes, models), 1)]
     ops = assemble_operators(phases)
-    assert ops.plastic.tolist() == [False, True, False, True, True]
     assert ops.plastic_index.tolist() == [1, 3, 4]
     return ops
 
@@ -166,6 +165,26 @@ def test_validation_names_phases_through_the_plastic_index():
         validate_state(ops, bad)
 
 
+def test_active_system_reads_its_own_rows_of_the_plastic_table():
+    # interleaved plastic phases [1, 3, 4], each with its own angles and
+    # strength, and an unsorted active set: row k of the table is phase
+    # plastic_index[k], so rows taken as phase ids or shifted by one would
+    # read another phase's parameters or fall off the table
+    ops = interleaved_ops((DruckerPrager(0.1, 0.2, dilation_angle=0.05), None,
+                           DruckerPrager(0.2, 0.3, dilation_angle=0.15),
+                           DruckerPrager(0.3, 0.4, dilation_angle=0.25)))
+    active = [4, 1]
+    sys_ = solver_mod._ActiveSystem(ops, active, strain_control(ops))
+    want = [ops.phases[a].plastic for a in active]
+    assert sys_.tan_f.tolist() == [np.tan(m.friction_angle) for m in want]
+    assert sys_.tan_g.tolist() == [np.tan(m.potential_angle) for m in want]
+    assert sys_.strength.tolist() == [m.shear_strength for m in want]
+    mu = EI / (2.0 * (1.0 + NU))  # switch: lam + (F - YIELD_TOL s0) / (3 mu) <= 0
+    np.testing.assert_allclose(sys_.switch_at,
+                               [YIELD_TOL * m.shear_strength / (3.0 * mu) for m in want],
+                               rtol=1e-14, atol=0.0)
+
+
 def test_all_elastic_assembly_has_an_empty_plastic_index():
     ops = assemble_operators([replace(p, plastic=None) for p in default_scenario().phases()])
     assert ops.plastic_index.shape == (0,) and ops.plastic_index.dtype.kind == "i"
@@ -186,7 +205,8 @@ def test_symmetric_orientations_yield_symmetrically():
     ops = default_ops()
     deps = np.array([1e-4, 1e-4, -4e-4, 0, 0, 0])
     _, sig_tr = _trial_at(ops, initial_state(ops), deps)
-    incl = dp_yield(sig_tr[1:], ops.tan_friction[1:], ops.shear_strength[1:])
+    assert ops.plastic_index.tolist() == list(range(1, ops.n_phases))
+    incl = dp_yield(sig_tr[1:], ops.plastic_tan_friction, ops.plastic_strength)
     faces, edges, verts = incl[:6], incl[6:18], incl[18:]
     assert np.ptp(verts) < 1e-12
     # faces split by axis alignment; the four equatorial ones match
@@ -438,7 +458,8 @@ def test_seeded_newton_reaches_the_same_return(scale):
                                            solver_mod._StressControl(ops, segment.modes),
                                            active, scale * lam)
     assert got == got_s == active
-    tol = SolverSettings().newton_tol * ops.shear_strength[active].min()
+    tol = SolverSettings().newton_tol * min(ops.phases[a].plastic.shear_strength
+                                            for a in active)
     assert np.abs(lam_s - lam).max() <= tol
     assert np.abs(sig_s[active] - sig[active]).max() <= tol
 
@@ -469,7 +490,8 @@ def test_negative_multiplier_candidate_dropped(monkeypatch):
     phases, ops, state, deps = twin_inclusions()
     _, sig_tr = _trial_at(ops, state, deps)
     assert check_yield(ops, sig_tr) == [1, 2]
-    assert 0.0 < dp_yield(sig_tr[2], ops.tan_friction[2], ops.shear_strength[2]) < 1e-4
+    hard = phases[2].plastic
+    assert 0.0 < dp_yield(sig_tr[2], np.tan(hard.friction_angle), hard.shear_strength) < 1e-4
     work = record_work(monkeypatch)
     new = attempt(ops, state, deps)
     assert active_sets(work) == [[1, 2], [1]]
