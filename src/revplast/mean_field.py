@@ -175,8 +175,8 @@ def assemble_operators(phases, scheme: str = "mori_tanaka") -> MeanFieldOperator
     """Build concentration tensors, influence factors and the homogenized stiffness.
 
     ``scheme`` is ``"mori_tanaka"`` (default) or ``"dilute"``; the dilute
-    variant skips the normalization and is only meaningful at small inclusion
-    fractions (its consistency residuals grow with the fraction).
+    variant skips the normalization (its matrix row absorbs the strain average, so
+    both consistency identities hold) and is physically meaningful only at small fractions.
     """
     phases = validate_phases(phases)
     if scheme not in SCHEMES:

@@ -14,10 +14,7 @@ is ``stress_invariants`` followed by ``dp_yield_of``; a return-mapping iterate
 evaluates the invariants of its stresses once with ``dp_direction`` and
 applies ``dp_yield_of``, the flow of ``dp_flow_of`` and ``dp_flow_gradient_of``
 to them, and calls ``dp_yield`` once more only at an iterate whose residual is
-within tolerance, for F at the stresses it would hand to the state.  The
-solver's active systems compute ``dp_flow_of``'s pressure terms tan / 3 once
-per system and add them in the same order, so their flow is bitwise
-``dp_flow_of``'s.
+within tolerance, for F at the stresses it would hand to the state.
 """
 from __future__ import annotations
 
@@ -98,9 +95,16 @@ def dp_yield_of(mean, eq, tan_friction, strength):
     return eq + mean * tan_friction - strength
 
 
-def dp_flow_of(n_dev, tan_angle):
-    """Gradients of F (or of the potential, given its angle tangent) from n_dev."""
-    return n_dev + (np.asarray(tan_angle) / 3.0)[..., None] * IVEC
+def dp_pressure_term(tan_angle):
+    """Pressure terms tan / 3 of the gradients of F (or of the potential), as the
+    ``(m, 1)`` column ``dp_flow_of`` adds; they depend on the angles only, so a
+    caller forms them once for a fixed set of phases."""
+    return (np.asarray(tan_angle) / 3.0)[..., None]
+
+
+def dp_flow_of(n_dev, pressure_term):
+    """Gradients of F (or of the potential) from n_dev and ``dp_pressure_term``'s column."""
+    return n_dev + pressure_term * IVEC
 
 
 def dp_flow_gradient_of(n_dev, eq):

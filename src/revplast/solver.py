@@ -86,8 +86,9 @@ import numpy as np
 
 from .errors import ApexSingularityError, StepFailureError
 from .mean_field import MeanFieldOperators, eigen_response, macro_plastic_strain
-from .plasticity import dp_direction, dp_flow_gradient_of, dp_yield, dp_yield_of
-from .tensors import IVEC, MANDEL_SCALE
+from .plasticity import (dp_direction, dp_flow_gradient_of, dp_flow_of, dp_pressure_term,
+                         dp_yield, dp_yield_of)
+from .tensors import MANDEL_SCALE
 
 STRAIN = "strain"
 STRESS = "stress"
@@ -333,11 +334,10 @@ class _ActiveSystem:
         # every active phase is plastic, so its row of the plastic-phase table is exact
         rows = np.searchsorted(ops.plastic_index, index)
         self.tan_f = ops.plastic_tan_friction.take(rows)
-        self.tan_g = ops.plastic_tan_dilation.take(rows)
         self.strength = ops.plastic_strength.take(rows)
-        # the pressure terms tan / 3 of the yield and flow gradients, as dp_flow_of forms them
-        self.third_f = (self.tan_f / 3.0)[:, None]
-        self.third_g = (self.tan_g / 3.0)[:, None]
+        # the (m, 1) pressure columns of the yield and flow gradients
+        self.pressure_f = dp_pressure_term(self.tan_f)
+        self.pressure_g = dp_pressure_term(ops.plastic_tan_dilation.take(rows))
         stiff = ops.stiffness.take(index, axis=0)
         # active-set switch: leave once lam + c (F - YIELD_TOL s0) <= 0, c = 1 / (3 mu)
         self.switch_c = 2.0 / (3.0 * stiff[:, 3, 3])  # Mandel C[3, 3] = 2 mu
@@ -381,7 +381,7 @@ class _ActiveSystem:
         whose first 6 + k entries are w and d eps_S.
         """
         mean, n_dev, eq = dp_direction(sig_act, self.strength)
-        x = lam[:, None] * (n_dev + self.third_g * IVEC)
+        x = lam[:, None] * dp_flow_of(n_dev, self.pressure_g)
         v = np.einsum("bij,bj->i", self.weighted, x)
         sig = (sig_tr.take(self.index, axis=0) - np.einsum("aij,aj->ai", self.own, x)
                - self.stress_coupling @ v)
@@ -396,14 +396,13 @@ class _ActiveSystem:
         n_dev, eq = point
         flow = np.empty((len(lam), 6, 7))
         flow[:, :, :6] = lam[:, None, None] * dp_flow_gradient_of(n_dev, eq)
-        flow[:, :, 6] = n_dev + self.third_g * IVEC
+        flow[:, :, 6] = dp_flow_of(n_dev, self.pressure_g)
         return flow
 
-    def jacobian(self, point, lam, rhs):
-        """Linearize the residual at (sig_act, lam) and solve it for ``rhs`` (m, 7, r);
-        ``point`` is the ``(n_dev, s_eq)`` of sig_act that ``residual`` returns.
-        Returns the corrections (m, 7, r) and the linearization's ``_Linearization``,
-        which solves it again for another right-hand side.
+    def jacobian(self, point, lam):
+        """Build the ``_Linearization`` of the residual at (sig_act, lam); the Newton
+        loop then solves it for its step and any chord steps after it.  ``point``
+        is the ``(n_dev, s_eq)`` of sig_act that ``residual`` returns.
 
         Phase a's 7x7 block [[I + lam_a D_a N_a, D_a n_a], [g_a^T, 0]], with
         D_a = C_a (I - R_a C_a), N_a = dn_g/dsig and g_a = dF/dsig, is inverted
@@ -415,7 +414,7 @@ class _ActiveSystem:
         block = np.zeros((len(lam), 7, 7))
         block[:, :6] = self.own @ flow
         block[:, :6, :6] += _EYE6
-        block[:, 6, :6] = point[0] + self.third_f * IVEC
+        block[:, 6, :6] = dp_flow_of(point[0], self.pressure_f)
         inv_block = _inverse(block, "return-mapping system")
         del block
         inv_coupling = inv_block @ self.coupling
@@ -423,9 +422,8 @@ class _ActiveSystem:
         n_coupling = self.weighted.shape[1]
         lead = (self.weighted @ flow).transpose(1, 0, 2).reshape(n_coupling, -1)
         schur = lead @ inv_coupling.reshape(-1, n_coupling) + np.eye(n_coupling)
-        lin = _Linearization(inv_block, inv_coupling, lead,
-                             _inverse(schur, "return-mapping system"))
-        return lin.solve(rhs), lin
+        return _Linearization(inv_block, inv_coupling, lead,
+                              _inverse(schur, "return-mapping system"))
 
 
 class _Linearization(NamedTuple):
@@ -509,11 +507,11 @@ def _newton_multipliers(ops, sig_tr, active, settings, control, lam, sig_dir=Non
                     rate = err / err_lin  # the contraction of the linearized step
                 if lin is not None and _chord(err, rate):
                     control.chords += 1
-                    z = lin.solve(-res[:, :, None])
                 else:
                     control.linearizations += 1
-                    z, lin = sys_.jacobian(point, lam, -res[:, :, None])
+                    lin = sys_.jacobian(point, lam)
                     err_lin, rate = err, None
+                z = lin.solve(-res[:, :, None])
                 sig_act = sig_act + z[:, :6, 0]
                 lam = lam + z[:, 6, 0]
                 continue

@@ -42,26 +42,22 @@ def sym2_from_matrix(m: np.ndarray) -> np.ndarray:
     scale = max(1.0, np.abs(m).max())
     if np.abs(m - m.T).max() > SYMMETRY_TOL * scale:
         raise SymmetryError("matrix is not symmetric to within tolerance")
-    return np.array([MANDEL_SCALE[k] * m[i, j] for k, (i, j) in enumerate(COMPONENT_PAIRS)])
+    return MANDEL_SCALE * m[_PAIR_I, _PAIR_J]
 
 
 def sym2_to_matrix(v: np.ndarray) -> np.ndarray:
     """Convert a Mandel 6-vector back to the symmetric 3x3 matrix."""
     v = np.asarray(v, dtype=float)
-    m = np.zeros((3, 3))
-    for k, (i, j) in enumerate(COMPONENT_PAIRS):
-        m[i, j] = m[j, i] = v[k] / MANDEL_SCALE[k]
+    m = np.empty((3, 3))
+    m[_PAIR_I, _PAIR_J] = m[_PAIR_J, _PAIR_I] = v / MANDEL_SCALE
     return m
 
 
 def ten4_from_tensor(t: np.ndarray) -> np.ndarray:
     """Convert a minor-symmetric 3x3x3x3 tensor to its Mandel 6x6 matrix."""
     t = np.asarray(t, dtype=float)
-    out = np.empty((6, 6))
-    for a, (i, j) in enumerate(COMPONENT_PAIRS):
-        for b, (k, l) in enumerate(COMPONENT_PAIRS):
-            out[a, b] = MANDEL_SCALE[a] * MANDEL_SCALE[b] * t[i, j, k, l]
-    return out
+    return (np.outer(MANDEL_SCALE, MANDEL_SCALE)
+            * t[_PAIR_I[:, None], _PAIR_J[:, None], _PAIR_I[None, :], _PAIR_J[None, :]])
 
 
 def ten4_inv(t: np.ndarray) -> np.ndarray:

@@ -156,6 +156,11 @@ def test_dilute_scheme_assembles():
     # classical dilute estimate C0 + f*(Ci - C0):A_dil
     oracle = c0 + 0.02 * (iso_stiffness(EI, NU) - c0) @ a_dil
     assert np.abs(ops.stiffness_hom - oracle).max() < 1e-10
+    # the matrix row absorbs the average, so the identities hold at any fraction
+    for f in (0.5, 0.9):
+        ops = assemble_operators([matrix_phase(1.0 - f), spheroid_phase("i", f)],
+                                 scheme="dilute")
+        assert max(ops.consistency_residuals) <= 1e-14
 
 
 def test_mori_tanaka_close_to_dilute_at_small_fraction():
@@ -237,6 +242,18 @@ def test_phase_validation_errors():
         validate_phases([matrix_phase(0.5), matrix_phase(0.5)])
     with pytest.raises(ValueError, match="positive"):
         validate_phases([matrix_phase(1.2), spheroid_phase("i", -0.2)])
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda ph, ops: assemble_operators([]), "^phase list is empty$"),
+    (lambda ph, ops: assemble_operators(ph[1:] + ph[:1]), "^matrix phase must come first$"),
+    (lambda ph, ops: assemble_operators(ph, "bogus"), "^unknown scheme 'bogus'$"),
+    (lambda ph, ops: localize(ops, np.zeros(6), np.zeros((3, 6))),
+     r"^expected plastic strains of shape \(27, 6\), got \(3, 6\)$"),
+], ids=["empty", "matrix-not-first", "unknown-scheme", "localize-shape"])
+def test_assembly_and_localization_reject_bad_input(build, match, default_ops):
+    with pytest.raises(ValueError, match=match):
+        build(default_scenario().phases(), default_ops)
 
 
 @pytest.mark.parametrize("aspect,axis,match", [

@@ -17,7 +17,7 @@ import revplast.solver as solver_mod
 from conftest import STATE_FIELDS, WorkLog, inject_failures, record_work
 from revplast.mean_field import (PhaseSpec, Spheroid, assemble_operators, localize,
                                  upscale_stress)
-from revplast.plasticity import DruckerPrager, dp_direction, dp_flow_of
+from revplast.plasticity import DruckerPrager, dp_direction, dp_flow_of, dp_pressure_term
 from revplast.scenario import default_scenario
 from revplast.selfcheck import _homogeneous_phases
 from revplast.solver import STRAIN, STRESS, LoadProgram, LoadSegment, SolverSettings, drive
@@ -509,6 +509,6 @@ def test_random_mixed_scenarios_converge_without_subdivision(seed):
             s0 = np.array([m.shear_strength for m in models])
             tan_g = np.array([np.tan(m.potential_angle) for m in models])
             n_dev = dp_direction(st.stress[active], s0)[1]
-            flow = st.multipliers[active, None] * dp_flow_of(n_dev, tan_g)
+            flow = st.multipliers[active, None] * dp_flow_of(n_dev, dp_pressure_term(tan_g))
             assert np.abs(step[active] - flow).max() <= 1e-10 * np.abs(step).max()
     assert plastic >= 2

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from revplast.errors import ApexSingularityError
 from revplast.plasticity import (DruckerPrager, dp_direction, dp_flow_gradient_of,
-                                 dp_flow_of, dp_yield, stress_invariants)
+                                 dp_flow_of, dp_pressure_term, dp_yield, stress_invariants)
 from revplast.tensors import SQRT2
 
 VM = DruckerPrager(friction_angle=0.0, shear_strength=0.12)
@@ -53,7 +53,7 @@ def test_frictional_hydrostatic():
 
 def test_flow_uniaxial_compression():
     sig = np.array([0, 0, -0.2, 0, 0, 0])
-    n = dp_flow_of(dp_direction(sig, S0_VM)[1], TAN_VM)
+    n = dp_flow_of(dp_direction(sig, S0_VM)[1], dp_pressure_term(TAN_VM))
     assert n == pytest.approx([0.5, 0.5, -1.0, 0, 0, 0])
     assert n[:3].sum() == pytest.approx(0.0, abs=1e-15)
 
@@ -61,7 +61,8 @@ def test_flow_uniaxial_compression():
 def test_flow_dilatancy_trace():
     model = DruckerPrager(friction_angle=0.3, shear_strength=0.12)
     sig = np.array([0.1, -0.05, 0.02, 0.03, 0.0, 0.01])
-    n = dp_flow_of(dp_direction(sig, model.shear_strength)[1], np.tan(model.friction_angle))
+    n = dp_flow_of(dp_direction(sig, model.shear_strength)[1],
+                   dp_pressure_term(np.tan(model.friction_angle)))
     assert n[:3].sum() == pytest.approx(np.tan(0.3), rel=1e-13)
 
 
@@ -75,7 +76,7 @@ def test_flow_matches_finite_difference(friction, rng):
         sig = rng.normal(size=6) * 0.2
         if stress_invariants(sig)[2] < 1e-3:
             continue
-        n = dp_flow_of(dp_direction(sig, s0)[1], tan_f)
+        n = dp_flow_of(dp_direction(sig, s0)[1], dp_pressure_term(tan_f))
         grad = np.empty(6)
         for k in range(6):
             up, dn = sig.copy(), sig.copy()
@@ -100,8 +101,8 @@ def test_yield_positive_homogeneity(c, entries):
 @given(st.floats(min_value=1e-3, max_value=1e3))
 def test_flow_scale_invariance(c):
     sig = np.array([0.3, -0.1, 0.05, 0.07, -0.02, 0.01])
-    n1 = dp_flow_of(dp_direction(sig, S0_VM)[1], TAN_VM)
-    n2 = dp_flow_of(dp_direction(c * sig, S0_VM)[1], TAN_VM)
+    n1 = dp_flow_of(dp_direction(sig, S0_VM)[1], dp_pressure_term(TAN_VM))
+    n2 = dp_flow_of(dp_direction(c * sig, S0_VM)[1], dp_pressure_term(TAN_VM))
     assert np.abs(n1 - n2).max() < 1e-12
 
 
@@ -125,8 +126,8 @@ def test_non_associated_potential_accepted():
     assert model.potential_angle == pytest.approx(0.1)
     sig = np.array([0.1, -0.05, 0.02, 0.03, 0.0, 0.01])
     _, n_dev, _ = dp_direction(sig, model.shear_strength)
-    n_yield = dp_flow_of(n_dev, np.tan(model.friction_angle))
-    n_pot = dp_flow_of(n_dev, np.tan(model.potential_angle))
+    n_yield = dp_flow_of(n_dev, dp_pressure_term(np.tan(model.friction_angle)))
+    n_pot = dp_flow_of(n_dev, dp_pressure_term(np.tan(model.potential_angle)))
     assert n_pot[:3].sum() == pytest.approx(np.tan(0.1), rel=1e-12)
     assert not np.allclose(n_yield, n_pot)
 
@@ -144,11 +145,12 @@ def test_batched_kernel_matches_rows(rng):
     s0 = np.array([m.shear_strength for m in MIXED])
     rows_f = [dp_yield(s, np.tan(m.friction_angle), m.shear_strength)
               for m, s in zip(MIXED, sig)]
-    rows_n = [dp_flow_of(dp_direction(s, m.shear_strength)[1], np.tan(m.potential_angle))
+    rows_n = [dp_flow_of(dp_direction(s, m.shear_strength)[1],
+                         dp_pressure_term(np.tan(m.potential_angle)))
               for m, s in zip(MIXED, sig)]
     rows_inv = [stress_invariants(s) for s in sig]
     assert np.array_equal(dp_yield(sig, tan_f, s0), rows_f)
-    assert np.array_equal(dp_flow_of(dp_direction(sig, s0)[1], tan_g), rows_n)
+    assert np.array_equal(dp_flow_of(dp_direction(sig, s0)[1], dp_pressure_term(tan_g)), rows_n)
     for batched, rows in zip(stress_invariants(sig), zip(*rows_inv)):
         assert np.array_equal(batched, np.array(rows))
     # one model's scalars over a batch of stresses
@@ -175,7 +177,7 @@ def test_flow_gradient_matches_finite_differences(rng):
     # d n / d sig against central differences of the flow directions, per row
     # and batched
     sig = rng.normal(size=(len(MIXED), 6)) * 0.3
-    tan_g = np.tan([m.potential_angle for m in MIXED])
+    pressure = dp_pressure_term(np.tan([m.potential_angle for m in MIXED]))
     s0 = np.array([m.shear_strength for m in MIXED])
     step = 1e-6
     fd = np.empty((len(MIXED), 6, 6))
@@ -183,8 +185,8 @@ def test_flow_gradient_matches_finite_differences(rng):
         up, dn = sig.copy(), sig.copy()
         up[:, k] += step
         dn[:, k] -= step
-        fd[:, :, k] = (dp_flow_of(dp_direction(up, s0)[1], tan_g)
-                       - dp_flow_of(dp_direction(dn, s0)[1], tan_g)) / (2 * step)
+        fd[:, :, k] = (dp_flow_of(dp_direction(up, s0)[1], pressure)
+                       - dp_flow_of(dp_direction(dn, s0)[1], pressure)) / (2 * step)
     batched = dp_flow_gradient_of(*dp_direction(sig, s0)[1:])
     assert batched.shape == (len(MIXED), 6, 6)
     assert np.abs(batched - fd).max() < 1e-7 * np.abs(fd).max()

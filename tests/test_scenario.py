@@ -16,6 +16,8 @@ from revplast.scenario import (InclusionFamily, OutputOptions, Scenario,
 from revplast.solver import STRAIN, STRESS, LoadProgram, LoadSegment, SolverSettings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the default scenario's document, for the error cases that change one of its lines
+DEFAULT_DOC = serialize_scenario(default_scenario())
 
 GOOD = """\
 # uniaxial compression with zero lateral stresses
@@ -174,6 +176,16 @@ orientations = 1 0 0
     ("[matrix\n", "unterminated", 1),
     ("[matrix]\nyoung_modulus = 100\npoisson_ratio = 0.25\nnonsense line\n",
      "key = value", 4),
+    (DEFAULT_DOC.replace("young_modulus = 100\n", "young_modulus = inf\n"),
+     "^line 2: non-finite number 'inf'$", 2),
+    (DEFAULT_DOC.replace("scheme = mori_tanaka", "scheme = mori_tanaka\nnewton_max_iter = 2.5"),
+     "^line 21: malformed integer '2.5'$", 21),
+    (DEFAULT_DOC.replace("e12:0 n:100", "e12:0 n:0"),  # the LoadSegment error, on its line
+     "^line 16: segment needs at least one increment$", 16),
+    (DEFAULT_DOC.replace("[matrix]\nyoung_modulus = 100\npoisson_ratio = 0.25\n", ""),
+     r"^missing required section \[matrix\]$", 0),
+    (DEFAULT_DOC.replace("scheme = mori_tanaka", "scheme = bogus"),
+     "^line 20: unknown scheme 'bogus'$", 20),
 ])
 def test_parse_errors_carry_line_numbers(snippet, match, line):
     with pytest.raises(ScenarioError, match=match) as err:

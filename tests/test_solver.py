@@ -1,7 +1,9 @@
 import gc
 import importlib
+import inspect
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -165,6 +167,15 @@ def test_validation_names_phases_through_the_plastic_index():
         validate_state(ops, bad)
 
 
+def test_solver_takes_its_gradients_and_steps_from_one_place():
+    # the flow and yield gradients come from the kernel's dp_flow_of and
+    # dp_pressure_term, and the Newton loop solves each step at one site
+    source = inspect.getsource(solver_mod)
+    assert not hasattr(solver_mod, "IVEC")
+    assert source.count(".solve(") == 1
+    assert ".solve(" in inspect.getsource(solver_mod._newton_multipliers)
+
+
 def test_active_system_reads_its_own_rows_of_the_plastic_table():
     # interleaved plastic phases [1, 3, 4], each with its own angles and
     # strength, and an unsorted active set: row k of the table is phase
@@ -177,7 +188,8 @@ def test_active_system_reads_its_own_rows_of_the_plastic_table():
     sys_ = solver_mod._ActiveSystem(ops, active, strain_control(ops))
     want = [ops.phases[a].plastic for a in active]
     assert sys_.tan_f.tolist() == [np.tan(m.friction_angle) for m in want]
-    assert sys_.tan_g.tolist() == [np.tan(m.potential_angle) for m in want]
+    assert sys_.pressure_f.tolist() == [[np.tan(m.friction_angle) / 3.0] for m in want]
+    assert sys_.pressure_g.tolist() == [[np.tan(m.potential_angle) / 3.0] for m in want]
     assert sys_.strength.tolist() == [m.shear_strength for m in want]
     mu = EI / (2.0 * (1.0 + NU))  # switch: lam + (F - YIELD_TOL s0) / (3 mu) <= 0
     np.testing.assert_allclose(sys_.switch_at,
@@ -278,7 +290,9 @@ def test_jacobian_matches_finite_differences(scheme, modes, active):
         jac_fd[:, k] = (residual(point + bump) - residual(point - bump)) / (
             2.0 * steps.flat[k])
     res, _, _, _, at = sys_.residual(sig_tr, sig_act, lam)
-    z, lin = sys_.jacobian(at, lam, -res.reshape(m, 7, 1))
+    lin = sys_.jacobian(at, lam)
+    assert isinstance(lin, solver_mod._Linearization)
+    z = lin.solve(-res.reshape(m, 7, 1))
     dx = sys_.flow(at, lam) @ z
     res = res.ravel()
     assert np.abs(jac_fd @ z.ravel() + res).max() <= 1e-6 * np.abs(res).max()
@@ -289,7 +303,7 @@ def test_jacobian_matches_finite_differences(scheme, modes, active):
     # dx is the eigen-strain increment lam dn + n dlam the correction implies
     def eigen_strain(v):
         return v[:, 6, None] * dp_flow_of(dp_direction(v[:, :6], sys_.strength)[1],
-                                          sys_.tan_g)
+                                          sys_.pressure_g)
 
     t = 1e-3
     dx_fd = (eigen_strain(point + t * z[..., 0])
@@ -315,7 +329,7 @@ def test_condensed_residual_matches_all_phase_stresses(scheme, modes, active):
         sig_act = sig_tr[active] * rng.uniform(0.5, 1.5, size=(m, 6)) + 0.05 * rng.normal(
             size=(m, 6))
         lam = 1e-3 * rng.uniform(0.1, 1.0, size=m)
-        dirs = dp_flow_of(dp_direction(sig_act, sys_.strength)[1], sys_.tan_g)
+        dirs = dp_flow_of(dp_direction(sig_act, sys_.strength)[1], sys_.pressure_g)
         res, x_act, sig, d_eps_act, _ = sys_.residual(sig_tr, sig_act, lam)
         x, du, full = sys_.stress_update(sig_tr, x_act, d_eps_act)
         scale = np.abs(full).max()
@@ -400,7 +414,7 @@ def test_macro_tangent_matches_finite_differences(scheme, active):
                                   np.eye(k)[j])
         rhs = np.zeros((m, 7, 1))
         rhs[:, :6, 0] = control.sens[active] @ elastic
-        z, _ = sys_.jacobian(at, point[:, 6], rhs)
+        z = sys_.jacobian(at, point[:, 6]).solve(rhs)
         dx = sys_.flow(at, point[:, 6]) @ z
         step = z[..., 0]
         d_eps = elastic + np.einsum("aki,ai->k", control.gain[active], dx[..., 0])
@@ -546,10 +560,12 @@ def test_all_candidates_withdrawing_raises_typed_error(monkeypatch):
     ops = two_phase_homogeneous()
     state = initial_state(ops)
 
-    def negative_step(self, point, lam, rhs):
-        z = np.zeros((len(lam), 7, 1))
-        z[:, 6, 0] = -1.0 - lam
-        return z, None
+    def negative_step(self, point, lam):
+        def solve(rhs):
+            z = np.zeros_like(rhs)
+            z[:, 6, 0] = -1.0 - lam
+            return z
+        return SimpleNamespace(solve=solve)
 
     monkeypatch.setattr(solver_mod._ActiveSystem, "jacobian", negative_step)
     work = record_work(monkeypatch)
