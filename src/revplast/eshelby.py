@@ -17,8 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import MorphologyError
-from .tensors import (J_PROJ, K_PROJ, bulk_shear_moduli, is_major_symmetric,
-                      iso_stiffness, ten4_from_tensor, ten4_inv)
+from .tensors import is_major_symmetric, iso_stiffness, ten4_from_tensor, ten4_inv
 
 # Taylor coefficients of the transverse depolarization integral about the
 # sphere (argument: aspect_ratio - 1); rational multiples of pi.
@@ -36,7 +35,6 @@ _SERIES_WINDOW = 1e-3
 # third power; outside this range either overflows
 ASPECT_RANGE = (float(np.sqrt(4.0 * np.pi / np.finfo(float).max)),
                 float(np.cbrt(np.finfo(float).max)))
-_ISOTROPY_TOL = 1e-10  # relative distance of a reference stiffness from isotropy
 _N_AZIMUTH = 32        # azimuthal points of the quadrature route (exact: see below)
 
 
@@ -104,20 +102,13 @@ def sphere_eshelby_coefficients(nu_matrix: float) -> tuple[float, float]:
     return (1.0 + nu) / (3.0 * (1.0 - nu)), 2.0 * (4.0 - 5.0 * nu) / (15.0 * (1.0 - nu))
 
 
-def _isotropic_moduli(c0: np.ndarray) -> tuple[float, float]:
-    k, mu = bulk_shear_moduli(c0)
-    iso = 3.0 * k * J_PROJ + 2.0 * mu * K_PROJ
-    if np.abs(c0 - iso).max() > _ISOTROPY_TOL * max(1.0, np.abs(c0).max()):
-        raise MorphologyError("reference stiffness must be isotropic")
-    return k, mu
+def hill_tensor(aspect_ratio: float, young: float, poisson: float) -> np.ndarray:
+    """Hill polarization tensor P = S : C0^{-1} of a spheroid in the isotropic
+    matrix of Young's modulus ``young`` (MPa) and Poisson ratio ``poisson``.
 
-
-def hill_tensor(aspect_ratio: float, c0: np.ndarray) -> np.ndarray:
-    """Hill polarization tensor P = S : C0^{-1} for an isotropic matrix."""
-    k, mu = _isotropic_moduli(c0)
-    nu = (3.0 * k - 2.0 * mu) / (2.0 * (3.0 * k + mu))
-    s = eshelby_tensor(aspect_ratio, nu)
-    p = s @ ten4_inv(np.asarray(c0, dtype=float))
+    Closed-form route; ``hill_tensor_quadrature`` takes the same inputs.
+    """
+    p = eshelby_tensor(aspect_ratio, poisson) @ ten4_inv(iso_stiffness(young, poisson))
     if not is_major_symmetric(p, tol=1e-10):
         raise MorphologyError("Hill tensor lost major symmetry; inputs inconsistent")
     return 0.5 * (p + p.T)

@@ -152,10 +152,11 @@ def _phase_tensors(phases: tuple[PhaseSpec, ...]):
     into each phase's frame differs.
     """
     cmats = np.stack([p.stiffness() for p in phases])
-    c0 = cmats[0]
+    c0, young, poisson = cmats[0], phases[0].young_modulus, phases[0].poisson_ratio
     spheroids = [p.spheroid for p in phases[1:]]
     aspects, family = np.unique([s.aspect_ratio for s in spheroids], return_inverse=True)
-    p_loc = np.reshape([hill_tensor(w, c0) for w in aspects], (-1, 6, 6))[family]
+    p_loc = np.reshape([hill_tensor(w, young, poisson) for w in aspects],
+                       (-1, 6, 6))[family]
     rot = rotation_operator(rotation_to_axis(np.reshape([s.axis for s in spheroids], (-1, 3))))
     p_glob = rot @ p_loc @ np.swapaxes(rot, -1, -2)
     a_dil = np.empty_like(cmats)

@@ -2,6 +2,8 @@
 axis set that the scenario keyword ``cube26`` names."""
 from __future__ import annotations
 
+from itertools import combinations, product
+
 import numpy as np
 
 
@@ -22,23 +24,13 @@ def rotation_to_axis(axes) -> np.ndarray:
 
 def _cube26() -> tuple[tuple[float, float, float], ...]:
     """26 unit directions of cube symmetry: 6 face, 12 edge, 8 vertex."""
-    dirs: list[np.ndarray] = []
-    for i in range(3):
-        for s in (1.0, -1.0):
-            v = np.zeros(3)
-            v[i] = s
-            dirs.append(v)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            for si in (1.0, -1.0):
-                for sj in (1.0, -1.0):
-                    v = np.zeros(3)
-                    v[i], v[j] = si, sj
-                    dirs.append(v / np.sqrt(2.0))
-    for sx in (1.0, -1.0):
-        for sy in (1.0, -1.0):
-            for sz in (1.0, -1.0):
-                dirs.append(np.array([sx, sy, sz]) / np.sqrt(3.0))
+    dirs = []
+    for k in (1, 2, 3):  # nonzero components: face, edge, vertex
+        for axes in combinations(range(3), k):
+            for signs in product((1.0, -1.0), repeat=k):
+                v = np.zeros(3)
+                v[list(axes)] = signs
+                dirs.append(v / np.sqrt(float(k)))
     return tuple(tuple(map(float, v)) for v in dirs)
 
 

@@ -5,8 +5,9 @@ removed), in full double precision and fixed column order.  Every number,
 integer columns included, is written by one block formatter, ``format_rows``,
 whose bytes are exactly those of ``b"%.17g" % x`` for each value (an integer
 below 2**53 reads as with ``%d``).  The writers hand it blocks of at most
-``_BLOCK_VALUES`` values, so their memory does not grow with the length of
-the run, and it formats each block with array operations:
+``_BLOCK_VALUES`` values (the per-phase writer whole states, at least one),
+so their memory does not grow with the length of the run, and it formats
+each block with array operations:
 
 1. the decimal exponent ``k`` comes from ``log10``, corrected once so that the
    17-digit integer ``D = round(|x| 10**(16 - k))`` lies in [10**16, 10**17);
@@ -274,19 +275,17 @@ def write_phase_csv(states: list[REVState], phase_names: list[str], path: str) -
     name_keep = np.arange(width) < np.array([len(text) for text in encoded])[:, None]
 
     def blocks():
-        for lo, hi in _spans(len(states) * n, 20):
-            first = lo // n
-            part = states[first:-(-hi // n)]
-            values = np.empty((len(part), n, 20))
-            for rows, st in zip(values, part):
+        for lo, hi in _spans(len(states), 20 * max(n, 1)):  # n = 0: the header alone
+            values = np.empty((hi - lo, n, 20))
+            for rows, st in zip(values, states[lo:hi]):
                 rows[:, 0] = st.step
                 rows[:, 1:7] = st.strain
                 rows[:, 7:13] = st.plastic_strain
                 rows[:, 13:19] = st.stress
                 rows[:, 19] = st.multipliers > 0.0
             values[:, :, 1:19] *= _UNSCALE
-            chars, keep = _fields(values.reshape(-1, 20)[lo - first * n:hi - first * n])
-            phase = np.arange(lo, hi) % n
+            chars, keep = _fields(values.reshape(-1, 20))
+            phase = np.tile(np.arange(n), hi - lo)
             split = _FIELD  # after the step field
             yield np.hstack((chars[:, :split], names[phase], chars[:, split:]))[
                 np.hstack((keep[:, :split], name_keep[phase], keep[:, split:]))].tobytes()

@@ -48,6 +48,8 @@ def sym2_from_matrix(m: np.ndarray) -> np.ndarray:
 def sym2_to_matrix(v: np.ndarray) -> np.ndarray:
     """Convert a Mandel 6-vector back to the symmetric 3x3 matrix."""
     v = np.asarray(v, dtype=float)
+    if v.shape != (6,):
+        raise ValueError(f"expected a Mandel 6-vector, got shape {v.shape}")
     m = np.empty((3, 3))
     m[_PAIR_I, _PAIR_J] = m[_PAIR_J, _PAIR_I] = v / MANDEL_SCALE
     return m
@@ -77,13 +79,9 @@ def is_major_symmetric(t: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.abs(t - t.T).max() <= tol * scale)
 
 
-def iso_projectors() -> tuple[np.ndarray, np.ndarray]:
-    """Spherical and deviatoric projectors (J, K) with J + K = I."""
-    j = np.outer(IVEC, IVEC) / 3.0
-    return j, np.eye(6) - j
-
-
-J_PROJ, K_PROJ = iso_projectors()
+#: spherical and deviatoric projectors (J, K), J + K = I
+J_PROJ = np.outer(IVEC, IVEC) / 3.0
+K_PROJ = IDENTITY - J_PROJ
 for _constant in (MANDEL_SCALE, _PAIR_I, _PAIR_J, IVEC, IDENTITY, J_PROJ, K_PROJ):
     _constant.setflags(write=False)
 
@@ -99,12 +97,6 @@ def iso_stiffness(young: float, poisson: float) -> np.ndarray:
     k = young / (3.0 * (1.0 - 2.0 * poisson))
     mu = young / (2.0 * (1.0 + poisson))
     return 3.0 * k * J_PROJ + 2.0 * mu * K_PROJ
-
-
-def bulk_shear_moduli(c: np.ndarray) -> tuple[float, float]:
-    """(k, mu) projections of a stiffness; exact for isotropic input."""
-    c = np.asarray(c)
-    return float(np.tensordot(J_PROJ, c) / 3.0), float(np.tensordot(K_PROJ, c) / 10.0)
 
 
 def check_rotation(r: np.ndarray) -> np.ndarray:

@@ -1,8 +1,10 @@
+import inspect
 import re
 
 import numpy as np
 import pytest
 
+from revplast import eshelby, tensors
 from revplast.errors import MorphologyError
 from revplast.eshelby import (eshelby_tensor, eshelby_tensor_quadrature,
                               hill_tensor, hill_tensor_quadrature,
@@ -73,27 +75,35 @@ def test_series_window_against_quadrature(aspect):
 
 
 def test_hill_sphere_closed_form():
-    c0 = iso_stiffness(100.0, 0.25)
     alpha, beta = sphere_eshelby_coefficients(0.25)
     k, mu = 200.0 / 3.0, 40.0
-    p = hill_tensor(1.0, c0)
+    p = hill_tensor(1.0, 100.0, 0.25)
     oracle = (alpha / (3 * k)) * J_PROJ + (beta / (2 * mu)) * K_PROJ
     assert np.abs(p - oracle).max() < 1e-15
 
 
 def test_hill_major_symmetry_and_quadrature():
-    c0 = iso_stiffness(100.0, 0.25)
-    p = hill_tensor(0.35, c0)
+    p = hill_tensor(0.35, 100.0, 0.25)
     assert is_major_symmetric(p, tol=1e-12)
     p_quad = hill_tensor_quadrature(0.35, 100.0, 0.25)
     assert np.abs(p - p_quad).max() < 1e-10
 
 
+def test_both_routes_describe_the_matrix_by_young_and_poisson():
+    # the closed form takes the matrix as the quadrature does; no helper turns
+    # a stiffness back into moduli
+    def head(f):
+        return list(inspect.signature(f).parameters)[:3]
+    assert head(hill_tensor) == head(hill_tensor_quadrature) == ["aspect_ratio", "young",
+                                                                 "poisson"]
+    assert not hasattr(eshelby, "_isotropic_moduli")
+    assert not any(hasattr(tensors, name) for name in ("bulk_shear_moduli", "iso_projectors"))
+
+
 def test_hill_positive_definite():
     for aspect in (0.05, 0.35, 1.0, 3.0):
         for poisson in (0.0, 0.25, 0.45):
-            c0 = iso_stiffness(100.0, poisson)
-            eigs = np.linalg.eigvalsh(hill_tensor(aspect, c0))
+            eigs = np.linalg.eigvalsh(hill_tensor(aspect, 100.0, poisson))
             assert eigs.min() > 0.0
 
 
@@ -102,15 +112,10 @@ def test_invalid_inputs():
         eshelby_tensor(-0.5, 0.25)
     with pytest.raises(ValueError):
         eshelby_tensor(0.35, 0.6)
-    aniso = iso_stiffness(100.0, 0.25)
-    aniso = aniso.copy()
-    aniso[0, 0] *= 2.0
-    with pytest.raises(MorphologyError):
-        hill_tensor(0.35, aniso)
     # the closed forms over- or underflow: a typed error naming the aspect ratio
     for aspect in (1e-300, 1e-200, 1e-160, 1e150, 1e200):
         with pytest.raises(MorphologyError, match=re.escape(f"aspect ratio {aspect!r}")):
-            hill_tensor(aspect, iso_stiffness(100.0, 0.25))
+            hill_tensor(aspect, 100.0, 0.25)
 
 
 def test_quadrature_scale_invariance():

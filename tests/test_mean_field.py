@@ -43,7 +43,7 @@ def default_ops():
 
 def test_dilute_homogeneous_limit():
     c0 = iso_stiffness(E0, NU)
-    p = hill_tensor(0.35, c0)
+    p = hill_tensor(0.35, E0, NU)
     assert np.abs(dilute_concentration(p, c0, c0) - np.eye(6)).max() < 1e-14
 
 
@@ -51,7 +51,7 @@ def test_dilute_sphere_volumetric_part():
     # scalar oracle: a_J = 1/(1 + alpha*(k_i/k_0 - 1)) = 1/6 for a 10x contrast
     c0 = iso_stiffness(E0, NU)
     ci = iso_stiffness(EI, NU)
-    a = dilute_concentration(hill_tensor(1.0, c0), ci, c0)
+    a = dilute_concentration(hill_tensor(1.0, E0, NU), ci, c0)
     a_j = float(np.tensordot(J_PROJ, a))
     assert a_j == pytest.approx(1.0 / 6.0, rel=1e-13)
 
@@ -60,7 +60,7 @@ def test_dilute_rigid_inclusion_limit():
     # concentration vanishes like 1/E; the scaled tensor E*A has the
     # morphology-dependent limit (P : C_unit)^{-1}
     c0 = iso_stiffness(E0, NU)
-    p = hill_tensor(0.35, c0)
+    p = hill_tensor(0.35, E0, NU)
     norms = []
     for young in (1e3, 1e5, 1e7, 1e9):
         a = dilute_concentration(p, iso_stiffness(young, NU), c0)
@@ -107,7 +107,7 @@ def test_default_axial_modulus_against_scalar_oracle(default_ops):
     # orientation-averaged scalar Mori-Tanaka oracle on the J/K subspaces
     c0 = iso_stiffness(E0, NU)
     ci = iso_stiffness(EI, NU)
-    a_dil = dilute_concentration(hill_tensor(0.35, c0), ci, c0)
+    a_dil = dilute_concentration(hill_tensor(0.35, E0, NU), ci, c0)
     a_j = float(np.tensordot(J_PROJ, a_dil))
     a_k = float(np.tensordot(K_PROJ, a_dil)) / 5.0
     f = 0.143
@@ -150,7 +150,7 @@ def test_dilute_scheme_assembles():
     # no normalization: inclusion concentration is the dilute tensor itself,
     # the matrix concentration absorbs the strain average
     c0 = iso_stiffness(E0, NU)
-    a_dil = dilute_concentration(hill_tensor(0.35, c0), iso_stiffness(EI, NU), c0)
+    a_dil = dilute_concentration(hill_tensor(0.35, E0, NU), iso_stiffness(EI, NU), c0)
     assert np.abs(ops.concentration[1] - a_dil).max() < 1e-14
     assert ops.consistency_residuals[0] < 1e-10
     # classical dilute estimate C0 + f*(Ci - C0):A_dil

@@ -103,6 +103,17 @@ def test_default_scenario_phases():
     assert len(axes) == 26
 
 
+def test_cube26_order():
+    # the phases of a cube26 family follow this order: faces, edges, vertices
+    dirs = np.array(CUBE26)
+    assert dirs.shape == (26, 3)
+    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=0.0, atol=1e-15)
+    assert [int(np.count_nonzero(d)) for d in dirs] == [1] * 6 + [2] * 12 + [3] * 8
+    assert CUBE26[0] == (1.0, 0.0, 0.0)
+    assert CUBE26[6] == (1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0), 0.0)
+    assert CUBE26[-1] == (-1.0 / np.sqrt(3.0),) * 3
+
+
 def test_parse_good_document():
     sc = parse_scenario(GOOD)
     assert sc.matrix_young == 100.0
@@ -182,6 +193,8 @@ orientations = 1 0 0
      "^line 21: malformed integer '2.5'$", 21),
     (DEFAULT_DOC.replace("e12:0 n:100", "e12:0 n:0"),  # the LoadSegment error, on its line
      "^line 16: segment needs at least one increment$", 16),
+    (DEFAULT_DOC.replace("s11:0", "s11 0", 1),  # a token without its colon
+     "^line 16: malformed segment token 's11'$", 16),
     (DEFAULT_DOC.replace("[matrix]\nyoung_modulus = 100\npoisson_ratio = 0.25\n", ""),
      r"^missing required section \[matrix\]$", 0),
     (DEFAULT_DOC.replace("scheme = mori_tanaka", "scheme = bogus"),

@@ -1087,6 +1087,26 @@ def test_subdivision_cap_exhausts(monkeypatch):
         drive(ops, program, SolverSettings(max_subdivisions=3))
 
 
+def test_stress_control_miss_fails_the_attempt(monkeypatch):
+    # the check against mixed_tol is the last guard of the stress targets: a
+    # macro plastic strain off by 1e-6 in component 11 moves the stress-controlled
+    # s11 off its target once the inclusions yield, and the attempt fails there
+    real = solver_mod.macro_plastic_strain
+
+    def offset(ops_, eps_p):
+        macro = real(ops_, eps_p).copy()
+        macro[0] += 1e-6
+        return macro
+
+    monkeypatch.setattr(solver_mod, "macro_plastic_strain", offset)
+    sc = default_scenario()
+    with pytest.raises(StepFailureError) as info:
+        drive(default_ops(), sc.program, replace(sc.settings, max_subdivisions=0))
+    assert (info.value.segment, info.value.increment, info.value.depth) == (1, 41, 0)
+    assert str(info.value) == ("segment 1, increment 41, subdivision depth 0 (cap used up): "
+                               "stress-controlled components miss their targets by 1.537e-04")
+
+
 def test_segment_validation():
     with pytest.raises(ValueError):
         LoadSegment(targets=(0.0,) * 5, modes=(STRAIN,) * 6, increments=1)
