@@ -258,7 +258,7 @@ def eigen_response(ops: MeanFieldOperators, eigen_strains: np.ndarray) -> np.nda
 def eigen_stress_hom(ops: MeanFieldOperators, plastic_strains: np.ndarray) -> np.ndarray:
     """Macroscopic eigen-stress: fraction-weighted A^T : C : eps_p over phases."""
     stress = np.einsum("aij,aj->ai", ops.stiffness, np.asarray(plastic_strains, float))
-    return np.einsum("a,aji,aj->i", ops.fractions, ops.concentration, stress)
+    return (ops.fractions[:, None] * stress).ravel() @ ops.concentration.reshape(-1, 6)
 
 
 def upscale_stress(ops: MeanFieldOperators, macro_strain: np.ndarray,

@@ -1,10 +1,12 @@
 """Incremental multiscale return-mapping driver with mixed strain/stress control.
 
 Each increment is one nonlinear solve.  The stress-controlled macroscopic
-strain components are predicted exactly for an elastic step.  Plastic strains
+strain components are predicted exactly for an elastic step, by one 6x6 map
+of the load segment applied to what is left of the targets.  Plastic strains
 are eigen-strains of the Mori-Tanaka medium, which is linear, so an
 increment's phase fields are the converged ones plus their response to the
-increment.  The trial state adds the elastic response A_a d eps_bar with the
+increment.  The trial state adds the elastic response A_a d eps_bar, one
+matrix-vector product on the stacked (6n, 6) concentration matrix, with the
 plastic strains frozen and is accepted if no phase yields.  Otherwise the
 coupled return of the active phases, where every active stress depends on
 every phase's flow, is solved, and its converged iterate adds the response to
@@ -44,9 +46,9 @@ rest of the solve, and solving with them is a few matmuls.  So an iterate
 whose residual the last linearized step's contraction would take to the
 tolerance in two steps makes a chord step (the modified Newton method): it
 solves the kept linearization for its own residual instead of building a new
-one.  The residual goes through the same coupling vectors, so a whole
-iterate costs O(m); all n phases are evaluated once per converged iterate,
-for the joins and the state.
+one.  The residual goes through the same coupling vectors, each way by one
+matrix-vector product, so a whole iterate costs O(m); all n phases are
+evaluated once per converged iterate, for the joins and the state.
 
 Yield checks, Newton residuals and flow directions and the KKT check all call
 the batched Drucker-Prager kernel of ``plasticity``.  A Newton iterate
@@ -93,7 +95,10 @@ from .tensors import MANDEL_SCALE
 STRAIN = "strain"
 STRESS = "stress"
 
-STATE_TOL = 1e-10  # relative constitutive and strain-average residuals of a converged state
+# constitutive and strain-average residuals of a converged state, times
+# max(1, |sig|) and max(1, |eps_bar|): at the default scenario's scales
+# (|eps_bar| <= 1e-3, |sig| <= 0.14) both bounds are absolute
+STATE_TOL = 1e-10
 
 _EYE6 = np.eye(6)
 
@@ -224,11 +229,17 @@ def phase_stresses(ops: MeanFieldOperators, strains: np.ndarray,
     return np.einsum("aij,aj->ai", ops.stiffness, strains - plastic_strains)
 
 
+def _localized(ops: MeanFieldOperators, d_eps_bar: np.ndarray) -> np.ndarray:
+    """The phase strains A_a d_eps_bar (n, 6) of a macro strain increment: one
+    matrix-vector product on the stacked (6n, 6) concentration matrix."""
+    return (ops.concentration.reshape(-1, 6) @ d_eps_bar).reshape(-1, 6)
+
+
 def _trial_at(ops: MeanFieldOperators, state: REVState, eps_bar: np.ndarray):
     """Trial strains and stresses at ``eps_bar`` with the plastic strains of
     ``state`` frozen: the REV is then linear, so they are the converged fields
     plus the elastic response A_a (eps_bar - eps_bar_n) to the macro increment."""
-    d = np.einsum("aij,j->ai", ops.concentration, eps_bar - state.macro_strain)
+    d = _localized(ops, eps_bar - state.macro_strain)
     return state.strain + d, state.stress + np.einsum("aij,aj->ai", ops.stiffness, d)
 
 
@@ -255,7 +266,8 @@ class _StressControl:
     increments x_b of the return,
     sig_bar = sig_pred + C_hom[:, S] d eps_S - sum_b f_b A_b^T C_b x_b, so the
     targets hold for d eps_S = C_hom[S, S]^-1 sum_b f_b (A_b^T C_b x_b)_S.
-    Only the elastic predictor of an attempt depends on its state and targets.
+    Only the elastic predictor of an attempt depends on its state and targets,
+    through one 6x6 map of the segment.
     The segment's attempts share the last active system it built, and it
     counts the work of the current increment.
     """
@@ -263,9 +275,14 @@ class _StressControl:
     def __init__(self, ops, modes):
         self.ops = ops
         self.strain_mode = np.array([m == STRAIN for m in modes])
-        self.idx = np.flatnonzero(~self.strain_mode).tolist()
-        self.inverse = _inverse(ops.stiffness_hom[np.ix_(self.idx, self.idx)],
-                                "macro stiffness")
+        self.idx = np.flatnonzero(~self.strain_mode)
+        c_hom = ops.stiffness_hom
+        self.inverse = _inverse(c_hom[np.ix_(self.idx, self.idx)], "macro stiffness")
+        # the exact elastic predictor eps_bar - eps_bar_n = step @ (targets - controlled):
+        # the identity on the strain rows, C_hom[S, S]^-1 (r_S - C_hom[S, E] r_E) on S
+        self.step = _EYE6.copy()
+        self.step[self.idx] = self.inverse @ np.where(self.strain_mode, -c_hom[self.idx],
+                                                      _EYE6[self.idx])
         # trial-stress sensitivities C_a A_a[:, S] to the controlled strains, (n, 6, k)
         self.sens = ops.stiffness @ ops.concentration[:, :, self.idx]
         # controlled-strain corrections per unit eigen-strain increment,
@@ -304,12 +321,10 @@ class _StressControl:
         return np.where(self.strain_mode, state.macro_strain, state.macro_stress)
 
     def predict(self, state, targets):
-        """The exact elastic macro strain of the increment from ``state`` to ``targets``."""
-        c_hom = self.ops.stiffness_hom
-        eps = np.where(self.strain_mode, targets, state.macro_strain)
-        sig = state.macro_stress + c_hom @ (eps - state.macro_strain)
-        eps[self.idx] += self.inverse @ (targets[self.idx] - sig[self.idx])
-        return eps
+        """The exact elastic macro strain of the increment from ``state`` to
+        ``targets``; its strain-controlled components are the targets, bit for bit."""
+        eps = state.macro_strain + self.step @ (targets - self.controlled(state))
+        return np.where(self.strain_mode, targets, eps)
 
 
 class _ActiveSystem:
@@ -322,6 +337,10 @@ class _ActiveSystem:
     r_F,a = F(sig_a).  In the factored influence operator a phase's block
     couples to the others only through v = sum_b weighted_b x_b, which stacks
     w = sum_c f_c R_c C_c x_c, e and, when the matrix is active, y = C_0 x_0.
+    Both sides of that coupling are stored in the layout of their products:
+    ``weighted`` as (c, m, 6), so v is one matrix-vector product with the
+    stacked x, and ``stress_coupling``, the active stresses' response to v, as
+    (m, 6, c), so the coupling stresses are one matrix-vector product too.
     A system holds nothing that depends on an iterate or an increment, so the
     attempts of a load segment reuse it while their active set is the same.
     """
@@ -355,10 +374,8 @@ class _ActiveSystem:
             c0_rows[active.index(0)] = ops.stiffness[0]
             resp_mean = np.einsum("c,cij->ij", ops.fractions, ops.response)
             pairs.append((c0_rows, stiff @ resp - mix_stress @ resp_mean))
-        self.weighted = np.concatenate([p[0] for p in pairs], axis=1)
-        self.coupling = np.zeros((len(active), 7, self.weighted.shape[1]))
-        self.coupling[:, :6] = np.concatenate([p[1] for p in pairs], axis=2)
-        self.stress_coupling = self.coupling[:, :6]  # a view
+        self.weighted = np.concatenate([p[0].transpose(1, 0, 2) for p in pairs])
+        self.stress_coupling = np.concatenate([p[1] for p in pairs], axis=2)
 
     def stress_update(self, sig_tr, x_act, d_eps):
         """All-phase response to the active eigen-strain increments ``x_act`` (m, 6)
@@ -367,7 +384,9 @@ class _ActiveSystem:
         du = A[:, :, S] d_eps + eigen_response(x) and stresses sig_tr + C_a (du_a - x_a)."""
         x = np.zeros_like(sig_tr)
         x[self.index] = x_act
-        du = self.ops.concentration[:, :, self.idx] @ d_eps + eigen_response(self.ops, x)
+        e = np.zeros(6)
+        e[self.idx] = d_eps
+        du = _localized(self.ops, e) + eigen_response(self.ops, x)
         return x, du, sig_tr + phase_stresses(self.ops, du, x)
 
     def residual(self, sig_tr, sig_act, lam):
@@ -382,9 +401,10 @@ class _ActiveSystem:
         """
         mean, n_dev, eq = dp_direction(sig_act, self.strength)
         x = lam[:, None] * dp_flow_of(n_dev, self.pressure_g)
-        v = np.einsum("bij,bj->i", self.weighted, x)
+        n_coupling = len(self.weighted)
+        v = self.weighted.reshape(n_coupling, -1) @ x.ravel()
         sig = (sig_tr.take(self.index, axis=0) - np.einsum("aij,aj->ai", self.own, x)
-               - self.stress_coupling @ v)
+               - (self.stress_coupling.reshape(-1, n_coupling) @ v).reshape(-1, 6))
         res = np.empty((len(lam), 7))
         res[:, :6] = sig_act - sig
         res[:, 6] = dp_yield_of(mean, eq, self.tan_f, self.strength)
@@ -417,10 +437,10 @@ class _ActiveSystem:
         block[:, 6, :6] = dp_flow_of(point[0], self.pressure_f)
         inv_block = _inverse(block, "return-mapping system")
         del block
-        inv_coupling = inv_block @ self.coupling
+        inv_coupling = inv_block[:, :, :6] @ self.stress_coupling
         # coupling vectors: w = sum_c f_c R_c C_c dx_c, e = sum_c gain_c dx_c, y = C_0 dx_0
-        n_coupling = self.weighted.shape[1]
-        lead = (self.weighted @ flow).transpose(1, 0, 2).reshape(n_coupling, -1)
+        n_coupling = len(self.weighted)
+        lead = np.einsum("cbi,bij->cbj", self.weighted, flow).reshape(n_coupling, -1)
         schur = lead @ inv_coupling.reshape(-1, n_coupling) + np.eye(n_coupling)
         return _Linearization(inv_block, inv_coupling, lead,
                               _inverse(schur, "return-mapping system"))
@@ -595,7 +615,7 @@ def _solve_mixed_increment(ops, state, targets, control, settings, guess, before
         multipliers = np.zeros(ops.n_phases)
     sig_bar = ops.stiffness_hom @ (eps_bar - macro_plastic)
     miss = np.abs(sig_bar[control.idx] - targets[control.idx]).max(initial=0.0)
-    if miss > settings.mixed_tol * max(1.0, float(np.linalg.norm(sig_bar))):
+    if miss > settings.mixed_tol * max(1.0, math.sqrt(sig_bar @ sig_bar)):
         raise StepFailureError(
             f"stress-controlled components miss their targets by {miss:.3e}")
     new = REVState(step=state.step + 1, macro_strain=eps_bar, macro_stress=sig_bar,

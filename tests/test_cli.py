@@ -4,6 +4,8 @@ import io
 import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -62,6 +64,29 @@ def test_run_default_scenario(tmp_path, capsys):
     assert (tmp_path / "plot_axial.csv").exists()
     assert (tmp_path / "plot_lateral.csv").exists()
     assert len((tmp_path / "macro.csv").read_text().splitlines()) == 152
+
+
+def test_default_run_is_bitwise_the_same_at_one_and_two_blas_threads(tmp_path):
+    # the engine's matrix-vector products go through BLAS, which may split a
+    # product over its threads; the written numbers must not depend on that
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        runs[threads] = subprocess.Popen(
+            [sys.executable, "-m", "revplast.cli", "run", "--default-scenario", "--per-phase",
+             "--plot-data", "--output-dir", str(tmp_path / threads)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    for proc in runs.values():
+        assert proc.wait(timeout=60) == 0, proc.stderr.read().decode()
+        proc.stderr.close()
+    names = sorted(os.listdir(tmp_path / "1"))
+    assert names == ["macro.csv", "phases.csv", "plot_axial.csv", "plot_lateral.csv"]
+    assert names == sorted(os.listdir(tmp_path / "2"))
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_operators_residuals(capsys):
