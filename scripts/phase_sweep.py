@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
-"""Phase-count sweep of the return mapping: drive time and work counts per size.
+"""Phase-count sweep: operator assembly and drive times and work counts per size.
 
     PYTHONPATH=src python scripts/phase_sweep.py --out BENCH_4.json
 
 For 26, 100, 200 and 400 seeded random spheroid axes (plus the elastic
-matrix) it drives one fully strain-controlled segment of 30 increments in
-which every inclusion yields, the first segment of the ``wide_plastic``
-benchmark workload, with one BLAS thread.  Per size it records the best of
-``--repeats`` ``drive`` times and the work summed over the increment records
-of the states: attempts, Newton solves, linearizations and chord steps,
-active systems built, active-set revisions and subdivisions.  The JSON
-record also carries the Python and numpy versions and the host.
+matrix) it assembles the Mori-Tanaka operators and drives one fully
+strain-controlled segment of 30 increments in which every inclusion yields,
+the first segment of the ``wide_plastic`` benchmark workload, with one BLAS
+thread.  Per size it records every one of ``--repeats`` ``assemble_operators``
+times and ``drive`` times, the best of each, and the work summed over the
+increment records of the states: attempts, Newton solves, linearizations and
+chord steps, active systems built, active-set revisions and subdivisions.
+The JSON record also carries the Python and numpy versions and the host.
 """
 import os
 
@@ -61,19 +62,28 @@ def work(states) -> dict:
     return counts
 
 
-def run(n_axes: int, seed: int, repeats: int) -> dict:
-    ops = assemble_operators(phases(n_axes, seed))
+def timed(call, repeats: int):
+    """The result of the last of ``repeats`` calls of ``call`` and each call's wall time."""
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
-        states = drive(ops, PROGRAM)
+        result = call()
         times.append(time.perf_counter() - start)
+    return result, times
+
+
+def run(n_axes: int, seed: int, repeats: int) -> dict:
+    specs = phases(n_axes, seed)
+    ops, assemble_times = timed(lambda: assemble_operators(specs), repeats)
+    states, drive_times = timed(lambda: drive(ops, PROGRAM), repeats)
     return {
         "axes": n_axes,
         "phases": ops.n_phases,
         "increments": PROGRAM.total_increments,
-        "drive_s_best": min(times),
-        "drive_s_all": times,
+        "assemble_s_best": min(assemble_times),
+        "assemble_s_all": assemble_times,
+        "drive_s_best": min(drive_times),
+        "drive_s_all": drive_times,
         **work(states),
         "plastic_phases_final": int(sum(states[-1].active)),
         "final_macro_stress": states[-1].macro_stress.tolist(),
@@ -83,7 +93,8 @@ def run(n_axes: int, seed: int, repeats: int) -> dict:
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON record to write")
-    parser.add_argument("--repeats", type=int, default=3, help="timed drives per size")
+    parser.add_argument("--repeats", type=int, default=3,
+                        help="timed assemblies and drives per size")
     parser.add_argument("--seed", type=int, default=AXES_SEED, help="axes seed")
     args = parser.parse_args()
     if args.repeats < 1:
@@ -92,7 +103,8 @@ def main():
     for n_axes in SIZES:
         record = run(n_axes, args.seed, args.repeats)
         runs.append(record)
-        print(f"{n_axes:4d} axes: drive {record['drive_s_best']:.3f} s, "
+        print(f"{n_axes:4d} axes: assemble {1e3 * record['assemble_s_best']:.2f} ms, "
+              f"drive {record['drive_s_best']:.3f} s, "
               f"{record['newton_linearizations']} linearizations, "
               f"{record['chords']} chord steps, "
               f"{record['newton_solves']} Newton solves, "

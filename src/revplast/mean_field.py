@@ -148,27 +148,40 @@ def dilute_concentration(p_hill: np.ndarray, c_incl: np.ndarray,
 def _phase_tensors(phases: tuple[PhaseSpec, ...]):
     """Per-phase stiffness, dilute concentration and eigen-stress response operators.
 
-    Phases of equal aspect ratio share one local Hill tensor; only the rotation
-    into each phase's frame differs.
+    The inclusions fall into kinds, one per distinct (aspect ratio, E, nu),
+    numbered in order of first appearance.  Each distinct aspect ratio has one
+    local Hill tensor P_k, and each kind one stiffness C_k, dilute
+    concentration A_k and response A_k P_k; a phase takes its kind's C_k and
+    A_k, A_k P_k rotated into its own frame (Q C_k Q^T = C_k for an isotropic
+    C_k, so the rotation commutes with the inverse).
     """
-    cmats = np.stack([p.stiffness() for p in phases])
-    c0, young, poisson = cmats[0], phases[0].young_modulus, phases[0].poisson_ratio
-    spheroids = [p.spheroid for p in phases[1:]]
-    aspects, family = np.unique([s.aspect_ratio for s in spheroids], return_inverse=True)
-    p_loc = np.reshape([hill_tensor(w, young, poisson) for w in aspects],
-                       (-1, 6, 6))[family]
-    rot = rotation_operator(rotation_to_axis(np.reshape([s.axis for s in spheroids], (-1, 3))))
-    p_glob = rot @ p_loc @ np.swapaxes(rot, -1, -2)
-    a_dil = np.empty_like(cmats)
-    resp = np.zeros_like(cmats)  # R_a = A_dil,a P_a: phase strain per unit polarization
-    a_dil[0] = IDENTITY
+    c0, young, poisson = phases[0].stiffness(), phases[0].young_modulus, phases[0].poisson_ratio
+    incl = phases[1:]
+    spheroids = [p.spheroid for p in incl]
+    keys = np.array([[s.aspect_ratio for s in spheroids], [p.young_modulus for p in incl],
+                     [p.poisson_ratio for p in incl]], dtype=float).T
+    _, first, kind = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # kinds in order of first appearance
+    first, kind = first[order], np.argsort(order)[kind.reshape(-1)]
+    keys = keys[first]
+    aspects = keys[:, 0].tolist()
+    hill = {w: hill_tensor(w, young, poisson) for w in set(aspects)}
+    p_loc = np.array([hill[w] for w in aspects]).reshape(-1, 6, 6)
+    c_kind = np.array([iso_stiffness(e, nu) for _, e, nu in keys.tolist()]).reshape(-1, 6, 6)
     try:
-        a_dil[1:] = dilute_concentration(p_glob, cmats[1:], c0)
+        a_kind = dilute_concentration(p_loc, c_kind, c0)
     except SingularOperatorError as exc:
         raise MorphologyError(
-            f"phase {phases[1 + exc.index].name!r}: dilute concentration singular "
+            f"phase {phases[1 + first[exc.index]].name!r}: dilute concentration singular "
             f"for this morphology/stiffness pair: {exc}") from exc
-    resp[1:] = a_dil[1:] @ p_glob
+    # per kind, A_k and R_k = A_k P_k: phase strain per unit polarization
+    local = np.stack([a_kind, a_kind @ p_loc], axis=1)[kind]
+    axes = np.reshape([s.axis for s in spheroids], (-1, 3))
+    rot = rotation_operator(rotation_to_axis(axes))[:, None]
+    glob = rot @ local @ np.swapaxes(rot, -1, -2)
+    cmats = np.concatenate([c0[None], c_kind[kind]])
+    a_dil = np.concatenate([IDENTITY[None], glob[:, 0]])
+    resp = np.concatenate([np.zeros((1, 6, 6)), glob[:, 1]])
     return cmats, a_dil, resp
 
 
@@ -193,7 +206,7 @@ def assemble_operators(phases, scheme: str = "mori_tanaka") -> MeanFieldOperator
     mix = lead @ ten4_inv(np.einsum("a,aij->ij", f, lead))
     conc = a_dil + mix @ (IDENTITY - np.einsum("a,aij->ij", f, a_dil))
 
-    c_hom = np.einsum("a,aij,ajk->ik", f, cmats, conc)
+    c_hom = np.einsum("a,aij->ij", f, cmats @ conc)
     asym = np.abs(c_hom - c_hom.T).max()
     if asym > 1e-8 * np.abs(c_hom).max():
         hint = ("" if scheme == "dilute" else
@@ -218,8 +231,8 @@ def assemble_operators(phases, scheme: str = "mori_tanaka") -> MeanFieldOperator
 
     index = np.array([a for a, p in enumerate(phases) if p.plastic is not None], dtype=np.intp)
     models = [phases[a].plastic for a in index]
-    tan_f = np.array([np.tan(m.friction_angle) for m in models])
-    tan_g = np.array([np.tan(m.potential_angle) for m in models])
+    tan_f = np.tan(np.array([m.friction_angle for m in models], dtype=float))
+    tan_g = np.tan(np.array([m.potential_angle for m in models], dtype=float))
     s0 = np.array([m.shear_strength for m in models])
     yield_tol = YIELD_TOL * s0
 

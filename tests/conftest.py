@@ -28,6 +28,7 @@ WORK_SITES = {
     "_Linearization.solve": (solver_mod._Linearization,),
     "eigen_response": (solver_mod, mean_field),
     "hill_tensor": (mean_field,),
+    "dilute_concentration": (mean_field,),
 }
 
 

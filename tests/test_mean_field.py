@@ -19,7 +19,7 @@ from revplast.orientations import rotation_to_axis
 from revplast.plasticity import YIELD_TOL, DruckerPrager
 from revplast.scenario import default_scenario
 from revplast.selfcheck import hashin_shtrikman_spheres, homogeneous_limit_gap, levin_gaps
-from revplast.tensors import J_PROJ, K_PROJ, iso_stiffness
+from revplast.tensors import J_PROJ, K_PROJ, iso_stiffness, rotation_operator
 
 E0, NU = 100.0, 0.25
 EI = 1000.0
@@ -161,6 +161,23 @@ def test_dilute_scheme_assembles():
         ops = assemble_operators([matrix_phase(1.0 - f), spheroid_phase("i", f)],
                                  scheme="dilute")
         assert max(ops.consistency_residuals) <= 1e-14
+    # two materials crossed with two shapes, interleaved on random axes: each
+    # inclusion's operators against its own frame's Hill tensor Q P Q^T
+    rng = np.random.default_rng(29)
+    kinds = [(young, nu, aspect) for young, nu in ((1000.0, 0.25), (3000.0, 0.3))
+             for aspect in (0.35, 3.0)]
+    phases = [matrix_phase(0.76)] + [
+        PhaseSpec(f"i{k}", 0.02, young, nu, spheroid=Spheroid(aspect, tuple(rng.normal(size=3))))
+        for k, (young, nu, aspect) in enumerate(kinds * 3)]
+    ops = assemble_operators(phases, scheme="dilute")
+    for a, phase in enumerate(phases[1:], 1):
+        rot = rotation_operator(rotation_to_axis(phase.spheroid.axis))
+        p_glob = rot @ hill_tensor(phase.spheroid.aspect_ratio, E0, NU) @ rot.T
+        c_a = iso_stiffness(phase.young_modulus, phase.poisson_ratio)
+        a_dil = dilute_concentration(p_glob, c_a, c0)
+        for got, ref in ((ops.concentration[a], a_dil), (ops.response[a], a_dil @ p_glob),
+                         (ops.stiffness[a], c_a)):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), phase.name
 
 
 def test_mori_tanaka_close_to_dilute_at_small_fraction():
@@ -181,7 +198,7 @@ def test_assembly_follows_phase_order_and_axis_sign(monkeypatch, scheme):
     # two interleaved families of one material (Mori-Tanaka keeps C_hom
     # symmetric only then); reordering the phases and reversing every axis
     # (a spheroid is unchanged by it) must only permute the operators, and each
-    # family's Hill tensor is computed once per assembly
+    # family's Hill tensor and dilute concentration are computed once per assembly
     work = record_work(monkeypatch)
     rng = np.random.default_rng(13)
     n = 12
@@ -196,6 +213,8 @@ def test_assembly_follows_phase_order_and_axis_sign(monkeypatch, scheme):
             tuple(-x for x in phases[1 + k].spheroid.axis))) for k in perm]
     ops = assemble_operators(phases, scheme=scheme)
     assert len(work.calls("hill_tensor")) == 2
+    # one dilute concentration conditioned per kind of inclusion, not per phase
+    assert sum(len(args[0]) for args in work.calls("dilute_concentration")) == 2
     ops_flipped = assemble_operators(flipped, scheme=scheme)
     assert len(work.calls("hill_tensor")) == 4
     order = np.concatenate([[0], 1 + perm])
@@ -228,6 +247,14 @@ def test_singular_dilute_concentration_names_phase():
     phases = [matrix_phase(0.9), spheroid_phase("stiff", 0.05),
               spheroid_phase("crack", 0.05, young=1e-14, aspect=1e-12)]
     with pytest.raises(MorphologyError, match="phase 'crack'"):
+        assemble_operators(phases)
+    # two singular kinds: the first in phase order is named, although the
+    # later one is worse conditioned (~3.5e12)
+    phases = [matrix_phase(0.85),
+              spheroid_phase("crack_a", 0.05, young=1e-14, aspect=1e-12),
+              spheroid_phase("stiff", 0.05),
+              spheroid_phase("crack_b", 0.05, axis=(1, 0, 0), young=1e-14, aspect=5e-13)]
+    with pytest.raises(MorphologyError, match="phase 'crack_a'"):
         assemble_operators(phases)
 
 

@@ -48,22 +48,23 @@ def test_refinement_study_converges_at_first_order():
 
 
 def test_phase_sweep_counts_its_work(monkeypatch):
-    # the sweep sums the increment records of its states; pin its counts on
-    # the smallest size (30 linearizations and 41 chord steps while the
-    # convergence test took F at the recomputed stresses in place of the
-    # residual's F at the iterate)
+    # the sweep times each assembly and drive and sums the increment records
+    # of its states; pin its counts on the smallest size (30 linearizations
+    # and 41 chord steps while the convergence test took F at the recomputed
+    # stresses in place of the residual's F at the iterate)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")  # the script pins them; restored afterwards
     spec = importlib.util.spec_from_file_location(
         "phase_sweep", os.path.join(ROOT, "scripts", "phase_sweep.py"))
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
-    ops = sweep.assemble_operators(sweep.phases(26, sweep.AXES_SEED))
-    states = sweep.drive(ops, sweep.PROGRAM)
-    counts = sweep.work(states)
-    assert len(states) == 31
-    assert (counts["newton_solves"], counts["newton_linearizations"], counts["chords"],
-            counts["subdivisions"]) == (20, 32, 37, 0)
+    record = sweep.run(26, sweep.AXES_SEED, 2)
+    assert (record["phases"], record["attempts"]) == (27, 30)
+    assert (record["newton_solves"], record["newton_linearizations"], record["chords"],
+            record["subdivisions"]) == (20, 32, 37, 0)
+    for stage in ("assemble", "drive"):
+        times = record[f"{stage}_s_all"]
+        assert len(times) == 2 and record[f"{stage}_s_best"] == min(times) > 0.0
 
 
 def test_phase_sweep_refuses_no_repeats(tmp_path):
