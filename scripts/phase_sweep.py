@@ -7,10 +7,11 @@ For 26, 100, 200 and 400 seeded random spheroid axes (plus the elastic
 matrix) it assembles the Mori-Tanaka operators and drives one fully
 strain-controlled segment of 30 increments in which every inclusion yields,
 the first segment of the ``wide_plastic`` benchmark workload, with one BLAS
-thread.  Per size it records every one of ``--repeats`` ``assemble_operators``
-times and ``drive`` times, the best of each, and the work summed over the
-increment records of the states: attempts, Newton solves, linearizations and
-chord steps, active systems built, active-set revisions and subdivisions.
+thread.  Per size it makes one untimed ``assemble_operators`` call and one
+untimed ``drive`` call, then records the times of ``--repeats`` further calls
+of each, the best of each, and the work summed over the increment records of
+the states: attempts, Newton solves, linearizations and chord steps, active
+systems built, active-set revisions and subdivisions.
 The JSON record also carries the Python and numpy versions and the host.
 """
 import os
@@ -63,7 +64,10 @@ def work(states) -> dict:
 
 
 def timed(call, repeats: int):
-    """The result of the last of ``repeats`` calls of ``call`` and each call's wall time."""
+    """The result of the last of ``repeats`` timed calls of ``call`` and each
+    timed call's wall time, after one untimed call: the first call at a size
+    pays for cold caches and first-use allocations that later calls do not."""
+    call()
     times = []
     for _ in range(repeats):
         start = time.perf_counter()

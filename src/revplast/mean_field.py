@@ -84,9 +84,6 @@ class PhaseSpec:
     def is_matrix(self) -> bool:
         return self.spheroid is None
 
-    def stiffness(self) -> np.ndarray:
-        return iso_stiffness(self.young_modulus, self.poisson_ratio)
-
 
 def validate_phases(phases) -> tuple[PhaseSpec, ...]:
     phases = tuple(phases)
@@ -155,7 +152,8 @@ def _phase_tensors(phases: tuple[PhaseSpec, ...]):
     A_k, A_k P_k rotated into its own frame (Q C_k Q^T = C_k for an isotropic
     C_k, so the rotation commutes with the inverse).
     """
-    c0, young, poisson = phases[0].stiffness(), phases[0].young_modulus, phases[0].poisson_ratio
+    young, poisson = phases[0].young_modulus, phases[0].poisson_ratio
+    c0 = iso_stiffness(young, poisson)
     incl = phases[1:]
     spheroids = [p.spheroid for p in incl]
     keys = np.array([[s.aspect_ratio for s in spheroids], [p.young_modulus for p in incl],
@@ -246,6 +244,12 @@ def assemble_operators(phases, scheme: str = "mori_tanaka") -> MeanFieldOperator
                               consistency_residuals=(float(res_a), float(res_b)))
 
 
+def concentrate(ops: MeanFieldOperators, macro_strain: np.ndarray) -> np.ndarray:
+    """The phase strains A_a eps_bar (n, 6) of a macro strain: one matrix-vector
+    product on the stacked (6n, 6) concentration matrix."""
+    return (ops.concentration.reshape(-1, 6) @ macro_strain).reshape(-1, 6)
+
+
 def localize(ops: MeanFieldOperators, macro_strain: np.ndarray,
              plastic_strains: np.ndarray) -> np.ndarray:
     """Per-phase strain estimates from the macroscopic strain and all eigen-strains."""
@@ -253,7 +257,7 @@ def localize(ops: MeanFieldOperators, macro_strain: np.ndarray,
     if plastic_strains.shape != (ops.n_phases, 6):
         raise ValueError(f"expected plastic strains of shape {(ops.n_phases, 6)}, "
                          f"got {plastic_strains.shape}")
-    return (np.einsum("aij,j->ai", ops.concentration, np.asarray(macro_strain, float))
+    return (concentrate(ops, np.asarray(macro_strain, float))
             + eigen_response(ops, plastic_strains))
 
 
@@ -268,20 +272,17 @@ def eigen_response(ops: MeanFieldOperators, eigen_strains: np.ndarray) -> np.nda
                          np.einsum("a,ai...->i...", ops.fractions, u))
 
 
-def eigen_stress_hom(ops: MeanFieldOperators, plastic_strains: np.ndarray) -> np.ndarray:
-    """Macroscopic eigen-stress: fraction-weighted A^T : C : eps_p over phases."""
-    stress = np.einsum("aij,aj->ai", ops.stiffness, np.asarray(plastic_strains, float))
-    return (ops.fractions[:, None] * stress).ravel() @ ops.concentration.reshape(-1, 6)
-
-
 def upscale_stress(ops: MeanFieldOperators, macro_strain: np.ndarray,
                    plastic_strains: np.ndarray) -> np.ndarray:
-    """Macroscopic stress from the homogenized law with upscaled eigen-stress."""
-    return ops.stiffness_hom @ np.asarray(macro_strain, float) - eigen_stress_hom(
-        ops, plastic_strains)
+    """Macroscopic stress C_hom (eps_bar - eps_bar_p) of the homogenized law."""
+    return ops.stiffness_hom @ (np.asarray(macro_strain, float)
+                                - macro_plastic_strain(ops, plastic_strains))
 
 
 def macro_plastic_strain(ops: MeanFieldOperators,
                          plastic_strains: np.ndarray) -> np.ndarray:
-    """Macroscopic plastic strain: homogenized compliance applied to the eigen-stress."""
-    return np.linalg.solve(ops.stiffness_hom, eigen_stress_hom(ops, plastic_strains))
+    """Macroscopic plastic strain: the homogenized compliance applied to the
+    Levin eigen-stress, fraction-weighted A^T : C : eps_p over phases."""
+    stress = np.einsum("aij,aj->ai", ops.stiffness, np.asarray(plastic_strains, float))
+    return np.linalg.solve(ops.stiffness_hom, (ops.fractions[:, None] * stress).ravel()
+                           @ ops.concentration.reshape(-1, 6))

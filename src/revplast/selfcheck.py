@@ -6,9 +6,12 @@ the code paths they verify: quadrature against closed forms, a textbook
 radial-return integrator against the coupled solver (macro stress and
 plastic strain, every phase's stress and plastic strain, and the
 multipliers), and exact limit, two-material (Levin) and Hashin-Shtrikman
-identities against the assembled operators.  The residual functions
-``homogeneous_limit_gap``, ``radial_return_gap`` and ``levin_gaps`` take
-their case, so the test suite evaluates the same oracles on its own cases.
+identities against the assembled operators.  ``localize`` and
+``upscale_stress`` run the concentration product and the macro plastic strain
+the solver calls, so the Levin identities check the engine's own maps.  The
+residual functions ``homogeneous_limit_gap``, ``radial_return_gap`` and
+``levin_gaps`` take their case, so the test suite evaluates the same oracles
+on its own cases.
 The CSV number formatter is compared with Python's ``%.17g`` on
 ``number_format_cases``, because its exactness rests on the platform's IEEE
 double arithmetic.

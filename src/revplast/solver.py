@@ -5,8 +5,8 @@ strain components are predicted exactly for an elastic step, by one 6x6 map
 of the load segment applied to what is left of the targets.  Plastic strains
 are eigen-strains of the Mori-Tanaka medium, which is linear, so an
 increment's phase fields are the converged ones plus their response to the
-increment.  The trial state adds the elastic response A_a d eps_bar, one
-matrix-vector product on the stacked (6n, 6) concentration matrix, with the
+increment.  The trial state adds the elastic response A_a d eps_bar
+(``mean_field.concentrate``, one matrix-vector product), with the
 plastic strains frozen and is accepted if no phase yields.  Otherwise the
 coupled return of the active phases, where every active stress depends on
 every phase's flow, is solved, and its converged iterate adds the response to
@@ -87,7 +87,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ApexSingularityError, StepFailureError
-from .mean_field import MeanFieldOperators, eigen_response, macro_plastic_strain
+from .mean_field import (MeanFieldOperators, concentrate, eigen_response,
+                         macro_plastic_strain)
 from .plasticity import (dp_direction, dp_flow_gradient_of, dp_flow_of, dp_pressure_term,
                          dp_yield, dp_yield_of)
 from .tensors import MANDEL_SCALE
@@ -229,17 +230,11 @@ def phase_stresses(ops: MeanFieldOperators, strains: np.ndarray,
     return np.einsum("aij,aj->ai", ops.stiffness, strains - plastic_strains)
 
 
-def _localized(ops: MeanFieldOperators, d_eps_bar: np.ndarray) -> np.ndarray:
-    """The phase strains A_a d_eps_bar (n, 6) of a macro strain increment: one
-    matrix-vector product on the stacked (6n, 6) concentration matrix."""
-    return (ops.concentration.reshape(-1, 6) @ d_eps_bar).reshape(-1, 6)
-
-
 def _trial_at(ops: MeanFieldOperators, state: REVState, eps_bar: np.ndarray):
     """Trial strains and stresses at ``eps_bar`` with the plastic strains of
     ``state`` frozen: the REV is then linear, so they are the converged fields
     plus the elastic response A_a (eps_bar - eps_bar_n) to the macro increment."""
-    d = _localized(ops, eps_bar - state.macro_strain)
+    d = concentrate(ops, eps_bar - state.macro_strain)
     return state.strain + d, state.stress + np.einsum("aij,aj->ai", ops.stiffness, d)
 
 
@@ -386,7 +381,7 @@ class _ActiveSystem:
         x[self.index] = x_act
         e = np.zeros(6)
         e[self.idx] = d_eps
-        du = _localized(self.ops, e) + eigen_response(self.ops, x)
+        du = concentrate(self.ops, e) + eigen_response(self.ops, x)
         return x, du, sig_tr + phase_stresses(self.ops, du, x)
 
     def residual(self, sig_tr, sig_act, lam):

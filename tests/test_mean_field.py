@@ -7,6 +7,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import revplast.mean_field as mean_field
+import revplast.selfcheck as selfcheck
 import revplast.solver as solver_mod
 from conftest import record_work
 from revplast.errors import MorphologyError
@@ -438,8 +439,10 @@ def test_stress_forms_agree(default_ops):
     rng = np.random.default_rng(7)
     eps_bar = rng.normal(size=6) * 1e-3
     eps_p = rng.normal(size=(default_ops.n_phases, 6)) * 1e-4
-    sig_a = upscale_stress(default_ops, eps_bar, eps_p)
-    sig_b = default_ops.stiffness_hom @ (eps_bar - macro_plastic_strain(default_ops, eps_p))
+    eigen_stress = np.einsum("a,aji,ajk,ak->i", default_ops.fractions,
+                             default_ops.concentration, default_ops.stiffness, eps_p)
+    sig_a = default_ops.stiffness_hom @ eps_bar - eigen_stress
+    sig_b = upscale_stress(default_ops, eps_bar, eps_p)
     assert np.abs(sig_a - sig_b).max() < 1e-12
 
 
@@ -481,6 +484,34 @@ def test_levin_two_material_eigen_stress(scheme, aspect):
                              scheme=scheme)
     eps_1, eps_2 = np.random.default_rng(15).normal(size=(2, 6)) * 1e-3
     assert max(levin_gaps(ops, eps_1, eps_2)) <= 1e-12
+
+
+def test_levin_oracles_check_the_maps_the_solver_runs(monkeypatch):
+    # one copy of each macro<->phase map: the solver calls the concentration
+    # product and the macro plastic strain that localize and upscale_stress,
+    # and so the Levin oracles of ``revplast check``, run; a fault in either
+    # fails an oracle
+    assert solver_mod.concentrate is mean_field.concentrate
+    assert solver_mod.macro_plastic_strain is mean_field.macro_plastic_strain
+    assert not hasattr(solver_mod, "_localized")
+    assert not hasattr(mean_field, "eigen_stress_hom")
+    assert not hasattr(PhaseSpec, "stiffness")
+    for check in (selfcheck.check_levin_uniform_field, selfcheck.check_levin_eigen_stress):
+        _, residual, tol = check()
+        assert residual <= tol
+
+    def transposed(ops, macro_strain):
+        return np.einsum("aji,j->ai", ops.concentration, macro_strain)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(mean_field, "concentrate", transposed)
+        _, residual, tol = selfcheck.check_levin_uniform_field()
+        assert residual > tol
+    real = mean_field.macro_plastic_strain
+    monkeypatch.setattr(mean_field, "macro_plastic_strain",
+                        lambda ops, plastic_strains: 2.0 * real(ops, plastic_strains))
+    _, residual, tol = selfcheck.check_levin_eigen_stress()
+    assert residual > tol
 
 
 def distinct(ratio):

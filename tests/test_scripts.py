@@ -58,12 +58,25 @@ def test_phase_sweep_counts_its_work(monkeypatch):
         "phase_sweep", os.path.join(ROOT, "scripts", "phase_sweep.py"))
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
+    calls = {"assemble": 0, "drive": 0}
+
+    def counted(stage, func):
+        def call(*args):
+            calls[stage] += 1
+            return func(*args)
+        return call
+
+    # each stage makes one untimed warm-up call before its timed ones
+    monkeypatch.setattr(sweep, "assemble_operators",
+                        counted("assemble", sweep.assemble_operators))
+    monkeypatch.setattr(sweep, "drive", counted("drive", sweep.drive))
     record = sweep.run(26, sweep.AXES_SEED, 2)
     assert (record["phases"], record["attempts"]) == (27, 30)
     assert (record["newton_solves"], record["newton_linearizations"], record["chords"],
             record["subdivisions"]) == (20, 32, 37, 0)
     for stage in ("assemble", "drive"):
         times = record[f"{stage}_s_all"]
+        assert calls[stage] == 3
         assert len(times) == 2 and record[f"{stage}_s_best"] == min(times) > 0.0
 
 
