@@ -27,12 +27,10 @@ the linear extrapolation of the last two converged states (the secant
 predictor): the multipliers max(2 lam_n - lam_n-1, 0) of the phases active
 before, else lam_n, and flow directions at 2 sig_n - sig_n-1; a segment's
 increments are equal steps, so 2 and -1 are the exact coefficients.  Every
-other attempt takes its start's directions at the trial stresses: a segment's
-first increment starts from the previous multipliers, a half of a failed part
-of an increment from half that part's guess, and the part after a converged
-part from that part's multipliers.  On the default scenario the 60 plastic
-increments take 68 linearizations and 31 chord steps (below), and 4 systems
-are built.
+other attempt, a segment's first increment and each part of a subdivided
+increment, starts cold: zero multipliers and directions at the trial
+stresses.  On the default scenario the 60 plastic increments take 68
+linearizations and 31 chord steps (below), and 4 systems are built.
 
 The Newton method is linearized consistently, with the flow-direction
 derivative d n / d sig, so it converges quadratically.  Because the
@@ -469,14 +467,14 @@ def _chord(err, rate):
 
 def _newton_multipliers(ops, sig_tr, active, settings, control, lam, sig_dir=None):
     """Solve the coupled return under the stress control of ``control`` from
-    the candidate phases ``active`` and their guess ``lam``, revising the
+    the candidate phases ``active`` and their start ``lam``, revising the
     active set between iterates; returns the final set and multipliers, the
     converged iterate's controlled-strain corrections and its ``stress_update``,
     (active, lam, x, d_eps, du, stresses).
 
     Newton on the active stresses and multipliers from the trial state
     ``sig_tr`` at the predicted macro strain, starting at the stresses the
-    guessed multipliers give with flow directions at the candidates' stresses
+    start multipliers give with flow directions at the candidates' stresses
     ``sig_dir`` (m, 6), by default their trial stresses;
     every iterate carries the controlled-strain corrections d_eps of its flow.
     An iterate has converged once its residual (r_sig and F at the iterate)
@@ -572,20 +570,22 @@ def validate_state(ops: MeanFieldOperators, state: REVState) -> None:
         raise StepFailureError("macro stress forms disagree beyond roundoff")
 
 
-def _solve_mixed_increment(ops, state, targets, control, settings, guess, before=None):
+def _solve_mixed_increment(ops, state, targets, control, settings, before=None):
     """One attempt at the increment from ``state`` to ``targets`` under the
-    segment's ``control``, whose Newton solve starts from the multipliers ``guess`` (n,).
+    segment's ``control``.
 
     The trial state at the exact elastic predictor is accepted if no phase
     yields; otherwise one Newton solve, which revises the active set as it
     goes, returns the coupled return with the stress-controlled strains
-    eliminated.  Given the converged state ``before`` one equal step before
-    ``state``, the solve starts from the linear extrapolation of the two over
-    the candidate phases instead: multipliers max(2 lam_n - lam_n-1, 0) where
-    the phase was active before, else ``guess``, and flow directions at
-    2 sig_n - sig_n-1.  Returns the new state once ``validate_state`` accepts it;
-    raises StepFailureError (the caller then subdivides) when the solve fails,
-    an active phase reaches the cone apex or the state is rejected.
+    eliminated.  The solve starts cold, from zero multipliers with flow
+    directions at the trial stresses, unless it is given the converged state
+    ``before`` one equal step before ``state``: it then starts from the linear
+    extrapolation of the two over the candidate phases, multipliers
+    max(2 lam_n - lam_n-1, 0) where the phase was active before, else lam_n,
+    and flow directions at 2 sig_n - sig_n-1.  Returns the new state once
+    ``validate_state`` accepts it; raises StepFailureError (the caller then
+    subdivides) when the solve fails, an active phase reaches the cone apex or
+    the state is rejected.
     """
     eps_bar = control.predict(state, targets)
     strains, stresses = _trial_at(ops, state, eps_bar)
@@ -593,10 +593,10 @@ def _solve_mixed_increment(ops, state, targets, control, settings, guess, before
     eps_p, macro_plastic = state.plastic_strain, state.macro_plastic
     multipliers = state.multipliers
     if active:
-        index = np.array(active, dtype=np.intp)
-        lam, sig_dir = guess.take(index), None
+        lam, sig_dir = np.zeros(len(active)), None
         if before is not None:  # the secant predictor
-            lam_before = before.multipliers.take(index)
+            index = np.array(active, dtype=np.intp)
+            lam, lam_before = state.multipliers.take(index), before.multipliers.take(index)
             lam = np.where(lam_before > 0.0, np.maximum(2.0 * lam - lam_before, 0.0), lam)
             sig_dir = 2.0 * state.stress.take(index, axis=0) - before.stress.take(index, axis=0)
         active, lam, x, d_eps, du, stresses = _newton_multipliers(
@@ -625,14 +625,13 @@ def _advance_with_subdivision(ops, state, targets, control, settings, before=Non
     depth-first from the last converged state, and a failed part is replaced by
     its two halves up to the subdivision cap.  The parts make one step of the
     history.  Only the first attempt, at the whole increment, extrapolates from
-    ``before``, the state one equal step before ``state``."""
+    ``before``, the state one equal step before ``state``; every part starts cold."""
     control.begin()  # counted across all attempts: the last part's record is the increment's
-    start, guess, pending = state, state.multipliers, [(targets, 0)]
+    start, pending = state, [(targets, 0)]
     while pending:
         end, depth = pending.pop()
         try:
-            start = _solve_mixed_increment(ops, start, end, control, settings, guess, before)
-            guess = start.multipliers
+            start = _solve_mixed_increment(ops, start, end, control, settings, before)
         except StepFailureError as exc:
             if depth >= settings.max_subdivisions:
                 exc.depth = depth
@@ -641,7 +640,6 @@ def _advance_with_subdivision(ops, state, targets, control, settings, before=Non
             control.depth = max(control.depth, depth + 1)
             mid = 0.5 * (control.controlled(start) + end)
             pending += [(end, depth + 1), (mid, depth + 1)]  # the first half on top
-            guess = 0.5 * guess
         before = None
     return start if control.depth == 0 else replace(start, step=state.step + 1)
 

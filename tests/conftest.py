@@ -85,16 +85,16 @@ def record_work(mp):
 
 def inject_failures(mp, fails):
     """Make each increment attempt do its work, then raise StepFailureError
-    where ``fails(state, targets, guess)`` holds, with the MonkeyPatch ``mp``;
-    returns the ``(state, targets, guess, before)`` of each attempt as they
-    happen, ``before`` being the state the attempt extrapolates from, or None."""
+    where ``fails(state, targets)`` holds, with the MonkeyPatch ``mp``;
+    returns the ``(state, targets, before)`` of each attempt as they happen,
+    ``before`` being the state the attempt extrapolates from, or None."""
     real_attempt = solver_mod._solve_mixed_increment
     seen = []
 
-    def attempt(ops, state, targets, control, settings, guess, before=None):
-        seen.append((state, targets, guess, before))
-        new = real_attempt(ops, state, targets, control, settings, guess, before)
-        if fails(state, targets, guess):
+    def attempt(ops, state, targets, control, settings, before=None):
+        seen.append((state, targets, before))
+        new = real_attempt(ops, state, targets, control, settings, before)
+        if fails(state, targets):
             raise StepFailureError("failure injected by the test")
         return new
 

@@ -15,6 +15,7 @@ import pytest
 import revplast.plasticity as plasticity
 import revplast.solver as solver_mod
 from conftest import STATE_FIELDS, WorkLog, inject_failures, record_work
+from revplast.errors import StepFailureError
 from revplast.mean_field import (PhaseSpec, Spheroid, assemble_operators, localize,
                                  upscale_stress)
 from revplast.plasticity import DruckerPrager, dp_direction, dp_flow_of, dp_pressure_term
@@ -321,9 +322,10 @@ def test_shared_criterion_is_the_strength_domain(friction):
             assert abs(cone_value(final.macro_stress, friction, s0)[0]) <= 1e-10 * s0
 
 
-def random_scenario(seed):
+def random_scenario(seed, scale=1.0):
     """Mori-Tanaka-symmetric phases (one spheroid shape and axis) with random
-    stiffness and Drucker-Prager parameters, under mixed strain/stress control."""
+    stiffness and Drucker-Prager parameters, under mixed strain/stress control;
+    ``scale`` multiplies the strain-controlled targets."""
     rng = np.random.default_rng(seed)
     shape = Spheroid(float(np.exp(rng.uniform(np.log(0.2), np.log(5.0)))),
                      tuple(rng.normal(size=3)))
@@ -352,6 +354,7 @@ def random_scenario(seed):
     strain[2] = -rng.uniform(2e-3, 6e-3)
     strain[:2] = rng.uniform(-5e-4, 5e-4, size=2)
     strain[3:] = rng.uniform(-1e-3, 1e-3, size=3)
+    strain *= scale
     load = tuple(0.0 if m == STRESS else float(e) for m, e in zip(modes, strain))
     unload = tuple(0.0 if m == STRESS else 0.6 * float(e) for m, e in zip(modes, strain))
     program = LoadProgram((LoadSegment(load, tuple(modes), 12),
@@ -364,9 +367,14 @@ def test_kept_active_systems_match_fresh_ones(monkeypatch):
     # set repeats; a fresh system at every request gives bitwise the same
     # states, from about three times the builds (measured 235 against 652).
     # The kept runs' records match the logged work increment by increment
-    # and sum to 960 attempts (none subdivided), 615 solves, 1,358
-    # linearizations, 1,025 chord steps, 235 systems and 37 active-set
-    # revisions (1,367 and 1,002 while the convergence test took F at the
+    # and sum to 960 attempts (none subdivided), 615 solves, 1,357
+    # linearizations, 1,025 chord steps, 233 systems and 35 active-set
+    # revisions.  While a segment's first increment started from the last
+    # multipliers, they read 1,358 linearizations, 235 systems and 37
+    # revisions: the only plastic solve that differs is seed 41's increment
+    # 13, the unload segment's first, which took 4 linearizations, 3 systems
+    # and 2 revisions warm and takes 3, 1 and 0 cold.  (1,367 linearizations
+    # and 1,002 chord steps while the convergence test took F at the
     # recomputed stresses in place of the residual's F at the iterate; 1,024
     # chord steps while each phase's dilute concentration was inverted in its
     # own frame: seed 30's increment 10 then converged after two chord steps,
@@ -392,7 +400,29 @@ def test_kept_active_systems_match_fresh_ones(monkeypatch):
             for r in records] == logs["kept"].per_increment(records)
     assert tuple(sum(getattr(r, name) for r in records) for name in (
         "attempts", "depth", "solves", "linearizations", "chords", "systems",
-        "revisions")) == (960, 0, 615, 1358, 1025, 235, 37)
+        "revisions")) == (960, 0, 615, 1357, 1025, 233, 35)
+
+
+def test_stressed_generator_fails_where_pinned():
+    # the generator at ten times its strains: four seeds use up the
+    # subdivision cap on the Newton cap, and the other 56 converge unhalved.
+    # Their summed records were 2,400 linearizations, 1,352 chord steps, 343
+    # systems and 166 revisions while a segment's first increment started
+    # from the last multipliers and each half from half its part's guess
+    failed, records = [], []
+    for seed in range(60):
+        try:
+            states = drive(*random_scenario(seed, scale=10.0))
+        except StepFailureError as exc:
+            failed.append(seed)
+            assert exc.depth == 8
+            assert "did not converge in 50 Newton iterations" in str(exc)
+            continue
+        records += [st.stats for st in states[1:]]
+    assert failed == [15, 18, 45, 46]
+    assert tuple(sum(getattr(r, name) for r in records) for name in (
+        "attempts", "depth", "solves", "linearizations", "chords", "systems",
+        "revisions")) == (896, 0, 846, 2367, 1353, 281, 104)
 
 
 # ------------------------------------------------------------ the secant start and chord steps
@@ -406,7 +436,7 @@ def recorded_drive(mp, seed):
         ops, program, settings = assemble_operators(sc.phases()), sc.program, sc.settings
     else:
         (ops, program), settings = random_scenario(seed), SolverSettings()
-    seen = inject_failures(mp, lambda state, targets, guess: False)
+    seen = inject_failures(mp, lambda state, targets: False)
     states = drive(ops, program, settings)
     mp.undo()
     assert len(seen) == len(states) - 1  # one attempt per increment
@@ -416,14 +446,13 @@ def recorded_drive(mp, seed):
 def rerun_plastic_increments(ops, program, settings, states, seen, extrapolate):
     """Per plastic increment of an unsubdivided drive, its converged state and
     the state of its attempt re-run from its start state, with the ``before``
-    it had if ``extrapolate``, else with ``before=None``."""
+    it had if ``extrapolate``, else cold (``before=None``)."""
     modes = [seg.modes for seg in program.segments for _ in range(seg.increments)]
-    for (state, targets, guess, before), new, mode in zip(seen, states[1:], modes):
+    for (state, targets, before), new, mode in zip(seen, states[1:], modes):
         if new.stats.solves:
             control = solver_mod._StressControl(ops, mode)
             yield new, solver_mod._solve_mixed_increment(
-                ops, state, targets, control, settings, guess,
-                before if extrapolate else None)
+                ops, state, targets, control, settings, before if extrapolate else None)
 
 
 def assert_same_return(new, old, fields):
@@ -437,8 +466,8 @@ def assert_same_return(new, old, fields):
 @pytest.mark.parametrize("seed", [None, *range(60)])
 def test_secant_start_changes_the_work_not_the_answer(monkeypatch, seed):
     # the extrapolated start of an increment's first attempt reaches the same
-    # active set and state as the start at the trial directions, within the
-    # Newton tolerance (default: None; else random_scenario(seed))
+    # active set and state as the cold start, within the Newton tolerance
+    # (default: None; else random_scenario(seed))
     ops, program, settings, states, seen = recorded_drive(monkeypatch, seed)
     plastic = 0
     for new, old in rerun_plastic_increments(ops, program, settings, states, seen, False):
@@ -471,14 +500,14 @@ def test_chord_steps_change_the_work_not_the_answer(monkeypatch, seed):
 def test_only_a_whole_increment_after_a_segment_start_extrapolates(monkeypatch):
     # an increment's first attempt extrapolates from the state one step
     # before its start, except in a segment's first increment; the halves of
-    # a failed part and the part after a converged part start as before: the
+    # a failed part and the part after a converged part start cold: the
     # two-phase homogeneous run, whose parts above 1.1e-4 fail (each plastic
     # increment is halved three times)
     ops = assemble_operators(_homogeneous_phases(DruckerPrager(0.0, 0.12)))
     program = LoadProgram(tuple(
         LoadSegment((0.0, 0.0, e33, 0.0, 0.0, 0.0), (STRAIN,) * 6, 5)
         for e33 in (-0.004, -0.008)))
-    seen = inject_failures(monkeypatch, lambda state, targets, guess: (
+    seen = inject_failures(monkeypatch, lambda state, targets: (
         np.abs(targets - state.macro_strain).max() > 1.1e-4))
     states = drive(ops, program, SolverSettings(max_subdivisions=3))
     befores = iter(before for *_, before in seen)

@@ -39,13 +39,12 @@ def strain_control(ops):
 
 
 def attempt(ops, state, targets, settings=SolverSettings()):
-    return _solve_mixed_increment(ops, state, targets, strain_control(ops), settings,
-                                  state.multipliers)
+    return _solve_mixed_increment(ops, state, targets, strain_control(ops), settings)
 
 
 def newton_solve(ops, state, targets, control, active, lam):
     """The Newton solve of the increment from ``state`` to ``targets`` under
-    ``control``, from the candidates ``active`` and their guess ``lam``: the
+    ``control``, from the candidates ``active`` and their start ``lam``: the
     ``_newton_multipliers`` result at the trial state of the predictor."""
     _, sig_tr = _trial_at(ops, state, control.predict(state, targets))
     return solver_mod._newton_multipliers(ops, sig_tr, active, SolverSettings(), control,
@@ -956,7 +955,7 @@ def part_size(state, targets):
     return np.abs(targets - state.macro_strain).max()
 
 
-def oversized(state, targets, guess):
+def oversized(state, targets):
     """Whether an attempt is larger than 1.1e-4: ``inject_failures`` then fails it."""
     return part_size(state, targets) > 1.1e-4
 
@@ -968,7 +967,7 @@ def test_subdivision_recovers_from_oversized_steps(monkeypatch):
     states = drive(ops, program, SolverSettings(max_subdivisions=3))
     assert len(states) == 3
     assert states[-1].macro_strain[2] == pytest.approx(-0.0008, abs=0)
-    assert any(oversized(*args[:3]) for args in seen)  # at least one rejected attempt
+    assert any(oversized(*args[:2]) for args in seen)  # at least one rejected attempt
 
     monkeypatch.undo()
     oracle = drive(ops, program, SolverSettings())
@@ -1031,36 +1030,43 @@ def test_subdivided_drive_leaves_no_cyclic_garbage(monkeypatch):
     assert len(seen) == 5 * 15
 
 
-def test_subdivided_increment_starts_from_half_the_multipliers(monkeypatch):
-    # a half of a failed part starts from half that part's guess, and the part
-    # after a converged part from that part's multipliers: the 4th increment
-    # fails whole, then also its first half, or its second
+def test_parts_and_segment_starts_start_cold(monkeypatch):
+    # every Newton solve of a part of a subdivided increment, and of a
+    # segment's first increment, starts cold: zero multipliers and no
+    # sig_dir (directions at the trial stresses); the first attempt of every
+    # other increment starts from the secant predictor.  The 4th increment
+    # fails whole, then also its first half, or its second; the second
+    # segment's first increment yields
     ops = two_phase_homogeneous()
-    program = strain_program([(np.array([0, 0, -0.004, 0, 0, 0]), 5)])
+    program = strain_program([(np.array([0, 0, -0.004, 0, 0, 0]), 5),
+                              (np.array([0, 0, -0.0056, 0, 0, 0]), 2)])
 
     def run(*failing):  # fails the attempts at (start step, 8e-4 / size) in failing
         monkeypatch.undo()
-        seen = inject_failures(monkeypatch, lambda state, targets, guess: (
+        seen = inject_failures(monkeypatch, lambda state, targets: (
             state.step, round(8e-4 / part_size(state, targets))) in failing)
-        assert len(drive(ops, program)) == 6
-        starts, targets, guesses, _ = zip(*seen)
-        return starts, guesses, [round(8e-4 / part_size(*p)) for p in zip(starts, targets)]
+        work = record_work(monkeypatch)
+        assert len(drive(ops, program)) == 8
+        solves = work.calls("_newton_multipliers")
+        assert len(solves) == len(seen) - 1  # every attempt but the elastic first one
+        for (state, _, before), (_, _, active, _, _, lam, sig_dir) in zip(seen[1:], solves):
+            if before is None:
+                assert not lam.any() and sig_dir is None
+                continue
+            lam_n, lam_before = state.multipliers[active], before.multipliers[active]
+            assert np.array_equal(lam, np.where(
+                lam_before > 0.0, np.maximum(2.0 * lam_n - lam_before, 0.0), lam_n))
+            assert np.array_equal(sig_dir, 2.0 * state.stress[active] - before.stress[active])
+        return ("".join(str(round(8e-4 / part_size(state, targets)))
+                        for state, targets, _ in seen),
+                "".join("c" if before is None else "s" for *_, before in seen))
 
-    starts, guesses, parts = run((3, 1))
-    assert parts == [1, 1, 1, 1, 2, 2, 1]
-    assert (guesses[3] > 0.0).all() and guesses[3] is starts[3].multipliers
-    assert np.array_equal(guesses[4], 0.5 * guesses[3])
-    assert (guesses[5] > 0.0).all() and not np.array_equal(guesses[5], guesses[3])
-    assert guesses[5] is starts[5].multipliers  # the converged first half's
-
-    starts, guesses, parts = run((3, 1), (3, 2))  # the first half fails too
-    assert parts == [1, 1, 1, 1, 2, 4, 4, 2, 1] and starts[5] is starts[3]
-    assert np.array_equal(guesses[5], 0.5 * (0.5 * guesses[3]))
-
-    starts, guesses, parts = run((3, 1), (4, 2))  # the second half fails too
-    assert parts == [1, 1, 1, 1, 2, 2, 4, 4, 1] and starts[6] is starts[5]
-    assert guesses[5] is starts[5].multipliers
-    assert np.array_equal(guesses[6], 0.5 * starts[5].multipliers)
+    # per attempt, the part of its increment it solves and whether it starts
+    # cold (c) or from the secant predictor (s)
+    assert run() == ("1111111", "csssscs")
+    assert run((3, 1)) == ("111122111", "csssccscs")
+    assert run((3, 1), (3, 2)) == ("11112442111", "csssccccscs")  # the first half fails too
+    assert run((3, 1), (4, 2)) == ("11112244111", "csssccccscs")  # the second half fails too
 
 
 def test_failed_validation_is_subdivided(monkeypatch):
@@ -1098,7 +1104,7 @@ def test_failed_validation_is_subdivided(monkeypatch):
 def test_subdivision_cap_exhausts(monkeypatch):
     ops = two_phase_homogeneous()
 
-    inject_failures(monkeypatch, lambda state, targets, guess: True)
+    inject_failures(monkeypatch, lambda state, targets: True)
     program = strain_program([(np.array([0, 0, -0.0008, 0, 0, 0]), 1)])
     with pytest.raises(StepFailureError):
         drive(ops, program, SolverSettings(max_subdivisions=3))
