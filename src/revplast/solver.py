@@ -39,14 +39,16 @@ couples to the others only through a few 6-vectors (one fraction-weighted
 polarization sum and, when the matrix yields, the matrix eigen-stress) and
 the k controlled-strain corrections, so a linearization is one batched
 inversion of the blocks plus one (6 + k)x(6 + k) ((12 + k)x(12 + k)) Schur
-system: O(m) in the number m of active phases.  Its factors are kept for the
-rest of the solve, and solving with them is a few matmuls.  So an iterate
-whose residual the last linearized step's contraction would take to the
-tolerance in two steps makes a chord step (the modified Newton method): it
-solves the kept linearization for its own residual instead of building a new
-one.  The residual goes through the same coupling vectors, each way by one
-matrix-vector product, so a whole iterate costs O(m); all n phases are
-evaluated once per converged iterate, for the joins and the state.
+system: O(m) in the number m of active phases.  The blocks and the coupling
+rows are each one batched matrix product, written straight into the layout
+the solve reads, so the inversion is most of a linearization's cost.  Its
+factors are kept for the rest of the solve, and solving with them is a few
+matmuls.  So an iterate whose residual the last linearized step's contraction
+would take to the tolerance in two steps makes a chord step (the modified
+Newton method): it solves the kept linearization for its own residual instead
+of building a new one.  The residual goes through the same coupling vectors,
+each way by one matrix-vector product, so a whole iterate costs O(m); all n
+phases are evaluated once per converged iterate, for the joins and the state.
 
 Yield checks, Newton residuals and flow directions and the KKT check all call
 the batched Drucker-Prager kernel of ``plasticity``.  A Newton iterate
@@ -421,19 +423,26 @@ class _ActiveSystem:
         D_a = C_a (I - R_a C_a), N_a = dn_g/dsig and g_a = dF/dsig, is inverted
         and applied to the coupling columns; the coupling vectors (w, e, y) then
         follow from one (6 + k)x(6 + k) ((12 + k)x(12 + k)) Schur system, whose
-        inverse is kept with them.
+        inverse is kept with them.  The blocks' stress rows D_a flow_a and the
+        coupling rows weighted_b flow_b are each one batched matrix product
+        written into the array that keeps them, the coupling rows' (c, m, 7)
+        through its (m, c, 7) view, so neither is copied into place.
         """
+        m = len(lam)
         flow = self.flow(point, lam)
-        block = np.zeros((len(lam), 7, 7))
-        block[:, :6] = self.own @ flow
-        block[:, :6, :6] += _EYE6
+        block = np.empty((m, 7, 7))
+        np.matmul(self.own, flow, out=block[:, :6])
+        block.reshape(m, 49)[:, 0:41:8] += 1.0  # the identity on the stress rows' diagonal
         block[:, 6, :6] = dp_flow_of(point[0], self.pressure_f)
+        block[:, 6, 6] = 0.0
         inv_block = _inverse(block, "return-mapping system")
         del block
         inv_coupling = inv_block[:, :, :6] @ self.stress_coupling
         # coupling vectors: w = sum_c f_c R_c C_c dx_c, e = sum_c gain_c dx_c, y = C_0 dx_0
         n_coupling = len(self.weighted)
-        lead = np.einsum("cbi,bij->cbj", self.weighted, flow).reshape(n_coupling, -1)
+        lead = np.empty((n_coupling, m, 7))
+        np.matmul(self.weighted.transpose(1, 0, 2), flow, out=lead.transpose(1, 0, 2))
+        lead = lead.reshape(n_coupling, -1)
         schur = lead @ inv_coupling.reshape(-1, n_coupling) + np.eye(n_coupling)
         return _Linearization(inv_block, inv_coupling, lead,
                               _inverse(schur, "return-mapping system"))

@@ -66,9 +66,18 @@ def test_run_default_scenario(tmp_path, capsys):
     assert len((tmp_path / "macro.csv").read_text().splitlines()) == 152
 
 
-def test_default_run_is_bitwise_the_same_at_one_and_two_blas_threads(tmp_path):
-    # the engine's matrix-vector products go through BLAS, which may split a
-    # product over its threads; the written numbers must not depend on that
+def perfbench_workloads():
+    """The benchmark's scenario generators, ``perfbench/workloads.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def written_at_one_and_two_blas_threads(tmp_path, *args):
+    """The files ``revplast run *args`` writes at 1 and at 2 BLAS threads, run
+    in two subprocesses at once: {threads: {name: bytes}}."""
     runs = {}
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
@@ -76,17 +85,40 @@ def test_default_run_is_bitwise_the_same_at_one_and_two_blas_threads(tmp_path):
         env["PYTHONPATH"] = os.pathsep.join(
             [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
         runs[threads] = subprocess.Popen(
-            [sys.executable, "-m", "revplast.cli", "run", "--default-scenario", "--per-phase",
-             "--plot-data", "--output-dir", str(tmp_path / threads)],
+            [sys.executable, "-m", "revplast.cli", "run", *args,
+             "--output-dir", str(tmp_path / threads)],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
     for proc in runs.values():
         assert proc.wait(timeout=60) == 0, proc.stderr.read().decode()
         proc.stderr.close()
-    names = sorted(os.listdir(tmp_path / "1"))
-    assert names == ["macro.csv", "phases.csv", "plot_axial.csv", "plot_lateral.csv"]
-    assert names == sorted(os.listdir(tmp_path / "2"))
-    for name in names:
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+    return {threads: {name: (tmp_path / threads / name).read_bytes()
+                      for name in sorted(os.listdir(tmp_path / threads))}
+            for threads in runs}
+
+
+def test_default_run_is_bitwise_the_same_at_one_and_two_blas_threads(tmp_path):
+    # the engine's matrix-vector products go through BLAS, which may split a
+    # product over its threads; the written numbers must not depend on that
+    written = written_at_one_and_two_blas_threads(
+        tmp_path, "--default-scenario", "--per-phase", "--plot-data")
+    assert list(written["1"]) == ["macro.csv", "phases.csv", "plot_axial.csv",
+                                  "plot_lateral.csv"]
+    assert written["1"] == written["2"]
+
+
+def test_wide_plastic_run_is_bitwise_the_same_at_one_and_two_blas_threads(tmp_path):
+    # the same at the benchmark's width, where the Newton linearization's
+    # batched products run over the 200 inclusions, all of which yield in the
+    # first, strain-controlled segment
+    path = tmp_path / "wide.scn"
+    path.write_text(perfbench_workloads().scenario_text("wide_plastic", 1))
+    written = written_at_one_and_two_blas_threads(tmp_path, str(path), "--per-phase")
+    assert list(written["1"]) == ["macro.csv", "phases.csv"]
+    assert written["1"] == written["2"]
+    rows = written["1"]["phases.csv"].decode().splitlines()
+    end_of_loading = [row for row in rows if row.startswith("30,incl")]
+    assert len(end_of_loading) == 200
+    assert all(row.endswith(",1") for row in end_of_loading)
 
 
 def test_operators_residuals(capsys):
@@ -113,12 +145,8 @@ def test_operators_full_prints_tensors(tiny_file, capsys):
 def test_operators_full_memory_is_linear_in_phases(tmp_path, capsys):
     # 201 phases: --full prints O(n) factors, so the peak stays near 1 MB;
     # the n^2 dense influence tensors would take tens of MB
-    spec = importlib.util.spec_from_file_location(
-        "workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
     path = tmp_path / "wide.scn"
-    path.write_text(workloads.scenario_text("wide_plastic", 1))
+    path.write_text(perfbench_workloads().scenario_text("wide_plastic", 1))
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(io.StringIO()) as out:

@@ -310,6 +310,51 @@ def test_jacobian_matches_finite_differences(scheme, modes, active):
     assert np.abs(dx[..., 0] - dx_fd).max() <= 1e-6 * np.abs(dx_fd).max()
 
 
+def wide_ops(matrix_plastic):
+    # the 200 inclusions of scripts/phase_sweep.py at 200 axes (the wide
+    # benchmark workloads' phases): one shape and fraction on seeded random axes
+    axes = np.random.default_rng(20201124).normal(size=(200, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    fraction = 0.143 / 200
+    return assemble_operators(
+        [PhaseSpec("matrix", 1.0 - fraction * 200, E0, NU,
+                   plastic=VM12 if matrix_plastic else None)]
+        + [PhaseSpec(f"incl{k}", fraction, EI, NU, plastic=VM12,
+                     spheroid=Spheroid(0.35, tuple(float(x) for x in axis)))
+           for k, axis in enumerate(axes)])
+
+
+@pytest.mark.parametrize("modes", [(STRAIN,) * 6, MIXED_MODES], ids=["strain", "mixed"])
+@pytest.mark.parametrize("matrix_plastic,n_coupling", [(False, 6), (True, 12)],
+                         ids=["inclusions", "with-matrix"])
+def test_newton_step_matches_directional_differences_at_width(matrix_plastic, n_coupling,
+                                                              modes):
+    # at the benchmark's width, 200 or 201 active phases and 6 to 15 coupling
+    # vectors, the condensed Newton step z solves J z = -r: the central
+    # difference of the residual along z is -r to 2.0e-10 to 2.8e-10 of |r|.
+    # Coupling rows laid out per phase, (m, c, 7), in place of per coupling
+    # vector, (c, m, 7), miss it by 0.15 to 0.47 of |r|
+    ops = wide_ops(matrix_plastic)
+    _, sig_tr = _trial_at(ops, initial_state(ops), np.array([5e-4, 5e-4, -1e-3, 0, 0, 0]))
+    control = solver_mod._StressControl(ops, modes)
+    active = list(range(0 if matrix_plastic else 1, ops.n_phases))
+    assert check_yield(ops, sig_tr) == active
+    sys_ = solver_mod._ActiveSystem(ops, active, control)
+    assert len(sys_.weighted) == n_coupling + len(control.idx)
+    m = len(active)
+    sig_act = sig_tr[active] * 0.9 + 0.01  # off the trial state, lambda > 0
+    lam = 1e-4 * np.arange(1.0, m + 1.0) / m
+
+    def residual(v):
+        return sys_.residual(sig_tr, v[:, :6], v[:, 6])[0]
+
+    res, _, _, _, at = sys_.residual(sig_tr, sig_act, lam)
+    z = sys_.jacobian(at, lam).solve(-res[:, :, None])[..., 0]
+    point, t = np.column_stack((sig_act, lam)), 1e-6
+    slope = (residual(point + t * z) - residual(point - t * z)) / (2.0 * t)
+    assert np.abs(slope + res).max() <= 1e-6 * np.abs(res).max()
+
+
 @pytest.mark.parametrize("scheme,modes", [
     pytest.param(scheme, modes, id=scheme + suffix)
     for suffix, modes in (("", (STRAIN,) * 6), ("-mixed", MIXED_MODES))
