@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from itertools import chain
 
 from .errors import ScenarioError
 from .mean_field import SCHEMES, PhaseSpec, Spheroid
@@ -38,14 +39,16 @@ class InclusionFamily:
     volume_fraction: float
     orientations: tuple[tuple[float, float, float], ...] = CUBE26
     plastic: DruckerPrager | None = None
+    # the checked shape of each phase it expands to, one per orientation
+    spheroids: tuple[Spheroid, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # the checks of the phases it expands to: the material once, the shape with each axis
         PhaseSpec("inclusions", self.volume_fraction, self.young_modulus, self.poisson_ratio)
         if len(self.orientations) == 0:
             raise ValueError("orientations must list at least one axis")
-        for axis in self.orientations:
-            Spheroid(self.aspect_ratio, axis)
+        object.__setattr__(self, "spheroids", tuple(
+            Spheroid(self.aspect_ratio, axis) for axis in self.orientations))
 
 
 @dataclass(frozen=True)
@@ -76,12 +79,11 @@ class Scenario:
         specs = []
         for kf, fam in enumerate(self.families, start=1):
             f_each = fam.volume_fraction / len(fam.orientations)
-            for ka, axis in enumerate(fam.orientations):
+            for ka, spheroid in enumerate(fam.spheroids):
                 specs.append(PhaseSpec(
                     name=f"incl{kf}_{ka:02d}", volume_fraction=f_each,
                     young_modulus=fam.young_modulus, poisson_ratio=fam.poisson_ratio,
-                    spheroid=Spheroid(fam.aspect_ratio, axis),
-                    plastic=fam.plastic))
+                    spheroid=spheroid, plastic=fam.plastic))
         f_incl = sum(fam.volume_fraction for fam in self.families)
         matrix = PhaseSpec(name="matrix", volume_fraction=1.0 - f_incl,
                            young_modulus=self.matrix_young,
@@ -226,13 +228,26 @@ def _parse_family(entries: dict, section: str, line_no: int) -> InclusionFamily:
     numbers = {key: _required(_FAMILY_PROBE, entries, key, section, line_no)
                for key in _FAMILY}
     value, axes_line = entries.get("orientations", ("cube26", line_no))
-    axes = CUBE26 if value.strip().lower() == "cube26" else tuple(
-        tuple(_parse_float(x, axes_line) for x in chunk.split()) for chunk in value.split(";"))
+    axes = CUBE26 if value.strip().lower() == "cube26" else _parse_axes(value, axes_line)
     plastic = _parse_plastic(entries, section, line_no)
     try:  # every other field was checked on its own line: this checks each axis once
         return InclusionFamily(**numbers, orientations=axes, plastic=plastic)
     except ValueError as exc:
         raise ScenarioError(str(exc), axes_line) from None
+
+
+def _parse_axes(value: str, line_no: int) -> tuple[tuple[float, ...], ...]:
+    """Axes separated by ';', each of numbers separated by whitespace: one
+    conversion per number and one finiteness check over all of them;
+    ``_parse_float`` runs only to name the first bad number."""
+    chunks = value.split(";")
+    try:
+        axes = tuple(tuple(map(float, chunk.split())) for chunk in chunks)
+        if all(map(math.isfinite, chain.from_iterable(axes))):
+            return axes
+    except ValueError:
+        pass
+    return tuple(tuple(_parse_float(x, line_no) for x in chunk.split()) for chunk in chunks)
 
 
 def _parse_segment(value: str, line_no: int) -> LoadSegment:

@@ -185,7 +185,7 @@ class IncrementStats:
     revisions: int       # new active sets inside a Newton solve
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class REVState:
     """Converged state of the representative volume at one time step.
 
@@ -545,8 +545,10 @@ def _newton_multipliers(ops, sig_tr, active, settings, control, lam, sig_dir=Non
             sys_, lin = control.system(active), None
             tols = settings.newton_tol * sys_.strength
     except ApexSingularityError as exc:
-        raise StepFailureError(f"cone apex reached in phase "
-                               f"{ops.phases[active[exc.index]].name!r}") from exc
+        phase = ops.phases[active[exc.index]]
+        where = ("cone apex reached" if phase.plastic.friction_angle > 0.0
+                 else "equivalent stress vanished on the von Mises axis")  # no apex at phi = 0
+        raise StepFailureError(f"{where} in phase {phase.name!r}") from exc
     raise StepFailureError(
         f"return mapping did not converge in {settings.newton_max_iter} Newton iterations; "
         f"last stress/yield residual {err:.3e} times its tolerance")
@@ -593,8 +595,8 @@ def _solve_mixed_increment(ops, state, targets, control, settings, before=None):
     max(2 lam_n - lam_n-1, 0) where the phase was active before, else lam_n,
     and flow directions at 2 sig_n - sig_n-1.  Returns the new state once
     ``validate_state`` accepts it; raises StepFailureError (the caller then
-    subdivides) when the solve fails, an active phase reaches the cone apex or
-    the state is rejected.
+    subdivides) when the solve fails, an active phase's equivalent stress
+    vanishes or the state is rejected.
     """
     eps_bar = control.predict(state, targets)
     strains, stresses = _trial_at(ops, state, eps_bar)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revplast.errors import ScenarioError
+from revplast.mean_field import Spheroid
 from revplast.orientations import CUBE26
 from revplast.plasticity import DruckerPrager
 from revplast.scenario import (InclusionFamily, OutputOptions, Scenario,
@@ -101,6 +102,27 @@ def test_default_scenario_phases():
         assert p.plastic.shear_strength == 0.12
     axes = {tuple(np.round(p.spheroid.axis, 12)) for p in phases[1:]}
     assert len(axes) == 26
+
+
+def test_phases_reuse_the_checked_spheroids(monkeypatch):
+    # a family checks each axis once, when it is built; the expansion hands
+    # each phase that check's spheroid and builds none of its own
+    axes = tuple(map(tuple, np.random.default_rng(7).normal(size=(200, 3))))
+    family = InclusionFamily(1000.0, 0.25, 0.35, 0.2, orientations=axes)
+    sc = Scenario(100.0, 0.25, families=(family,))
+    built, check = [], Spheroid.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(Spheroid, "__post_init__", counted)
+    phases = sc.phases()
+    assert built == []
+    assert len(phases) == 201
+    assert all(p.spheroid is s for p, s in zip(phases[1:], family.spheroids))
+    assert family.spheroids == tuple(Spheroid(0.35, axis) for axis in axes)
+    assert len(built) == 200  # the counter sees every build
 
 
 def test_cube26_order():
@@ -433,6 +455,8 @@ def test_scenario_rejects_what_no_family_checks_alone():
     ("0 0 0", "nonzero finite vector"),
     ("1e-200 1e-200 0", "cannot be normalized in double precision"),
     ("1 2", "axis must be three numbers"),
+    ("0 0 abc", "malformed number 'abc'"),
+    ("1 inf 0", "non-finite number 'inf'"),
 ])
 def test_bad_custom_axis_names_its_orientations_line(axis, match):
     text = GOOD.replace("orientations = cube26", f"orientations = 0 0 1; {axis}")

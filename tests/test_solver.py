@@ -723,6 +723,22 @@ def test_apex_in_attempt_is_located_step_failure():
     assert isinstance(exc.__cause__.__cause__, ApexSingularityError)
 
 
+def test_vanished_von_mises_stress_is_no_cone_apex():
+    # a phi = 0 surface has no apex: flow directions started at a hydrostatic
+    # stress fail on the von Mises axis, naming the phase
+    ops = two_phase_homogeneous()
+    control = strain_control(ops)
+    state = initial_state(ops)
+    _, sig_tr = _trial_at(ops, state, control.predict(state, (0, 0, -3e-3, 0, 0, 0)))
+    hydrostatic = np.tile([-0.1, -0.1, -0.1, 0.0, 0.0, 0.0], (2, 1))
+    with pytest.raises(StepFailureError) as info:
+        solver_mod._newton_multipliers(ops, sig_tr, [0, 1], SolverSettings(), control,
+                                       np.zeros(2), hydrostatic)
+    assert str(info.value) == ("equivalent stress vanished on the von Mises axis "
+                               "in phase 'matrix'")
+    assert isinstance(info.value.__cause__, ApexSingularityError)
+
+
 def test_singular_macro_tangent_raises_step_failure():
     # a stress-controlled segment whose macro system cannot be solved fails
     # with the typed error at its start, located, never a LinAlgError
