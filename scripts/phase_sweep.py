@@ -10,8 +10,8 @@ the first segment of the ``wide_plastic`` benchmark workload, with one BLAS
 thread.  Per size it makes one untimed ``assemble_operators`` call and one
 untimed ``drive`` call, then records the times of ``--repeats`` further calls
 of each, the best of each, and the work summed over the increment records of
-the states: attempts, Newton solves, linearizations and chord steps, active
-systems built, active-set revisions and subdivisions.
+the states: Newton solves, linearizations and chord steps, active systems
+built and active-set revisions.
 The JSON record also carries the Python and numpy versions and the host.
 """
 import os
@@ -49,18 +49,15 @@ def phases(n_axes: int, seed: int):
 
 
 # JSON key: IncrementStats field summed into it
-WORK = {"attempts": "attempts", "newton_solves": "solves",
+WORK = {"newton_solves": "solves",
         "newton_linearizations": "linearizations", "chords": "chords",
         "systems": "systems", "revisions": "revisions"}
 
 
 def work(states) -> dict:
-    """The work of a drive, summed over the increment records of its states;
-    an increment halved s times makes 2 s + 1 attempts."""
-    counts = {key: sum(getattr(st.stats, field) for st in states[1:])
-              for key, field in WORK.items()}
-    counts["subdivisions"] = (counts["attempts"] - (len(states) - 1)) // 2
-    return counts
+    """The work of a drive, summed over the increment records of its states."""
+    return {key: sum(getattr(st.stats, field) for st in states[1:])
+            for key, field in WORK.items()}
 
 
 def timed(call, repeats: int):
@@ -111,8 +108,7 @@ def main():
               f"drive {record['drive_s_best']:.3f} s, "
               f"{record['newton_linearizations']} linearizations, "
               f"{record['chords']} chord steps, "
-              f"{record['newton_solves']} Newton solves, "
-              f"{record['subdivisions']} subdivisions",
+              f"{record['newton_solves']} Newton solves",
               flush=True)
     out = {
         "description": "phase-count sweep: 30 strain-controlled increments "

@@ -38,19 +38,18 @@ class ApexSingularityError(RevplastError, ValueError):
 
 
 class StepFailureError(RevplastError, RuntimeError):
-    """An increment attempt failed, whatever the cause; retry with a subdivided increment.
+    """An increment failed, whatever the cause.
 
-    The error that leaves ``drive`` once the subdivision cap is used up
-    carries the 1-based ``segment`` and ``increment`` of the load program and
-    the subdivision ``depth`` it failed at; an attempt's error carries None.
+    The error that leaves ``drive`` carries the 1-based ``segment`` and
+    ``increment`` of the load program, with the increment's own error as its
+    cause; that error carries None for both.
     """
 
     def __init__(self, message: str, segment: int | None = None,
-                 increment: int | None = None, depth: int | None = None):
+                 increment: int | None = None):
         super().__init__(message)
         self.segment = segment
         self.increment = increment
-        self.depth = depth
 
 
 class ScenarioError(RevplastError, ValueError):

@@ -22,15 +22,15 @@ a segment keeps the last one it built and rebuilds it only when the active
 set changes.  The active set is revised between Newton iterates by a
 primal-dual active-set switch: phases whose multiplier it rejects leave,
 phases pushed past yield join at a converged iterate, and the solve goes on.
-After a segment's first increment, an increment's first attempt starts from
-the linear extrapolation of the last two converged states (the secant
+After a segment's first increment, an increment's solve starts from the
+linear extrapolation of the last two converged states (the secant
 predictor): the multipliers max(2 lam_n - lam_n-1, 0) of the phases active
 before, else lam_n, and flow directions at 2 sig_n - sig_n-1; a segment's
-increments are equal steps, so 2 and -1 are the exact coefficients.  Every
-other attempt, a segment's first increment and each part of a subdivided
-increment, starts cold: zero multipliers and directions at the trial
-stresses.  On the default scenario the 60 plastic increments take 68
-linearizations and 31 chord steps (below), and 4 systems are built.
+increments are equal steps, so 2 and -1 are the exact coefficients.  A
+segment's first increment, and the one re-solve of a failed secant start,
+start cold: zero multipliers and directions at the trial stresses.  On the
+default scenario the 60 plastic increments take 68 linearizations and 31
+chord steps (below), and 4 systems are built.
 
 The Newton method is linearized consistently, with the flow-direction
 derivative d n / d sig, so it converges quadratically.  Because the
@@ -68,20 +68,20 @@ the only store of the Drucker-Prager parameters and past-yield thresholds:
 reads its phases' rows of it.  ``validate_state`` still recomputes every value
 it checks from the state's own arrays, never from the solver's intermediates.
 
-An increment attempt returns a state ``validate_state`` accepts or raises
-StepFailureError, whatever the cause; a failed part of an increment is
-replaced by its two halves up to ``max_subdivisions`` levels deep, then
-``drive`` raises with segment, increment and depth.
+An increment returns a state ``validate_state`` accepts or raises
+StepFailureError, whatever the cause, and ``drive`` then raises it with the
+segment and increment.  There is one attempt per increment: only a failed
+secant-started solve is solved again, once, cold.
 
 Each state after the first records its increment's work, ``IncrementStats``,
-counted by the segment's control where the work happens; a subdivided
-increment's record holds the work of all its attempts, failed ones included.
+counted by the segment's control where the work happens; a re-solved
+increment's record holds the work of both its solves.
 """
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -117,7 +117,6 @@ class SolverSettings:
     newton_tol: float = 1e-12          # times the phase shear strength
     newton_max_iter: int = 50          # Newton steps and active-set revisions
     mixed_tol: float = 1e-8            # times max(1, |macro stress|)
-    max_subdivisions: int = 8
 
     def __post_init__(self):
         if not 0.0 < self.newton_tol < math.inf:
@@ -126,12 +125,6 @@ class SolverSettings:
             raise ValueError(f"mixed_tol must be positive and finite, got {self.mixed_tol}")
         if _count("newton_max_iter", self.newton_max_iter) < 1:
             raise ValueError(f"newton_max_iter must be at least 1, got {self.newton_max_iter}")
-        if _count("max_subdivisions", self.max_subdivisions) < 0:
-            raise ValueError(f"max_subdivisions must not be negative, "
-                             f"got {self.max_subdivisions}")
-        if self.max_subdivisions > 64:  # 2^-64 of an increment is below double resolution
-            raise ValueError(f"max_subdivisions must be at most 64, "
-                             f"got {self.max_subdivisions}")
 
 
 @dataclass(frozen=True)
@@ -173,12 +166,10 @@ class LoadProgram:
 
 @dataclass(frozen=True, slots=True)
 class IncrementStats:
-    """The work ``drive`` spent on one increment, failed attempts included;
-    equal records of one load segment are one object."""
+    """The work ``drive`` spent on one increment, a failed secant-started solve
+    included; equal records of one load segment are one object."""
 
-    attempts: int        # increment attempts: 1, plus 2 per halving
-    depth: int           # deepest subdivision level an attempt reached; 0 unsubdivided
-    solves: int          # Newton solves of the coupled return
+    solves: int          # Newton solves of the coupled return: 2 when re-solved cold
     linearizations: int  # Newton linearizations built, each with its step
     chords: int          # Newton steps that re-solved a solve's last linearization
     systems: int         # active-set Newton systems built (a segment keeps its last one)
@@ -261,9 +252,9 @@ class _StressControl:
     increments x_b of the return,
     sig_bar = sig_pred + C_hom[:, S] d eps_S - sum_b f_b A_b^T C_b x_b, so the
     targets hold for d eps_S = C_hom[S, S]^-1 sum_b f_b (A_b^T C_b x_b)_S.
-    Only the elastic predictor of an attempt depends on its state and targets,
-    through one 6x6 map of the segment.
-    The segment's attempts share the last active system it built, and it
+    Only the elastic predictor of an increment depends on its state and
+    targets, through one 6x6 map of the segment.
+    The segment's solves share the last active system it built, and it
     counts the work of the current increment.
     """
 
@@ -289,14 +280,13 @@ class _StressControl:
         self.begin()
 
     def begin(self):
-        """Start counting the work of a new increment: its first attempt."""
-        self.attempts, self.depth = 1, 0
+        """Start counting the work of a new increment."""
         self.solves = self.linearizations = self.chords = self.systems = self.revisions = 0
 
     def record(self):
         """The work counted since ``begin``; one object per distinct record of the segment."""
-        counts = (self.attempts, self.depth, self.solves, self.linearizations,
-                  self.chords, self.systems, self.revisions)
+        counts = (self.solves, self.linearizations, self.chords, self.systems,
+                  self.revisions)
         if counts not in self._records:
             self._records[counts] = IncrementStats(*counts)
         return self._records[counts]
@@ -337,7 +327,7 @@ class _ActiveSystem:
     stacked x, and ``stress_coupling``, the active stresses' response to v, as
     (m, 6, c), so the coupling stresses are one matrix-vector product too.
     A system holds nothing that depends on an iterate or an increment, so the
-    attempts of a load segment reuse it while their active set is the same.
+    solves of a load segment reuse it while their active set is the same.
     """
 
     def __init__(self, ops, active, control):
@@ -582,8 +572,7 @@ def validate_state(ops: MeanFieldOperators, state: REVState) -> None:
 
 
 def _solve_mixed_increment(ops, state, targets, control, settings, before=None):
-    """One attempt at the increment from ``state`` to ``targets`` under the
-    segment's ``control``.
+    """The increment from ``state`` to ``targets`` under the segment's ``control``.
 
     The trial state at the exact elastic predictor is accepted if no phase
     yields; otherwise one Newton solve, which revises the active set as it
@@ -593,10 +582,12 @@ def _solve_mixed_increment(ops, state, targets, control, settings, before=None):
     ``before`` one equal step before ``state``: it then starts from the linear
     extrapolation of the two over the candidate phases, multipliers
     max(2 lam_n - lam_n-1, 0) where the phase was active before, else lam_n,
-    and flow directions at 2 sig_n - sig_n-1.  Returns the new state once
-    ``validate_state`` accepts it; raises StepFailureError (the caller then
-    subdivides) when the solve fails, an active phase's equivalent stress
-    vanishes or the state is rejected.
+    and flow directions at 2 sig_n - sig_n-1.  If that secant-started solve
+    fails, the increment is solved once more, cold, from the same trial state
+    and candidates.  Returns the new state once ``validate_state`` accepts it;
+    raises StepFailureError when the cold solve fails, an active phase's
+    equivalent stress vanishes in it, the stress targets are missed or the
+    state is rejected.
     """
     eps_bar = control.predict(state, targets)
     strains, stresses = _trial_at(ops, state, eps_bar)
@@ -604,14 +595,21 @@ def _solve_mixed_increment(ops, state, targets, control, settings, before=None):
     eps_p, macro_plastic = state.plastic_strain, state.macro_plastic
     multipliers = state.multipliers
     if active:
-        lam, sig_dir = np.zeros(len(active)), None
+        solved = None
         if before is not None:  # the secant predictor
             index = np.array(active, dtype=np.intp)
             lam, lam_before = state.multipliers.take(index), before.multipliers.take(index)
             lam = np.where(lam_before > 0.0, np.maximum(2.0 * lam - lam_before, 0.0), lam)
             sig_dir = 2.0 * state.stress.take(index, axis=0) - before.stress.take(index, axis=0)
-        active, lam, x, d_eps, du, stresses = _newton_multipliers(
-            ops, stresses, active, settings, control, lam, sig_dir)
+            try:
+                solved = _newton_multipliers(ops, stresses, active, settings, control, lam,
+                                             sig_dir)
+            except StepFailureError:
+                pass  # solved again cold, below
+        if solved is None:
+            solved = _newton_multipliers(ops, stresses, active, settings, control,
+                                         np.zeros(len(active)))
+        active, lam, x, d_eps, du, stresses = solved
         eps_bar[control.idx] += d_eps
         multipliers = np.zeros(ops.n_phases)
         multipliers[active] = lam
@@ -632,27 +630,13 @@ def _solve_mixed_increment(ops, state, targets, control, settings, before=None):
 
 
 def _advance_with_subdivision(ops, state, targets, control, settings, before=None):
-    """Solve one increment: its pending parts, (end targets, depth), are tried
-    depth-first from the last converged state, and a failed part is replaced by
-    its two halves up to the subdivision cap.  The parts make one step of the
-    history.  Only the first attempt, at the whole increment, extrapolates from
-    ``before``, the state one equal step before ``state``; every part starts cold."""
-    control.begin()  # counted across all attempts: the last part's record is the increment's
-    start, pending = state, [(targets, 0)]
-    while pending:
-        end, depth = pending.pop()
-        try:
-            start = _solve_mixed_increment(ops, start, end, control, settings, before)
-        except StepFailureError as exc:
-            if depth >= settings.max_subdivisions:
-                exc.depth = depth
-                raise
-            control.attempts += 2  # the two halves
-            control.depth = max(control.depth, depth + 1)
-            mid = 0.5 * (control.controlled(start) + end)
-            pending += [(end, depth + 1), (mid, depth + 1)]  # the first half on top
-        before = None
-    return start if control.depth == 0 else replace(start, step=state.step + 1)
+    """Solve one increment: start counting its work and make its one attempt.
+
+    The name is kept for the benchmark's increment clock: ``perfbench`` wraps
+    this function by name, and ``drive`` looks it up at call time, once per
+    increment."""
+    control.begin()
+    return _solve_mixed_increment(ops, state, targets, control, settings, before)
 
 
 def drive(ops: MeanFieldOperators, program: LoadProgram,
@@ -684,10 +668,8 @@ def drive(ops: MeanFieldOperators, program: LoadProgram,
                 new = _advance_with_subdivision(ops, states[-1], targets, control, settings,
                                                 before)
             except StepFailureError as exc:
-                raise StepFailureError(
-                    f"segment {s}, increment {k}, subdivision depth {exc.depth} "
-                    f"(cap used up): {exc}",
-                    segment=s, increment=k, depth=exc.depth) from exc
+                raise StepFailureError(f"segment {s}, increment {k}: {exc}",
+                                       segment=s, increment=k) from exc
             states.append(new)
     return states
 

@@ -21,6 +21,7 @@ STATE_FIELDS = tuple(f.name for f in dataclasses.fields(solver_mod.REVState)
 # the one place the tests name solver internals to count work, beyond the
 # increment records: each site and the objects that hold it under its last name
 WORK_SITES = {
+    "_solve_mixed_increment": (solver_mod,),
     "_newton_multipliers": (solver_mod,),
     "_StressControl.__init__": (solver_mod._StressControl,),
     "_ActiveSystem.__init__": (solver_mod._ActiveSystem,),
@@ -84,21 +85,21 @@ def record_work(mp):
 
 
 def inject_failures(mp, fails):
-    """Make each increment attempt do its work, then raise StepFailureError
-    where ``fails(state, targets)`` holds, with the MonkeyPatch ``mp``;
-    returns the ``(state, targets, before)`` of each attempt as they happen,
-    ``before`` being the state the attempt extrapolates from, or None."""
-    real_attempt = solver_mod._solve_mixed_increment
+    """Make each Newton solve do its work, then raise StepFailureError where
+    ``fails(k, sig_dir)`` holds for the run's k-th solve (from 1) and its start
+    directions ``sig_dir`` (None for a cold start), with the MonkeyPatch ``mp``;
+    returns the ``(active, lam, sig_dir)`` start of each solve as they happen."""
+    real_solve = solver_mod._newton_multipliers
     seen = []
 
-    def attempt(ops, state, targets, control, settings, before=None):
-        seen.append((state, targets, before))
-        new = real_attempt(ops, state, targets, control, settings, before)
-        if fails(state, targets):
+    def solve(ops, sig_tr, active, settings, control, lam, sig_dir=None):
+        seen.append((active, lam, sig_dir))
+        out = real_solve(ops, sig_tr, active, settings, control, lam, sig_dir)
+        if fails(len(seen), sig_dir):
             raise StepFailureError("failure injected by the test")
-        return new
+        return out
 
-    mp.setattr(solver_mod, "_solve_mixed_increment", attempt)
+    mp.setattr(solver_mod, "_newton_multipliers", solve)
     return seen
 
 

@@ -335,7 +335,7 @@ def test_output_path_naming_no_file_fails_before_the_solve(output, made, message
 
 def test_solver_failure_exit_code(tmp_path, capsys):
     text = TINY.replace("[loading]",
-                        "[solver]\nnewton_max_iter = 1\nmax_subdivisions = 1\n\n[loading]")
+                        "[solver]\nnewton_max_iter = 1\n\n[loading]")
     text = text.replace("segment = e33:-0.0004 s11:0 s22:0 n:4",
                         "segment = e33:-0.004 s11:0 s22:0 n:1")
     path = tmp_path / "fail.scn"

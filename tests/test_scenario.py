@@ -68,7 +68,7 @@ RICH = Scenario(
                     modes=(STRESS, STRESS, STRESS, STRAIN, STRAIN, STRAIN),
                     increments=3),
     )),
-    settings=SolverSettings(newton_tol=1e-11, max_subdivisions=42),
+    settings=SolverSettings(newton_tol=1e-11, newton_max_iter=42),
     output=OutputOptions(macro_path="out.csv", phase_path="ph.csv",
                          plot_prefix="fig"))
 
@@ -221,6 +221,9 @@ orientations = 1 0 0
      r"^missing required section \[matrix\]$", 0),
     (DEFAULT_DOC.replace("scheme = mori_tanaka", "scheme = bogus"),
      "^line 20: unknown scheme 'bogus'$", 20),
+    # increments are not subdivided, so max_subdivisions is an unknown key on its line
+    (DEFAULT_DOC.replace("scheme = mori_tanaka", "scheme = mori_tanaka\nmax_subdivisions = 8"),
+     r"^line 21: unknown key 'max_subdivisions' in section \[solver\]$", 21),
 ])
 def test_parse_errors_carry_line_numbers(snippet, match, line):
     with pytest.raises(ScenarioError, match=match) as err:
@@ -302,7 +305,6 @@ def test_solver_overrides():
     ("newton_tol = -1e-12", "newton_tol must be positive"),
     ("newton_max_iter = 0", "newton_max_iter must be at least 1"),
     ("mixed_tol = -1e-8", "mixed_tol must be positive"),
-    ("max_subdivisions = -1", "max_subdivisions must not be negative"),
 ])
 def test_solver_setting_out_of_range_names_its_line(setting, match):
     text = GOOD.replace("scheme = mori_tanaka", f"scheme = mori_tanaka\n{setting}")
@@ -406,7 +408,7 @@ _path = st.text(st.sampled_from("ab_./- 9"), max_size=10).filter(lambda p: p == 
     program=st.builds(LoadProgram, segments=st.lists(_segment(), max_size=3).map(tuple)),
     settings=st.builds(SolverSettings, newton_tol=_finite(1e-300, 1.0),
                        newton_max_iter=st.integers(1, 500),
-                       mixed_tol=_finite(1e-300, 1.0), max_subdivisions=st.integers(0, 64)),
+                       mixed_tol=_finite(1e-300, 1.0)),
     output=st.builds(OutputOptions, macro_path=_path, phase_path=st.none() | _path,
                      plot_prefix=st.none() | _path)))
 @example(Scenario(50.0, 0.3, output=OutputOptions(macro_path="my run.csv", phase_path="",

@@ -71,9 +71,9 @@ def test_phase_sweep_counts_its_work(monkeypatch):
                         counted("assemble", sweep.assemble_operators))
     monkeypatch.setattr(sweep, "drive", counted("drive", sweep.drive))
     record = sweep.run(26, sweep.AXES_SEED, 2)
-    assert (record["phases"], record["attempts"]) == (27, 30)
+    assert (record["phases"], record["increments"]) == (27, 30)
     assert (record["newton_solves"], record["newton_linearizations"], record["chords"],
-            record["subdivisions"]) == (20, 32, 37, 0)
+            record["systems"], record["revisions"]) == (20, 32, 37, 10, 3)
     for stage in ("assemble", "drive"):
         times = record[f"{stage}_s_all"]
         assert calls[stage] == 3

@@ -685,40 +685,49 @@ def test_newton_cap_raises_step_failure():
     ops = two_phase_homogeneous()
     program = strain_program([(np.array([0, 0, -0.004, 0, 0, 0]), 2)])
     with pytest.raises(StepFailureError) as info:
-        drive(ops, program, SolverSettings(newton_max_iter=1, max_subdivisions=2))
+        drive(ops, program, SolverSettings(newton_max_iter=1))
     assert float(re.search(NEWTON_CAP, str(info.value)).group(1)) > 1.0
 
     sc = default_scenario()
     with pytest.raises(StepFailureError) as info:
         drive(assemble_operators(sc.phases()), sc.program,
-              SolverSettings(newton_max_iter=1, max_subdivisions=0))
+              SolverSettings(newton_max_iter=1))
     assert float(re.search(NEWTON_CAP, str(info.value)).group(1)) > 1.0
 
 
-def test_subdivision_cap_failure_is_located():
-    # the error that leaves drive names the increment that used up the cap
+def test_cold_start_failure_is_located(monkeypatch):
+    # a solve that starts cold, here a segment's first increment, is not
+    # solved again: the error leaves drive at once, naming the segment and
+    # increment, with the solve's error as its cause; segment 1 is elastic
     ops = two_phase_homogeneous()
     program = strain_program([(np.array([0, 0, -0.001, 0, 0, 0]), 1),
                               (np.array([0, 0, -0.004, 0, 0, 0]), 2)])
     with pytest.raises(StepFailureError) as info:
-        drive(ops, program, SolverSettings(newton_max_iter=1, max_subdivisions=2))
+        drive(ops, program, SolverSettings(newton_max_iter=1))
     exc = info.value
-    assert (exc.segment, exc.increment, exc.depth) == (2, 1, 2)
-    assert re.fullmatch("segment 2, increment 1, subdivision depth 2 \\(cap used up\\): "
-                        + NEWTON_CAP, str(exc))
+    assert (exc.segment, exc.increment) == (2, 1)
+    assert re.fullmatch("segment 2, increment 1: " + NEWTON_CAP, str(exc))
     assert isinstance(exc.__cause__, StepFailureError)
-    assert exc.__cause__.segment is None and exc.__cause__.depth == 2
+    assert (exc.__cause__.segment, exc.__cause__.increment) == (None, None)
+
+    seen = inject_failures(monkeypatch, lambda k, sig_dir: sig_dir is None)
+    with pytest.raises(StepFailureError) as info:
+        drive(ops, program)
+    assert (info.value.segment, info.value.increment) == (2, 1)
+    assert str(info.value) == "segment 2, increment 1: failure injected by the test"
+    assert len(seen) == 1
 
 
 def test_apex_in_attempt_is_located_step_failure():
     # hydrostatic tension drives both frictional phases to the cone apex: the
-    # attempt fails, is halved to the cap and leaves drive located
+    # secant-started solve fails, so does its cold re-solve, and the error
+    # leaves drive located
     ops = two_phase_homogeneous(DruckerPrager(0.5, 0.12))
     program = strain_program([((2e-3, 2e-3, 2e-3, 0, 0, 0), 10)])
     with pytest.raises(StepFailureError) as info:
         drive(ops, program)
     exc = info.value
-    assert (exc.segment, exc.increment, exc.depth) == (1, 6, 8)
+    assert (exc.segment, exc.increment) == (1, 6)
     assert "cone apex" in str(exc) and "'matrix'" in str(exc)
     assert isinstance(exc.__cause__.__cause__, ApexSingularityError)
 
@@ -750,7 +759,7 @@ def test_singular_macro_tangent_raises_step_failure():
     program = LoadProgram((LoadSegment(targets=(0.0, 0.0, -0.001, 0.0, 0.0, 0.0),
                                        modes=modes, increments=20),))
     with pytest.raises(StepFailureError, match="singular macro") as info:
-        drive(ops, program, SolverSettings(max_subdivisions=1))
+        drive(ops, program)
     assert info.value.segment == 1
 
 
@@ -1011,54 +1020,6 @@ def test_determinism_bitwise():
         assert np.array_equal(a.stress, b.stress)
 
 
-def part_size(state, targets):
-    """The largest strain component of the increment part from ``state`` to ``targets``."""
-    return np.abs(targets - state.macro_strain).max()
-
-
-def oversized(state, targets):
-    """Whether an attempt is larger than 1.1e-4: ``inject_failures`` then fails it."""
-    return part_size(state, targets) > 1.1e-4
-
-
-def test_subdivision_recovers_from_oversized_steps(monkeypatch):
-    ops = two_phase_homogeneous()
-    seen = inject_failures(monkeypatch, oversized)
-    program = strain_program([(np.array([0, 0, -0.0008, 0, 0, 0]), 2)])
-    states = drive(ops, program, SolverSettings(max_subdivisions=3))
-    assert len(states) == 3
-    assert states[-1].macro_strain[2] == pytest.approx(-0.0008, abs=0)
-    assert any(oversized(*args[:2]) for args in seen)  # at least one rejected attempt
-
-    monkeypatch.undo()
-    oracle = drive(ops, program, SolverSettings())
-    assert np.abs(states[-1].macro_stress - oracle[-1].macro_stress).max() < 1e-12
-
-
-def test_records_count_every_attempt(monkeypatch):
-    # an increment's record counts all its attempts and the work of the
-    # failed ones: halved three times, each increment makes 15 attempts, as
-    # many as the attempts the helper saw, down to depth 3; every attempt of the
-    # last three increments, which yield throughout, makes a Newton solve
-    ops = two_phase_homogeneous()
-    program = strain_program([(np.array([0, 0, -0.004, 0, 0, 0]), 5)])
-    seen = inject_failures(monkeypatch, oversized)
-    work = record_work(monkeypatch)
-    states = drive(ops, program, SolverSettings(max_subdivisions=3))
-    sizes = iter([part_size(state, targets) for state, targets, *_ in seen])
-    for st in states[1:]:
-        attempted = np.array([next(sizes) for _ in range(st.stats.attempts)])
-        assert attempted[0] == pytest.approx(8e-4, rel=1e-12)
-        levels = np.log2(attempted[0] / attempted)
-        assert np.abs(levels - np.round(levels)).max() <= 1e-9
-        assert (st.stats.attempts, st.stats.depth, round(levels.max())) == (15, 3, 3)
-    assert next(sizes, None) is None
-    records = [st.stats for st in states[1:]]
-    assert [r.solves for r in records] == [0, 4, 15, 15, 15]
-    assert [(r.linearizations, r.chords, r.systems, r.revisions)
-            for r in records] == work.per_increment(records)
-
-
 def cyclic_garbage(run):
     """The objects ``run()`` leaves that only the cycle collector frees."""
     gc.collect()
@@ -1072,103 +1033,87 @@ def cyclic_garbage(run):
 
 def test_drive_leaves_no_cyclic_garbage():
     # a finished increment or segment frees what it built, Newton systems
-    # included, by reference counting alone: neither the subdivision loop
-    # nor a kept system may sit in a reference cycle
+    # included, by reference counting alone: neither a kept system nor the
+    # error of a failed solve may sit in a reference cycle
     sc = default_scenario()
     ops = assemble_operators(sc.phases())
     assert cyclic_garbage(lambda: drive(ops, sc.program, sc.settings)) == 0
 
 
-def test_subdivided_drive_leaves_no_cyclic_garbage(monkeypatch):
-    # every plastic increment is halved three times
+def test_resolved_drive_leaves_no_cyclic_garbage(monkeypatch):
+    # every secant-started solve fails and is solved again cold
     ops = two_phase_homogeneous()
-    seen = inject_failures(monkeypatch, oversized)
+    inject_failures(monkeypatch, lambda k, sig_dir: sig_dir is not None)
     program = strain_program([(np.array([0, 0, -0.004, 0, 0, 0]), 5)])
     states = []
-    assert cyclic_garbage(lambda: states.extend(
-        drive(ops, program, SolverSettings(max_subdivisions=3)))) == 0
+    assert cyclic_garbage(lambda: states.extend(drive(ops, program))) == 0
     assert len(states) == 6 and states[-1].active == (True, True)
-    assert len(seen) == 5 * 15
+    assert [st.stats.solves for st in states[1:]] == [0, 2, 2, 2, 2]
 
 
-def test_parts_and_segment_starts_start_cold(monkeypatch):
-    # every Newton solve of a part of a subdivided increment, and of a
-    # segment's first increment, starts cold: zero multipliers and no
-    # sig_dir (directions at the trial stresses); the first attempt of every
-    # other increment starts from the secant predictor.  The 4th increment
-    # fails whole, then also its first half, or its second; the second
-    # segment's first increment yields
+def test_failed_secant_start_is_solved_cold(monkeypatch):
+    # a segment's first increment starts cold: zero multipliers and no
+    # sig_dir (directions at the trial stresses); every other plastic
+    # increment starts from the secant predictor, and a secant-started solve
+    # that fails is solved once more, cold, from the same trial stresses and
+    # candidates.  Here the 4th increment's secant start fails; the first
+    # increment is elastic and the second segment's first one yields.  The
+    # failed solve's work counts in its increment's record
     ops = two_phase_homogeneous()
     program = strain_program([(np.array([0, 0, -0.004, 0, 0, 0]), 5),
                               (np.array([0, 0, -0.0056, 0, 0, 0]), 2)])
-
-    def run(*failing):  # fails the attempts at (start step, 8e-4 / size) in failing
-        monkeypatch.undo()
-        seen = inject_failures(monkeypatch, lambda state, targets: (
-            state.step, round(8e-4 / part_size(state, targets))) in failing)
-        work = record_work(monkeypatch)
-        assert len(drive(ops, program)) == 8
-        solves = work.calls("_newton_multipliers")
-        assert len(solves) == len(seen) - 1  # every attempt but the elastic first one
-        for (state, _, before), (_, _, active, _, _, lam, sig_dir) in zip(seen[1:], solves):
-            if before is None:
+    reference = drive(ops, program)
+    work = record_work(monkeypatch)
+    seen = inject_failures(monkeypatch, lambda k, sig_dir: k == 3)
+    states = drive(ops, program)
+    # per solve, whether it starts cold (c) or from the secant predictor (s)
+    assert "".join("c" if sig_dir is None else "s" for *_, sig_dir in seen) == "ssscscs"
+    records = [st.stats for st in states[1:]]
+    assert [r.solves for r in records] == [0, 1, 1, 2, 1, 1, 1]
+    assert [(r.linearizations, r.chords, r.systems, r.revisions)
+            for r in records] == work.per_increment(records)
+    starts = iter(seen)
+    for (_, state, _, _, _, before), record in zip(
+            work.calls("_solve_mixed_increment"), records):
+        for k in range(record.solves):
+            active, lam, sig_dir = next(starts)
+            if before is None or k == 1:
                 assert not lam.any() and sig_dir is None
                 continue
             lam_n, lam_before = state.multipliers[active], before.multipliers[active]
             assert np.array_equal(lam, np.where(
                 lam_before > 0.0, np.maximum(2.0 * lam_n - lam_before, 0.0), lam_n))
             assert np.array_equal(sig_dir, 2.0 * state.stress[active] - before.stress[active])
-        return ("".join(str(round(8e-4 / part_size(state, targets)))
-                        for state, targets, _ in seen),
-                "".join("c" if before is None else "s" for *_, before in seen))
-
-    # per attempt, the part of its increment it solves and whether it starts
-    # cold (c) or from the secant predictor (s)
-    assert run() == ("1111111", "csssscs")
-    assert run((3, 1)) == ("111122111", "csssccscs")
-    assert run((3, 1), (3, 2)) == ("11112442111", "csssccccscs")  # the first half fails too
-    assert run((3, 1), (4, 2)) == ("11112244111", "csssccccscs")  # the second half fails too
+    failed, cold = work.calls("_newton_multipliers")[2:4]
+    assert cold[1] is failed[1] and cold[2] == failed[2]  # trial stresses and candidates
+    assert np.abs(states[-1].macro_stress - reference[-1].macro_stress).max() < 1e-12
 
 
-def test_failed_validation_is_subdivided(monkeypatch):
-    # validation runs inside the attempt: a rejected state is halved, the
-    # half states are validated too, and at the cap the error is located
+def test_failed_validation_fails_the_increment(monkeypatch):
+    # validation runs inside the increment, after its solve: a rejected state
+    # fails drive at once, located, and is not solved again, though its solve
+    # started from the secant predictor
     ops = two_phase_homogeneous()
     program = strain_program([(np.array([0, 0, -0.004, 0, 0, 0]), 5)])
-    reference = drive(ops, program)
+    work = record_work(monkeypatch)
     real_validate = solver_mod.validate_state
     steps = []
 
-    def fails_once(ops_, state):
+    def fails_third(ops_, state):
         steps.append(state.step)
-        if len(steps) == 3:
-            raise StepFailureError("rejected once for this test")
+        if state.step == 3:
+            raise StepFailureError("rejected for this test")
         real_validate(ops_, state)
 
-    monkeypatch.setattr(solver_mod, "validate_state", fails_once)
-    states = drive(ops, program)
-    assert steps == [1, 2, 3, 3, 4, 4, 5]  # step 3 rejected, then its two halves
-    assert [st.step for st in states] == list(range(6))
-    assert np.abs(states[-1].macro_stress - reference[-1].macro_stress).max() < 1e-12
-
-    def always_fails(ops_, state):
-        raise StepFailureError("rejected for this test")
-
-    monkeypatch.setattr(solver_mod, "validate_state", always_fails)
+    monkeypatch.setattr(solver_mod, "validate_state", fails_third)
     with pytest.raises(StepFailureError) as info:
-        drive(ops, program, SolverSettings(max_subdivisions=3))
+        drive(ops, program)
     exc = info.value
-    assert (exc.segment, exc.increment, exc.depth) == (1, 1, 3)
-    assert str(exc).endswith("(cap used up): rejected for this test")
-
-
-def test_subdivision_cap_exhausts(monkeypatch):
-    ops = two_phase_homogeneous()
-
-    inject_failures(monkeypatch, lambda state, targets: True)
-    program = strain_program([(np.array([0, 0, -0.0008, 0, 0, 0]), 1)])
-    with pytest.raises(StepFailureError):
-        drive(ops, program, SolverSettings(max_subdivisions=3))
+    assert (exc.segment, exc.increment) == (1, 3)
+    assert str(exc) == "segment 1, increment 3: rejected for this test"
+    assert steps == [1, 2, 3]
+    solves = work.calls("_newton_multipliers")
+    assert len(solves) == 2 and solves[1][6] is not None  # increments 2 and 3, one each
 
 
 def test_stress_control_miss_fails_the_attempt(monkeypatch):
@@ -1185,9 +1130,9 @@ def test_stress_control_miss_fails_the_attempt(monkeypatch):
     monkeypatch.setattr(solver_mod, "macro_plastic_strain", offset)
     sc = default_scenario()
     with pytest.raises(StepFailureError) as info:
-        drive(default_ops(), sc.program, replace(sc.settings, max_subdivisions=0))
-    assert (info.value.segment, info.value.increment, info.value.depth) == (1, 41, 0)
-    assert str(info.value) == ("segment 1, increment 41, subdivision depth 0 (cap used up): "
+        drive(default_ops(), sc.program, sc.settings)
+    assert (info.value.segment, info.value.increment) == (1, 41)
+    assert str(info.value) == ("segment 1, increment 41: "
                                "stress-controlled components miss their targets by 1.537e-04")
 
 
@@ -1223,25 +1168,19 @@ def test_segment_validation():
     ({"newton_max_iter": -5}, "newton_max_iter must be at least 1"),
     ({"mixed_tol": 0.0}, "mixed_tol must be positive"),
     ({"mixed_tol": -1e-8}, "mixed_tol must be positive"),
-    ({"max_subdivisions": -1}, "max_subdivisions must not be negative"),
-    ({"max_subdivisions": 65}, "max_subdivisions must be at most 64"),
     ({"newton_max_iter": 2.5}, "newton_max_iter must be an integer"),
-    ({"max_subdivisions": 1.5}, "max_subdivisions must be an integer"),
 ])
 def test_solver_settings_reject_out_of_range(bad, match):
-    # each of these used to fail only at the first (plastic) increment, after
-    # every subdivision, with a bare TypeError or RecursionError, or to run
-    # silently as another value
+    # each of these used to fail only at the first (plastic) increment, with
+    # a bare TypeError, or to run silently as another value
     with pytest.raises(ValueError, match=match):
         SolverSettings(**bad)
 
 
 def test_solver_settings_accept_their_limits():
-    settings = SolverSettings(newton_tol=1e-300, newton_max_iter=1, mixed_tol=1e-300,
-                              max_subdivisions=0)
-    assert (settings.newton_max_iter, settings.max_subdivisions) == (1, 0)
-    settings = SolverSettings(newton_max_iter=np.int64(3), max_subdivisions=64)
-    assert (settings.newton_max_iter, settings.max_subdivisions) == (3, 64)
+    settings = SolverSettings(newton_tol=1e-300, newton_max_iter=1, mixed_tol=1e-300)
+    assert settings.newton_max_iter == 1
+    assert SolverSettings(newton_max_iter=np.int64(3)).newton_max_iter == 3
 
 
 NON_FINITE_FIELDS = [
@@ -1258,7 +1197,7 @@ NON_FINITE_FIELDS = [
                          ids=[field for field, _ in NON_FINITE_FIELDS])
 def test_constructors_reject_non_finite_constants(field, build, value):
     # each used to be accepted and fail later: a bare LinAlgError in the
-    # assembly, a KKT violation after every subdivision, or a switched-off check
+    # assembly, a KKT violation at the first plastic increment, or a switched-off check
     with pytest.raises(ValueError, match=f"{field} must be positive and finite, got {value}"):
         build(value)
 
@@ -1288,7 +1227,7 @@ def test_benchmark_hook_targets_exist(module, path):
 def test_drive_advances_once_per_increment(monkeypatch):
     # perfbench's increment clock wraps _advance_with_subdivision the same way
     # and cuts each drive at its calls: drive must look it up at call time and
-    # call it once per increment, however often the increment is halved
+    # call it once per increment, also when the increment is solved twice
     real_advance = solver_mod._advance_with_subdivision
     calls = []
 
@@ -1301,7 +1240,7 @@ def test_drive_advances_once_per_increment(monkeypatch):
     drive(assemble_operators(sc.phases()), sc.program, sc.settings)
     assert len(calls) == 150
     calls.clear()
-    seen = inject_failures(monkeypatch, oversized)
+    seen = inject_failures(monkeypatch, lambda k, sig_dir: sig_dir is not None)
     program = strain_program([(np.array([0, 0, -0.004, 0, 0, 0]), 5)])
-    drive(two_phase_homogeneous(), program, SolverSettings(max_subdivisions=3))
-    assert len(calls) == 5 and len(seen) == 75
+    drive(two_phase_homogeneous(), program)
+    assert len(calls) == 5 and len(seen) == 8  # 4 plastic increments, 2 solves each
