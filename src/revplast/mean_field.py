@@ -106,7 +106,8 @@ class MeanFieldOperators:
 
     concentration: (n, 6, 6) strain concentration tensors.
     response, mixing: (n, 6, 6) factors R_a (zero for the matrix) and M_a of the
-    influence operator, which ``eigen_response`` applies in O(n).
+    influence operator, which ``eigen_response`` applies in O(n).  Under
+    Mori-Tanaka M_a = A_a, and mixing is the concentration array itself.
     The plastic-phase table: plastic_index, the (p,) ascending indices of the
     phases with a yield surface, and, row k belonging to phase plastic_index[k],
     their Drucker-Prager tan(phi) plastic_tan_friction, tan(psi) (potential
@@ -203,6 +204,8 @@ def assemble_operators(phases, scheme: str = "mori_tanaka") -> MeanFieldOperator
         lead[1:] = 0.0
     mix = lead @ ten4_inv(np.einsum("a,aij->ij", f, lead))
     conc = a_dil + mix @ (IDENTITY - np.einsum("a,aij->ij", f, a_dil))
+    if scheme == "mori_tanaka":
+        mix = conc  # M = A_dil (sum_c f_c A_dil,c)^-1 = A: one array serves as both
 
     c_hom = np.einsum("a,aij->ij", f, cmats @ conc)
     asym = np.abs(c_hom - c_hom.T).max()

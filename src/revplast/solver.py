@@ -65,8 +65,12 @@ The operators' plastic-phase table (``MeanFieldOperators.plastic_index`` and
 the ``plastic_*`` arrays beside it, gathered once by ``assemble_operators``) is
 the only store of the Drucker-Prager parameters and past-yield thresholds:
 ``check_yield`` and ``validate_state`` read it whole, and an active system
-reads its phases' rows of it.  ``validate_state`` still recomputes every value
-it checks from the state's own arrays, never from the solver's intermediates.
+reads its phases' rows of it.  F is evaluated once per increment on the array
+that becomes the state's stresses: ``check_yield`` selects the state (the
+trial stresses when no phase yields, else the converged iterate's, at its
+join check) and its F values are the ones the KKT check of
+``validate_state`` reads.  Every other check recomputes its values from the
+state's own arrays, never from the solver's intermediates.
 
 An increment returns a state ``validate_state`` accepts or raises
 StepFailureError, whatever the cause, and ``drive`` then raises it with the
@@ -229,11 +233,13 @@ def _trial_at(ops: MeanFieldOperators, state: REVState, eps_bar: np.ndarray):
     return state.strain + d, state.stress + np.einsum("aij,aj->ai", ops.stiffness, d)
 
 
-def check_yield(ops: MeanFieldOperators, stresses: np.ndarray) -> list[int]:
-    """Candidate plastic set: the plastic phases whose yield value exceeds YIELD_TOL s0."""
+def check_yield(ops: MeanFieldOperators, stresses: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Candidate plastic set, the plastic phases whose yield value exceeds
+    YIELD_TOL s0, and the yield values F (p,) of the plastic phases, row k
+    belonging to phase ``ops.plastic_index[k]``."""
     p = ops.plastic_index
     f_vals = dp_yield(stresses.take(p, axis=0), ops.plastic_tan_friction, ops.plastic_strength)
-    return p[f_vals > ops.plastic_yield_tol].tolist()
+    return p[f_vals > ops.plastic_yield_tol].tolist(), f_vals
 
 
 def _inverse(a, what):
@@ -468,8 +474,9 @@ def _newton_multipliers(ops, sig_tr, active, settings, control, lam, sig_dir=Non
     """Solve the coupled return under the stress control of ``control`` from
     the candidate phases ``active`` and their start ``lam``, revising the
     active set between iterates; returns the final set and multipliers, the
-    converged iterate's controlled-strain corrections and its ``stress_update``,
-    (active, lam, x, d_eps, du, stresses).
+    converged iterate's controlled-strain corrections, its ``stress_update``
+    and the plastic phases' F at its stresses from the join check,
+    (active, lam, x, d_eps, du, stresses, f).
 
     Newton on the active stresses and multipliers from the trial state
     ``sig_tr`` at the predicted macro strain, starting at the stresses the
@@ -510,10 +517,12 @@ def _newton_multipliers(ops, sig_tr, active, settings, control, lam, sig_dir=Non
             join = []
             if converged:  # the only all-phase evaluation: join check and result
                 x, du, sig = sys_.stress_update(sig_tr, x, d_eps)
-                join = sorted(set(check_yield(ops, sig)) - set(active))
+                candidates, f = check_yield(ops, sig)
+                join = sorted(set(candidates) - set(active))
+                if keep.all() and not join:
+                    return active, lam, x, d_eps, du, sig, f
+                del f  # the revision below does not keep it
             if keep.all() and not join:
-                if converged:
-                    return active, lam, x, d_eps, du, sig
                 err = float(np.max(gap / tols))
                 if lin is not None and rate is None:
                     rate = err / err_lin  # the contraction of the linearized step
@@ -544,9 +553,14 @@ def _newton_multipliers(ops, sig_tr, active, settings, control, lam, sig_dir=Non
         f"last stress/yield residual {err:.3e} times its tolerance")
 
 
-def validate_state(ops: MeanFieldOperators, state: REVState) -> None:
+def validate_state(ops: MeanFieldOperators, state: REVState,
+                   f: np.ndarray | None = None) -> None:
     """Raise if a converged state violates the constitutive, averaging or KKT
-    identities; a NaN residual fails every check."""
+    identities; a NaN residual fails every check.
+
+    The KKT check reads ``f``, the plastic phases' F at ``state.stress`` as
+    ``check_yield`` returns it, when it is given, else evaluates it; every
+    other check recomputes its values from the state's arrays."""
     sig_ref = max(1.0, float(np.abs(state.stress).max()))
     res_c = np.abs(state.stress - phase_stresses(
         ops, state.strain, state.plastic_strain)).max()
@@ -556,8 +570,8 @@ def validate_state(ops: MeanFieldOperators, state: REVState) -> None:
     if not res_avg <= STATE_TOL * max(1.0, float(np.abs(state.macro_strain).max())):
         raise StepFailureError(f"strain-average residual {res_avg:.3e} exceeds tolerance")
     p, tol_f = ops.plastic_index, ops.plastic_yield_tol
-    f_vals = dp_yield(state.stress.take(p, axis=0), ops.plastic_tan_friction,
-                      ops.plastic_strength)
+    f_vals = f if f is not None else dp_yield(state.stress.take(p, axis=0),
+                                              ops.plastic_tan_friction, ops.plastic_strength)
     lam = state.multipliers[p]
     ok = (f_vals <= tol_f) & (lam >= 0.0) & (np.abs(lam * f_vals) <= tol_f)
     if not ok.all():
@@ -584,17 +598,19 @@ def _solve_mixed_increment(ops, state, targets, control, settings, before=None):
     max(2 lam_n - lam_n-1, 0) where the phase was active before, else lam_n,
     and flow directions at 2 sig_n - sig_n-1.  If that secant-started solve
     fails, the increment is solved once more, cold, from the same trial state
-    and candidates.  Returns the new state once ``validate_state`` accepts it;
+    and candidates.  Returns the new state once ``validate_state`` accepts it,
+    its KKT check reading the F of the yield check that selected the state;
     raises StepFailureError when the cold solve fails, an active phase's
     equivalent stress vanishes in it, the stress targets are missed or the
     state is rejected.
     """
     eps_bar = control.predict(state, targets)
     strains, stresses = _trial_at(ops, state, eps_bar)
-    active = check_yield(ops, stresses)
+    active, f = check_yield(ops, stresses)
     eps_p, macro_plastic = state.plastic_strain, state.macro_plastic
     multipliers = state.multipliers
     if active:
+        del f  # the trial F is not kept through the solve
         solved = None
         if before is not None:  # the secant predictor
             index = np.array(active, dtype=np.intp)
@@ -609,7 +625,7 @@ def _solve_mixed_increment(ops, state, targets, control, settings, before=None):
         if solved is None:
             solved = _newton_multipliers(ops, stresses, active, settings, control,
                                          np.zeros(len(active)))
-        active, lam, x, d_eps, du, stresses = solved
+        active, lam, x, d_eps, du, stresses, f = solved
         eps_bar[control.idx] += d_eps
         multipliers = np.zeros(ops.n_phases)
         multipliers[active] = lam
@@ -625,7 +641,7 @@ def _solve_mixed_increment(ops, state, targets, control, settings, before=None):
     new = REVState(step=state.step + 1, macro_strain=eps_bar, macro_stress=sig_bar,
                    macro_plastic=macro_plastic, strain=strains, plastic_strain=eps_p,
                    stress=stresses, multipliers=multipliers, stats=control.record())
-    validate_state(ops, new)
+    validate_state(ops, new, f)
     return new
 
 

@@ -396,6 +396,8 @@ def test_operator_arrays_are_read_only_and_gathered_from_the_models(scheme):
             arr[...] = 0
     assert ops.plastic_index.dtype.kind == "i"
     assert ops.plastic_index.tolist() == [0, 2, 4]
+    # Mori-Tanaka's mixing maps are its concentration tensors, one array
+    assert (ops.mixing is ops.concentration) == (scheme == "mori_tanaka")
     table = [models[a] for a in ops.plastic_index]
     assert ops.plastic_tan_friction.tolist() == [np.tan(m.friction_angle) for m in table]
     assert ops.plastic_tan_dilation.tolist() == [np.tan(m.potential_angle) for m in table]

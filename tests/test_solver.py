@@ -95,11 +95,11 @@ def test_check_yield_sets():
     ops = default_ops()
     n = ops.n_phases
     calm = np.zeros((n, 6))
-    assert check_yield(ops, calm) == []
+    assert check_yield(ops, calm)[0] == []
     hot = calm.copy()
     hot[7] = np.array([0.0, 0, -0.2, 0, 0, 0])
     hot[0] = hot[7]  # the elastic matrix has no yield value
-    assert check_yield(ops, hot) == [7]
+    assert check_yield(ops, hot)[0] == [7]
 
 
 def test_check_yield_mixed_angles_and_elastic_phase(rng):
@@ -113,9 +113,10 @@ def test_check_yield_mixed_angles_and_elastic_phase(rng):
     assert ops.plastic_index.tolist() == [1, 2, 3]
     sig = rng.normal(size=(4, 6)) * 0.1
     sig[0] = 10.0 * np.abs(sig).max()  # the elastic matrix is never a candidate
-    cand = check_yield(ops, sig)
+    cand, f = check_yield(ops, sig)
     rows = [dp_yield(s, np.tan(m.friction_angle), m.shear_strength)
             for m, s in zip(models[1:], sig[1:])]
+    np.testing.assert_allclose(f, rows, rtol=1e-14, atol=1e-16)  # row k is phase k + 1
     assert cand == [a for a in (1, 2, 3)
                     if rows[a - 1] > YIELD_TOL * models[a].shear_strength]
     assert all(type(a) is int for a in cand)
@@ -140,11 +141,11 @@ def test_check_yield_maps_the_plastic_index_to_phases():
     ops = interleaved_ops()
     sig = np.zeros((5, 6))
     sig[:, 2] = -1.0  # past every plastic phase's yield surface
-    cand = check_yield(ops, sig)
+    cand = check_yield(ops, sig)[0]
     assert cand == [1, 3, 4]
     assert all(type(a) is int for a in cand)
     sig[[1, 3]] = 0.0  # the elastic phases 0 and 2 are never candidates
-    assert check_yield(ops, sig) == [4]
+    assert check_yield(ops, sig)[0] == [4]
 
 
 def test_validation_names_phases_through_the_plastic_index():
@@ -159,7 +160,7 @@ def test_validation_names_phases_through_the_plastic_index():
     # an unreturned trial state past yield in inclusion 4 alone
     eps_bar = np.array([0, 0, -2e-5, 0, 0, 0])
     eps_tr, sig_tr = _trial_at(ops, state, eps_bar)
-    assert check_yield(ops, sig_tr) == [4]
+    assert check_yield(ops, sig_tr)[0] == [4]
     bad = replace(state, step=1, macro_strain=eps_bar,
                   macro_stress=ops.stiffness_hom @ eps_bar, strain=eps_tr, stress=sig_tr)
     with pytest.raises(StepFailureError, match="KKT violation in phase 'incl4': F = "):
@@ -200,7 +201,7 @@ def test_all_elastic_assembly_has_an_empty_plastic_index():
     ops = assemble_operators([replace(p, plastic=None) for p in default_scenario().phases()])
     assert ops.plastic_index.shape == (0,) and ops.plastic_index.dtype.kind == "i"
     assert ops.plastic_yield_tol.shape == (0,)
-    assert check_yield(ops, np.full((ops.n_phases, 6), 1e3)) == []
+    assert check_yield(ops, np.full((ops.n_phases, 6), 1e3))[0] == []
     states = drive(ops, strain_program([(np.array([2e-4, 0, -1e-3, 0, 0, 0]), 3)]))
     for st in states:
         validate_state(ops, st)
@@ -338,7 +339,7 @@ def test_newton_step_matches_directional_differences_at_width(matrix_plastic, n_
     _, sig_tr = _trial_at(ops, initial_state(ops), np.array([5e-4, 5e-4, -1e-3, 0, 0, 0]))
     control = solver_mod._StressControl(ops, modes)
     active = list(range(0 if matrix_plastic else 1, ops.n_phases))
-    assert check_yield(ops, sig_tr) == active
+    assert check_yield(ops, sig_tr)[0] == active
     sys_ = solver_mod._ActiveSystem(ops, active, control)
     assert len(sys_.weighted) == n_coupling + len(control.idx)
     m = len(active)
@@ -439,8 +440,8 @@ def test_macro_tangent_matches_finite_differences(scheme, active):
 
     def converged(targets, modes):
         control = solver_mod._StressControl(ops, modes)
-        got, lam, x, d_eps, _, sig = newton_solve(ops, start, targets, control, active,
-                                                  np.zeros(len(active)))
+        got, lam, x, d_eps, _, sig, _ = newton_solve(ops, start, targets, control, active,
+                                                     np.zeros(len(active)))
         assert got == active and (lam > 0.0).all()
         eps_bar = control.predict(start, targets)
         eps_bar[control.idx] += d_eps
@@ -490,11 +491,11 @@ def test_converged_guess_needs_no_linearization(monkeypatch):
     targets = np.array([0.0, 0.0, -0.004, 0.0, 0.0, 0.0])
     active = [0, 1]
     work = record_work(monkeypatch)
-    got, lam, _, d_eps, _, sig = newton_solve(
+    got, lam, _, d_eps, _, sig, _ = newton_solve(
         ops, state, targets, solver_mod._StressControl(ops, MIXED_MODES), active, np.zeros(2))
     assert got == active and (lam > 0.0).all()
     cold = len(work.calls("_ActiveSystem.jacobian"))
-    got, lam_w, _, d_w, _, sig_w = newton_solve(
+    got, lam_w, _, d_w, _, sig_w, _ = newton_solve(
         ops, state, targets, solver_mod._StressControl(ops, MIXED_MODES), active, lam)
     assert cold >= 1 and len(work.calls("_ActiveSystem.jacobian")) == cold and got == active
     tol = SolverSettings().newton_tol * 0.12
@@ -516,12 +517,12 @@ def test_seeded_newton_reaches_the_same_return(scale):
                        new.macro_stress)
     active = np.flatnonzero(new.active).tolist()
     assert len(active) >= 10
-    got, lam, *_, sig = newton_solve(ops, prev, targets,
-                                     solver_mod._StressControl(ops, segment.modes), active,
-                                     new.multipliers[active])
-    got_s, lam_s, *_, sig_s = newton_solve(ops, prev, targets,
-                                           solver_mod._StressControl(ops, segment.modes),
-                                           active, scale * lam)
+    got, lam, *_, sig, _ = newton_solve(ops, prev, targets,
+                                        solver_mod._StressControl(ops, segment.modes), active,
+                                        new.multipliers[active])
+    got_s, lam_s, *_, sig_s, _ = newton_solve(ops, prev, targets,
+                                              solver_mod._StressControl(ops, segment.modes),
+                                              active, scale * lam)
     assert got == got_s == active
     tol = SolverSettings().newton_tol * min(ops.phases[a].plastic.shear_strength
                                             for a in active)
@@ -554,7 +555,7 @@ def test_negative_multiplier_candidate_dropped(monkeypatch):
     # remaining phase from its iterate, with no second solve
     phases, ops, state, deps = twin_inclusions()
     _, sig_tr = _trial_at(ops, state, deps)
-    assert check_yield(ops, sig_tr) == [1, 2]
+    assert check_yield(ops, sig_tr)[0] == [1, 2]
     hard = phases[2].plastic
     assert 0.0 < dp_yield(sig_tr[2], np.tan(hard.friction_angle), hard.shear_strength) < 1e-4
     work = record_work(monkeypatch)
@@ -595,8 +596,8 @@ def test_switch_acts_on_the_start_iterate(monkeypatch):
     _, ops, state, deps = twin_inclusions()
     new = attempt(ops, state, deps)
     work = record_work(monkeypatch)
-    active, lam, *_, sig = newton_solve(ops, state, deps, strain_control(ops), [1, 2],
-                                        new.multipliers[[1, 2]])
+    active, lam, *_, sig, _ = newton_solve(ops, state, deps, strain_control(ops), [1, 2],
+                                           new.multipliers[[1, 2]])
     assert active == [1] and not work.calls("_ActiveSystem.jacobian")
     tol = SolverSettings().newton_tol * 0.12
     assert abs(lam[0] - new.multipliers[1]) <= tol
@@ -947,7 +948,7 @@ def test_kkt_yield_violation_names_first_phase():
     state = initial_state(ops)
     eps_bar = np.array([0, 0, -0.002, 0, 0, 0])
     eps_tr, sig_tr = _trial_at(ops, state, eps_bar)
-    cand = check_yield(ops, sig_tr)
+    cand = check_yield(ops, sig_tr)[0]
     assert cand and cand[0] > 0
     bad = replace(state, step=1, macro_strain=eps_bar,
                   macro_stress=ops.stiffness_hom @ eps_bar, strain=eps_tr, stress=sig_tr)
@@ -1099,11 +1100,11 @@ def test_failed_validation_fails_the_increment(monkeypatch):
     real_validate = solver_mod.validate_state
     steps = []
 
-    def fails_third(ops_, state):
+    def fails_third(ops_, state, f):
         steps.append(state.step)
         if state.step == 3:
             raise StepFailureError("rejected for this test")
-        real_validate(ops_, state)
+        real_validate(ops_, state, f)
 
     monkeypatch.setattr(solver_mod, "validate_state", fails_third)
     with pytest.raises(StepFailureError) as info:
@@ -1114,6 +1115,36 @@ def test_failed_validation_fails_the_increment(monkeypatch):
     assert steps == [1, 2, 3]
     solves = work.calls("_newton_multipliers")
     assert len(solves) == 2 and solves[1][6] is not None  # increments 2 and 3, one each
+
+
+def test_validation_reads_the_yield_values_of_its_state(monkeypatch):
+    # an increment evaluates F once, on the array that becomes its state's
+    # stresses: the yield check that selected the state (the trial check of an
+    # elastic increment, the converged iterate's join check of a plastic one,
+    # the cold solve's after a failed secant start) hands its values to the
+    # KKT check, and they are F of the state's plastic rows, bit for bit
+    real_validate = solver_mod.validate_state
+    received = []
+
+    def checked(ops_, state, f):
+        p = ops_.plastic_index
+        want = dp_yield(state.stress.take(p, axis=0), ops_.plastic_tan_friction,
+                        ops_.plastic_strength)
+        received.append((state.stats.solves, f.dtype == want.dtype and f.shape == want.shape
+                         and f.tobytes() == want.tobytes()))
+        real_validate(ops_, state, f)
+
+    monkeypatch.setattr(solver_mod, "validate_state", checked)
+    sc = default_scenario()
+    drive(assemble_operators(sc.phases()), sc.program, sc.settings)
+    assert len(received) == 150 and {s for s, _ in received} == {0, 1}
+    ops = two_phase_homogeneous()
+    program = strain_program([(np.array([0, 0, -0.004, 0, 0, 0]), 5)])
+    assert drive(ops, program)[-1].active == (True, True)  # every phase yields
+    inject_failures(monkeypatch, lambda k, sig_dir: sig_dir is not None)
+    drive(ops, program)
+    assert [s for s, _ in received[150:]] == [0, 1, 1, 1, 1, 0, 2, 2, 2, 2]
+    assert all(same for _, same in received)
 
 
 def test_stress_control_miss_fails_the_attempt(monkeypatch):
