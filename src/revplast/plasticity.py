@@ -13,8 +13,9 @@ one model's are ``np.tan(model.friction_angle)``,
 is ``stress_invariants`` followed by ``dp_yield_of``; a return-mapping iterate
 evaluates the invariants of its stresses once with ``dp_direction`` and
 applies ``dp_yield_of``, the flow of ``dp_flow_of`` and ``dp_flow_gradient_of``
-to them, and calls ``dp_yield`` once more only at an iterate whose residual is
-within tolerance, for F at the stresses it would hand to the state.
+to them.  Only an iterate whose residual is within tolerance calls
+``dp_yield`` again, once, through the solver's all-phase yield check of the
+stresses it would hand to the state.
 """
 from __future__ import annotations
 

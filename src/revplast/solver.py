@@ -48,18 +48,18 @@ would take to the tolerance in two steps makes a chord step (the modified
 Newton method): it solves the kept linearization for its own residual instead
 of building a new one.  The residual goes through the same coupling vectors,
 each way by one matrix-vector product, so a whole iterate costs O(m); all n
-phases are evaluated once per converged iterate, for the joins and the state.
+phases are evaluated only at an iterate whose residual is within tolerance.
 
 Yield checks, Newton residuals and flow directions and the KKT check all call
 the batched Drucker-Prager kernel of ``plasticity``.  A Newton iterate
 evaluates the invariants of its active stresses once, for the residual and
 its linearization at the iterate.  It has converged once its stress
-residuals and F at the iterate are within tolerance and, evaluated only
-then, F at the stresses recomputed with its flow is too: those are (up to
-roundoff) the stresses a converged iterate hands to the state, so F is
-bounded where the state is accepted.  An active system gathers its phases'
-operators and stresses with one integer index, and the pressure terms of its
-flow and yield gradients are computed once per system.
+residuals and F at the iterate are within tolerance and so are the active
+rows of the join check's F, evaluated only then on the all-phase stresses
+the state keeps: F is bounded on the array the state is accepted with.  An
+active system gathers its phases' operators and stresses with one integer
+index, and the pressure terms of its flow and yield gradients are computed
+once per system.
 
 The operators' plastic-phase table (``MeanFieldOperators.plastic_index`` and
 the ``plastic_*`` arrays beside it, gathered once by ``assemble_operators``) is
@@ -68,9 +68,9 @@ the only store of the Drucker-Prager parameters and past-yield thresholds:
 reads its phases' rows of it.  F is evaluated once per increment on the array
 that becomes the state's stresses: ``check_yield`` selects the state (the
 trial stresses when no phase yields, else the converged iterate's, at its
-join check) and its F values are the ones the KKT check of
-``validate_state`` reads.  Every other check recomputes its values from the
-state's own arrays, never from the solver's intermediates.
+join check) and its F values are the ones Newton convergence and the KKT
+check of ``validate_state`` read.  Every other check recomputes its values
+from the state's own arrays, never from the solver's intermediates.
 
 An increment returns a state ``validate_state`` accepts or raises
 StepFailureError, whatever the cause, and ``drive`` then raises it with the
@@ -342,7 +342,7 @@ class _ActiveSystem:
         self.index = index = np.array(active, dtype=np.intp)  # for take and scatter
         self.idx = control.idx
         # every active phase is plastic, so its row of the plastic-phase table is exact
-        rows = np.searchsorted(ops.plastic_index, index)
+        self.rows = rows = np.searchsorted(ops.plastic_index, index)
         self.tan_f = ops.plastic_tan_friction.take(rows)
         self.strength = ops.plastic_strength.take(rows)
         # the (m, 1) pressure columns of the yield and flow gradients
@@ -483,14 +483,14 @@ def _newton_multipliers(ops, sig_tr, active, settings, control, lam, sig_dir=Non
     start multipliers give with flow directions at the candidates' stresses
     ``sig_dir`` (m, 6), by default their trial stresses;
     every iterate carries the controlled-strain corrections d_eps of its flow.
-    An iterate has converged once its residual (r_sig and F at the iterate)
-    is within tolerance and then F of the stresses recomputed with its flow
-    directions is too.  At every iterate, the start included, a phase with
-    lam_a + c_a (F_a - YIELD_TOL s0_a) <= 0 leaves with its multiplier; at a
-    converged iterate the plastic phases past yield join from their current
-    stress with lam = 0.  A revision costs no linearization; the solve returns
-    at a converged iterate that changes nothing.  ``newton_max_iter`` caps
-    steps and revisions together.
+    An iterate whose residual (r_sig and F at the iterate) is within tolerance
+    has converged if the active rows of its join check's F, at the stresses of
+    its ``stress_update``, are too; else it drops them and steps on.  At every
+    iterate, the start included, a phase with lam_a + c_a (F_a - YIELD_TOL s0_a)
+    <= 0 leaves with its multiplier; at a converged iterate the plastic phases
+    past yield join from their current stress with lam = 0.  A revision costs
+    no linearization; the solve returns at a converged iterate that changes
+    nothing.  ``newton_max_iter`` caps steps and revisions together.
 
     Chord steps: if the last linearized step took the worst scaled residual
     (in units of the tolerance) from e0 to e1, a later iterate with residual e
@@ -510,20 +510,19 @@ def _newton_multipliers(ops, sig_tr, active, settings, control, lam, sig_dir=Non
         for _ in range(settings.newton_max_iter):
             res, x, sig, d_eps, point = sys_.residual(sig_tr, sig_act, lam)
             gap = np.abs(res).max(axis=1)
-            # F at the stresses the iterate hands on, only where it can converge
-            converged = ((gap <= tols).all()
-                         and (np.abs(dp_yield(sig, sys_.tan_f, sys_.strength)) <= tols).all())
             keep = lam + sys_.switch_c * res[:, 6] > sys_.switch_at
             join = []
-            if converged:  # the only all-phase evaluation: join check and result
+            if (gap <= tols).all():  # the only all-phase evaluation: F where the state is
                 x, du, sig = sys_.stress_update(sig_tr, x, d_eps)
                 candidates, f = check_yield(ops, sig)
-                join = sorted(set(candidates) - set(active))
-                if keep.all() and not join:
-                    return active, lam, x, d_eps, du, sig, f
-                del f  # the revision below does not keep it
+                if (np.abs(f.take(sys_.rows)) <= tols).all():  # converged: seek the joins
+                    join = sorted(set(candidates) - set(active))
+                    if keep.all() and not join:
+                        return active, lam, x, d_eps, du, sig, f
+                del x, du, f  # the step or revision below keeps none of them
             if keep.all() and not join:
                 err = float(np.max(gap / tols))
+                del gap  # not alive through a linearization
                 if lin is not None and rate is None:
                     rate = err / err_lin  # the contraction of the linearized step
                 if lin is not None and _chord(err, rate):

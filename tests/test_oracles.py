@@ -62,20 +62,23 @@ def test_default_run_work_counts(counted_default_run):
     assert len(work.calls("_StressControl.__init__")) == 2
     assert sum(st.stats.systems for st in states[1:]) == 4
     # a Newton iterate evaluates its m active stresses only; all n phases are
-    # evaluated once per converged iterate, whose response updates the state
-    # (305 calls when every one of the 245 residuals went through
+    # evaluated once per iterate whose residual is within tolerance, whose
+    # response then decides convergence and updates the state: 62, two of them
+    # missing on F at those stresses (60 while a proxy for them decided it;
+    # 305 calls when every one of the 245 residuals went through
     # eigen_response, 120 when each plastic increment re-localized its state)
-    assert len(work.calls("eigen_response")) == 60
+    assert len(work.calls("eigen_response")) == 62
 
 
 def test_default_run_yield_kernel_calls(monkeypatch):
     # the Drucker-Prager invariants, counted by the function that asks for
-    # them: one evaluation per residual (60 Newton starts and 159 iterates),
-    # one more at each iterate whose residual is within tolerance (62; F is
-    # bounded at the stresses a converged iterate hands on), and one per
-    # yield check, whose values the state's KKT check reads: 491 calls,
-    # against 641 when each state validation evaluated F again and 738 when
-    # every iterate also evaluated F at its recomputed stresses
+    # them: one evaluation per residual (60 Newton starts and 159 iterates)
+    # and one per yield check (150 trial states and 62 iterates whose
+    # residual is within tolerance), whose values decide Newton convergence
+    # and the state's KKT check: 431 calls, against 491 while each such
+    # iterate also evaluated F at the active stresses its residual
+    # recomputes, 641 when each state validation evaluated F again and 738
+    # when every iterate evaluated F at its recomputed stresses
     real = plasticity.stress_invariants
     callers = Counter()
 
@@ -86,8 +89,43 @@ def test_default_run_yield_kernel_calls(monkeypatch):
     monkeypatch.setattr(plasticity, "stress_invariants", counted)
     sc = default_scenario()
     drive(assemble_operators(sc.phases()), sc.program, sc.settings)
-    assert callers == {"residual": 219, "_newton_multipliers": 62, "check_yield": 210}
-    assert callers.total() == 491
+    assert callers == {"residual": 219, "check_yield": 212}
+    assert callers.total() == 431
+
+
+def test_convergence_reads_the_join_checks_yield_values(monkeypatch):
+    # an iterate whose residual is within tolerance has converged only once
+    # its active phases' F in the join check, at the stresses the state
+    # keeps, is within tolerance too: with those rows raised to twice the
+    # tolerance at the first plastic solve's first such iterate, that solve
+    # takes one more step (here a chord step) and returns the same state
+    # (measured 2.4e-15 MPa in the stresses, 1.4e-17 in strains and multipliers)
+    sc = default_scenario()
+    ops, tol = assemble_operators(sc.phases()), sc.settings.newton_tol
+    plain = drive(ops, sc.program, sc.settings)
+    real, raised = solver_mod.check_yield, []
+
+    def check_yield(ops_, stresses):
+        candidates, f = real(ops_, stresses)
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_newton_multipliers" and not raised:
+            rows = np.isin(ops.plastic_index, caller.f_locals["active"])
+            f = np.where(rows, 2.0 * tol * ops.plastic_strength, f)
+            raised.append(int(rows.sum()))
+        return candidates, f
+
+    monkeypatch.setattr(solver_mod, "check_yield", check_yield)
+    states = drive(ops, sc.program, sc.settings)
+    k = next(k for k, st in enumerate(plain[1:], 1) if st.stats.solves)
+    assert raised and raised[0] > 0
+    old, new = plain[k].stats, states[k].stats
+    assert new.linearizations + new.chords == old.linearizations + old.chords + 1
+    assert (new.solves, new.systems, new.revisions) == (old.solves, old.systems, old.revisions)
+    assert states[k].active == plain[k].active
+    s0, young = 0.12, 100.0  # the inclusions' strength, the softest phase's modulus
+    for field in STATE_FIELDS:
+        bound = tol * s0 if "stress" in field else tol * s0 / young
+        assert np.abs(getattr(states[k], field) - getattr(plain[k], field)).max() <= bound, field
 
 
 def test_stress_controlled_elastic_increment_one_pass(monkeypatch):
@@ -412,9 +450,9 @@ def test_kept_active_systems_match_fresh_ones(monkeypatch):
 
 
 def test_stressed_generator_fails_where_pinned():
-    # the generator at ten times its strains: four seeds fail at the Newton
-    # cap, located, after at most one cold re-solve, and the other 56
-    # converge with one solve per increment at most.
+    # the generator at ten and thirty times its strains: 4 and 12 seeds fail
+    # at the Newton cap, located, after at most one cold re-solve, and the
+    # others converge with one solve per increment at most.
     # Their summed records were 2,400 linearizations, 1,352 chord steps, 343
     # systems and 166 revisions while a segment's first increment started
     # from the last multipliers and each half from half its part's guess, and
@@ -422,20 +460,68 @@ def test_stressed_generator_fails_where_pinned():
     # an einsum: seed 41's increment 13 (the unload segment's first) then left
     # its worst residual at 0.95 of its tolerance after two chord steps, where
     # the batched product's roundoff leaves 1.10 and takes a third
-    failed, records = {}, []
-    for seed in range(60):
-        try:
-            states = drive(*random_scenario(seed, scale=10.0))
-        except StepFailureError as exc:
-            failed[seed] = (exc.segment, exc.increment)
-            assert "did not converge in 50 Newton iterations" in str(exc)
-            continue
-        records += [st.stats for st in states[1:]]
-    assert failed == {15: (2, 3), 18: (2, 3), 45: (2, 4), 46: (1, 11)}
-    assert len(records) == 896 and max(r.solves for r in records) == 1
-    assert tuple(sum(getattr(r, name) for r in records) for name in (
-        "solves", "linearizations", "chords", "systems",
-        "revisions")) == (846, 2367, 1354, 281, 104)
+    # At f = 30 the converged runs made 1,071 chord steps while a proxy for
+    # the state's stresses decided Newton convergence.
+    pinned = {
+        10.0: ({15: (2, 3), 18: (2, 3), 45: (2, 4), 46: (1, 11)},
+               896, (846, 2367, 1354, 281, 104)),
+        30.0: ({0: (2, 4), 15: (1, 10), 18: (1, 7), 28: (2, 3), 35: (2, 1), 36: (2, 2),
+                41: (1, 9), 45: (2, 1), 46: (1, 4), 49: (2, 1), 52: (1, 8), 58: (2, 4)},
+               768, (728, 2061, 1070, 217, 94)),
+    }
+    for scale, (failures, increments, sums) in pinned.items():
+        failed, records = {}, []
+        for seed in range(60):
+            try:
+                states = drive(*random_scenario(seed, scale=scale))
+            except StepFailureError as exc:
+                failed[seed] = (exc.segment, exc.increment)
+                assert "did not converge in 50 Newton iterations" in str(exc)
+                continue
+            records += [st.stats for st in states[1:]]
+        assert failed == failures, scale
+        assert len(records) == increments and max(r.solves for r in records) == 1
+        assert tuple(sum(getattr(r, name) for r in records) for name in (
+            "solves", "linearizations", "chords", "systems", "revisions")) == sums, scale
+
+
+def wide_strain_drive():
+    """200 seeded spheroid axes (and the elastic matrix) driven along one fully
+    strain-controlled segment in which every inclusion yields."""
+    axes = np.random.default_rng(20201124).normal(size=(200, 3))
+    model = DruckerPrager(0.0, 0.12)
+    phases = [PhaseSpec("matrix", 1.0 - 0.143, 100.0, 0.25)] + [
+        PhaseSpec(f"incl{k}", 0.143 / 200, 1000.0, 0.25, spheroid=Spheroid(0.35, tuple(axis)),
+                  plastic=model)
+        for k, axis in enumerate(axes.tolist())]
+    segment = LoadSegment((5e-4, 5e-4, -1e-3, None, None, None), (STRAIN,) * 6, 30)
+    ops = assemble_operators(phases)
+    return ops, drive(ops, LoadProgram((segment,)))
+
+
+def test_active_phases_yield_within_the_newton_tolerance(counted_default_run):
+    # every active phase of every plastic state is on its yield surface within
+    # the Newton tolerance, F = cone_value at the state's own stresses (the
+    # KKT check bounds it by 1e-10 s0 only): the default run, a 200-axis
+    # strain drive and the 60 generated mixed-control runs (measured at most
+    # 0.974 of the tolerance over their 695 plastic states)
+    sc, ops, states, _ = counted_default_run
+    runs = [(ops, states), wide_strain_drive()]
+    runs += [(ops, drive(ops, program))
+             for ops, program in map(random_scenario, range(60))]
+    tol = sc.settings.newton_tol
+    assert tol == SolverSettings().newton_tol  # the generated runs' too
+    plastic = 0
+    for ops, states in runs:
+        for st in states[1:]:
+            active = np.flatnonzero(st.active)
+            if active.size:
+                plastic += 1
+                models = [ops.phases[a].plastic for a in active]
+                s0 = np.array([m.shear_strength for m in models])
+                friction = np.array([m.friction_angle for m in models])
+                assert (np.abs(cone_value(st.stress[active], friction, s0)) <= tol * s0).all()
+    assert plastic == 695
 
 
 # ------------------------------------------------------------ the secant start and chord steps

@@ -70,7 +70,7 @@ def test_phase_sweep_counts_its_work(monkeypatch):
     monkeypatch.setattr(sweep, "assemble_operators",
                         counted("assemble", sweep.assemble_operators))
     monkeypatch.setattr(sweep, "drive", counted("drive", sweep.drive))
-    record = sweep.run(26, sweep.AXES_SEED, 2)
+    record = sweep.run(26, 2)
     assert (record["phases"], record["increments"]) == (27, 30)
     assert (record["newton_solves"], record["newton_linearizations"], record["chords"],
             record["systems"], record["revisions"]) == (20, 32, 37, 10, 3)
