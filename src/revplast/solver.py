@@ -65,12 +65,17 @@ The operators' plastic-phase table (``MeanFieldOperators.plastic_index`` and
 the ``plastic_*`` arrays beside it, gathered once by ``assemble_operators``) is
 the only store of the Drucker-Prager parameters and past-yield thresholds:
 ``check_yield`` and ``validate_state`` read it whole, and an active system
-reads its phases' rows of it.  F is evaluated once per increment on the array
-that becomes the state's stresses: ``check_yield`` selects the state (the
-trial stresses when no phase yields, else the converged iterate's, at its
+reads its phases' rows of it.  F is evaluated at most once per increment, on
+the array that becomes the state's stresses: ``check_yield`` selects the state
+(the trial stresses when no phase yields, else the converged iterate's, at its
 join check) and its F values are the ones Newton convergence and the KKT
-check of ``validate_state`` read.  Every other check recomputes its values
-from the state's own arrays, never from the solver's intermediates.
+check of ``validate_state`` read.  An elastic trial needs no F when its macro
+strain lies in the elastic ball of the segment's last checked elastic trial:
+while no phase flows the phase stresses are affine in the macro strain and F
+is Lipschitz in the stress, so that state's F bounds F over the ball, and the
+KKT check reads the bound.  Such a trial is one the exact check would pass,
+and its state is computed as any other.  Every other check recomputes its
+values from the state's own arrays, never from the solver's intermediates.
 
 An increment returns a state ``validate_state`` accepts or raises
 StepFailureError, whatever the cause, and ``drive`` then raises it with the
@@ -262,6 +267,16 @@ class _StressControl:
     targets, through one 6x6 map of the segment.
     The segment's solves share the last active system it built, and it
     counts the work of the current increment.
+
+    It also keeps the anchor of its elastic trials: the last trial state whose
+    exact yield check found no candidate, as its macro strain eps_0, its plastic
+    rows' F_0 and the squared radius r^2 of its elastic ball,
+    r = min_k (-F_0,k / g_k).  While no phase flows the phase stresses are
+    affine in the macro strain, sig_a = sig_a0 + C_a A_a (eps_bar - eps_0), so
+    F_k <= F_0,k + g_k |eps_bar - eps_0|, and a trial in the ball is elastic
+    without evaluating F.  A trial check that finds candidates drops the anchor,
+    so does one with some F_0,k >= 0 (an empty ball), and a segment starts
+    without one.
     """
 
     def __init__(self, ops, modes):
@@ -281,6 +296,13 @@ class _StressControl:
         # C_hom[S, S]^-1 f_b (A_b^T C_b)[S, :], (n, k, 6)
         self.gain = self.inverse @ (ops.fractions[:, None, None]
                                     * self.sens.transpose(0, 2, 1))
+        # the plastic rows' gains g_k: |dF| <= sqrt(3/2 + tan^2 phi / 3) |d sig|, the
+        # Mandel norm of F's gradient, and |d sig_a| <= |C_a A_a|_F |d eps_bar|
+        p = ops.plastic_index
+        strain_gain = np.linalg.norm(ops.stiffness.take(p, axis=0)
+                                     @ ops.concentration.take(p, axis=0), axis=(1, 2))
+        self.yield_gain = np.sqrt(1.5 + ops.plastic_tan_friction ** 2 / 3.0) * strain_gain
+        self._anchor = None
         self._system = None
         self._records = {}
         self.begin()
@@ -316,6 +338,32 @@ class _StressControl:
         ``targets``; its strain-controlled components are the targets, bit for bit."""
         eps = state.macro_strain + self.step @ (targets - self.controlled(state))
         return np.where(self.strain_mode, targets, eps)
+
+    def anchor(self, eps_bar, f):
+        """Anchor the later trials at the elastic trial state at ``eps_bar`` whose
+        yield check returned the plastic rows' F ``f``; None drops the anchor.
+
+        The ball's bound on F must be <= 0, not YIELD_TOL s0: the yield tolerance
+        is left as the margin for the roundoff between the trial stresses, which
+        each increment updates from the last state, and the affine path."""
+        self._anchor = None
+        if f is not None:
+            radius = -float((f / self.yield_gain).max()) if len(f) else math.inf
+            if radius > 0.0:
+                self._anchor = eps_bar, f, radius * radius
+
+    def certified(self, eps_bar):
+        """A bound on the plastic rows' F at the trial stresses of ``eps_bar``,
+        F_0 + g |eps_bar - eps_0| <= 0, when ``eps_bar`` lies in the anchor's
+        elastic ball; else None."""
+        if self._anchor is None:
+            return None
+        eps_0, f_0, radius2 = self._anchor
+        d = eps_bar - eps_0
+        dist2 = d @ d
+        if not dist2 <= radius2:  # outside, or NaN
+            return None
+        return f_0 + self.yield_gain * math.sqrt(dist2)
 
 
 class _ActiveSystem:
@@ -557,9 +605,11 @@ def validate_state(ops: MeanFieldOperators, state: REVState,
     """Raise if a converged state violates the constitutive, averaging or KKT
     identities; a NaN residual fails every check.
 
-    The KKT check reads ``f``, the plastic phases' F at ``state.stress`` as
-    ``check_yield`` returns it, when it is given, else evaluates it; every
-    other check recomputes its values from the state's arrays."""
+    The KKT check reads ``f`` when it is given, else evaluates F.  ``f`` is the
+    plastic phases' F at ``state.stress`` as ``check_yield`` returns it or, for
+    an elastic state certified in the elastic ball of its segment's last
+    checked trial, the ball's bound F_0 + g |eps_bar - eps_0| >= F, which is
+    <= 0.  Every other check recomputes its values from the state's arrays."""
     sig_ref = max(1.0, float(np.abs(state.stress).max()))
     res_c = np.abs(state.stress - phase_stresses(
         ops, state.strain, state.plastic_strain)).max()
@@ -579,6 +629,8 @@ def validate_state(ops: MeanFieldOperators, state: REVState,
         raise StepFailureError(
             f"KKT violation in phase {name!r}: F = {f_vals[k]:.3e}, "
             f"multiplier = {lam[k]:.3e}")
+    # only a NaN fails this check: ``_solve_mixed_increment`` forms the macro
+    # stress by this same expression from the same arrays (ROADMAP item 13)
     two_forms = ops.stiffness_hom @ (state.macro_strain - state.macro_plastic)
     if not np.abs(two_forms - state.macro_stress).max() <= 1e-12 * sig_ref:
         raise StepFailureError("macro stress forms disagree beyond roundoff")
@@ -588,9 +640,10 @@ def _solve_mixed_increment(ops, state, targets, control, settings, before=None):
     """The increment from ``state`` to ``targets`` under the segment's ``control``.
 
     The trial state at the exact elastic predictor is accepted if no phase
-    yields; otherwise one Newton solve, which revises the active set as it
-    goes, returns the coupled return with the stress-controlled strains
-    eliminated.  The solve starts cold, from zero multipliers with flow
+    yields, unchecked when ``control`` certifies it in its anchor's elastic
+    ball; otherwise one Newton solve, which revises the active set as it goes,
+    returns the coupled return with the stress-controlled strains eliminated.
+    The solve starts cold, from zero multipliers with flow
     directions at the trial stresses, unless it is given the converged state
     ``before`` one equal step before ``state``: it then starts from the linear
     extrapolation of the two over the candidate phases, multipliers
@@ -598,14 +651,18 @@ def _solve_mixed_increment(ops, state, targets, control, settings, before=None):
     and flow directions at 2 sig_n - sig_n-1.  If that secant-started solve
     fails, the increment is solved once more, cold, from the same trial state
     and candidates.  Returns the new state once ``validate_state`` accepts it,
-    its KKT check reading the F of the yield check that selected the state;
+    its KKT check reading the F of the yield check that selected the state, or
+    the ball's bound on it;
     raises StepFailureError when the cold solve fails, an active phase's
     equivalent stress vanishes in it, the stress targets are missed or the
     state is rejected.
     """
     eps_bar = control.predict(state, targets)
     strains, stresses = _trial_at(ops, state, eps_bar)
-    active, f = check_yield(ops, stresses)
+    active, f = [], control.certified(eps_bar)
+    if f is None:  # outside the anchor's elastic ball: check, then re-anchor or drop it
+        active, f = check_yield(ops, stresses)
+        control.anchor(eps_bar, None if active else f)
     eps_p, macro_plastic = state.plastic_strain, state.macro_plastic
     multipliers = state.multipliers
     if active:

@@ -6,6 +6,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import dataclasses
+import importlib.util
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ import pytest
 import revplast.mean_field as mean_field
 import revplast.solver as solver_mod
 from revplast.errors import StepFailureError
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # the arrays of a converged state
 STATE_FIELDS = tuple(f.name for f in dataclasses.fields(solver_mod.REVState)
@@ -82,6 +85,15 @@ def record_work(mp):
         for owner in owners:
             mp.setattr(owner, name, wrapped)
     return log
+
+
+def perfbench_workloads():
+    """The benchmark's scenario generators, ``perfbench/workloads.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def inject_failures(mp, fails):

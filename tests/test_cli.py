@@ -1,5 +1,4 @@
 import contextlib
-import importlib.util
 import io
 import os
 import re
@@ -11,6 +10,7 @@ import tracemalloc
 import pytest
 
 import revplast.cli as cli
+from conftest import perfbench_workloads
 from revplast.cli import main
 from revplast.scenario import Scenario, parse_scenario
 
@@ -64,15 +64,6 @@ def test_run_default_scenario(tmp_path, capsys):
     assert (tmp_path / "plot_axial.csv").exists()
     assert (tmp_path / "plot_lateral.csv").exists()
     assert len((tmp_path / "macro.csv").read_text().splitlines()) == 152
-
-
-def perfbench_workloads():
-    """The benchmark's scenario generators, ``perfbench/workloads.py``."""
-    spec = importlib.util.spec_from_file_location(
-        "workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
 
 
 def written_at_one_and_two_blas_threads(tmp_path, *args):

@@ -14,12 +14,13 @@ import pytest
 
 import revplast.plasticity as plasticity
 import revplast.solver as solver_mod
-from conftest import STATE_FIELDS, WorkLog, record_work
+from conftest import STATE_FIELDS, WorkLog, perfbench_workloads, record_work
 from revplast.errors import StepFailureError
 from revplast.mean_field import (PhaseSpec, Spheroid, assemble_operators, localize,
                                  upscale_stress)
-from revplast.plasticity import DruckerPrager, dp_direction, dp_flow_of, dp_pressure_term
-from revplast.scenario import default_scenario
+from revplast.plasticity import (DruckerPrager, dp_direction, dp_flow_of, dp_pressure_term,
+                                 dp_yield)
+from revplast.scenario import default_scenario, parse_scenario
 from revplast.selfcheck import _homogeneous_phases
 from revplast.solver import STRAIN, STRESS, LoadProgram, LoadSegment, SolverSettings, drive
 from revplast.tensors import MANDEL_SCALE, sym2_to_matrix
@@ -73,10 +74,12 @@ def test_default_run_work_counts(counted_default_run):
 def test_default_run_yield_kernel_calls(monkeypatch):
     # the Drucker-Prager invariants, counted by the function that asks for
     # them: one evaluation per residual (60 Newton starts and 159 iterates)
-    # and one per yield check (150 trial states and 62 iterates whose
+    # and one per yield check (83 trial states and 62 iterates whose
     # residual is within tolerance), whose values decide Newton convergence
-    # and the state's KKT check: 431 calls, against 491 while each such
-    # iterate also evaluated F at the active stresses its residual
+    # and the state's KKT check.  The other 67 trial states lie in the
+    # elastic ball of the last checked state and are certified without F:
+    # 364 calls, against 431 while every trial state was checked, 491 while
+    # each such iterate also evaluated F at the active stresses its residual
     # recomputes, 641 when each state validation evaluated F again and 738
     # when every iterate evaluated F at its recomputed stresses
     real = plasticity.stress_invariants
@@ -89,8 +92,8 @@ def test_default_run_yield_kernel_calls(monkeypatch):
     monkeypatch.setattr(plasticity, "stress_invariants", counted)
     sc = default_scenario()
     drive(assemble_operators(sc.phases()), sc.program, sc.settings)
-    assert callers == {"residual": 219, "check_yield": 212}
-    assert callers.total() == 431
+    assert callers == {"residual": 219, "check_yield": 145}
+    assert callers.total() == 364
 
 
 def test_convergence_reads_the_join_checks_yield_values(monkeypatch):
@@ -624,3 +627,87 @@ def test_random_mixed_scenarios_converge_without_subdivision(seed):
             flow = st.multipliers[active, None] * dp_flow_of(n_dev, dp_pressure_term(tan_g))
             assert np.abs(step[active] - flow).max() <= 1e-10 * np.abs(step).max()
     assert plastic >= 2
+
+
+# ------------------------------------------------------------ certified elastic increments
+
+def certified_case_drives(case):
+    """The ``(ops, program, settings)`` of each drive of ``case``: the default run,
+    the default run reloaded past its first segment's strain ("reload"), a
+    benchmark workload at seed 1, or ``random_scenario(0..59)`` at the scale
+    ``case``."""
+    if case in ("default", "reload"):
+        sc = default_scenario()
+        program = sc.program
+        if case == "reload":  # unloads elastically, retraces, then yields again
+            reload = LoadSegment((0.0, 0.0, -0.0015, 0.0, 0.0, 0.0),
+                                 program.segments[0].modes, 50)
+            program = LoadProgram(program.segments + (reload,))
+        return [(assemble_operators(sc.phases()), program, sc.settings)]
+    if isinstance(case, str):
+        sc = parse_scenario(perfbench_workloads().scenario_text(case, 1))
+        return [(assemble_operators(sc.phases(), sc.scheme), sc.program, sc.settings)]
+    return [(*random_scenario(seed, scale=case), SolverSettings()) for seed in range(60)]
+
+
+def drive_outcome(ops, program, settings):
+    """The states of a drive, or its failure's (segment, increment, message)."""
+    try:
+        return drive(ops, program, settings)
+    except StepFailureError as exc:
+        return exc.segment, exc.increment, str(exc)
+
+
+@pytest.mark.parametrize("case, certified", [
+    ("default", 67), ("reload", 82), ("wide_plastic", 11), ("elastic_wide", 149),
+    (1.0, 4), (10.0, 0), (30.0, 0)])
+def test_certified_elastic_increments_change_nothing(case, certified):
+    # a trial in the elastic ball of the last checked trial state is accepted
+    # without evaluating F.  Every state, record and failure is bit for bit
+    # that of the same drive with the anchor patched away, which checks every
+    # trial, and the KKT check of each of the ``certified`` states accepted in
+    # a ball reads a bound on F that is <= 0 and >= F, with no multiplier.
+    # The generator certifies little (its unload steps each leave the ball of
+    # the step before), but at f = 10 and 30 it pins that the same seeds fail
+    # at the same places with the same messages
+    drives = certified_case_drives(case)
+    real_certified, real_validate = (solver_mod._StressControl.certified,
+                                     solver_mod.validate_state)
+    issued, bounded = [], []
+
+    def certified_bound(control, eps_bar):
+        issued.append(real_certified(control, eps_bar))
+        return issued[-1]
+
+    def validate(ops_, state, f):
+        if issued and issued[-1] is f:
+            bounded.append((ops_, state, f))
+        real_validate(ops_, state, f)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_mod._StressControl, "certified", certified_bound)
+        mp.setattr(solver_mod, "validate_state", validate)
+        runs = [drive_outcome(*args) for args in drives]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_mod._StressControl, "anchor", lambda control, eps_bar, f: None)
+        checked = [drive_outcome(*args) for args in drives]
+    for run, ref in zip(runs, checked):
+        assert type(run) is type(ref)
+        if isinstance(ref, tuple):  # the same failure, at the same place
+            assert run == ref
+            continue
+        assert len(run) == len(ref)
+        for a, b in zip(run, ref):
+            assert a.stats == b.stats
+            assert all(getattr(a, name).tobytes() == getattr(b, name).tobytes()
+                       for name in STATE_FIELDS)
+    assert len(bounded) == certified
+    for ops, state, f in bounded:
+        p = ops.plastic_index
+        exact = dp_yield(state.stress.take(p, axis=0), ops.plastic_tan_friction,
+                         ops.plastic_strength)
+        assert not state.multipliers.any()
+        assert (f <= 0.0).all() and (f >= exact).all()
+    if case == "reload":  # certified on the reload's elastic branch, then plastic again
+        assert any(state.step > 150 for _, state, _ in bounded)
+        assert runs[0][-1].multipliers.any()

@@ -1,5 +1,4 @@
 import dataclasses
-import importlib.util
 import os
 import re
 import tracemalloc
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import perfbench_workloads
 from revplast.mean_field import PhaseSpec, Spheroid, assemble_operators
 from revplast.results import (format_rows, plot_paths, write_macro_csv, write_phase_csv,
                               write_plot_data)
@@ -16,8 +16,6 @@ from revplast.scenario import parse_scenario
 from revplast.selfcheck import number_format_cases, number_format_mismatches
 from revplast.solver import REVState, drive, strain_program
 from revplast.tensors import COMPONENT_LABELS, MANDEL_SCALE, SQRT2
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture(scope="module")
@@ -280,17 +278,9 @@ def test_tables_match_reference_on_edge_cases(hand_states, elastic_ops, tmp_path
             == reference_files(states, ["matrix"], fig))
 
 
-def _benchmark_workloads():
-    spec = importlib.util.spec_from_file_location(
-        "workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
-
-
 @pytest.mark.parametrize("workload", ["default", "wide_plastic", "elastic_wide"])
 def test_benchmark_tables_match_reference(workload, tmp_path):
-    scn = parse_scenario(_benchmark_workloads().scenario_text(workload, 1))
+    scn = parse_scenario(perfbench_workloads().scenario_text(workload, 1))
     phases = scn.phases()
     ops = assemble_operators(phases, scn.scheme)
     states = drive(ops, scn.program, scn.settings)

@@ -1,5 +1,3 @@
-import importlib.util
-import os
 import warnings
 
 import numpy as np
@@ -7,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import perfbench_workloads
 from revplast.errors import ScenarioError
 from revplast.mean_field import Spheroid
 from revplast.orientations import CUBE26
@@ -16,7 +15,6 @@ from revplast.scenario import (InclusionFamily, OutputOptions, Scenario,
                                serialize_scenario)
 from revplast.solver import STRAIN, STRESS, LoadProgram, LoadSegment, SolverSettings
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # the default scenario's document, for the error cases that change one of its lines
 DEFAULT_DOC = serialize_scenario(default_scenario())
 
@@ -512,10 +510,7 @@ def test_mutated_documents_raise_only_scenario_errors(rnd):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_benchmark_workload_texts_round_trip(seed):
-    spec = importlib.util.spec_from_file_location(
-        "workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = perfbench_workloads()
     for name in workloads.WORKLOADS:
         sc = parse_scenario(workloads.scenario_text(name, seed))
         assert parse_scenario(serialize_scenario(sc)) == sc, name

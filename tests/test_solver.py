@@ -1118,11 +1118,15 @@ def test_failed_validation_fails_the_increment(monkeypatch):
 
 
 def test_validation_reads_the_yield_values_of_its_state(monkeypatch):
-    # an increment evaluates F once, on the array that becomes its state's
-    # stresses: the yield check that selected the state (the trial check of an
-    # elastic increment, the converged iterate's join check of a plastic one,
-    # the cold solve's after a failed secant start) hands its values to the
-    # KKT check, and they are F of the state's plastic rows, bit for bit
+    # an increment evaluates F at most once, on the array that becomes its
+    # state's stresses: the yield check that selected the state (the trial
+    # check of an elastic increment, the converged iterate's join check of a
+    # plastic one, the cold solve's after a failed secant start) hands its
+    # values to the KKT check, and they are F of the state's plastic rows, bit
+    # for bit.  An elastic trial in the elastic ball of the last checked trial
+    # state evaluates no F, and the KKT check reads the ball's bound on it,
+    # which is <= 0 and >= F, on a state with no multiplier: 67 of the
+    # default run's 150 states
     real_validate = solver_mod.validate_state
     received = []
 
@@ -1130,21 +1134,26 @@ def test_validation_reads_the_yield_values_of_its_state(monkeypatch):
         p = ops_.plastic_index
         want = dp_yield(state.stress.take(p, axis=0), ops_.plastic_tan_friction,
                         ops_.plastic_strength)
-        received.append((state.stats.solves, f.dtype == want.dtype and f.shape == want.shape
-                         and f.tobytes() == want.tobytes()))
+        exact = (f.dtype == want.dtype and f.shape == want.shape
+                 and f.tobytes() == want.tobytes())
+        bound = (f.shape == want.shape and not state.multipliers.any()
+                 and bool((f <= 0.0).all() and (f >= want).all()))
+        received.append((state.stats.solves, exact, bound))
         real_validate(ops_, state, f)
 
     monkeypatch.setattr(solver_mod, "validate_state", checked)
     sc = default_scenario()
     drive(assemble_operators(sc.phases()), sc.program, sc.settings)
-    assert len(received) == 150 and {s for s, _ in received} == {0, 1}
+    assert len(received) == 150 and {s for s, _, _ in received} == {0, 1}
+    assert sum(not exact for _, exact, _ in received) == 67
     ops = two_phase_homogeneous()
     program = strain_program([(np.array([0, 0, -0.004, 0, 0, 0]), 5)])
     assert drive(ops, program)[-1].active == (True, True)  # every phase yields
     inject_failures(monkeypatch, lambda k, sig_dir: sig_dir is not None)
     drive(ops, program)
-    assert [s for s, _ in received[150:]] == [0, 1, 1, 1, 1, 0, 2, 2, 2, 2]
-    assert all(same for _, same in received)
+    assert [s for s, _, _ in received[150:]] == [0, 1, 1, 1, 1, 0, 2, 2, 2, 2]
+    assert all(exact for _, exact, _ in received[150:])
+    assert all(exact or bound for _, exact, bound in received)
 
 
 def test_stress_control_miss_fails_the_attempt(monkeypatch):
